@@ -18,7 +18,7 @@
 #include "common/parallel.h"
 #include "common/table.h"
 #include "obs/bench_report.h"
-#include "obs/live/counters.h"
+#include "obs/prof/counters.h"
 #include "obs/prof/prof.h"
 
 namespace hpcos::bench {
@@ -83,13 +83,15 @@ inline std::vector<FigureRow> run_plan(const FigurePlan& plan,
   std::vector<FigureRow> rows(flat.size());
   // Live progress feed (--progress heartbeats): plan points are this
   // driver's completion units. Statistics only, never results.
-  if (obs::live::enabled()) obs::live::add_units_total(flat.size());
+  static obs::prof::HostCounter* const units_done =
+      obs::prof::host_counter(obs::prof::kLiveUnitsDone);
+  obs::prof::host_counter(obs::prof::kLiveUnitsTotal)->add(flat.size());
   parallel_for(
       flat.size(),
       [&](std::size_t i) {
         rows[i] = run_point(*flat[i].workload, platform, linux_env, mck_env,
                             flat[i].point.nodes, flat[i].point.paper, trials);
-        if (obs::live::enabled()) obs::live::add_units_done(1);
+        units_done->add(1);
       },
       threads);
   return rows;

@@ -1,9 +1,10 @@
 // bench_sched — work-stealing scheduler microbenchmark.
 //
 // Measures flat vs. nested parallel_for throughput over a deterministic
-// RNG workload and folds the scheduler's event counters (wakeups,
-// steals, chunks) into an obs::Registry under the parallel.* names from
-// parallel.h. Two kinds of output:
+// RNG workload and reports the scheduler's event counts over the run as
+// parallel.<event>.count: wakeups and task groups from the host-counter
+// table (obs/prof/counters.h), chunks and steals from the per-slot
+// health totals (parallel_health_total). Two kinds of output:
 //
 //   * Determinism gates: sched.*.checksum / sched.*.items are pure
 //     functions of the seed (index-addressed slots summed in index
@@ -17,13 +18,15 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "obs/bench_report.h"
-#include "obs/registry.h"
+#include "obs/prof/counters.h"
 
 namespace {
 
@@ -63,7 +66,9 @@ int main(int argc, char** argv) {
             << "caller), default_parallelism " << default_parallelism()
             << ", items " << items << ", rounds " << rounds << "\n";
 
-  const ParallelStats before = parallel_stats();
+  const obs::prof::HostCounterSnapshot table_before =
+      obs::prof::host_counter_snapshot();
+  const WorkerHealth slots_before = parallel_health_total();
 
   // Flat: one top-level parallel_for over all items. Threads are pinned
   // to the full pool capacity (workers + caller) rather than
@@ -101,23 +106,22 @@ int main(int argc, char** argv) {
   double nested_checksum = 0.0;
   for (double v : nested_slots) nested_checksum += v;
 
-  const ParallelStats after = parallel_stats();
-
-  // Fold the scheduler's deltas into a Registry (the repo's counter
-  // substrate), then report straight off its snapshot.
-  obs::Registry reg;
-  obs::bump(reg.counter("parallel.wakeups.count"),
-            after.wakeups - before.wakeups);
-  obs::bump(reg.counter("parallel.steals.count"),
-            after.steals - before.steals);
-  obs::bump(reg.counter("parallel.steal_attempts.count"),
-            after.steal_attempts - before.steal_attempts);
-  obs::bump(reg.counter("parallel.groups.count"),
-            after.groups - before.groups);
-  obs::bump(reg.counter("parallel.nested_groups.count"),
-            after.nested_groups - before.nested_groups);
-  obs::bump(reg.counter("parallel.chunks.count"),
-            after.chunks_executed - before.chunks_executed);
+  const obs::prof::HostCounterSnapshot table_after =
+      obs::prof::host_counter_snapshot();
+  const WorkerHealth slots_after = parallel_health_total();
+  auto table_delta = [&](const char* name) {
+    return table_after.value(name) - table_before.value(name);
+  };
+  // Name-sorted, like every other counter listing.
+  const std::vector<std::pair<std::string, std::uint64_t>> sched_counts = {
+      {"parallel.chunks.count", slots_after.chunks - slots_before.chunks},
+      {"parallel.groups.count", table_delta("parallel.groups")},
+      {"parallel.nested_groups.count", table_delta("parallel.nested_groups")},
+      {"parallel.steal_attempts.count",
+       slots_after.steal_attempts - slots_before.steal_attempts},
+      {"parallel.steals.count", slots_after.steals - slots_before.steals},
+      {"parallel.wakeups.count", table_delta("parallel.wakeups")},
+  };
 
   const double total_items = static_cast<double>(items) * rounds;
   TextTable t({"pass", "wall (s)", "items/s", "checksum"});
@@ -130,9 +134,8 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   TextTable c({"scheduler counter", "value"});
-  for (const auto& entry : reg.snapshot().counters) {
-    c.add_row({entry.name,
-               TextTable::fmt_int(static_cast<long long>(entry.value))});
+  for (const auto& [name, value] : sched_counts) {
+    c.add_row({name, TextTable::fmt_int(static_cast<long long>(value))});
   }
   c.print(std::cout);
 
@@ -156,9 +159,8 @@ int main(int argc, char** argv) {
                     (total_items / nested_s) / (total_items / flat_s));
   report.add_metric("host.capacity", "count",
                     static_cast<double>(parallel_capacity()));
-  for (const auto& entry : reg.snapshot().counters) {
-    report.add_metric(entry.name, "count",
-                      static_cast<double>(entry.value));
+  for (const auto& [name, value] : sched_counts) {
+    report.add_metric(name, "count", static_cast<double>(value));
   }
 
   obs::maybe_write_report(report, opts);

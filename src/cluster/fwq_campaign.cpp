@@ -8,7 +8,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "obs/live/counters.h"
+#include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 #include "obs/prof/prof.h"
 
@@ -348,12 +348,18 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
   // shard-ordered merge below is bit-identical whether this call runs
   // top-level or as a nested task group inside another parallel_for
   // (the work-stealing scheduler executes both without serial fallback).
-  obs::prof::memory_counter("fwq.shards")
-      ->add(num_shards * sizeof(ShardAccumulator));
+  static const obs::prof::AllocCounter alloc("fwq.shards");
+  alloc.add(num_shards * sizeof(ShardAccumulator));
   // Live progress feed: shards are the campaign's completion units, and
   // the iterations a shard materialized are its event count. Statistics
   // only — the counters never feed back into any result.
-  if (obs::live::enabled()) obs::live::add_units_total(num_shards);
+  static obs::prof::HostCounter* const units_total =
+      obs::prof::host_counter(obs::prof::kLiveUnitsTotal);
+  static obs::prof::HostCounter* const units_done =
+      obs::prof::host_counter(obs::prof::kLiveUnitsDone);
+  static obs::prof::HostCounter* const events =
+      obs::prof::host_counter(obs::prof::kLiveEvents);
+  units_total->add(num_shards);
   parallel_for(
       num_shards,
       [&](std::size_t shard) {
@@ -367,10 +373,8 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
           simulate_node(profile, config, iters_per_node, source_slot, n,
                         root.split(static_cast<std::uint64_t>(n)), acc);
         }
-        if (obs::live::enabled()) {
-          obs::live::add_units_done(1);
-          obs::live::add_events(acc.iterations);
-        }
+        units_done->add(1);
+        events->add(acc.iterations);
       },
       config.threads);
 

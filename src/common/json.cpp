@@ -212,6 +212,11 @@ std::string JsonValue::dump_pretty() const {
 
 namespace {
 
+// Deepest array/object nesting the parser accepts. The committed
+// documents nest fewer than ten levels; the cap exists so one hostile or
+// corrupt line (a million '[') is an error, not a stack overflow.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -261,8 +266,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers recurse. A throw leaves depth_ raised, which is fine:
+        // the parse is over.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue(true);
@@ -410,6 +424,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

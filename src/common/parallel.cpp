@@ -17,6 +17,7 @@
 #include <sched.h>
 #endif
 
+#include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 
 namespace hpcos {
@@ -163,8 +164,8 @@ class ChunkDeque {
 
   Buffer* new_buffer(std::size_t n) {
     buffers_.push_back(std::make_unique<Buffer>(n));
-    obs::prof::memory_counter("parallel.deque")
-        ->add(sizeof(Buffer) + n * sizeof(std::atomic<Chunk*>));
+    static const obs::prof::AllocCounter alloc("parallel.deque");
+    alloc.add(sizeof(Buffer) + n * sizeof(std::atomic<Chunk*>));
     return buffers_.back().get();
   }
 
@@ -200,17 +201,6 @@ class Scheduler {
   std::size_t capacity() const { return nworkers_ + 1; }
 
   static bool in_region() { return tl_executing_ != nullptr; }
-
-  ParallelStats stats() const {
-    ParallelStats s;
-    s.wakeups = wakeups_.load(std::memory_order_relaxed);
-    s.steals = steals_.load(std::memory_order_relaxed);
-    s.steal_attempts = steal_attempts_.load(std::memory_order_relaxed);
-    s.groups = groups_.load(std::memory_order_relaxed);
-    s.nested_groups = nested_groups_.load(std::memory_order_relaxed);
-    s.chunks_executed = chunks_executed_.load(std::memory_order_relaxed);
-    return s;
-  }
 
   std::vector<WorkerHealth> worker_health() const {
     std::vector<WorkerHealth> out(nworkers_ + 1);
@@ -285,8 +275,8 @@ class Scheduler {
     }
     group.remaining = nchunks;  // published by the deque pushes below
 
-    groups_.fetch_add(1, std::memory_order_relaxed);
-    if (nested) nested_groups_.fetch_add(1, std::memory_order_relaxed);
+    groups_->add(1);
+    if (nested) nested_groups_->add(1);
 
     // Publish: reverse push so the owner pops index-ascending chunks
     // (locality) while thieves steal from the high end.
@@ -374,7 +364,7 @@ class Scheduler {
       granted = std::min(want, asleep);
       wake_tokens_ += granted;
     }
-    wakeups_.fetch_add(granted, std::memory_order_relaxed);
+    wakeups_->add(granted);
     for (std::size_t i = 0; i < granted; ++i) sleep_cv_.notify_one();
   }
 
@@ -428,8 +418,6 @@ class Scheduler {
       ++attempts;
       c = deques_[victim].steal();
     }
-    steal_attempts_.fetch_add(attempts, std::memory_order_relaxed);
-    if (c != nullptr) steals_.fetch_add(1, std::memory_order_relaxed);
     SlotHealth& h = health_[me];
     h.steal_attempts.fetch_add(attempts, std::memory_order_relaxed);
     if (c != nullptr) h.steals.fetch_add(1, std::memory_order_relaxed);
@@ -473,7 +461,6 @@ class Scheduler {
     if (!g->cancelled()) {
       TaskGroup* const prev = tl_executing_;
       tl_executing_ = g;
-      chunks_executed_.fetch_add(1, std::memory_order_relaxed);
       health_[static_cast<std::size_t>(tl_slot_)].chunks.fetch_add(
           1, std::memory_order_relaxed);
       for (std::size_t i = c.begin; i < c.end; ++i) {
@@ -536,12 +523,14 @@ class Scheduler {
   std::vector<ParkEvent> park_events_;        // guarded by timeline_mutex_
   std::vector<DepthSample> depth_samples_;    // guarded by timeline_mutex_
 
-  std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> steal_attempts_{0};
-  std::atomic<std::uint64_t> groups_{0};
-  std::atomic<std::uint64_t> nested_groups_{0};
-  std::atomic<std::uint64_t> chunks_executed_{0};
+  // Dispatch counters in the host-counter table. Chunk and steal totals
+  // need no table entry: they are sums over the per-slot health above.
+  obs::prof::HostCounter* const wakeups_ =
+      obs::prof::host_counter("parallel.wakeups");
+  obs::prof::HostCounter* const groups_ =
+      obs::prof::host_counter("parallel.groups");
+  obs::prof::HostCounter* const nested_groups_ =
+      obs::prof::host_counter("parallel.nested_groups");
 
   static thread_local std::ptrdiff_t tl_slot_;
   static thread_local TaskGroup* tl_executing_;
@@ -571,10 +560,24 @@ std::size_t parallel_capacity() { return Scheduler::instance().capacity(); }
 
 bool in_parallel_region() { return Scheduler::in_region(); }
 
-ParallelStats parallel_stats() { return Scheduler::instance().stats(); }
-
 std::vector<WorkerHealth> parallel_worker_health() {
   return Scheduler::instance().worker_health();
+}
+
+WorkerHealth parallel_health_total() {
+  WorkerHealth total;
+  for (const WorkerHealth& h : parallel_worker_health()) {
+    total.chunks += h.chunks;
+    total.pushes += h.pushes;
+    total.steals += h.steals;
+    total.steal_attempts += h.steal_attempts;
+    total.parks += h.parks;
+    total.park_ns += h.park_ns;
+    total.depth_sum += h.depth_sum;
+    total.depth_samples += h.depth_samples;
+    total.max_depth = std::max(total.max_depth, h.max_depth);
+  }
+  return total;
 }
 
 std::vector<std::size_t> parallel_deque_depths() {

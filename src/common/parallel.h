@@ -41,20 +41,6 @@ std::size_t parallel_capacity();
 // participates).
 bool in_parallel_region();
 
-// Cumulative scheduler event counts since process start (monotonic,
-// cheap relaxed atomics). Exposed so tests and the bench_sched
-// microbenchmark can fold deltas into an obs::Registry under the
-// parallel.* counter names given below.
-struct ParallelStats {
-  std::uint64_t wakeups = 0;         // parallel.wakeups.count
-  std::uint64_t steals = 0;          // parallel.steals.count
-  std::uint64_t steal_attempts = 0;  // parallel.steal_attempts.count
-  std::uint64_t groups = 0;          // parallel.groups.count
-  std::uint64_t nested_groups = 0;   // parallel.nested_groups.count
-  std::uint64_t chunks_executed = 0; // parallel.chunks.count
-};
-ParallelStats parallel_stats();
-
 // Per-slot scheduler health since process start. Slot 0 is the external
 // caller slot (whichever thread holds the top-level session); slots
 // 1..n are the persistent workers. Counters are single-writer relaxed
@@ -75,6 +61,13 @@ struct WorkerHealth {
   std::uint64_t max_depth = 0;       // max sampled deque depth
 };
 std::vector<WorkerHealth> parallel_worker_health();
+
+// All slots summed (max_depth: the maximum over slots) — the scheduler's
+// whole-pool chunk, steal and park totals. The dispatch counters live in
+// the host-counter table (obs/prof/counters.h): parallel.wakeups (sleeping
+// workers woken), parallel.groups (parallel_for task groups dispatched)
+// and parallel.nested_groups (the subset issued from inside a region).
+WorkerHealth parallel_health_total();
 
 // Instantaneous per-slot deque depths (index 0 = caller slot). Two
 // relaxed loads per slot — a near-consistent snapshot for live

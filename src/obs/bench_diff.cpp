@@ -15,20 +15,10 @@ namespace hpcos::obs {
 
 namespace {
 
-// Flattened view of one report: (metric-or-percentile name, value), in
-// emission order. Percentiles become "<name>.<pN>" entries.
-std::vector<std::pair<std::string, double>> flatten_metrics(
-    const JsonValue& report) {
-  std::vector<std::pair<std::string, double>> out;
+std::vector<FlatMetric> flatten_report(const JsonValue& report) {
+  std::vector<FlatMetric> out;
   for (const JsonValue& m : report.at("metrics").as_array()) {
-    const std::string& name = m.at("name").as_string();
-    out.emplace_back(name, m.at("value").as_number());
-    if (const JsonValue* pct = m.find("percentiles");
-        pct != nullptr && pct->is_object()) {
-      for (const auto& [key, value] : pct->members()) {
-        out.emplace_back(name + "." + key, value.as_number());
-      }
-    }
+    flatten_metric(m, &out);
   }
   return out;
 }
@@ -223,39 +213,39 @@ DiffResult diff_reports(const JsonValue& current, const JsonValue& baseline,
         "\", baseline is \"" + baseline.at("bench").as_string() + "\"");
   }
 
-  const auto cur = flatten_metrics(current);
-  const auto base = flatten_metrics(baseline);
+  const std::vector<FlatMetric> cur = flatten_report(current);
+  const std::vector<FlatMetric> base = flatten_report(baseline);
 
   DiffResult r;
-  for (const auto& [name, cur_value] : cur) {
-    const MetricTolerance& tol = policy.lookup(name);
+  for (const FlatMetric& c : cur) {
+    const MetricTolerance& tol = policy.lookup(c.name);
     if (tol.ignore) continue;
     const auto it =
         std::find_if(base.begin(), base.end(),
-                     [&](const auto& b) { return b.first == name; });
+                     [&](const FlatMetric& b) { return b.name == c.name; });
     if (it == base.end()) {
-      r.new_in_current.push_back(name);
+      r.new_in_current.push_back(c.name);
       continue;
     }
     MetricDelta d;
-    d.metric = name;
-    d.baseline = it->second;
-    d.current = cur_value;
-    d.abs_delta = std::abs(cur_value - it->second);
-    d.rel_delta = d.abs_delta / std::max(std::abs(it->second), DBL_MIN);
+    d.metric = c.name;
+    d.baseline = it->value;
+    d.current = c.value;
+    d.abs_delta = std::abs(c.value - it->value);
+    d.rel_delta = d.abs_delta / std::max(std::abs(it->value), DBL_MIN);
     d.tolerance = tol;
     d.violation =
-        d.abs_delta > std::max(tol.abs, tol.rel * std::abs(it->second));
+        d.abs_delta > std::max(tol.abs, tol.rel * std::abs(it->value));
     r.deltas.push_back(d);
     if (d.violation) r.violations.push_back(std::move(d));
   }
-  for (const auto& [name, _] : base) {
-    const MetricTolerance& tol = policy.lookup(name);
+  for (const FlatMetric& b : base) {
+    const MetricTolerance& tol = policy.lookup(b.name);
     if (tol.ignore) continue;
-    const bool present = std::any_of(
-        cur.begin(), cur.end(),
-        [&](const auto& c) { return c.first == name; });
-    if (!present) r.missing_in_current.push_back(name);
+    const bool present =
+        std::any_of(cur.begin(), cur.end(),
+                    [&](const FlatMetric& c) { return c.name == b.name; });
+    if (!present) r.missing_in_current.push_back(b.name);
   }
   std::stable_sort(r.violations.begin(), r.violations.end(),
                    [](const MetricDelta& a, const MetricDelta& b) {

@@ -7,6 +7,7 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <set>
 
 #include "common/parallel.h"
 #include "obs/live/live.h"
@@ -39,6 +40,35 @@ std::string ledger_timestamp() {
 
 }  // namespace
 
+JsonValue metric_to_json(const BenchMetric& m) {
+  JsonValue metric = JsonValue::object();
+  metric.set("name", m.name);
+  metric.set("unit", m.unit);
+  metric.set("value", m.value);
+  if (!m.percentiles.empty()) {
+    JsonValue pct = JsonValue::object();
+    for (const auto& [k, v] : m.percentiles) pct.set(k, v);
+    metric.set("percentiles", std::move(pct));
+  }
+  return metric;
+}
+
+bool is_host_metric(const std::string& name) {
+  return name.starts_with("host.");
+}
+
+void flatten_metric(const JsonValue& entry, std::vector<FlatMetric>* out) {
+  const std::string& name = entry.at("name").as_string();
+  const std::string& unit = entry.at("unit").as_string();
+  out->push_back({name, unit, entry.at("value").as_number()});
+  if (const JsonValue* pct = entry.find("percentiles");
+      pct != nullptr && pct->is_object()) {
+    for (const auto& [key, value] : pct->members()) {
+      out->push_back({name + "." + key, unit, value.as_number()});
+    }
+  }
+}
+
 BenchReport::BenchReport(std::string bench_name, bool quick,
                          std::uint64_t seed)
     : bench_name_(std::move(bench_name)), quick_(quick), seed_(seed) {}
@@ -50,6 +80,13 @@ void BenchReport::add_metric(const std::string& name, const std::string& unit,
 
 void BenchReport::add_metric(BenchMetric metric) {
   metrics_.push_back(std::move(metric));
+}
+
+bool BenchReport::has_metric(const std::string& name) const {
+  for (const BenchMetric& m : metrics_) {
+    if (m.name == name) return true;
+  }
+  return false;
 }
 
 void BenchReport::add_series(const std::string& name, const std::string& unit,
@@ -88,18 +125,7 @@ JsonValue BenchReport::to_json() const {
                static_cast<std::uint64_t>(default_parallelism()));
   doc.set("platform", std::move(platform));
   JsonValue metrics = JsonValue::array();
-  for (const auto& m : metrics_) {
-    JsonValue metric = JsonValue::object();
-    metric.set("name", m.name);
-    metric.set("unit", m.unit);
-    metric.set("value", m.value);
-    if (!m.percentiles.empty()) {
-      JsonValue pct = JsonValue::object();
-      for (const auto& [k, v] : m.percentiles) pct.set(k, v);
-      metric.set("percentiles", std::move(pct));
-    }
-    metrics.push_back(std::move(metric));
-  }
+  for (const auto& m : metrics_) metrics.push_back(metric_to_json(m));
   doc.set("metrics", std::move(metrics));
   if (!series_.empty()) {
     JsonValue series = JsonValue::array();
@@ -162,6 +188,16 @@ std::string validate_bench_report(const JsonValue& doc) {
           return where + " percentile \"" + k + "\" is NaN or missing";
         }
       }
+    }
+  }
+  // Every reader keys metrics by flattened name, and a repeat would make
+  // them disagree on which copy counts (bench_diff reads the first).
+  std::vector<FlatMetric> flat;
+  for (const JsonValue& m : metrics) flatten_metric(m, &flat);
+  std::set<std::string> seen;
+  for (const FlatMetric& f : flat) {
+    if (!seen.insert(f.name).second) {
+      return "metric name \"" + f.name + "\" repeats";
     }
   }
   if (const JsonValue* series = doc.find("series"); series != nullptr) {
@@ -324,9 +360,10 @@ void maybe_write_report(BenchReport& report, const BenchOptions& opts) {
     std::cout << "\n";
   }
   if (opts.sinks.profile) {
+    // One profile section per report: a target that folded its own
+    // (hotspot's accounting run) keeps it.
     const prof::Profile profile = prof::collect();
     add_profile_metrics(report, profile);
-    add_memory_metrics(report);
     std::cout << "\n=== host-side hotspots (--profile) ===\n";
     print_profile(std::cout, profile);
   }

@@ -21,7 +21,8 @@
 //   }
 //
 // Validation (bench_smoke ctest job, tests/test_obs.cpp): required keys
-// present, schema string matches, metrics non-empty, every value finite.
+// present, schema string matches, metrics non-empty, every value finite,
+// no name repeated after percentile flattening (see flatten_metric).
 #pragma once
 
 #include <cstdint>
@@ -46,6 +47,24 @@ struct BenchMetric {
   // Optional percentile map ("p50" -> value); empty when not applicable.
   std::map<std::string, double> percentiles;
 };
+
+// One metric entry as JSON: {name, unit, value, percentiles?}. The report
+// and the run ledger (obs/runlog) share this layout.
+JsonValue metric_to_json(const BenchMetric& m);
+
+// host.* names the wall-clock and host-dependent measurements by repo
+// convention: tracked, never gated.
+bool is_host_metric(const std::string& name);
+
+// One flattened metric. A JSON metric entry flattens to its base value
+// under its own name plus one "<name>.<pN>" entry per percentile — the
+// one name space bench_diff, trend and explain compare in.
+struct FlatMetric {
+  std::string name;
+  std::string unit;
+  double value = 0.0;
+};
+void flatten_metric(const JsonValue& entry, std::vector<FlatMetric>* out);
 
 class BenchReport {
  public:
@@ -81,6 +100,7 @@ class BenchReport {
   const std::vector<JsonValue>& series_json() const { return series_; }
 
   std::size_t metric_count() const { return metrics_.size(); }
+  bool has_metric(const std::string& name) const;
   std::size_t series_count() const { return series_.size(); }
 
   JsonValue to_json() const;
@@ -99,7 +119,8 @@ class BenchReport {
 
 // Schema validation of a parsed report. Returns an empty string when the
 // document is valid; otherwise a one-line description of the first
-// violation (missing key, wrong schema, empty metrics, non-finite value).
+// violation (missing key, wrong schema, empty metrics, non-finite value,
+// a flattened name that repeats).
 std::string validate_bench_report(const JsonValue& doc);
 
 // Where a bench run's results and telemetry flow — every output sink the

@@ -33,10 +33,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-bool is_host_metric(const std::string& name) {
-  return starts_with(name, "host.");
-}
-
 // "attrib.src.<source>.stolen_us" -> "<source>" (dots allowed inside).
 bool middle_of(const std::string& name, const std::string& prefix,
                const std::string& suffix, std::string* out) {
@@ -45,18 +41,6 @@ bool middle_of(const std::string& name, const std::string& prefix,
   if (len == 0) return false;
   *out = name.substr(prefix.size(), len);
   return true;
-}
-
-void flatten_metric_entry(const JsonValue& m, std::vector<FlatMetric>* out) {
-  const std::string& name = m.at("name").as_string();
-  const std::string& unit = m.at("unit").as_string();
-  out->push_back({name, unit, m.at("value").as_number()});
-  if (const JsonValue* pct = m.find("percentiles");
-      pct != nullptr && pct->is_object()) {
-    for (const auto& [key, value] : pct->members()) {
-      out->push_back({name + "." + key, unit, value.as_number()});
-    }
-  }
 }
 
 const FlatMetric* find_metric(const RunSnapshot& snap,
@@ -164,7 +148,7 @@ RunSnapshot snapshot_from_report(const JsonValue& report_doc,
     snap.config_hash = config_hash_hex(*config);
   }
   for (const JsonValue& m : report_doc.at("metrics").as_array()) {
-    flatten_metric_entry(m, &snap.metrics);
+    flatten_metric(m, &snap.metrics);
   }
   return snap;
 }
@@ -184,14 +168,14 @@ RunSnapshot snapshot_from_record(const JsonValue& record, std::string label) {
     snap.config = *config;
   }
   for (const JsonValue& m : record.at("metrics").as_array()) {
-    flatten_metric_entry(m, &snap.metrics);
+    flatten_metric(m, &snap.metrics);
   }
   if (const JsonValue* host = record.find("host");
       host != nullptr && host->is_object()) {
     if (const JsonValue* metrics = host->find("metrics");
         metrics != nullptr && metrics->is_array()) {
       for (const JsonValue& m : metrics->as_array()) {
-        flatten_metric_entry(m, &snap.metrics);
+        flatten_metric(m, &snap.metrics);
       }
     }
   }

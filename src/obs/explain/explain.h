@@ -52,25 +52,13 @@
 #include "common/json.h"
 #include "common/sketch.h"
 #include "obs/bench_diff.h"
+#include "obs/bench_report.h"
 
 namespace hpcos::sim {
 struct TraceRecord;
 }  // namespace hpcos::sim
 
-namespace hpcos::obs {
-class BenchReport;
-}  // namespace hpcos::obs
-
 namespace hpcos::obs::explain {
-
-// One flattened metric: percentile entries appear as "<name>.<pN>" next
-// to the base value, the same flattening bench_diff and trend use, so one
-// name space covers all three tools.
-struct FlatMetric {
-  std::string name;
-  std::string unit;
-  double value = 0.0;
-};
 
 // One side of the diff — a run (or a synthesized baseline) reduced to the
 // fields the explainer needs.
@@ -79,7 +67,7 @@ struct RunSnapshot {
   std::string target;
   std::string config_hash;  // "" when unknown
   JsonValue config;         // null when the run carried no config document
-  std::vector<FlatMetric> metrics;  // flattened, host.* included
+  std::vector<FlatMetric> metrics;  // flatten_metric order, host.* included
 };
 
 // Build a snapshot from a schema-valid BenchReport document or from a

@@ -1,6 +1,6 @@
 // The hpcos-heartbeat/1 record: one line of a live progress stream.
 //
-// A ProgressMeter (obs/live/live.h) samples the live counter hub on a
+// A ProgressMeter (obs/live/live.h) samples the host-counter table on a
 // wall-clock timer and appends one self-contained JSON line per tick to a
 // *.heartbeat.jsonl stream (plus an ASCII line on stderr). The schema is
 // deliberately flat and small — a tail -f consumer, the `live` CLI, or a

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "obs/live/counters.h"
+#include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 #include "obs/prof/prof.h"
 
@@ -37,6 +37,20 @@ std::string mib(std::uint64_t bytes) {
   return fmt1(static_cast<double>(bytes) / (1024.0 * 1024.0)) + " MiB";
 }
 
+// The watchdog's progress signature: a stall is "none of these moved".
+struct Progress {
+  std::uint64_t events = 0;
+  std::uint64_t units_done = 0;
+  std::uint64_t sim_time_ns = 0;
+
+  explicit Progress(const prof::HostCounterSnapshot& snap)
+      : events(snap.value(prof::kLiveEvents)),
+        units_done(snap.value(prof::kLiveUnitsDone)),
+        sim_time_ns(snap.value(prof::kLiveSimTimeNs)) {}
+  Progress() = default;
+  bool operator==(const Progress&) const = default;
+};
+
 }  // namespace
 
 std::string build_stall_snapshot(const Heartbeat& hb, double stalled_for_s) {
@@ -47,6 +61,13 @@ std::string build_stall_snapshot(const Heartbeat& hb, double stalled_for_s) {
   out << "des: queue depth " << hb.des_depth << " (max " << hb.des_max_depth
       << "), sim time " << fmt1(hb.sim_time_us / 1e6) << " s, events "
       << hb.events << "\n";
+  // The whole host-counter table: live feed, scheduler dispatch counts,
+  // allocation counters.
+  out << "host counters:\n";
+  for (const prof::HostCounterValue& c :
+       prof::host_counter_snapshot().counters) {
+    out << "  " << c.name << " " << c.value << "\n";
+  }
   // Live per-slot scheduler state: where is the backlog, who is asleep?
   const std::vector<std::size_t> depths = parallel_deque_depths();
   const std::vector<WorkerHealth> health = parallel_worker_health();
@@ -102,28 +123,26 @@ struct ProgressMeter::Impl {
     hb.kind = kind;
     hb.seq = seq++;
     hb.t_ms = t_ms;
-    hb.events = events();
+    const prof::HostCounterSnapshot snap = prof::host_counter_snapshot();
+    hb.events = snap.value(prof::kLiveEvents);
     hb.events_per_sec = rate;
-    hb.sim_time_us = static_cast<double>(std::max<std::int64_t>(
-                         0, sim_time_ns())) /
-                     1e3;
-    hb.units_done = units_done();
-    hb.units_total = units_total();
+    hb.sim_time_us =
+        static_cast<double>(snap.value(prof::kLiveSimTimeNs)) / 1e3;
+    hb.units_done = snap.value(prof::kLiveUnitsDone);
+    hb.units_total = snap.value(prof::kLiveUnitsTotal);
     if (hb.units_total > 0 && hb.units_done > 0 &&
         hb.units_done < hb.units_total) {
       hb.eta_s = (t_ms / 1e3) *
                  static_cast<double>(hb.units_total - hb.units_done) /
                  static_cast<double>(hb.units_done);
     }
-    hb.des_depth = des_depth();
-    hb.des_max_depth = des_max_depth();
-    const ParallelStats ps = parallel_stats();
-    hb.sched_chunks = ps.chunks_executed;
-    hb.sched_steals = ps.steals;
-    for (const WorkerHealth& w : parallel_worker_health()) {
-      hb.sched_parks += w.parks;
-      hb.sched_max_depth = std::max(hb.sched_max_depth, w.max_depth);
-    }
+    hb.des_depth = snap.value(prof::kLiveDesDepth);
+    hb.des_max_depth = snap.value(prof::kLiveDesMaxDepth);
+    const WorkerHealth sched = parallel_health_total();
+    hb.sched_chunks = sched.chunks;
+    hb.sched_steals = sched.steals;
+    hb.sched_parks = sched.parks;
+    hb.sched_max_depth = sched.max_depth;
     const prof::HostMemory mem = prof::sample_host_memory();
     if (mem.valid) {
       hb.rss_bytes = mem.rss_bytes;
@@ -177,9 +196,7 @@ struct ProgressMeter::Impl {
     auto next_tick = t0 + interval;
     std::uint64_t tick_events = 0;  // events at the previous tick
     double tick_ms = 0.0;
-    std::uint64_t sig_events = 0;
-    std::uint64_t sig_units = 0;
-    std::int64_t sig_sim = 0;
+    Progress sig;
     auto last_change = t0;
     bool in_stall = false;
     for (;;) {
@@ -190,14 +207,9 @@ struct ProgressMeter::Impl {
       if (st.stop_requested()) return;
       const auto now = Clock::now();
       const double t_ms = ms_since(t0, now);
-      const std::uint64_t cur_events = events();
-      const std::uint64_t cur_units = units_done();
-      const std::int64_t cur_sim = sim_time_ns();
-      if (cur_events != sig_events || cur_units != sig_units ||
-          cur_sim != sig_sim) {
-        sig_events = cur_events;
-        sig_units = cur_units;
-        sig_sim = cur_sim;
+      const Progress cur(prof::host_counter_snapshot());
+      if (cur != sig) {
+        sig = cur;
         last_change = now;
         in_stall = false;  // progress resumed: next halt is a new episode
       } else if (cfg.stall_after_s > 0.0 && !in_stall) {
@@ -228,10 +240,10 @@ struct ProgressMeter::Impl {
         const double dt_s = (t_ms - tick_ms) / 1e3;
         const double rate =
             dt_s > 0.0
-                ? static_cast<double>(cur_events - tick_events) / dt_s
+                ? static_cast<double>(cur.events - tick_events) / dt_s
                 : 0.0;
         emit(sample("tick", t_ms, rate));
-        tick_events = cur_events;
+        tick_events = cur.events;
         tick_ms = t_ms;
         while (next_tick <= now) next_tick += interval;
       }
@@ -259,8 +271,8 @@ void ProgressMeter::start() {
                                impl_->cfg.jsonl_path);
     }
   }
-  reset_counters();
-  set_enabled(true);
+  prof::reset_host_counters("live.");
+  prof::set_live_feed(true);
   impl_->t0 = Clock::now();
   impl_->thread =
       std::jthread([this](std::stop_token st) { impl_->loop(st); });
@@ -275,10 +287,12 @@ MeterSummary ProgressMeter::stop() {
   if (impl_->thread.joinable()) impl_->thread.join();
   // Sampler joined: safe to emit the closing record from this thread.
   const double t_ms = ms_since(impl_->t0, Clock::now());
-  const double mean =
-      t_ms > 0.0 ? static_cast<double>(events()) / (t_ms / 1e3) : 0.0;
-  impl_->emit(impl_->sample("final", t_ms, mean));
-  set_enabled(false);
+  // The closing record's rate is the whole-run mean.
+  Heartbeat hb = impl_->sample("final", t_ms, 0.0);
+  hb.events_per_sec =
+      t_ms > 0.0 ? static_cast<double>(hb.events) / (t_ms / 1e3) : 0.0;
+  impl_->emit(hb);
+  prof::set_live_feed(false);
   if (impl_->out.is_open()) impl_->out.close();
   if (impl_->agg.elapsed_s > 0.0) {
     impl_->agg.events_per_sec_mean =

@@ -2,8 +2,10 @@
 //
 // Every other observability layer reports after the run exits; the meter
 // is the one that talks while it runs. A dedicated sampling thread wakes
-// on a wall-clock timer, reads the live counter hub (obs/live/counters.h)
-// plus the scheduler/profiler/procfs gauges, and
+// on a wall-clock timer, takes one snapshot of the host-counter table
+// (obs/prof/counters.h: the live.* feed the DES loop, FWQ campaigns and
+// bench plan drivers write) plus the per-slot scheduler health and the
+// profiler/procfs gauges, and
 //
 //   * emits one hpcos-heartbeat/1 JSON line per interval to an optional
 //     *.heartbeat.jsonl stream and/or an ASCII line to stderr, and
@@ -11,7 +13,8 @@
 //     completed units, simulated time) stops changing for stall_after_s
 //     wall seconds, it emits a "stall" heartbeat, dumps a diagnostic
 //     snapshot — DES queue depth/max, per-slot deque depths + park
-//     counts, top profile scopes, RSS/VmHWM — and can abort the process
+//     counts, the host-counter table, top profile scopes, RSS/VmHWM —
+//     and can abort the process
 //     with a nonzero exit so a CI hang becomes a diagnosable failure
 //     instead of a timeout.
 //
@@ -72,9 +75,10 @@ class ProgressMeter {
   ProgressMeter(const ProgressMeter&) = delete;
   ProgressMeter& operator=(const ProgressMeter&) = delete;
 
-  // Zero the counter hub, arm it, open the stream, launch the sampler.
+  // Zero the live.* counters, arm the live feed, open the stream, launch
+  // the sampler.
   void start();
-  // Join the sampler, emit the "final" heartbeat, disarm the hub, return
+  // Join the sampler, emit the "final" heartbeat, disarm the feed, return
   // whole-run aggregates. Idempotent; returns {active=false} if start()
   // never ran.
   MeterSummary stop();

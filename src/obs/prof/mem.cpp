@@ -1,9 +1,6 @@
 #include "obs/prof/mem.h"
 
-#include <algorithm>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <sstream>
 
 #ifdef __linux__
@@ -11,49 +8,6 @@
 #endif
 
 namespace hpcos::obs::prof {
-namespace {
-
-// Immortal (leaked) registry: allocation counters may be bumped from
-// scheduler workers during static destruction.
-struct MemState {
-  std::mutex mutex;
-  std::vector<std::pair<std::string, std::unique_ptr<MemoryCounter>>>
-      counters;
-};
-
-MemState& mem_state() {
-  static MemState* s = new MemState;
-  return *s;
-}
-
-}  // namespace
-
-MemoryCounter* memory_counter(const std::string& name) {
-  MemState& s = mem_state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  for (const auto& [n, c] : s.counters) {
-    if (n == name) return c.get();
-  }
-  s.counters.emplace_back(name, std::make_unique<MemoryCounter>());
-  return s.counters.back().second.get();
-}
-
-std::vector<MemoryCounterView> memory_counters() {
-  MemState& s = mem_state();
-  std::vector<MemoryCounterView> out;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    out.reserve(s.counters.size());
-    for (const auto& [name, c] : s.counters) {
-      out.push_back(MemoryCounterView{name, c->bytes(), c->events()});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MemoryCounterView& a, const MemoryCounterView& b) {
-              return a.name < b.name;
-            });
-  return out;
-}
 
 HostMemory sample_host_memory() {
   HostMemory m;

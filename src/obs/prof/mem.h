@@ -5,55 +5,37 @@
 // the per-node state; this module establishes the measurement baseline it
 // will be judged against. Two instruments:
 //
-//   * MemoryCounter — a named (bytes, events) pair bumped at the
-//     subsystem's allocation sites (trace rings, time-series buckets,
-//     campaign shard accumulators, scheduler deque buffers). Atomic
-//     because host worker threads allocate concurrently; relaxed, since
-//     the counters are statistics, not synchronization.
+//   * AllocCounter — an allocation site's pair of host-counter table
+//     entries (obs/prof/counters.h), mem.<site>.bytes and
+//     mem.<site>.events, bumped where the subsystem allocates (trace
+//     rings, time-series buckets, campaign shard accumulators, scheduler
+//     deque buffers). The --profile report folds them as host.mem.*.
 //   * sample_host_memory() — current VmSize/VmRSS from /proc/self/statm
 //     and peak RSS (VmHWM) from /proc/self/status. Returns valid=false
 //     where procfs is unavailable.
-//
-// Names follow the repo rule <subsystem>.<object>[.<detail>] with the
-// unit as the last segment (always _bytes here).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "obs/prof/counters.h"
 
 namespace hpcos::obs::prof {
 
-class MemoryCounter {
- public:
-  void add(std::uint64_t n) {
-    bytes_.fetch_add(n, std::memory_order_relaxed);
-    events_.fetch_add(1, std::memory_order_relaxed);
+// Sites construct one per site and keep it (a function-local static):
+//   static const prof::AllocCounter alloc("trace.ring");
+//   alloc.add(bytes);
+struct AllocCounter {
+  explicit AllocCounter(const std::string& site)
+      : bytes(host_counter("mem." + site + ".bytes")),
+        events(host_counter("mem." + site + ".events")) {}
+  void add(std::uint64_t n) const {
+    bytes->add(n);
+    events->add(1);
   }
-  std::uint64_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t events() const {
-    return events_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> events_{0};
+  HostCounter* bytes;
+  HostCounter* events;
 };
-
-// Find-or-create; the returned pointer is stable for process lifetime
-// (Registry discipline: look up once at wiring time, bump forever).
-MemoryCounter* memory_counter(const std::string& name);
-
-struct MemoryCounterView {
-  std::string name;
-  std::uint64_t bytes = 0;
-  std::uint64_t events = 0;
-};
-// Name-sorted snapshot of every registered counter.
-std::vector<MemoryCounterView> memory_counters();
 
 struct HostMemory {
   std::uint64_t vm_bytes = 0;        // VmSize

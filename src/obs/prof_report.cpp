@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/table.h"
+#include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 
 namespace hpcos::obs {
@@ -14,6 +15,7 @@ double to_us(std::int64_t ns) { return static_cast<double>(ns) / 1e3; }
 }  // namespace
 
 void add_profile_metrics(BenchReport& report, const prof::Profile& profile) {
+  if (report.has_metric("host.prof.events")) return;
   for (const prof::ScopeStat& s : profile.scopes) {
     report.add_metric("prof." + s.name + ".count", "count",
                       static_cast<double>(s.count));
@@ -30,22 +32,12 @@ void add_profile_metrics(BenchReport& report, const prof::Profile& profile) {
                     static_cast<double>(profile.dropped));
   report.add_metric("host.prof.root_total_us", "us",
                     to_us(profile.root_total_ns));
-}
-
-void fold_profile_registry(Registry& registry, const prof::Profile& profile) {
-  for (const prof::ScopeStat& s : profile.scopes) {
-    registry.counter("prof." + s.name + ".count")->add(s.count);
-  }
-  registry.counter("prof.events")->add(profile.events);
-  registry.counter("prof.dropped")->add(profile.dropped);
-}
-
-void add_memory_metrics(BenchReport& report) {
-  for (const prof::MemoryCounterView& c : prof::memory_counters()) {
-    report.add_metric("host.mem." + c.name + ".bytes", "bytes",
-                      static_cast<double>(c.bytes));
-    report.add_metric("host.mem." + c.name + ".events", "count",
-                      static_cast<double>(c.events));
+  for (const prof::HostCounterValue& c :
+       prof::host_counter_snapshot().counters) {
+    if (!c.name.starts_with("mem.")) continue;
+    report.add_metric("host." + c.name,
+                      c.name.ends_with(".bytes") ? "bytes" : "count",
+                      static_cast<double>(c.value));
   }
   const prof::HostMemory mem = prof::sample_host_memory();
   if (mem.valid) {

@@ -1,6 +1,5 @@
 // Reporting glue between the host-side profiler (obs/prof) and the
-// repo's observability surfaces: BenchReport JSON, Registry counters
-// (and through them the OpenMetrics exporter), and the human-readable
+// repo's observability surfaces: BenchReport JSON and the human-readable
 // hotspot table.
 //
 // Naming discipline (enforced by the bench_gate tolerance file): scope
@@ -15,27 +14,20 @@
 
 #include "obs/bench_report.h"
 #include "obs/prof/prof.h"
-#include "obs/registry.h"
 
 namespace hpcos::obs {
 
-// Fold a collected profile into a BenchReport:
+// The report's profile section — a collected profile, the host-counter
+// table's allocation counters and the process RSS sample:
 //   prof.<scope>.count            count  (deterministic, gated)
 //   host.prof.<scope>.self_us     us     (ignored by the gate)
 //   host.prof.<scope>.total_us    us
 //   host.prof.events / .threads / .dropped / .root_total_us
+//   host.mem.<site>.bytes/.events  (table counters mem.<site>.*)
+//   host.mem.rss_bytes / .peak_rss_bytes / .vm_bytes
+// A report carries at most one such section: a call on a report that
+// already has one (host.prof.events present) adds nothing.
 void add_profile_metrics(BenchReport& report, const prof::Profile& profile);
-
-// Fold scope fire counts (prof.<scope>.count) plus the merge summary
-// (prof.events, prof.dropped) into a Registry, giving the profiler's
-// deterministic face the same OpenMetrics round trip every other counter
-// has.
-void fold_profile_registry(Registry& registry, const prof::Profile& profile);
-
-// Per-subsystem allocation counters (host.mem.<name>.bytes/.events) and
-// the process RSS sample (host.mem.rss_bytes, host.mem.peak_rss_bytes,
-// host.mem.vm_bytes) — all host-dependent, all ignore-listed.
-void add_memory_metrics(BenchReport& report);
 
 // Ranked hotspot table (top `top` scopes by self time) plus the merge
 // summary line, in the repo's fixed-width table layout.

@@ -21,23 +21,6 @@ namespace hpcos::obs {
 
 namespace {
 
-bool is_host_metric(const std::string& name) {
-  return name.rfind("host.", 0) == 0;
-}
-
-JsonValue metric_to_json(const BenchMetric& m) {
-  JsonValue v = JsonValue::object();
-  v.set("name", m.name);
-  v.set("unit", m.unit);
-  v.set("value", m.value);
-  if (!m.percentiles.empty()) {
-    JsonValue pct = JsonValue::object();
-    for (const auto& [k, val] : m.percentiles) pct.set(k, val);
-    v.set("percentiles", std::move(pct));
-  }
-  return v;
-}
-
 // Sum/count over a BenchReport series entry's non-empty buckets.
 void series_totals(const JsonValue& series, double* sum,
                    std::uint64_t* count) {

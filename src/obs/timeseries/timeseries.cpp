@@ -22,8 +22,8 @@ TimeSeries::TimeSeries(SimTime resolution, std::size_t capacity)
                   "series resolution must be positive");
   HPCOS_CHECK_MSG(capacity >= 2, "series capacity must be at least 2");
   buckets_.resize(capacity_);
-  prof::memory_counter("timeseries.buckets")
-      ->add(capacity_ * sizeof(SeriesBucket));
+  static const prof::AllocCounter alloc("timeseries.buckets");
+  alloc.add(capacity_ * sizeof(SeriesBucket));
 }
 
 void TimeSeries::record_n(SimTime t, double value, std::uint64_t weight) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/bench_report.h"
+
 namespace hpcos::obs::trend {
 
 namespace {
@@ -69,18 +71,9 @@ std::vector<RunGroup> group_records(const std::vector<JsonValue>& records) {
       group = &groups.back();
     }
     ++group->runs;
+    std::vector<FlatMetric> flat;
     for (const JsonValue& m : record.at("metrics").as_array()) {
-      const std::string& name = m.at("name").as_string();
-      const std::string& unit = m.at("unit").as_string();
-      find_or_add_metric(*group, name, unit)
-          ->values.push_back(m.at("value").as_number());
-      if (const JsonValue* pct = m.find("percentiles");
-          pct != nullptr && pct->is_object()) {
-        for (const auto& [key, value] : pct->members()) {
-          find_or_add_metric(*group, name + "." + key, unit)
-              ->values.push_back(value.as_number());
-        }
-      }
+      flatten_metric(m, &flat);
     }
     // host.* metrics live in the record's host half (excluded from the
     // deterministic line), but trend is exactly the tool that should see
@@ -92,11 +85,12 @@ std::vector<RunGroup> group_records(const std::vector<JsonValue>& records) {
       if (const JsonValue* metrics = host->find("metrics");
           metrics != nullptr && metrics->is_array()) {
         for (const JsonValue& m : metrics->as_array()) {
-          find_or_add_metric(*group, m.at("name").as_string(),
-                             m.at("unit").as_string())
-              ->values.push_back(m.at("value").as_number());
+          flatten_metric(m, &flat);
         }
       }
+    }
+    for (const FlatMetric& f : flat) {
+      find_or_add_metric(*group, f.name, f.unit)->values.push_back(f.value);
     }
   }
   return groups;
@@ -156,7 +150,7 @@ std::vector<Regression> find_regressions(const std::vector<RunGroup>& groups,
       // Host telemetry is tracked, never judged: wall-clock rates move
       // with the machine, and flagging them would train people to
       // ignore the gate. The hard skip backs up the tolerance rules.
-      if (m.name.rfind("host.", 0) == 0) continue;
+      if (is_host_metric(m.name)) continue;
       const MetricTolerance& tol = policy.lookup(m.name);
       if (tol.ignore) continue;
       const double current = m.values.back();
@@ -192,7 +186,7 @@ std::vector<Drift> find_drift(const std::vector<RunGroup>& groups,
     for (const MetricSeries& m : group.metrics) {
       const std::size_t n = m.values.size();
       if (n < 2 * min_segment) continue;
-      if (m.name.rfind("host.", 0) == 0) continue;  // tracked, not judged
+      if (is_host_metric(m.name)) continue;  // tracked, not judged
       Drift best;
       for (std::size_t split = min_segment; split + min_segment <= n;
            ++split) {

@@ -4,12 +4,33 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/live/counters.h"
+#include "obs/prof/counters.h"
 
 namespace hpcos::sim {
 
 namespace {
+
 constexpr const char* kDefaultTag = "event";
+
+// The DES loop's share of the live feed, looked up once per process.
+struct LiveFeed {
+  using Counter = obs::prof::HostCounter;
+  Counter* events = obs::prof::host_counter(obs::prof::kLiveEvents);
+  Counter* sim_time_ns = obs::prof::host_counter(obs::prof::kLiveSimTimeNs);
+  Counter* des_depth = obs::prof::host_counter(obs::prof::kLiveDesDepth);
+  Counter* des_max_depth =
+      obs::prof::host_counter(obs::prof::kLiveDesMaxDepth);
+};
+
+const LiveFeed& live_feed() {
+  static const LiveFeed feed;
+  return feed;
+}
+
+std::uint64_t sim_ns(SimTime t) {
+  return static_cast<std::uint64_t>(t.count_ns());  // never negative
+}
+
 }  // namespace
 
 EventId Simulator::schedule_at(SimTime t, EventFn fn, const char* tag) {
@@ -78,14 +99,16 @@ bool Simulator::step() {
   now_ = e.time;
   ++executed_;
   ++telemetry_.pops;
-  if (obs::live::enabled()) {
+  if (obs::prof::live_feed_enabled()) {
     // Live progress feed (heartbeats/stall watchdog): count every fire,
     // but sample the gauges coarsely — one publish per 512 events keeps
     // the hot loop at one relaxed add when the meter is running.
-    obs::live::add_events(1);
+    const LiveFeed& feed = live_feed();
+    feed.events->add(1);
     if ((executed_ & 0x1FF) == 0) {
-      obs::live::note_sim_time_ns(now_.count_ns());
-      obs::live::note_des_depth(pending_.size());
+      feed.sim_time_ns->note_max(sim_ns(now_));
+      feed.des_depth->set(pending_.size());
+      feed.des_max_depth->note_max(pending_.size());
     }
   }
   if (obs::prof::enabled()) {
@@ -120,7 +143,9 @@ std::size_t Simulator::run_until(SimTime t_end) {
     ++n;
   }
   now_ = t_end;
-  if (obs::live::enabled()) obs::live::note_sim_time_ns(now_.count_ns());
+  if (obs::prof::live_feed_enabled()) {
+    live_feed().sim_time_ns->note_max(sim_ns(now_));
+  }
   return n;
 }
 

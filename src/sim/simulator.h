@@ -20,6 +20,10 @@
 //     profiler scope and accumulates per-tag host time, decomposing the
 //     DES hot loop's cost by handler kind. Zero timing overhead while the
 //     profiler is disabled (one branch per event).
+//   * Live feed — while a ProgressMeter runs (obs/live/live.h), step()
+//     bumps the host-counter table's live.events and, every 512 events,
+//     live.sim_time_ns / live.des.depth / live.des.max_depth
+//     (obs/prof/counters.h). One branch per event while no meter runs.
 #pragma once
 
 #include <cstdint>

@@ -41,8 +41,8 @@ std::string to_string(TraceCategory c) {
 TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity) {
   ring_.resize(capacity);
   if (capacity > 0) {
-    obs::prof::memory_counter("trace.ring")
-        ->add(capacity * sizeof(TraceRecord));
+    static const obs::prof::AllocCounter alloc("trace.ring");
+    alloc.add(capacity * sizeof(TraceRecord));
   }
 }
 

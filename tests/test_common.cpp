@@ -2,6 +2,7 @@
 // parallel_for).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -20,11 +21,16 @@
 #include "common/sim_time.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "obs/prof/counters.h"
 
 namespace hpcos {
 namespace {
 
 using namespace hpcos::literals;
+
+std::uint64_t host_count(const char* name) {
+  return obs::prof::host_counter_snapshot().value(name);
+}
 
 TEST(SimTime, UnitConstructorsAgree) {
   EXPECT_EQ(SimTime::us(1).count_ns(), 1000);
@@ -307,7 +313,8 @@ TEST(ParallelFor, NestedWorkIsDistributedAcrossThreads) {
   // run serially on the nested caller. One outer task is trivial so its
   // thread becomes a thief; the other runs a slow inner loop whose
   // chunks the thief picks up.
-  const auto before = parallel_stats();
+  const std::uint64_t nested_before = host_count("parallel.nested_groups");
+  const std::uint64_t steals_before = parallel_health_total().steals;
   std::mutex m;
   std::set<std::thread::id> inner_threads;
   parallel_for(
@@ -326,9 +333,8 @@ TEST(ParallelFor, NestedWorkIsDistributedAcrossThreads) {
             2);
       },
       2);
-  const auto after = parallel_stats();
-  EXPECT_GE(after.nested_groups - before.nested_groups, 1u);
-  EXPECT_GE(after.steals - before.steals, 1u);
+  EXPECT_GE(host_count("parallel.nested_groups") - nested_before, 1u);
+  EXPECT_GE(parallel_health_total().steals - steals_before, 1u);
   EXPECT_GE(inner_threads.size(), 2u);
 }
 
@@ -337,19 +343,18 @@ TEST(ParallelFor, WakesOnlyNeededWorkers) {
   // never the whole pool (parallel.wakeups.count is the proof). Serial
   // calls must wake nobody.
   parallel_for(64, [](std::size_t) {}, 2);  // warm the pool
-  const auto before = parallel_stats();
+  const std::uint64_t before = host_count("parallel.wakeups");
   const std::uint64_t rounds = 100;
   for (std::uint64_t r = 0; r < rounds; ++r) {
     parallel_for(256, [](std::size_t) {}, 2);
   }
-  const auto after = parallel_stats();
-  EXPECT_LE(after.wakeups - before.wakeups, rounds);
+  EXPECT_LE(host_count("parallel.wakeups") - before, rounds);
 
-  const auto serial_before = parallel_stats();
+  const std::uint64_t serial_before = host_count("parallel.wakeups");
   for (int r = 0; r < 10; ++r) {
     parallel_for(100, [](std::size_t) {}, 1);
   }
-  EXPECT_EQ(parallel_stats().wakeups, serial_before.wakeups);
+  EXPECT_EQ(host_count("parallel.wakeups"), serial_before);
 }
 
 TEST(ParallelFor, OversubscribedRequestIsHonoredUpToCapacity) {
@@ -358,13 +363,58 @@ TEST(ParallelFor, OversubscribedRequestIsHonoredUpToCapacity) {
   // that don't exist (the old pool's max_helpers bug).
   ASSERT_GE(parallel_capacity(), 2u);
   std::vector<std::atomic<int>> hits(5000);
-  const auto before = parallel_stats();
+  const std::uint64_t before = host_count("parallel.wakeups");
   parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
                1000);
-  const auto after = parallel_stats();
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
   // One dispatch can wake at most the pool, not the requested 999.
-  EXPECT_LE(after.wakeups - before.wakeups, parallel_capacity() - 1);
+  EXPECT_LE(host_count("parallel.wakeups") - before, parallel_capacity() - 1);
+}
+
+TEST(ParallelFor, HostCounterTableIsExactStableAndSorted) {
+  // The host-counter table under the scheduler's real concurrency:
+  // writers inside nested parallel_for groups, where every add must land
+  // and note_max must keep the true maximum.
+  obs::prof::HostCounter* const sum = obs::prof::host_counter("test.table.sum");
+  obs::prof::HostCounter* const max = obs::prof::host_counter("test.table.max");
+  // Find-or-create hands back the same counter.
+  EXPECT_EQ(obs::prof::host_counter("test.table.sum"), sum);
+  EXPECT_NE(sum, max);
+  obs::prof::reset_host_counters("test.table.");
+
+  constexpr std::uint64_t kOuter = 16;
+  constexpr std::uint64_t kInner = 64;
+  parallel_for(
+      kOuter,
+      [&](std::size_t o) {
+        parallel_for(
+            kInner,
+            [&](std::size_t i) {
+              sum->add(i + 1);
+              max->note_max(o * kInner + i);
+            },
+            4);
+      },
+      4);
+  EXPECT_EQ(sum->value(), kOuter * kInner * (kInner + 1) / 2);
+  EXPECT_EQ(max->value(), kOuter * kInner - 1);
+
+  // One name-sorted snapshot reads the table; absent names read 0.
+  const obs::prof::HostCounterSnapshot snap =
+      obs::prof::host_counter_snapshot();
+  EXPECT_TRUE(std::is_sorted(
+      snap.counters.begin(), snap.counters.end(),
+      [](const auto& a, const auto& b) { return a.name < b.name; }));
+  EXPECT_EQ(snap.value("test.table.sum"), sum->value());
+  EXPECT_EQ(snap.value("test.table.max"), max->value());
+  EXPECT_EQ(snap.value("test.table.absent"), 0u);
+  // The scheduler's own dispatch counters live in the same table.
+  EXPECT_GE(snap.value("parallel.groups"), 1u);
+  EXPECT_GE(snap.value("parallel.nested_groups"), 1u);
+
+  obs::prof::reset_host_counters("test.table.");
+  EXPECT_EQ(sum->value(), 0u);
+  EXPECT_EQ(max->value(), 0u);
 }
 
 TEST(ParallelFor, NestedExceptionPropagatesThroughOuterGroup) {

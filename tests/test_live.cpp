@@ -16,10 +16,11 @@
 #include <vector>
 
 #include "common/sim_time.h"
-#include "obs/live/counters.h"
 #include "obs/live/heartbeat.h"
 #include "obs/live/live.h"
 #include "obs/live/span_sampler.h"
+#include "obs/prof/counters.h"
+#include "sim/simulator.h"
 #include "sim/trace.h"
 
 namespace hpcos::obs::live {
@@ -33,6 +34,16 @@ struct TempFile {
   }
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+// The live feed's writers, as the DES loop / campaign drivers bump it.
+void feed(const char* name, std::uint64_t n) {
+  prof::host_counter(name)->add(n);
+}
+void feed_sim_time_and_depth(std::uint64_t sim_ns, std::uint64_t depth) {
+  prof::host_counter(prof::kLiveSimTimeNs)->note_max(sim_ns);
+  prof::host_counter(prof::kLiveDesDepth)->set(depth);
+  prof::host_counter(prof::kLiveDesMaxDepth)->note_max(depth);
+}
 
 Heartbeat sample_heartbeat() {
   Heartbeat hb;
@@ -176,11 +187,11 @@ TEST(ProgressMeter, StopEmitsFinalHeartbeatAndAggregates) {
   EXPECT_TRUE(meter.running());
   EXPECT_THROW(meter.start(), std::runtime_error);
 
-  add_units_total(8);
-  add_events(5000);
-  add_units_done(3);
-  note_sim_time_ns(1'500'000);
-  note_des_depth(7);
+  EXPECT_TRUE(prof::live_feed_enabled());  // start() arms the feed
+  feed(prof::kLiveUnitsTotal, 8);
+  feed(prof::kLiveEvents, 5000);
+  feed(prof::kLiveUnitsDone, 3);
+  feed_sim_time_and_depth(1'500'000, 7);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
   const MeterSummary summary = meter.stop();
@@ -191,7 +202,7 @@ TEST(ProgressMeter, StopEmitsFinalHeartbeatAndAggregates) {
   EXPECT_EQ(summary.agg.units_done, 3u);
   EXPECT_EQ(summary.agg.units_total, 8u);
   EXPECT_EQ(summary.agg.stalls, 0u);
-  EXPECT_FALSE(enabled());  // stop() disarms the hub
+  EXPECT_FALSE(prof::live_feed_enabled());  // stop() disarms the feed
 
   const HeartbeatLog log = read_heartbeat_log(stream.path, /*strict=*/true);
   ASSERT_FALSE(log.records.empty());
@@ -200,6 +211,8 @@ TEST(ProgressMeter, StopEmitsFinalHeartbeatAndAggregates) {
   EXPECT_EQ(last.at("target").as_string(), "meter_test");
   EXPECT_EQ(last.at("events").as_number(), 5000.0);
   EXPECT_EQ(last.at("sim_time_us").as_number(), 1500.0);
+  EXPECT_EQ(last.at("des").at("depth").as_number(), 7.0);
+  EXPECT_EQ(last.at("des").at("max_depth").as_number(), 7.0);
 
   // stop() is idempotent: the second call returns the same summary.
   EXPECT_EQ(meter.stop().agg.events_total, 5000u);
@@ -221,9 +234,8 @@ TEST(ProgressMeter, WatchdogFiresOnInjectedStallWithDiagnosticSnapshot) {
   };
   ProgressMeter meter(cfg);
   meter.start();
-  add_events(100);
-  note_sim_time_ns(42'000);
-  note_des_depth(5);
+  feed(prof::kLiveEvents, 100);
+  feed_sim_time_and_depth(42'000, 5);
   // Freeze the counters: the progress signature stops changing, and the
   // watchdog must fire well within this window.
   const auto deadline =
@@ -245,6 +257,7 @@ TEST(ProgressMeter, WatchdogFiresOnInjectedStallWithDiagnosticSnapshot) {
   EXPECT_NE(snap.find("des: queue depth"), std::string::npos) << snap;
   EXPECT_NE(snap.find("slot 0"), std::string::npos) << snap;
   EXPECT_NE(snap.find("deque depth"), std::string::npos) << snap;
+  EXPECT_NE(snap.find("live.events 100"), std::string::npos) << snap;
   EXPECT_NE(snap.find("mem: rss"), std::string::npos) << snap;
   EXPECT_NE(snap.find("=== end stall snapshot ==="), std::string::npos)
       << snap;
@@ -257,6 +270,29 @@ TEST(ProgressMeter, WatchdogFiresOnInjectedStallWithDiagnosticSnapshot) {
     if (r.at("kind").as_string() == "stall") saw_stall_record = true;
   }
   EXPECT_TRUE(saw_stall_record);
+}
+
+TEST(ProgressMeter, FinalHeartbeatCountsEveryDesEvent) {
+  TempFile stream("meter_des.heartbeat.jsonl");
+  ProgressConfig cfg;
+  cfg.target = "des_test";
+  cfg.jsonl_path = stream.path;
+  cfg.stderr_line = false;
+  ProgressMeter meter(cfg);
+  meter.start();
+  sim::Simulator s;
+  for (int i = 0; i < 1500; ++i) s.schedule_after(SimTime::us(i), [] {});
+  s.run_until(SimTime::ms(10));
+  const MeterSummary summary = meter.stop();
+
+  ASSERT_EQ(s.events_executed(), 1500u);
+  EXPECT_EQ(summary.agg.events_total, s.events_executed());
+  const JsonValue last =
+      read_heartbeat_log(stream.path, /*strict=*/true).records.back();
+  EXPECT_EQ(last.at("events").as_number(), 1500.0);
+  EXPECT_EQ(last.at("sim_time_us").as_number(), 10000.0);
+  // Depth is sampled every 512 events; the max saw the full backlog.
+  EXPECT_GT(last.at("des").at("max_depth").as_number(), 0.0);
 }
 
 TEST(ProgressMeter, GlobalMeterRefusesDoubleStart) {

@@ -17,9 +17,11 @@
 #include "cluster/osenv.h"
 #include "noise/profiles.h"
 #include "obs/bench_report.h"
-#include "obs/live/counters.h"
 #include "obs/live/heartbeat.h"
 #include "obs/live/live.h"
+#include "obs/prof/counters.h"
+#include "obs/prof/mem.h"
+#include "obs/prof_report.h"
 #include "obs/registry.h"
 #include "sim/chrome_trace.h"
 #include "sim/trace.h"
@@ -310,6 +312,48 @@ TEST(BenchReport, ValidatorRejectsNaNAndSchemaViolations) {
   EXPECT_NE(obs::validate_bench_report(JsonValue::parse("{}")), "");
 }
 
+TEST(BenchReport, ValidatorRejectsNameRepeatedAfterFlattening) {
+  obs::BenchReport twice("dup_bench", false);
+  twice.add_metric("a", "count", 1.0);
+  twice.add_metric("a", "count", 2.0);
+  const std::string err = obs::validate_bench_report(twice.to_json());
+  EXPECT_NE(err.find("\"a\" repeats"), std::string::npos) << err;
+
+  // A percentile flattens to "<name>.<pN>", so it can collide with a
+  // plain metric of that name.
+  obs::BenchReport collide("dup_bench", false);
+  collide.add_metric(obs::BenchMetric{
+      .name = "lat", .unit = "us", .value = 1.0, .percentiles = {{"p50", 1.0}}});
+  collide.add_metric("lat.p50", "us", 1.0);
+  EXPECT_NE(obs::validate_bench_report(collide.to_json()).find("lat.p50"),
+            std::string::npos);
+
+  obs::BenchReport distinct("dup_bench", false);
+  distinct.add_metric(obs::BenchMetric{
+      .name = "lat", .unit = "us", .value = 1.0, .percentiles = {{"p50", 1.0}}});
+  distinct.add_metric("lat.p99", "us", 2.0);
+  EXPECT_EQ(obs::validate_bench_report(distinct.to_json()), "");
+}
+
+TEST(BenchReport, ProfileSectionIsFoldedOnce) {
+  // A target that folds its own profile section (hotspot) and then drains
+  // the shared --profile sink must not get a second copy of any
+  // host.prof.* / host.mem.* name.
+  obs::prof::AllocCounter("test.obs.fold_once").add(64);
+  obs::BenchReport report("profile_once_bench", true);
+  report.add_metric("x", "count", 1.0);
+  obs::add_profile_metrics(report, obs::prof::Profile{});
+  ASSERT_TRUE(report.has_metric("host.prof.events"));
+  ASSERT_TRUE(report.has_metric("host.mem.test.obs.fold_once.bytes"));
+  const std::size_t folded = report.metric_count();
+
+  obs::BenchOptions opts;
+  opts.sinks.profile = true;
+  obs::maybe_write_report(report, opts);
+  EXPECT_EQ(report.metric_count(), folded);
+  EXPECT_EQ(obs::validate_bench_report(report.to_json()), "");
+}
+
 TEST(BenchReport, ParseBenchOptionsExtractsFlags) {
   const char* argv_in[] = {"bench", "--quick", "--json", "out.json",
                            "--benchmark_filter=x"};
@@ -343,7 +387,7 @@ TEST(BenchReport, ParseBenchOptionsArmsProgressAndWatchdogSinks) {
   EXPECT_FALSE(opts.sinks.watchdog_abort);
   ASSERT_EQ(opts.remaining.size(), 1u);
   EXPECT_TRUE(obs::live::global_meter_active());
-  obs::live::add_events(1234);
+  obs::prof::host_counter(obs::prof::kLiveEvents)->add(1234);
 
   obs::BenchReport report("progress_bench", true);
   report.add_metric("x", "count", 1.0);

@@ -10,7 +10,7 @@
 //     through sim::parse_folded_stack;
 //   * a disabled profiler records nothing;
 //   * the DES queue telemetry / handler attribution, the scheduler
-//     health counters, the memory counters, and the OpenMetrics round
+//     health counters, the allocation counters, and the OpenMetrics round
 //     trip of the profiler's deterministic face all behave.
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "common/parallel.h"
 #include "common/sim_time.h"
 #include "noise/profiles.h"
+#include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 #include "obs/prof/prof.h"
 #include "obs/prof_report.h"
@@ -243,27 +244,25 @@ TEST_F(ProfTest, SchedulerHealthCountersAndTimeline) {
   EXPECT_TRUE(scheduler_park_events().empty());
 }
 
-TEST_F(ProfTest, MemoryCountersAndHostSample) {
-  prof::MemoryCounter* c = prof::memory_counter("test.prof.mem");
-  ASSERT_NE(c, nullptr);
-  // Find-or-create returns the same stable pointer.
-  EXPECT_EQ(prof::memory_counter("test.prof.mem"), c);
-  const std::uint64_t bytes_before = c->bytes();
-  const std::uint64_t events_before = c->events();
-  c->add(123);
-  c->add(77);
-  EXPECT_EQ(c->bytes() - bytes_before, 200u);
-  EXPECT_EQ(c->events() - events_before, 2u);
+TEST_F(ProfTest, AllocCountersAndHostSample) {
+  const prof::AllocCounter c("test.prof.mem");
+  ASSERT_NE(c.bytes, nullptr);
+  ASSERT_NE(c.events, nullptr);
+  // The pair is two table counters; find-or-create returns the same
+  // stable pointers.
+  EXPECT_EQ(prof::host_counter("mem.test.prof.mem.bytes"), c.bytes);
+  EXPECT_EQ(prof::host_counter("mem.test.prof.mem.events"), c.events);
+  EXPECT_EQ(prof::AllocCounter("test.prof.mem").bytes, c.bytes);
+  const std::uint64_t bytes_before = c.bytes->value();
+  const std::uint64_t events_before = c.events->value();
+  c.add(123);
+  c.add(77);
+  EXPECT_EQ(c.bytes->value() - bytes_before, 200u);
+  EXPECT_EQ(c.events->value() - events_before, 2u);
 
-  bool found = false;
-  for (const auto& view : prof::memory_counters()) {
-    if (view.name == "test.prof.mem") {
-      found = true;
-      EXPECT_EQ(view.bytes, c->bytes());
-      EXPECT_EQ(view.events, c->events());
-    }
-  }
-  EXPECT_TRUE(found);
+  const prof::HostCounterSnapshot snap = prof::host_counter_snapshot();
+  EXPECT_EQ(snap.value("mem.test.prof.mem.bytes"), c.bytes->value());
+  EXPECT_EQ(snap.value("mem.test.prof.mem.events"), c.events->value());
 
   const prof::HostMemory mem = prof::sample_host_memory();
   ASSERT_TRUE(mem.valid);  // procfs is always there on the CI hosts
@@ -282,11 +281,18 @@ TEST_F(ProfTest, ProfileCountsRoundTripThroughOpenMetrics) {
   prof::set_enabled(false);
   const prof::Profile p = prof::collect();
 
+  // The profile's deterministic face is its gated prof.<scope>.count
+  // report metrics; fold those into a Registry.
+  obs::BenchReport report("om_bench", true);
+  obs::add_profile_metrics(report, p);
   obs::Registry registry;
-  obs::fold_profile_registry(registry, p);
+  for (const obs::BenchMetric& m : report.metrics()) {
+    if (obs::is_host_metric(m.name)) continue;
+    registry.counter(m.name)->add(static_cast<std::uint64_t>(m.value));
+  }
   ASSERT_NE(registry.find_counter("prof.t.om.child.count"), nullptr);
   EXPECT_EQ(registry.find_counter("prof.t.om.child.count")->value(), 2u);
-  EXPECT_EQ(registry.find_counter("prof.events")->value(), p.events);
+  EXPECT_EQ(registry.find_counter("prof.t.om.root.count")->value(), 1u);
 
   // Exposition -> strict parse -> exact counter recovery (counts are
   // integers, so the round trip is lossless).

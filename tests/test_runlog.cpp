@@ -110,6 +110,35 @@ TEST(RunLedger, StrictParserRejectsUnknownSchemaLenientSkips) {
   EXPECT_EQ(lenient.skipped, 1u);
 }
 
+TEST(RunLedger, DeeplyNestedLineIsAnErrorNotAStackOverflow) {
+  // One corrupt line of a million '[' must fail the parse at the nesting
+  // cap, with its position, instead of recursing off the stack.
+  const std::string deep(1'000'000, '[');
+  try {
+    (void)JsonValue::parse(deep);
+    FAIL() << "a million '[' parsed";
+  } catch (const JsonParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+    EXPECT_LT(e.offset, 1000u);
+  }
+
+  const std::string good = obs::run_record_line(obs::make_run_record(
+      test_report(), test_config(), "2026-08-08T12:00:00Z"));
+  const std::string text = good + "\n" + deep + "\n" + good + "\n";
+  try {
+    (void)obs::parse_run_ledger(text, /*strict=*/true);
+    FAIL() << "strict ledger reader accepted the deep line";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  const obs::RunLedger lenient =
+      obs::parse_run_ledger(text, /*strict=*/false);
+  EXPECT_EQ(lenient.records.size(), 2u);
+  EXPECT_EQ(lenient.skipped, 1u);
+}
+
 TEST(RunLedger, RunRecordLineRefusesInvalidRecords) {
   JsonValue bad = obs::make_run_record(test_report(), test_config(),
                                        "2026-08-08T12:00:00Z");

@@ -17,7 +17,8 @@
 //   2. Scheduler health: the same campaign across the work-stealing
 //      pool with the park/depth timeline enabled; prints per-worker
 //      deque depth, steal success rates, and park time.
-//   3. Memory: per-subsystem allocation counters and process RSS.
+//   3. Memory: per-subsystem allocation counters (the host-counter
+//      table's mem.* entries) and process RSS.
 //   4. Sampled span tracing (obs/live): the accounting node's span trace
 //      through the deterministic sampler, both lossless (rate=1 must
 //      keep every tree — an exactness check on the sampler itself) and
@@ -49,6 +50,7 @@
 #include "obs/bench_report.h"
 #include "obs/explain/explain.h"
 #include "obs/live/span_sampler.h"
+#include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 #include "obs/prof/prof.h"
 #include "obs/prof_report.h"
@@ -250,6 +252,7 @@ int main(int argc, char** argv) {
       noise::fugaku_linux_profile(),
       campaign_config(q, std::max<std::size_t>(2, parallel_capacity())));
   const auto health = parallel_worker_health();
+  const WorkerHealth sched_total = parallel_health_total();
   const auto parks = scheduler_park_events();
   const auto depths = scheduler_depth_samples();
   set_scheduler_timeline(false);
@@ -297,13 +300,12 @@ int main(int argc, char** argv) {
 
   // ---- 3. memory --------------------------------------------------------
   print_banner(std::cout, "Host memory (per-subsystem counters + RSS)");
-  TextTable mem_table({"counter", "bytes", "events"});
+  TextTable mem_table({"counter", "value"});
   mem_table.set_align(1, Align::kRight);
-  mem_table.set_align(2, Align::kRight);
-  for (const auto& c : obs::prof::memory_counters()) {
-    mem_table.add_row({c.name,
-                       TextTable::fmt_int(static_cast<long long>(c.bytes)),
-                       TextTable::fmt_int(static_cast<long long>(c.events))});
+  for (const auto& c : obs::prof::host_counter_snapshot().counters) {
+    if (!c.name.starts_with("mem.")) continue;
+    mem_table.add_row(
+        {c.name, TextTable::fmt_int(static_cast<long long>(c.value))});
   }
   mem_table.print(std::cout);
   const obs::prof::HostMemory host_mem = obs::prof::sample_host_memory();
@@ -421,25 +423,14 @@ int main(int argc, char** argv) {
   obs::explain::add_span_label_metrics(report, trace_records,
                                        &lossless.sketches);
   add_profile_metrics(report, profile);
-  add_memory_metrics(report);
-  std::uint64_t total_steals = 0;
-  std::uint64_t total_attempts = 0;
-  std::uint64_t total_parks = 0;
-  std::uint64_t total_park_ns = 0;
-  for (const WorkerHealth& h : health) {
-    total_steals += h.steals;
-    total_attempts += h.steal_attempts;
-    total_parks += h.parks;
-    total_park_ns += h.park_ns;
-  }
   report.add_metric("parallel.steals.count", "count",
-                    static_cast<double>(total_steals));
+                    static_cast<double>(sched_total.steals));
   report.add_metric("parallel.steal_attempts.count", "count",
-                    static_cast<double>(total_attempts));
+                    static_cast<double>(sched_total.steal_attempts));
   report.add_metric("parallel.parks.count", "count",
-                    static_cast<double>(total_parks));
+                    static_cast<double>(sched_total.parks));
   report.add_metric("host.parallel.park_ms", "ms",
-                    static_cast<double>(total_park_ns) / 1e6);
+                    static_cast<double>(sched_total.park_ns) / 1e6);
   report.add_metric("host.wall_ms", "ms", static_cast<double>(wall_ns) / 1e6);
   report.add_series("des.queue.depth", "events", depth_series);
   obs::maybe_write_report(report, opts);
