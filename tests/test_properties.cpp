@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -219,6 +222,17 @@ struct ScopeCase {
   noise::SourceScope scope;
   int app_cores;
 };
+
+// gtest names a case by the raw bytes of its parameter, and the three
+// padding bytes after `scope` hold whatever the copy left there. Print the
+// same byte dump from a zero-filled image so a case's name is fixed.
+void PrintTo(const ScopeCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(ScopeCase)] = {};
+  std::memcpy(bytes + offsetof(ScopeCase, scope), &c.scope, sizeof c.scope);
+  std::memcpy(bytes + offsetof(ScopeCase, app_cores), &c.app_cores,
+              sizeof c.app_cores);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 class SamplerScope : public ::testing::TestWithParam<ScopeCase> {};
 
