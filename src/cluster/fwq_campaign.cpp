@@ -171,8 +171,9 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
     // max draw (tail preserved, cost bounded).
     const std::uint64_t materialize =
         std::min<std::uint64_t>(k, config.max_materialized_hits);
+    const double log_median = s.duration.log_median();
     for (std::uint64_t i = 0; i < materialize; ++i) {
-      const double shared_us = s.duration.sample(rng).to_us();
+      const double shared_us = s.duration.sample(rng, log_median).to_us();
       // One event time per hit (shared across cores for kAllCores — the
       // same occurrence lengthens every core's iteration).
       const SimTime t_event =

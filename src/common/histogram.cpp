@@ -1,10 +1,44 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
+
+#include "common/check.h"
 
 namespace hpcos {
+namespace {
+
+// Values this close (relative) to a bin edge take the log formula: there
+// its result depends on the last bits of std::log. The formula's rounding
+// moves an edge by a few ULPs of log(value): about 1e-14 for the layouts
+// in the tree, over 100 times inside this band (DESIGN §6). Layouts with
+// |log| > kMaxAbsLog, where those ULPs grow, get no table.
+constexpr double kBelowEdge = 1.0 - 1e-12;
+constexpr double kAboveEdge = 1.0 + 1e-12;
+constexpr double kMaxAbsLog = 32.0;
+// Layouts that would need more buckets bin by the formula alone.
+constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 16;
+
+}  // namespace
+
+// Bucket b holds the doubles whose bit pattern >> shift is first_key + b:
+// the exponent plus the top mantissa bits, so a bucket is at most half a
+// bin wide and spans at most one edge. first_bin[b] is the bin of the
+// bucket's start (the one below, when the start is within 1e-12 above an
+// edge), so a value in the bucket lies in first_bin[b] or the next bin.
+struct LogHistogram::BinTable {
+  double min_value;
+  double max_value;
+  int shift;
+  std::uint64_t first_key;
+  std::vector<std::uint32_t> first_bin;
+  std::vector<double> edges;  // bin_lower(0..num_bins)
+};
 
 LogHistogram::LogHistogram(double min_value, double max_value,
                            std::size_t num_bins)
@@ -14,9 +48,82 @@ LogHistogram::LogHistogram(double min_value, double max_value,
   if (!(min_value > 0.0) || !(max_value > min_value) || num_bins == 0) {
     throw std::invalid_argument("LogHistogram: bad range or bin count");
   }
+  table_ = shared_table(min_value, max_value);
+}
+
+std::shared_ptr<const LogHistogram::BinTable> LogHistogram::shared_table(
+    double min_value, double max_value) const {
+  static std::mutex mu;
+  static std::map<std::tuple<double, double, std::size_t>,
+                  std::weak_ptr<const BinTable>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = tables[{min_value, max_value, counts_.size()}];
+  std::shared_ptr<const BinTable> table = slot.lock();
+  if (table == nullptr) {
+    table = build_table(min_value, max_value);
+    slot = table;
+  }
+  return table;
+}
+
+std::shared_ptr<const LogHistogram::BinTable> LogHistogram::build_table(
+    double min_value, double max_value) const {
+  if (!(std::abs(log_min_) <= kMaxAbsLog && std::abs(log_max_) <= kMaxAbsLog)) {
+    return nullptr;
+  }
+  const std::size_t n = counts_.size();
+  // A bucket is at most 2^-m wide relative to its start; keep m mantissa
+  // bits so that is at most half a bin.
+  const double half_bin = std::expm1((log_max_ - log_min_) / n) / 2.0;
+  int m = 0;
+  while (m < 52 && std::ldexp(1.0, -m) > half_bin) ++m;
+  const int shift = 52 - m;
+  const std::uint64_t first = std::bit_cast<std::uint64_t>(min_value) >> shift;
+  const std::uint64_t last = std::bit_cast<std::uint64_t>(max_value) >> shift;
+  if (last - first >= kMaxBuckets) return nullptr;
+
+  auto table = std::make_shared<BinTable>();
+  table->min_value = min_value;
+  table->max_value = max_value;
+  table->shift = shift;
+  table->first_key = first;
+  table->edges.resize(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) table->edges[i] = bin_lower(i);
+  table->first_bin.resize(last - first + 1);
+  std::size_t bin = 0;
+  for (std::uint64_t key = first; key <= last; ++key) {
+    const double start = std::bit_cast<double>(key << shift);
+    while (bin + 1 < n && table->edges[bin + 1] * kAboveEdge <= start) ++bin;
+    table->first_bin[key - first] = static_cast<std::uint32_t>(bin);
+    // The sizing above keeps the bucket below the guard band of the edge
+    // after next, so one comparison in bin_index() suffices.
+    const double end = std::bit_cast<double>((key + 1) << shift);
+    HPCOS_CHECK(bin + 2 > n || end <= table->edges[bin + 2] * kBelowEdge);
+  }
+  return table;
 }
 
 std::size_t LogHistogram::bin_index(double value) const {
+  if (table_ != nullptr && value > table_->min_value &&
+      value < table_->max_value) {
+    const BinTable& t = *table_;
+    const std::size_t bin =
+        t.first_bin[(std::bit_cast<std::uint64_t>(value) >> t.shift) -
+                    t.first_key];
+    const double edge = t.edges[bin + 1];
+    const bool above = value >= edge * kAboveEdge;
+    // One well-predicted branch: only the guard band around `edge` fails.
+    if (above || value < edge * kBelowEdge) return bin + (above ? 1 : 0);
+  }
+  return bin_index_by_log(value);
+}
+
+// The reference binning; the table must agree with it on every value.
+std::size_t LogHistogram::bin_index_by_log(double value) const {
+  if (std::isnan(value)) {
+    throw std::invalid_argument("LogHistogram: NaN sample");
+  }
   if (value <= 0.0) return 0;
   const double lv = std::log(value);
   if (lv <= log_min_) return 0;
@@ -29,6 +136,7 @@ std::size_t LogHistogram::bin_index(double value) const {
 
 void LogHistogram::add_n(double value, std::uint64_t n) {
   if (n == 0) return;
+  const std::size_t bin = bin_index(value);  // throws before any update
   if (total_ == 0) {
     observed_min_ = value;
     observed_max_ = value;
@@ -36,7 +144,7 @@ void LogHistogram::add_n(double value, std::uint64_t n) {
     observed_min_ = std::min(observed_min_, value);
     observed_max_ = std::max(observed_max_, value);
   }
-  counts_[bin_index(value)] += n;
+  counts_[bin] += n;
   total_ += n;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,7 +18,12 @@ namespace hpcos {
 
 // Histogram with logarithmically spaced bins between [min_value, max_value].
 // Values outside the range are clamped into the first/last bin, so the total
-// count is always the number of add() calls.
+// count is always the number of add() calls. A NaN value throws
+// std::invalid_argument and leaves the histogram unchanged.
+//
+// Binning is exact table lookup: the layout's table maps a value's IEEE-754
+// bit pattern to its bin without a std::log, and agrees bit for bit with the
+// log formula, which stays as the fallback near bin edges (DESIGN §6).
 class LogHistogram {
  public:
   LogHistogram(double min_value, double max_value, std::size_t num_bins);
@@ -45,11 +51,21 @@ class LogHistogram {
   std::vector<std::pair<double, double>> cdf_points() const;
 
  private:
+  struct BinTable;
+
   std::size_t bin_index(double value) const;
+  std::size_t bin_index_by_log(double value) const;
+  std::shared_ptr<const BinTable> shared_table(double min_value,
+                                               double max_value) const;
+  std::shared_ptr<const BinTable> build_table(double min_value,
+                                              double max_value) const;
 
   double log_min_;
   double log_max_;
   std::vector<std::uint64_t> counts_;
+  // Immutable, shared by every histogram of this layout (copies included);
+  // null for layouts binned by the formula alone.
+  std::shared_ptr<const BinTable> table_;
   std::uint64_t total_ = 0;
   double observed_min_ = 0.0;
   double observed_max_ = 0.0;

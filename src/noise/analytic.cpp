@@ -8,11 +8,18 @@
 namespace hpcos::noise {
 
 SimTime DurationDist::sample(RngStream& rng) const {
+  return sample(rng, log_median());
+}
+
+SimTime DurationDist::sample(RngStream& rng, double log_median) const {
   if (sigma == 0.0) return std::clamp(median, min, max);
-  const double mu = std::log(static_cast<double>(median.count_ns()));
-  const double v = rng.lognormal(mu, sigma);
+  const double v = rng.lognormal(log_median, sigma);
   const auto t = SimTime::ns(static_cast<std::int64_t>(v));
   return std::clamp(t, min, max);
+}
+
+double DurationDist::log_median() const {
+  return std::log(static_cast<double>(median.count_ns()));
 }
 
 SimTime DurationDist::mean() const {
@@ -68,9 +75,10 @@ SimTime DurationDist::quantile(double q) const {
 SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng) const {
   if (k == 0) return SimTime::zero();
   if (k <= 64) {
+    const double mu = log_median();
     SimTime worst = SimTime::zero();
     for (std::uint64_t i = 0; i < k; ++i) {
-      worst = std::max(worst, sample(rng));
+      worst = std::max(worst, sample(rng, mu));
     }
     return worst;
   }

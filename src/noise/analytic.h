@@ -28,6 +28,11 @@ struct DurationDist {
   SimTime max = SimTime::max();
 
   SimTime sample(RngStream& rng) const;
+  // The same draw with log(median) precomputed: a loop over one source
+  // takes log_median() once and passes it to every draw. Same result and
+  // same RNG calls as sample(rng).
+  SimTime sample(RngStream& rng, double log_median) const;
+  double log_median() const;
   // Expected value (clamping ignored; adequate for rate estimates).
   SimTime mean() const;
   // Inverse CDF (clamped); q in [0, 1].

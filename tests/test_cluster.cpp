@@ -2,9 +2,13 @@
 // the BSP engine, SimNode assembly, and the FWQ campaign machinery.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string_view>
+
 #include "cluster/bsp.h"
 #include "cluster/fwq_campaign.h"
 #include "common/check.h"
+#include "common/confighash.h"
 #include "cluster/machine_noise.h"
 #include "cluster/node.h"
 #include "cluster/osenv.h"
@@ -401,6 +405,81 @@ TEST(FwqCampaign, AllCoresScopeDelaysEveryCorePerArrival) {
   const auto r = run_fwq_campaign(p, cfg);
   EXPECT_NEAR(r.stats.noise_rate, 65e3 / 50e6, 2e-4);
   EXPECT_EQ(r.stats.max_noise_length, 65_us);
+}
+
+// FNV-1a over the little-endian bytes of `word`, chained from `state`.
+std::uint64_t fold(std::uint64_t state, std::uint64_t word) {
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(word >> (8 * i));
+  return fnv1a64(std::string_view(bytes, 8), state);
+}
+
+TEST(FwqCampaign, OutputsMatchRecordedBits) {
+  // Exact outputs of small campaigns, recorded with the log-formula
+  // binning and a log(median) per draw. Table binning and the hoisted
+  // log(median) must reproduce every bit, at any thread count. The
+  // digests are FNV-1a over every CDF bin count, the worst-node list and
+  // each per-source stolen_us, as 64-bit words.
+  struct Golden {
+    const char* name;
+    noise::AnalyticNoiseProfile profile;
+    std::int64_t nodes;
+    int app_cores;
+    std::uint64_t max_materialized_hits;
+    double all_cores_jitter_sigma;
+    std::uint64_t noise_rate_bits;
+    std::int64_t t_max_ns;
+    std::uint64_t total_iterations;
+    std::uint64_t cdf_digest;
+    std::uint64_t worst_digest;
+    std::uint64_t stolen_digest;
+  };
+  const Golden goldens[] = {
+      {"ofp_linux", noise::ofp_linux_profile(), 64, 256, 4096, 0.0,
+       0x3f2b9bcd37cea02cull, 24000000, 756170752, 0x3cec88028a8a6c8bull,
+       0x66fd46e177bddad9ull, 0x132e4bf9e79a945dull},
+      {"fugaku_linux", noise::fugaku_linux_profile(), 512, 48, 256, 0.0,
+       0x3ed43521c3ec7985ull, 7142696, 1134256128, 0x1381ab48332acfa5ull,
+       0xa1eae03fb1f10b0dull, 0xc1593469e27021d5ull},
+      // The jitter only touches kAllCores sources, which Fugaku Linux has
+      // and OFP Linux does not.
+      {"fugaku_linux_jitter", noise::fugaku_linux_profile(), 512, 48, 256,
+       0.3, 0x3ed45cb66d682e2eull, 7130107, 1134256128,
+       0x7212d5fa85648ebeull, 0xf57d74d0b18dd432ull,
+       0xce656efcca4daac1ull},
+  };
+  for (const Golden& g : goldens) {
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << g.name << " threads=" << threads);
+      FwqCampaignConfig cfg;
+      cfg.nodes = g.nodes;
+      cfg.app_cores = g.app_cores;
+      cfg.duration_per_core = 300_s;
+      cfg.max_materialized_hits = g.max_materialized_hits;
+      cfg.all_cores_jitter_sigma = g.all_cores_jitter_sigma;
+      cfg.threads = threads;
+      const auto r = run_fwq_campaign(g.profile, cfg);
+      std::uint64_t cdf = kFnv1a64Offset;
+      for (std::size_t i = 0; i < r.cdf.num_bins(); ++i) {
+        cdf = fold(cdf, r.cdf.bin_count(i));
+      }
+      std::uint64_t worst = kFnv1a64Offset;
+      for (const double w : r.worst_node_max_us) {
+        worst = fold(worst, std::bit_cast<std::uint64_t>(w));
+      }
+      std::uint64_t stolen = kFnv1a64Offset;
+      for (const auto& s : r.per_source) {
+        stolen = fold(stolen, std::bit_cast<std::uint64_t>(s.stolen_us));
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.stats.noise_rate),
+                g.noise_rate_bits);
+      EXPECT_EQ(r.stats.t_max.count_ns(), g.t_max_ns);
+      EXPECT_EQ(r.total_iterations, g.total_iterations);
+      EXPECT_EQ(cdf, g.cdf_digest);
+      EXPECT_EQ(worst, g.worst_digest);
+      EXPECT_EQ(stolen, g.stolen_digest);
+    }
+  }
 }
 
 TEST(FwqCampaign, DesTraceConversionAgrees) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -215,6 +216,97 @@ TEST(LogHistogram, MergeAddsCounts) {
   EXPECT_DOUBLE_EQ(a.observed_max(), 50.0);
   LogHistogram incompatible(1.0, 100.0, 9);
   EXPECT_THROW(a.merge(incompatible), std::invalid_argument);
+}
+
+TEST(LogHistogram, RejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LogHistogram h(1.0, 100.0, 8);
+  EXPECT_THROW(h.add(nan), std::invalid_argument);
+  EXPECT_THROW(h.add_n(-nan, 3), std::invalid_argument);
+  EXPECT_EQ(h.total_count(), 0u);
+  h.add(50.0);
+  EXPECT_THROW(h.add(nan), std::invalid_argument);
+  // A rejected sample leaves the counts and the observed range alone.
+  EXPECT_EQ(h.total_count(), 1u);
+  EXPECT_EQ(h.observed_min(), 50.0);
+  EXPECT_EQ(h.observed_max(), 50.0);
+}
+
+// LogHistogram's log formula, kept here as the reference its table binning
+// must reproduce.
+struct ReferenceBinning {
+  ReferenceBinning(double min_value, double max_value, std::size_t bins)
+      : log_min(std::log(min_value)), log_max(std::log(max_value)),
+        bins(bins) {}
+  std::size_t bin(double value) const {
+    if (value <= 0.0) return 0;
+    const double lv = std::log(value);
+    if (lv <= log_min) return 0;
+    if (lv >= log_max) return bins - 1;
+    const double frac = (lv - log_min) / (log_max - log_min);
+    const auto idx =
+        static_cast<std::size_t>(frac * static_cast<double>(bins));
+    return std::min(idx, bins - 1);
+  }
+  double log_min;
+  double log_max;
+  std::size_t bins;
+};
+
+TEST(LogHistogram, TableBinningMatchesLogFormula) {
+  struct Layout {
+    double min_value;
+    double max_value;
+    std::size_t bins;
+  };
+  // Every layout the tree constructs (campaign CDF, offload latencies,
+  // proxy backlog, IKC in-flight), the layouts of the tests above, and one
+  // whose |log| range is too wide for a table.
+  const Layout layouts[] = {{1000.0, 1e6, 2048}, {0.1, 1e5, 48},
+                            {1.0, 1024.0, 24},   {1.0, 4096.0, 32},
+                            {1.0, 1000.0, 30},   {10.0, 100.0, 4},
+                            {1e-40, 1e40, 64}};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Layout& l : layouts) {
+    SCOPED_TRACE(::testing::Message() << "layout {" << l.min_value << ", "
+                                      << l.max_value << ", " << l.bins
+                                      << "}");
+    const ReferenceBinning ref(l.min_value, l.max_value, l.bins);
+    LogHistogram h(l.min_value, l.max_value, l.bins);
+    // Each value must raise exactly the reference bin's count by one.
+    std::vector<std::uint64_t> expected(l.bins, 0);
+    std::uint64_t added = 0;
+    std::uint64_t mismatches = 0;
+    double first_mismatch = 0.0;
+    const auto check = [&](double v) {
+      const std::size_t want = ref.bin(v);
+      h.add(v);
+      ++added;
+      if (h.bin_count(want) == ++expected[want]) return;
+      if (mismatches++ == 0) first_mismatch = v;
+      for (std::size_t i = 0; i < l.bins; ++i) expected[i] = h.bin_count(i);
+    };
+    // Every edge, min and max included, +- 2,000 ULPs.
+    for (std::size_t i = 0; i <= l.bins; ++i) {
+      double v = h.bin_lower(i);
+      for (int u = 0; u < 2000; ++u) v = std::nextafter(v, 0.0);
+      for (int u = 0; u <= 4000; ++u, v = std::nextafter(v, kInf)) check(v);
+    }
+    // 10^6 log-uniform values over [min/3, 3 max].
+    RngStream rng(Seed{14}, l.bins);
+    const double lo = std::log(l.min_value / 3.0);
+    const double hi = std::log(3.0 * l.max_value);
+    for (int i = 0; i < 1'000'000; ++i) check(std::exp(rng.uniform(lo, hi)));
+    for (const double v :
+         {0.0, -0.0, -1.0, -kInf, std::numeric_limits<double>::denorm_min(),
+          1e-310, std::numeric_limits<double>::min(), l.min_value,
+          l.max_value, std::numeric_limits<double>::max(), kInf}) {
+      check(v);
+    }
+    EXPECT_EQ(mismatches, 0u) << "first at " << std::hexfloat
+                              << first_mismatch;
+    EXPECT_EQ(h.total_count(), added);
+  }
 }
 
 TEST(EmpiricalCdf, FractionsAndQuantiles) {

@@ -3,8 +3,11 @@
 // DES-vs-analytic consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string_view>
 
+#include "common/confighash.h"
 #include "kernel_test_util.h"
 #include "noise/analytic.h"
 #include "noise/background.h"
@@ -104,6 +107,75 @@ TEST(DurationDist, RespectsClampAndMedian) {
   }
   // Median preserved within sampling error (clamping distorts slightly).
   EXPECT_NEAR(double(below_median) / n, 0.5, 0.06);
+}
+
+// sample_max as a plain loop: the max of k draws up to 64, the inverse
+// CDF of U^(1/k) above.
+SimTime reference_sample_max(const DurationDist& d, std::uint64_t k,
+                             RngStream& rng) {
+  if (k == 0) return SimTime::zero();
+  if (k > 64) {
+    const double u = std::clamp(rng.uniform(), 1e-12, 1.0 - 1e-12);
+    return d.quantile(std::exp(std::log(u) / static_cast<double>(k)));
+  }
+  SimTime worst = SimTime::zero();
+  for (std::uint64_t i = 0; i < k; ++i) worst = std::max(worst, d.sample(rng));
+  return worst;
+}
+
+// The streams are in the same place, a cached Box-Muller half included.
+void expect_same_position(RngStream& a, RngStream& b) {
+  EXPECT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+const DurationDist kLognormal{.median = 150_us, .sigma = 0.5,
+                              .min = SimTime::zero(), .max = 1_ms};
+
+TEST(DurationDist, HoistedLogMedianGivesTheSameDraws) {
+  const double mu =
+      std::log(static_cast<double>(kLognormal.median.count_ns()));
+  EXPECT_EQ(kLognormal.log_median(), mu);
+  RngStream a(Seed{7}, 1);
+  RngStream b(Seed{7}, 1);
+  // An odd count leaves one Box-Muller half cached in each stream.
+  for (int i = 0; i < 1001; ++i) {
+    ASSERT_EQ(kLognormal.sample(a, mu), kLognormal.sample(b));
+  }
+  expect_same_position(a, b);
+}
+
+TEST(DurationDist, SampleMaxMatchesReferenceLoop) {
+  for (const std::uint64_t k : {0, 1, 2, 63, 64, 65}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    RngStream a(Seed{8}, k);
+    RngStream b(Seed{8}, k);
+    for (int rep = 0; rep < 20; ++rep) {
+      ASSERT_EQ(kLognormal.sample_max(k, a),
+                reference_sample_max(kLognormal, k, b));
+    }
+    expect_same_position(a, b);
+  }
+}
+
+TEST(DurationDist, DrawsMatchRecordedBits) {
+  // FNV-1a over the little-endian bytes of each draw, recorded with a
+  // log(median) per draw.
+  std::uint64_t digest = kFnv1a64Offset;
+  const auto fold = [&digest](std::uint64_t word) {
+    char bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(word >> (8 * i));
+    digest = fnv1a64(std::string_view(bytes, 8), digest);
+  };
+  RngStream rng(Seed{7}, 3);
+  for (int i = 0; i < 1000; ++i) {
+    fold(static_cast<std::uint64_t>(kLognormal.sample(rng).count_ns()));
+  }
+  for (const std::uint64_t k : {0, 1, 2, 63, 64, 65, 1000}) {
+    fold(static_cast<std::uint64_t>(kLognormal.sample_max(k, rng).count_ns()));
+  }
+  fold(rng.next_u64());
+  EXPECT_EQ(digest, 0x11524d03db752c90ull);
 }
 
 TEST(AnalyticSampler, QuietProfileReturnsExactQuantum) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "cluster/bsp.h"
@@ -409,17 +410,29 @@ TEST(ParallelDeterminism, HistogramShardMergeEqualsSinglePass) {
   for (int i = 0; i < 5000; ++i) {
     values.push_back(rng.lognormal(8.0, 1.5));
   }
+  // The shards are constructed and filled concurrently, before any other
+  // histogram of their layout exists, so the layout's shared bin table is
+  // looked up (and built once) from several threads at once.
+  const std::size_t shard_size = 311;  // ragged shards on purpose
+  const std::size_t num_shards =
+      (values.size() + shard_size - 1) / shard_size;
+  std::vector<std::optional<LogHistogram>> shards(num_shards);
+  parallel_for(
+      num_shards,
+      [&](std::size_t s) {
+        LogHistogram& shard = shards[s].emplace(1000.0, 1e6, 2048);
+        const std::size_t end =
+            std::min((s + 1) * shard_size, values.size());
+        for (std::size_t i = s * shard_size; i < end; ++i) {
+          shard.add(values[i]);
+        }
+      },
+      4);
+  LogHistogram merged(1000.0, 1e6, 2048);
+  for (const auto& shard : shards) merged.merge(*shard);
+
   LogHistogram whole(1000.0, 1e6, 2048);
   for (double v : values) whole.add(v);
-
-  LogHistogram merged(1000.0, 1e6, 2048);
-  const std::size_t shard_size = 311;  // ragged shards on purpose
-  for (std::size_t begin = 0; begin < values.size(); begin += shard_size) {
-    LogHistogram shard(1000.0, 1e6, 2048);
-    const std::size_t end = std::min(begin + shard_size, values.size());
-    for (std::size_t i = begin; i < end; ++i) shard.add(values[i]);
-    merged.merge(shard);
-  }
 
   EXPECT_EQ(merged.total_count(), whole.total_count());
   EXPECT_DOUBLE_EQ(merged.observed_min(), whole.observed_min());
