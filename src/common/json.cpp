@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 namespace hpcos {
 
@@ -431,6 +433,52 @@ class Parser {
 
 JsonValue JsonValue::parse(const std::string& text) {
   return Parser(text).parse_document();
+}
+
+JsonLines parse_json_lines(const std::string& text,
+                           JsonLineValidator validate, bool strict,
+                           const std::string& label) {
+  JsonLines out;
+  std::istringstream in(text);
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    std::string err;
+    try {
+      JsonValue record = JsonValue::parse(line);
+      err = validate(record);
+      if (err.empty()) {
+        out.records.push_back(std::move(record));
+        continue;
+      }
+    } catch (const std::exception& e) {
+      err = e.what();
+    }
+    if (strict) {
+      throw std::runtime_error(label + " line " + std::to_string(line_no) +
+                               ": " + err);
+    }
+    ++out.skipped;
+  }
+  return out;
+}
+
+JsonLines read_json_lines(const std::string& path,
+                          JsonLineValidator validate, bool strict,
+                          const std::string& label,
+                          const std::string& file_label) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (strict) {
+      throw std::runtime_error("cannot open " + file_label + ": " + path);
+    }
+    return {};
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return parse_json_lines(buf.str(), validate, strict, label);
 }
 
 }  // namespace hpcos

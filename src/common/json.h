@@ -99,6 +99,32 @@ class JsonValue {
   std::vector<JsonMember> obj_;
 };
 
+// A JSON-lines stream (run ledgers, heartbeat logs): one self-contained
+// record per line.
+struct JsonLines {
+  std::vector<JsonValue> records;  // file order
+  std::size_t skipped = 0;         // lenient mode: damaged lines skipped
+};
+
+// Returns "" for a valid record, else a one-line reason.
+using JsonLineValidator = std::string (*)(const JsonValue&);
+
+// Parse JSON-lines text. Blank (whitespace-only) lines are separators in
+// both modes: a torn final write can leave one. Strict mode throws on the
+// first line that fails to parse or validate ("<label> line N: <reason>",
+// N counting blank lines); lenient mode skips and counts damaged lines and
+// never aborts, so one torn tail line cannot wedge a reader.
+JsonLines parse_json_lines(const std::string& text,
+                           JsonLineValidator validate, bool strict,
+                           const std::string& label);
+
+// Read + parse a JSON-lines file. A missing file is an error in strict
+// mode ("cannot open <file_label>: <path>") and empty in lenient mode.
+JsonLines read_json_lines(const std::string& path,
+                          JsonLineValidator validate, bool strict,
+                          const std::string& label,
+                          const std::string& file_label);
+
 // Escape a string for embedding in a JSON document (without quotes).
 std::string json_escape(const std::string& s);
 

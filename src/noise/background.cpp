@@ -84,18 +84,22 @@ void BackgroundActivity::start_source(const NoiseSourceSpec& spec,
 void BackgroundActivity::arm_generator(const NoiseSourceSpec& spec,
                                        RngStream rng, hw::CoreId fixed_core) {
   generator_rngs_.push_back(std::make_unique<RngStream>(rng));
-  RngStream* r = generator_rngs_.back().get();
-  // Self-rescheduling arrival process; the spec pointer stays valid because
-  // it aliases into profile_, which lives as long as this object.
-  const NoiseSourceSpec* s = &spec;
-  auto chain = std::make_shared<std::function<void()>>();
-  *chain = [this, s, r, fixed_core, chain] {
-    fire(*s, *r, fixed_core);
-    kernel_.simulator().schedule_after(r->exponential_time(s->mean_interval),
-                                       *chain, "noise.daemon");
-  };
-  kernel_.simulator().schedule_after(r->exponential_time(s->mean_interval),
-                                     *chain, "noise.daemon");
+  schedule_arrival(spec, *generator_rngs_.back(), fixed_core);
+}
+
+void BackgroundActivity::schedule_arrival(const NoiseSourceSpec& spec,
+                                          RngStream& rng,
+                                          hw::CoreId fixed_core) {
+  // Self-rescheduling arrival process. `spec` aliases into profile_ and
+  // `rng` into generator_rngs_, both owned by this object, which outlives
+  // the simulator's pending events.
+  kernel_.simulator().schedule_after(
+      rng.exponential_time(spec.mean_interval),
+      [this, &spec, &rng, fixed_core] {
+        fire(spec, rng, fixed_core);
+        schedule_arrival(spec, rng, fixed_core);
+      },
+      "noise.daemon");
 }
 
 void BackgroundActivity::fire(const NoiseSourceSpec& spec,

@@ -53,6 +53,8 @@ class BackgroundActivity {
   void start_source(const NoiseSourceSpec& spec, std::uint64_t index);
   void arm_generator(const NoiseSourceSpec& spec, RngStream rng,
                      hw::CoreId fixed_core);
+  void schedule_arrival(const NoiseSourceSpec& spec, RngStream& rng,
+                        hw::CoreId fixed_core);
   void fire(const NoiseSourceSpec& spec, RngStream& rng,
             hw::CoreId fixed_core);
   void deliver(const NoiseSourceSpec& spec, hw::CoreId core,

@@ -198,6 +198,57 @@ DiffPolicy load_tolerance_policy(const std::string& path) {
   return parse_tolerance_policy(load_json_file(path));
 }
 
+MetricComparison compare_metrics(const std::vector<FlatMetric>& baseline,
+                                 const std::vector<FlatMetric>& current,
+                                 const DiffPolicy& policy) {
+  auto find = [](const std::vector<FlatMetric>& side,
+                 const std::string& name) -> const FlatMetric* {
+    for (const FlatMetric& m : side) {
+      if (m.name == name) return &m;
+    }
+    return nullptr;
+  };
+  MetricComparison out;
+  for (const FlatMetric& c : current) {
+    const bool host = is_host_metric(c.name);
+    const MetricTolerance& tol = policy.lookup(c.name);
+    if (!host && tol.ignore) continue;
+    const FlatMetric* b = find(baseline, c.name);
+    if (b == nullptr) {
+      if (!host) out.new_in_current.push_back(c.name);
+      continue;
+    }
+    MetricDelta d;
+    d.metric = c.name;
+    d.unit = c.unit;
+    d.baseline = b->value;
+    d.current = c.value;
+    d.abs_delta = std::abs(c.value - b->value);
+    d.rel_delta = d.abs_delta / std::max(std::abs(b->value), DBL_MIN);
+    if (host) {
+      out.host.push_back(std::move(d));
+      continue;
+    }
+    d.tolerance = tol;
+    d.violation =
+        d.abs_delta > std::max(tol.abs, tol.rel * std::abs(b->value));
+    out.deltas.push_back(std::move(d));
+  }
+  for (const FlatMetric& b : baseline) {
+    if (is_host_metric(b.name) || policy.lookup(b.name).ignore) continue;
+    if (find(current, b.name) == nullptr) {
+      out.missing_in_current.push_back(b.name);
+    }
+  }
+  return out;
+}
+
+bool ranks_before(const MetricDelta& a, const MetricDelta& b) {
+  if (a.violation != b.violation) return a.violation;
+  if (a.rel_delta != b.rel_delta) return a.rel_delta > b.rel_delta;
+  return a.metric < b.metric;
+}
+
 DiffResult diff_reports(const JsonValue& current, const JsonValue& baseline,
                         const DiffPolicy& policy) {
   if (const std::string err = validate_bench_report(current); !err.empty()) {
@@ -213,44 +264,13 @@ DiffResult diff_reports(const JsonValue& current, const JsonValue& baseline,
         "\", baseline is \"" + baseline.at("bench").as_string() + "\"");
   }
 
-  const std::vector<FlatMetric> cur = flatten_report(current);
-  const std::vector<FlatMetric> base = flatten_report(baseline);
-
-  DiffResult r;
-  for (const FlatMetric& c : cur) {
-    const MetricTolerance& tol = policy.lookup(c.name);
-    if (tol.ignore) continue;
-    const auto it =
-        std::find_if(base.begin(), base.end(),
-                     [&](const FlatMetric& b) { return b.name == c.name; });
-    if (it == base.end()) {
-      r.new_in_current.push_back(c.name);
-      continue;
-    }
-    MetricDelta d;
-    d.metric = c.name;
-    d.baseline = it->value;
-    d.current = c.value;
-    d.abs_delta = std::abs(c.value - it->value);
-    d.rel_delta = d.abs_delta / std::max(std::abs(it->value), DBL_MIN);
-    d.tolerance = tol;
-    d.violation =
-        d.abs_delta > std::max(tol.abs, tol.rel * std::abs(it->value));
-    r.deltas.push_back(d);
-    if (d.violation) r.violations.push_back(std::move(d));
+  DiffResult r{compare_metrics(flatten_report(baseline),
+                               flatten_report(current), policy),
+               {}};
+  for (const MetricDelta& d : r.deltas) {
+    if (d.violation) r.violations.push_back(d);
   }
-  for (const FlatMetric& b : base) {
-    const MetricTolerance& tol = policy.lookup(b.name);
-    if (tol.ignore) continue;
-    const bool present =
-        std::any_of(cur.begin(), cur.end(),
-                    [&](const FlatMetric& c) { return c.name == b.name; });
-    if (!present) r.missing_in_current.push_back(b.name);
-  }
-  std::stable_sort(r.violations.begin(), r.violations.end(),
-                   [](const MetricDelta& a, const MetricDelta& b) {
-                     return a.rel_delta > b.rel_delta;
-                   });
+  std::stable_sort(r.violations.begin(), r.violations.end(), ranks_before);
   return r;
 }
 

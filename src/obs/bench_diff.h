@@ -19,13 +19,15 @@
 //
 // Patterns are glob-style with '*' wildcards; the first matching rule wins,
 // falling back to "default". Rules marked "ignore" skip the metric entirely
-// (host-dependent wall-clock measurements).
+// (host-dependent wall-clock measurements). host.* metrics need no rule:
+// compare_metrics never judges them.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "obs/bench_report.h"
 
 namespace hpcos::obs {
 
@@ -70,6 +72,7 @@ DiffPolicy load_tolerance_policy(const std::string& path);
 
 struct MetricDelta {
   std::string metric;  // metric name, or "<name>.p50" for a percentile
+  std::string unit;
   double baseline = 0.0;
   double current = 0.0;
   double abs_delta = 0.0;
@@ -78,17 +81,35 @@ struct MetricDelta {
   bool violation = false;
 };
 
-struct DiffResult {
-  // Everything compared (ignored metrics excluded), in report order.
+// The one cross-run judgment: bench_diff (report vs committed baseline),
+// trend (newest run vs median of prior) and explain (any pair) all decide
+// through compare_metrics, so they agree by construction.
+struct MetricComparison {
+  // Judged: metrics both sides carry that are neither host.* nor
+  // ignore-listed, in `current` order.
   std::vector<MetricDelta> deltas;
-  // Out-of-tolerance comparisons, ranked worst-first by relative delta.
-  std::vector<MetricDelta> violations;
-  // Baseline metrics the current report no longer emits — treated as
-  // failures (a silently dropped metric is a broken gate).
+  // host.* pairs: tracked, never judged (no tolerance, never a violation)
+  // — wall-clock rates move with the machine, not the code.
+  std::vector<MetricDelta> host;
+  // Judged metrics only the baseline carries (a dropped metric).
   std::vector<std::string> missing_in_current;
-  // Current metrics absent from the baseline — reported, not failed
-  // (refresh the baseline to start tracking them).
+  // Judged metrics only the current side carries.
   std::vector<std::string> new_in_current;
+};
+
+MetricComparison compare_metrics(const std::vector<FlatMetric>& baseline,
+                                 const std::vector<FlatMetric>& current,
+                                 const DiffPolicy& policy);
+
+// The one ranking of deltas: violations first, then relative delta
+// descending, then name.
+bool ranks_before(const MetricDelta& a, const MetricDelta& b);
+
+struct DiffResult : MetricComparison {
+  // Out-of-tolerance deltas, ranked worst-first (ranks_before). A missing
+  // metric is a failure too (a silently dropped metric is a broken gate);
+  // a new one is reported, not failed (refresh the baseline to track it).
+  std::vector<MetricDelta> violations;
 
   bool ok() const { return violations.empty() && missing_in_current.empty(); }
 };
@@ -98,8 +119,6 @@ struct DiffResult {
 // the two documents describe different benches.
 DiffResult diff_reports(const JsonValue& current, const JsonValue& baseline,
                         const DiffPolicy& policy);
-
-class BenchReport;
 
 // Machine-readable gate result (the bench_diff --json surface): fold a
 // DiffResult into a BenchReport named "bench_diff" so CI and the explain

@@ -5,18 +5,17 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/table.h"
-#include "obs/bench_report.h"
-#include "obs/runlog.h"
-#include "obs/trend.h"
 #include "sim/span_tree.h"
 #include "sim/trace.h"
 
 namespace hpcos::obs::explain {
 
 namespace {
+
+using trend::RunSnapshot;
+using trend::short_hash;
 
 constexpr const char* kAttribTotalMetric = "attrib.total_stolen_us";
 constexpr const char* kAttribSrcPrefix = "attrib.src.";
@@ -79,7 +78,7 @@ void fold_into_node(MetricTreeNode& node, const MetricDelta& d) {
   node.max_rel = std::max(node.max_rel, d.rel_delta);
   ++node.leaves;
   if (d.abs_delta > 0.0) ++node.changed;
-  if (d.out_of_tolerance) ++node.flagged;
+  if (d.violation) ++node.flagged;
 }
 
 void sort_tree(std::vector<MetricTreeNode>& nodes) {
@@ -88,25 +87,6 @@ void sort_tree(std::vector<MetricTreeNode>& nodes) {
                      return a.abs_sum > b.abs_sum;
                    });
   for (MetricTreeNode& n : nodes) sort_tree(n.children);
-}
-
-// Ranking shared with trend's flag table: out-of-tolerance first, then by
-// relative delta, then name for full determinism.
-void rank_deltas(std::vector<MetricDelta>& deltas) {
-  std::stable_sort(deltas.begin(), deltas.end(),
-                   [](const MetricDelta& a, const MetricDelta& b) {
-                     if (a.out_of_tolerance != b.out_of_tolerance) {
-                       return a.out_of_tolerance;
-                     }
-                     if (a.rel_delta != b.rel_delta) {
-                       return a.rel_delta > b.rel_delta;
-                     }
-                     return a.name < b.name;
-                   });
-}
-
-std::string short_hash(const std::string& hash) {
-  return hash.size() > 8 ? hash.substr(0, 8) : hash;
 }
 
 std::string cause_line(const Cause& c) {
@@ -129,139 +109,6 @@ const char* to_string(CauseLayer layer) {
     case CauseLayer::kMetric: return "metric";
   }
   return "unknown";
-}
-
-RunSnapshot snapshot_from_report(const JsonValue& report_doc,
-                                 std::string label) {
-  if (const std::string err = validate_bench_report(report_doc);
-      !err.empty()) {
-    throw std::runtime_error("bench report invalid: " + err);
-  }
-  RunSnapshot snap;
-  snap.label = label.empty() ? "bench report" : std::move(label);
-  snap.target = report_doc.at("bench").as_string();
-  // BenchReport documents carry no config member today; a future "config"
-  // member slots straight in.
-  if (const JsonValue* config = report_doc.find("config");
-      config != nullptr && config->is_object()) {
-    snap.config = *config;
-    snap.config_hash = config_hash_hex(*config);
-  }
-  for (const JsonValue& m : report_doc.at("metrics").as_array()) {
-    flatten_metric(m, &snap.metrics);
-  }
-  return snap;
-}
-
-RunSnapshot snapshot_from_record(const JsonValue& record, std::string label) {
-  if (const std::string err = validate_run_record(record); !err.empty()) {
-    throw std::runtime_error("run record invalid: " + err);
-  }
-  RunSnapshot snap;
-  snap.target = record.at("target").as_string();
-  snap.config_hash = record.at("config_hash").as_string();
-  snap.label = label.empty()
-                   ? snap.target + " @ " + short_hash(snap.config_hash)
-                   : std::move(label);
-  if (const JsonValue* config = record.find("config");
-      config != nullptr && config->is_object()) {
-    snap.config = *config;
-  }
-  for (const JsonValue& m : record.at("metrics").as_array()) {
-    flatten_metric(m, &snap.metrics);
-  }
-  if (const JsonValue* host = record.find("host");
-      host != nullptr && host->is_object()) {
-    if (const JsonValue* metrics = host->find("metrics");
-        metrics != nullptr && metrics->is_array()) {
-      for (const JsonValue& m : metrics->as_array()) {
-        flatten_metric(m, &snap.metrics);
-      }
-    }
-  }
-  return snap;
-}
-
-std::string select_group(const std::vector<JsonValue>& records,
-                         const std::string& target,
-                         const std::string& hash_prefix,
-                         std::vector<JsonValue>* out) {
-  out->clear();
-  std::vector<std::string> hashes;  // distinct, first-seen order
-  for (const JsonValue& r : records) {
-    if (r.at("target").as_string() != target) continue;
-    const std::string& hash = r.at("config_hash").as_string();
-    if (!hash_prefix.empty() && hash.rfind(hash_prefix, 0) != 0) continue;
-    if (std::find(hashes.begin(), hashes.end(), hash) == hashes.end()) {
-      hashes.push_back(hash);
-    }
-    out->push_back(r);
-  }
-  if (out->empty()) {
-    return "no ledger records for target \"" + target + "\"" +
-           (hash_prefix.empty() ? std::string{}
-                                : " with config prefix " + hash_prefix);
-  }
-  if (hashes.size() > 1) {
-    std::string err = "target \"" + target + "\" has " +
-                      std::to_string(hashes.size()) +
-                      " config groups; disambiguate with --config <prefix>:";
-    for (const std::string& h : hashes) err += " " + h;
-    out->clear();
-    return err;
-  }
-  return {};
-}
-
-RunSnapshot snapshot_newest(const std::vector<JsonValue>& group) {
-  if (group.empty()) {
-    throw std::runtime_error("snapshot_newest: empty group");
-  }
-  return snapshot_from_record(group.back(), "newest run");
-}
-
-RunSnapshot median_of_prior(const std::vector<JsonValue>& group) {
-  if (group.size() < 2) {
-    throw std::runtime_error(
-        "median_of_prior: need at least 2 runs in the group (have " +
-        std::to_string(group.size()) + ")");
-  }
-  // Per flattened metric, the median over every run but the newest —
-  // byte-for-byte the baseline trend::find_regressions judges against.
-  std::vector<FlatMetric> order;  // first-seen order, value unused
-  std::vector<std::vector<double>> values;
-  for (std::size_t i = 0; i + 1 < group.size(); ++i) {
-    RunSnapshot snap = snapshot_from_record(group[i]);
-    for (const FlatMetric& m : snap.metrics) {
-      std::size_t slot = order.size();
-      for (std::size_t j = 0; j < order.size(); ++j) {
-        if (order[j].name == m.name) {
-          slot = j;
-          break;
-        }
-      }
-      if (slot == order.size()) {
-        order.push_back(m);
-        values.emplace_back();
-      }
-      values[slot].push_back(m.value);
-    }
-  }
-  RunSnapshot base;
-  base.label =
-      "median of " + std::to_string(group.size() - 1) + " prior run(s)";
-  base.target = group.front().at("target").as_string();
-  base.config_hash = group.front().at("config_hash").as_string();
-  const JsonValue& prior = group[group.size() - 2];
-  if (const JsonValue* config = prior.find("config");
-      config != nullptr && config->is_object()) {
-    base.config = *config;
-  }
-  for (std::size_t j = 0; j < order.size(); ++j) {
-    base.metrics.push_back(
-        {order[j].name, order[j].unit, trend::median(values[j])});
-  }
-  return base;
 }
 
 ExplainReport explain_runs(RunSnapshot base, RunSnapshot current,
@@ -288,56 +135,28 @@ ExplainReport explain_runs(RunSnapshot base, RunSnapshot current,
   }
 
   // ---- layer 2: metrics --------------------------------------------------
-  for (const FlatMetric& cur : ex.current.metrics) {
-    const FlatMetric* prev = find_metric(ex.base, cur.name);
-    if (prev == nullptr) {
-      ex.metrics.only_in_current.push_back(cur.name);
-      continue;
-    }
-    MetricDelta d;
-    d.name = cur.name;
-    d.unit = cur.unit;
-    d.base = prev->value;
-    d.current = cur.value;
-    d.abs_delta = std::abs(cur.value - prev->value);
-    d.rel_delta = rel_of(prev->value, d.abs_delta);
-    if (is_host_metric(cur.name)) {
-      // Quarantine: tracked for the advisory table, never judged, never a
-      // cause — host wall-clock moves with the machine, not the code.
-      ex.metrics.host_advisory.push_back(std::move(d));
-      continue;
-    }
-    d.tolerance = policy.lookup(cur.name);
-    if (d.tolerance.ignore) continue;
-    d.out_of_tolerance =
-        d.abs_delta >
-        std::max(d.tolerance.abs, d.tolerance.rel * std::abs(d.base));
-    ex.metrics.ranked.push_back(std::move(d));
-  }
-  for (const FlatMetric& prev : ex.base.metrics) {
-    if (find_metric(ex.current, prev.name) == nullptr) {
-      ex.metrics.only_in_base.push_back(prev.name);
-    }
-  }
+  ex.metrics = compare_metrics(ex.base.metrics, ex.current.metrics, policy);
   // Contribution roll-up along the <subsystem>.<object>[.<detail>] naming
   // rule before ranking reorders the leaves.
-  for (const MetricDelta& d : ex.metrics.ranked) {
-    const std::size_t dot1 = d.name.find('.');
+  for (const MetricDelta& d : ex.metrics.deltas) {
+    const std::size_t dot1 = d.metric.find('.');
     const std::string subsystem =
-        dot1 == std::string::npos ? d.name : d.name.substr(0, dot1);
-    MetricTreeNode* top = find_or_add_child(ex.metrics.tree, subsystem);
+        dot1 == std::string::npos ? d.metric : d.metric.substr(0, dot1);
+    MetricTreeNode* top = find_or_add_child(ex.metric_tree, subsystem);
     fold_into_node(*top, d);
     if (dot1 != std::string::npos) {
-      const std::size_t dot2 = d.name.find('.', dot1 + 1);
+      const std::size_t dot2 = d.metric.find('.', dot1 + 1);
       const std::string object =
-          dot2 == std::string::npos ? d.name
-                                    : d.name.substr(0, dot2);
+          dot2 == std::string::npos ? d.metric
+                                    : d.metric.substr(0, dot2);
       fold_into_node(*find_or_add_child(top->children, object), d);
     }
   }
-  sort_tree(ex.metrics.tree);
-  rank_deltas(ex.metrics.ranked);
-  rank_deltas(ex.metrics.host_advisory);
+  sort_tree(ex.metric_tree);
+  std::stable_sort(ex.metrics.deltas.begin(), ex.metrics.deltas.end(),
+                   ranks_before);
+  std::stable_sort(ex.metrics.host.begin(), ex.metrics.host.end(),
+                   ranks_before);
 
   // ---- layer 3: attribution ---------------------------------------------
   const FlatMetric* base_total = find_metric(ex.base, kAttribTotalMetric);
@@ -502,22 +321,23 @@ ExplainReport explain_runs(RunSnapshot base, RunSnapshot current,
     }
     ex.causes.push_back(std::move(c));
   }
-  for (const MetricDelta& d : ex.metrics.ranked) {
+  for (const MetricDelta& d : ex.metrics.deltas) {
     if (d.abs_delta == 0.0) continue;
     // attrib.* / span.* movement already surfaces through its own layer;
     // repeating it here would double-count the same cause.
-    if (starts_with(d.name, "attrib.") || starts_with(d.name, kSpanPrefix)) {
+    if (starts_with(d.metric, "attrib.") ||
+        starts_with(d.metric, kSpanPrefix)) {
       continue;
     }
     Cause c;
     c.layer = CauseLayer::kMetric;
-    c.name = d.name;
-    c.metric = d.name;
+    c.name = d.metric;
+    c.metric = d.metric;
     c.score = d.rel_delta;
-    c.detail = "moved " + TextTable::fmt_sci(d.base, 3) + " -> " +
+    c.detail = "moved " + TextTable::fmt_sci(d.baseline, 3) + " -> " +
                TextTable::fmt_sci(d.current, 3) + " (" +
-               fmt_signed_pct(d.base, d.current - d.base) +
-               (d.out_of_tolerance ? ", OUT OF TOLERANCE)" : ")");
+               fmt_signed_pct(d.baseline, d.current - d.baseline) +
+               (d.violation ? ", OUT OF TOLERANCE)" : ")");
     ex.causes.push_back(std::move(c));
   }
   std::stable_sort(ex.causes.begin(), ex.causes.end(),
@@ -564,30 +384,30 @@ void print_explain(std::ostream& os, const ExplainReport& ex,
         {"metric", "base", "current", "delta", "rel", "allowed", "flag"});
     for (std::size_t c = 1; c < 6; ++c) table.set_align(c, Align::kRight);
     std::size_t shown = 0;
-    for (const MetricDelta& d : ex.metrics.ranked) {
+    for (const MetricDelta& d : ex.metrics.deltas) {
       if (shown >= top) break;
       if (d.abs_delta == 0.0 && shown > 0) break;  // ranked: rest unchanged
-      table.add_row({d.name, TextTable::fmt_sci(d.base, 4),
+      table.add_row({d.metric, TextTable::fmt_sci(d.baseline, 4),
                      TextTable::fmt_sci(d.current, 4),
-                     fmt_signed(d.current - d.base),
+                     fmt_signed(d.current - d.baseline),
                      TextTable::fmt_percent(d.rel_delta),
                      TextTable::fmt_percent(d.tolerance.rel),
-                     d.out_of_tolerance ? "OUT-OF-TOL" : ""});
+                     d.violation ? "OUT-OF-TOL" : ""});
       ++shown;
     }
     table.print(os);
-    os << ex.metrics.ranked.size() << " metric(s) compared";
-    if (!ex.metrics.only_in_current.empty()) {
-      os << ", " << ex.metrics.only_in_current.size() << " new";
+    os << ex.metrics.deltas.size() << " metric(s) compared";
+    if (!ex.metrics.new_in_current.empty()) {
+      os << ", " << ex.metrics.new_in_current.size() << " new";
     }
-    if (!ex.metrics.only_in_base.empty()) {
-      os << ", " << ex.metrics.only_in_base.size() << " dropped";
+    if (!ex.metrics.missing_in_current.empty()) {
+      os << ", " << ex.metrics.missing_in_current.size() << " dropped";
     }
     os << "\n";
     TextTable tree({"subsystem/object", "leaves", "changed", "flagged",
                     "sum |delta|", "max rel"});
     for (std::size_t c = 1; c < 6; ++c) tree.set_align(c, Align::kRight);
-    for (const MetricTreeNode& n : ex.metrics.tree) {
+    for (const MetricTreeNode& n : ex.metric_tree) {
       tree.add_row({n.path,
                     TextTable::fmt_int(static_cast<long long>(n.leaves)),
                     TextTable::fmt_int(static_cast<long long>(n.changed)),
@@ -606,16 +426,16 @@ void print_explain(std::ostream& os, const ExplainReport& ex,
       }
     }
     tree.print(os);
-    if (!ex.metrics.host_advisory.empty()) {
+    if (!ex.metrics.host.empty()) {
       os << "advisory (host.* — tracked, never judged):\n";
       TextTable host({"host metric", "base", "current", "delta"});
       for (std::size_t c = 1; c < 4; ++c) host.set_align(c, Align::kRight);
       std::size_t shown_host = 0;
-      for (const MetricDelta& d : ex.metrics.host_advisory) {
+      for (const MetricDelta& d : ex.metrics.host) {
         if (shown_host++ >= top) break;
-        host.add_row({d.name, TextTable::fmt_sci(d.base, 4),
+        host.add_row({d.metric, TextTable::fmt_sci(d.baseline, 4),
                       TextTable::fmt_sci(d.current, 4),
-                      fmt_signed(d.current - d.base)});
+                      fmt_signed(d.current - d.baseline)});
       }
       host.print(os);
     }
@@ -683,8 +503,8 @@ void print_explain(std::ostream& os, const ExplainReport& ex,
        << "tolerance policy\n";
   }
   if (const MetricDelta* m = ex.top_metric()) {
-    os << "explain: top metric: " << m->name << " ("
-       << fmt_signed_pct(m->base, m->current - m->base) << ", allowed "
+    os << "explain: top metric: " << m->metric << " ("
+       << fmt_signed_pct(m->baseline, m->current - m->baseline) << ", allowed "
        << TextTable::fmt_percent(m->tolerance.rel) << ")\n";
   }
 }
@@ -722,21 +542,21 @@ void add_explain_metrics(BenchReport& report, const ExplainReport& ex) {
   report.add_metric("explain.config.changed.count", "count",
                     static_cast<double>(ex.config_diff.size()));
   report.add_metric("explain.metrics.compared.count", "count",
-                    static_cast<double>(ex.metrics.ranked.size()));
+                    static_cast<double>(ex.metrics.deltas.size()));
   std::size_t changed = 0;
   std::size_t flagged = 0;
-  for (const MetricDelta& d : ex.metrics.ranked) {
+  for (const MetricDelta& d : ex.metrics.deltas) {
     if (d.abs_delta > 0.0) ++changed;
-    if (d.out_of_tolerance) ++flagged;
+    if (d.violation) ++flagged;
   }
   report.add_metric("explain.metrics.changed.count", "count",
                     static_cast<double>(changed));
   report.add_metric("explain.metrics.flagged.count", "count",
                     static_cast<double>(flagged));
   report.add_metric("explain.metrics.new.count", "count",
-                    static_cast<double>(ex.metrics.only_in_current.size()));
+                    static_cast<double>(ex.metrics.new_in_current.size()));
   report.add_metric("explain.metrics.dropped.count", "count",
-                    static_cast<double>(ex.metrics.only_in_base.size()));
+                    static_cast<double>(ex.metrics.missing_in_current.size()));
   report.add_metric("explain.attrib.present", "bool",
                     ex.attrib.present ? 1.0 : 0.0);
   if (ex.attrib.present) {

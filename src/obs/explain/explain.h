@@ -17,14 +17,12 @@
 //                   (common/confighash config_diff). hash equal => empty
 //                   diff; a semantic knob change is definitionally the
 //                   root cause and outranks everything else.
-//   2. metrics    — delta of every flattened metric (percentiles flatten
-//                   to "<name>.<pN>" exactly as bench_diff/trend do),
-//                   ranked out-of-tolerance-first then by relative delta
-//                   under the SAME DiffPolicy the gates use, and rolled
-//                   up into a <subsystem>.<object> contribution tree.
-//                   host.* metrics are quarantined into an advisory
-//                   section — tracked, never judged, never a cause (the
-//                   bench_gate/trend policy).
+//   2. metrics    — compare_metrics (obs/bench_diff), the one judgment
+//                   bench_diff and trend use, under the same DiffPolicy;
+//                   deltas ranked by ranks_before and rolled up into a
+//                   <subsystem>.<object> contribution tree. host.* pairs
+//                   form an advisory section — tracked, never judged,
+//                   never a cause.
 //   3. attribution — per-source overhead deltas over the obs/attrib
 //                   ledger metrics (attrib.src.<source>.stolen_us), with
 //                   the per-source deltas reconciled against the total
@@ -49,10 +47,10 @@
 #include <vector>
 
 #include "common/confighash.h"
-#include "common/json.h"
 #include "common/sketch.h"
 #include "obs/bench_diff.h"
 #include "obs/bench_report.h"
+#include "obs/trend.h"
 
 namespace hpcos::sim {
 struct TraceRecord;
@@ -60,53 +58,7 @@ struct TraceRecord;
 
 namespace hpcos::obs::explain {
 
-// One side of the diff — a run (or a synthesized baseline) reduced to the
-// fields the explainer needs.
-struct RunSnapshot {
-  std::string label;        // "newest run", "median of 4 prior runs", path
-  std::string target;
-  std::string config_hash;  // "" when unknown
-  JsonValue config;         // null when the run carried no config document
-  std::vector<FlatMetric> metrics;  // flatten_metric order, host.* included
-};
-
-// Build a snapshot from a schema-valid BenchReport document or from a
-// run-ledger record (obs/runlog). Both throw std::runtime_error on
-// malformed input. Ledger records contribute their host.metrics too (into
-// the advisory section downstream).
-RunSnapshot snapshot_from_report(const JsonValue& report_doc,
-                                 std::string label = {});
-RunSnapshot snapshot_from_record(const JsonValue& record,
-                                 std::string label = {});
-
-// Group selection over ledger records: keep records matching `target` and
-// (when non-empty) a config-hash prefix. Returns "" and fills `out` on
-// success; otherwise a one-line error (no match / ambiguous prefix).
-std::string select_group(const std::vector<JsonValue>& records,
-                         const std::string& target,
-                         const std::string& hash_prefix,
-                         std::vector<JsonValue>* out);
-
-// The newest record of a group as a snapshot.
-RunSnapshot snapshot_newest(const std::vector<JsonValue>& group);
-// The median-of-prior baseline tools/trend already judges against: per
-// flattened metric, the median over all records but the newest. The
-// config document comes from the newest prior record (same hash across
-// the group by construction).
-RunSnapshot median_of_prior(const std::vector<JsonValue>& group);
-
 // ---------------------------------------------------------------- layers
-
-struct MetricDelta {
-  std::string name;
-  std::string unit;
-  double base = 0.0;
-  double current = 0.0;
-  double abs_delta = 0.0;
-  double rel_delta = 0.0;  // |delta| / max(|base|, DBL_MIN)
-  MetricTolerance tolerance;
-  bool out_of_tolerance = false;
-};
 
 // Roll-up node over the <subsystem>.<object>[.<detail>] naming rule:
 // depth 1 groups by subsystem, depth 2 by object. abs_sum mixes units, so
@@ -119,20 +71,6 @@ struct MetricTreeNode {
   std::size_t changed = 0;    // leaves with a nonzero delta
   std::size_t flagged = 0;    // leaves out of tolerance
   std::vector<MetricTreeNode> children;
-};
-
-struct MetricLayer {
-  // Deterministic metrics present on both sides, ignored patterns
-  // excluded, ranked out-of-tolerance-first then by relative delta —
-  // the identical order trend ranks its flags, so ranked[0] IS the
-  // trend-flagged metric when one exists.
-  std::vector<MetricDelta> ranked;
-  std::vector<MetricTreeNode> tree;  // subsystems sorted by abs_sum desc
-  // host.* quarantine: tracked for the report, never judged, never a
-  // cause (same policy as bench_gate/trend).
-  std::vector<MetricDelta> host_advisory;
-  std::vector<std::string> only_in_base;     // dropped metrics
-  std::vector<std::string> only_in_current;  // new metrics
 };
 
 struct AttribSourceDelta {
@@ -195,12 +133,17 @@ struct Cause {
 };
 
 struct ExplainReport {
-  RunSnapshot base;
-  RunSnapshot current;
+  trend::RunSnapshot base;
+  trend::RunSnapshot current;
   bool config_known = false;  // both sides carried a config document
   bool hash_equal = false;
   std::vector<ConfigDelta> config_diff;
-  MetricLayer metrics;
+  // The compare_metrics result with its deltas ranked by ranks_before —
+  // the order trend ranks its flags, so metrics.deltas[0] IS the
+  // trend-flagged metric when one exists. metrics.host is the advisory
+  // section, ranked the same way.
+  MetricComparison metrics;
+  std::vector<MetricTreeNode> metric_tree;  // subsystems, abs_sum desc
   AttribLayer attrib;
   SpanLayer spans;
   // Ranked worst-first: config knob changes, then attrib/span/metric
@@ -211,16 +154,17 @@ struct ExplainReport {
   const Cause* top_cause() const {
     return causes.empty() ? nullptr : &causes.front();
   }
-  // The trend-comparable headline: ranked[0] of the metric layer.
+  // The trend-comparable headline: the metric layer's top delta.
   const MetricDelta* top_metric() const {
-    return metrics.ranked.empty() ? nullptr : &metrics.ranked.front();
+    return metrics.deltas.empty() ? nullptr : &metrics.deltas.front();
   }
 };
 
 // Diff `current` against `base` under `policy` (the same tolerance file
 // the gates use; metrics matching ignore rules are excluded from ranking
 // and causes).
-ExplainReport explain_runs(RunSnapshot base, RunSnapshot current,
+ExplainReport explain_runs(trend::RunSnapshot base,
+                           trend::RunSnapshot current,
                            const DiffPolicy& policy);
 
 // Full report: one banner per layer, `top` rows per table.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -165,49 +164,13 @@ std::string heartbeat_ascii(const Heartbeat& hb) {
 }
 
 HeartbeatLog parse_heartbeat_log(const std::string& text, bool strict) {
-  HeartbeatLog log;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    ++line_no;
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    // Blank lines are tolerated in both modes: a torn final write leaves
-    // one, and it carries no information either way.
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::string err;
-    try {
-      JsonValue rec = JsonValue::parse(line);
-      err = validate_heartbeat_record(rec);
-      if (err.empty()) {
-        log.records.push_back(std::move(rec));
-        continue;
-      }
-    } catch (const JsonParseError& e) {
-      err = e.what();
-    }
-    if (strict) {
-      throw std::runtime_error("heartbeat line " + std::to_string(line_no) +
-                               ": " + err);
-    }
-    ++log.skipped;
-  }
-  return log;
+  return parse_json_lines(text, validate_heartbeat_record, strict,
+                          "heartbeat");
 }
 
 HeartbeatLog read_heartbeat_log(const std::string& path, bool strict) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (strict) {
-      throw std::runtime_error("cannot open heartbeat log: " + path);
-    }
-    return {};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_heartbeat_log(buf.str(), strict);
+  return read_json_lines(path, validate_heartbeat_record, strict,
+                         "heartbeat", "heartbeat log");
 }
 
 HeartbeatAggregates aggregate_heartbeats(

@@ -83,10 +83,8 @@ std::string heartbeat_line(const JsonValue& record);
 //   eta 33s rss 211MiB
 std::string heartbeat_ascii(const Heartbeat& hb);
 
-struct HeartbeatLog {
-  std::vector<JsonValue> records;  // file order
-  std::size_t skipped = 0;         // lenient mode: damaged lines skipped
-};
+// Records in file order (common/json JSON-lines reader).
+using HeartbeatLog = JsonLines;
 
 // Parse heartbeat stream text. Strict mode throws on the first malformed
 // line or unknown schema ("heartbeat line N: ..."); lenient mode skips

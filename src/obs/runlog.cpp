@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/confighash.h"
@@ -231,44 +229,12 @@ std::string deterministic_digest_hex(const JsonValue& record) {
 }
 
 RunLedger parse_run_ledger(const std::string& text, bool strict) {
-  RunLedger ledger;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::string err;
-    try {
-      JsonValue record = JsonValue::parse(line);
-      err = validate_run_record(record);
-      if (err.empty()) {
-        ledger.records.push_back(std::move(record));
-        continue;
-      }
-    } catch (const std::exception& e) {
-      err = e.what();
-    }
-    if (strict) {
-      throw std::runtime_error("run ledger line " + std::to_string(line_no) +
-                               ": " + err);
-    }
-    ++ledger.skipped;
-  }
-  return ledger;
+  return parse_json_lines(text, validate_run_record, strict, "run ledger");
 }
 
 RunLedger read_run_ledger(const std::string& path, bool strict) {
-  std::ifstream in(path);
-  if (!in) {
-    if (strict) {
-      throw std::runtime_error("cannot open run ledger: " + path);
-    }
-    return {};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_run_ledger(buf.str(), strict);
+  return read_json_lines(path, validate_run_record, strict, "run ledger",
+                         "run ledger");
 }
 
 }  // namespace hpcos::obs

@@ -80,15 +80,14 @@ std::string deterministic_line(const JsonValue& record);
 // FNV-1a 64 hex digest of deterministic_line().
 std::string deterministic_digest_hex(const JsonValue& record);
 
-struct RunLedger {
-  std::vector<JsonValue> records;  // file order == append order
-  std::size_t skipped = 0;         // lenient mode: damaged lines skipped
-};
+// Records in file order == append order (common/json JSON-lines reader).
+using RunLedger = JsonLines;
 
 // Parse ledger text. Strict mode throws on the first malformed line or
-// unknown schema version (CI gates want hard failures); lenient mode
-// skips and counts damaged or unknown-schema lines and never aborts
-// (trend over a ledger with one torn tail line must still work).
+// unknown schema version ("run ledger line N: ..."; CI gates want hard
+// failures); lenient mode skips and counts damaged or unknown-schema lines
+// and never aborts (trend over a ledger with one torn tail line must still
+// work).
 RunLedger parse_run_ledger(const std::string& text, bool strict = true);
 
 // Read + parse a ledger file. A missing file is an error in strict mode

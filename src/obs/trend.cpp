@@ -1,11 +1,12 @@
 #include "obs/trend.h"
 
 #include <algorithm>
-#include <cfloat>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
-#include "obs/bench_report.h"
+#include "common/confighash.h"
+#include "obs/runlog.h"
 
 namespace hpcos::obs::trend {
 
@@ -54,42 +55,163 @@ double pooled_segment_mad(const std::vector<double>& values,
 
 }  // namespace
 
+RunSnapshot snapshot_from_report(const JsonValue& report_doc,
+                                 std::string label) {
+  if (const std::string err = validate_bench_report(report_doc);
+      !err.empty()) {
+    throw std::runtime_error("bench report invalid: " + err);
+  }
+  RunSnapshot snap;
+  snap.label = label.empty() ? "bench report" : std::move(label);
+  snap.target = report_doc.at("bench").as_string();
+  // BenchReport documents carry no config member today; a future "config"
+  // member slots straight in.
+  if (const JsonValue* config = report_doc.find("config");
+      config != nullptr && config->is_object()) {
+    snap.config = *config;
+    snap.config_hash = config_hash_hex(*config);
+  }
+  for (const JsonValue& m : report_doc.at("metrics").as_array()) {
+    flatten_metric(m, &snap.metrics);
+  }
+  return snap;
+}
+
+RunSnapshot snapshot_from_record(const JsonValue& record, std::string label) {
+  if (const std::string err = validate_run_record(record); !err.empty()) {
+    throw std::runtime_error("run record invalid: " + err);
+  }
+  RunSnapshot snap;
+  snap.target = record.at("target").as_string();
+  snap.config_hash = record.at("config_hash").as_string();
+  snap.label = label.empty()
+                   ? snap.target + " @ " + short_hash(snap.config_hash)
+                   : std::move(label);
+  if (const JsonValue* config = record.find("config");
+      config != nullptr && config->is_object()) {
+    snap.config = *config;
+  }
+  for (const JsonValue& m : record.at("metrics").as_array()) {
+    flatten_metric(m, &snap.metrics);
+  }
+  // host.* metrics live in the record's host half (excluded from the
+  // deterministic line), but trend is exactly the tool that should see
+  // them — host.progress.events_per_sec.* across commits is the
+  // throughput trajectory. compare_metrics tracks them, never judges them.
+  if (const JsonValue* host = record.find("host");
+      host != nullptr && host->is_object()) {
+    if (const JsonValue* metrics = host->find("metrics");
+        metrics != nullptr && metrics->is_array()) {
+      for (const JsonValue& m : metrics->as_array()) {
+        flatten_metric(m, &snap.metrics);
+      }
+    }
+  }
+  return snap;
+}
+
+std::string select_group(const std::vector<JsonValue>& records,
+                         const std::string& target,
+                         const std::string& hash_prefix,
+                         std::vector<JsonValue>* out) {
+  out->clear();
+  std::vector<std::string> hashes;  // distinct, first-seen order
+  for (const JsonValue& r : records) {
+    if (r.at("target").as_string() != target) continue;
+    const std::string& hash = r.at("config_hash").as_string();
+    if (!hash_prefix.empty() && hash.rfind(hash_prefix, 0) != 0) continue;
+    if (std::find(hashes.begin(), hashes.end(), hash) == hashes.end()) {
+      hashes.push_back(hash);
+    }
+    out->push_back(r);
+  }
+  if (out->empty()) {
+    return "no ledger records for target \"" + target + "\"" +
+           (hash_prefix.empty() ? std::string{}
+                                : " with config prefix " + hash_prefix);
+  }
+  if (hashes.size() > 1) {
+    std::string err = "target \"" + target + "\" has " +
+                      std::to_string(hashes.size()) +
+                      " config groups; disambiguate with --config <prefix>:";
+    for (const std::string& h : hashes) err += " " + h;
+    out->clear();
+    return err;
+  }
+  return {};
+}
+
+RunSnapshot snapshot_newest(const std::vector<JsonValue>& group) {
+  if (group.empty()) {
+    throw std::runtime_error("snapshot_newest: empty group");
+  }
+  return snapshot_from_record(group.back(), "newest run");
+}
+
+RunSnapshot median_of_prior(const std::vector<JsonValue>& group) {
+  if (group.size() < 2) {
+    throw std::runtime_error(
+        "median_of_prior: need at least 2 runs in the group (have " +
+        std::to_string(group.size()) + ")");
+  }
+  // Per flattened metric, the median over every run but the newest.
+  std::vector<FlatMetric> order;  // first-seen order, value unused
+  std::vector<std::vector<double>> values;
+  for (std::size_t i = 0; i + 1 < group.size(); ++i) {
+    RunSnapshot snap = snapshot_from_record(group[i]);
+    for (const FlatMetric& m : snap.metrics) {
+      std::size_t slot = order.size();
+      for (std::size_t j = 0; j < order.size(); ++j) {
+        if (order[j].name == m.name) {
+          slot = j;
+          break;
+        }
+      }
+      if (slot == order.size()) {
+        order.push_back(m);
+        values.emplace_back();
+      }
+      values[slot].push_back(m.value);
+    }
+  }
+  RunSnapshot base;
+  base.label =
+      "median of " + std::to_string(group.size() - 1) + " prior run(s)";
+  base.target = group.front().at("target").as_string();
+  base.config_hash = group.front().at("config_hash").as_string();
+  const JsonValue& prior = group[group.size() - 2];
+  if (const JsonValue* config = prior.find("config");
+      config != nullptr && config->is_object()) {
+    base.config = *config;
+  }
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    base.metrics.push_back(
+        {order[j].name, order[j].unit, median(values[j])});
+  }
+  return base;
+}
+
+std::string short_hash(const std::string& config_hash) {
+  return config_hash.substr(0, 8);
+}
+
 std::vector<RunGroup> group_records(const std::vector<JsonValue>& records) {
   std::vector<RunGroup> groups;
   for (const JsonValue& record : records) {
-    const std::string& target = record.at("target").as_string();
-    const std::string& hash = record.at("config_hash").as_string();
+    const RunSnapshot snap = snapshot_from_record(record);
     RunGroup* group = nullptr;
     for (RunGroup& g : groups) {
-      if (g.target == target && g.config_hash == hash) {
+      if (g.target == snap.target && g.config_hash == snap.config_hash) {
         group = &g;
         break;
       }
     }
     if (group == nullptr) {
-      groups.push_back(RunGroup{target, hash, 0, {}});
+      groups.push_back(RunGroup{snap.target, snap.config_hash, {}, {}});
       group = &groups.back();
     }
-    ++group->runs;
-    std::vector<FlatMetric> flat;
-    for (const JsonValue& m : record.at("metrics").as_array()) {
-      flatten_metric(m, &flat);
-    }
-    // host.* metrics live in the record's host half (excluded from the
-    // deterministic line), but trend is exactly the tool that should see
-    // them — host.progress.events_per_sec.* across commits is the
-    // throughput trajectory. They stay host-named, so the regression and
-    // drift scans below skip them.
-    if (const JsonValue* host = record.find("host");
-        host != nullptr && host->is_object()) {
-      if (const JsonValue* metrics = host->find("metrics");
-          metrics != nullptr && metrics->is_array()) {
-        for (const JsonValue& m : metrics->as_array()) {
-          flatten_metric(m, &flat);
-        }
-      }
-    }
-    for (const FlatMetric& f : flat) {
+    group->records.push_back(record);
+    for (const FlatMetric& f : snap.metrics) {
       find_or_add_metric(*group, f.name, f.unit)->values.push_back(f.value);
     }
   }
@@ -144,37 +266,17 @@ std::vector<Regression> find_regressions(const std::vector<RunGroup>& groups,
                                          const DiffPolicy& policy) {
   std::vector<Regression> out;
   for (const RunGroup& group : groups) {
-    if (group.runs < 2) continue;
-    for (const MetricSeries& m : group.metrics) {
-      if (m.values.size() < 2) continue;
-      // Host telemetry is tracked, never judged: wall-clock rates move
-      // with the machine, and flagging them would train people to
-      // ignore the gate. The hard skip backs up the tolerance rules.
-      if (is_host_metric(m.name)) continue;
-      const MetricTolerance& tol = policy.lookup(m.name);
-      if (tol.ignore) continue;
-      const double current = m.values.back();
-      const double baseline = median(std::vector<double>(
-          m.values.begin(), m.values.end() - 1));
-      const double abs_delta = std::abs(current - baseline);
-      if (abs_delta <= std::max(tol.abs, tol.rel * std::abs(baseline))) {
-        continue;
+    if (group.records.size() < 2) continue;
+    const MetricComparison compared =
+        compare_metrics(median_of_prior(group.records).metrics,
+                        snapshot_newest(group.records).metrics, policy);
+    for (const MetricDelta& d : compared.deltas) {
+      if (d.violation) {
+        out.push_back(Regression{d, group.target, group.config_hash});
       }
-      Regression r;
-      r.target = group.target;
-      r.config_hash = group.config_hash;
-      r.metric = m.name;
-      r.baseline = baseline;
-      r.current = current;
-      r.rel_delta = abs_delta / std::max(std::abs(baseline), DBL_MIN);
-      r.tolerance = tol;
-      out.push_back(std::move(r));
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Regression& a, const Regression& b) {
-                     return a.rel_delta > b.rel_delta;
-                   });
+  std::stable_sort(out.begin(), out.end(), ranks_before);
   return out;
 }
 
@@ -231,7 +333,7 @@ std::string trend_openmetrics_text(const std::vector<RunGroup>& groups) {
   for (const RunGroup& group : groups) {
     os << "hpcos_trend_runs{target=\"" << escape_label(group.target)
        << "\",config=\"" << escape_label(group.config_hash) << "\"} "
-       << group.runs << '\n';
+       << group.records.size() << '\n';
     for (const MetricSeries& m : group.metrics) {
       if (m.values.empty()) continue;
       const std::string labels = "target=\"" + escape_label(group.target) +

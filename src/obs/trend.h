@@ -3,21 +3,25 @@
 // The ledger answers "what ran"; this module answers "how is it moving".
 // Records group by (target, config hash) — within a group every run is
 // the same experiment by the confighash contract, so any metric movement
-// is a code change, a perf change, or host noise (host.* metrics never
-// reach the deterministic record section and never appear here). Three
-// analyses, all deterministic over a fixed ledger:
+// is a code change, a perf change, or host noise. Three analyses, all
+// deterministic over a fixed ledger:
 //
-//   * regressions — the newest run's metrics vs the median of all prior
-//     runs, judged by the SAME tolerance policy the bench_gate uses
-//     (obs/bench_diff DiffPolicy: glob rules, ignore list, rel/abs
-//     allowance). One policy file governs both per-commit gating and
-//     cross-run trend flags.
+//   * regressions — the newest run vs the median of all prior runs
+//     (snapshot_newest vs median_of_prior), judged by compare_metrics
+//     under the SAME tolerance policy the bench_gate uses (obs/bench_diff
+//     DiffPolicy: glob rules, ignore list, rel/abs allowance). One policy
+//     file and one judgment govern per-commit gating, cross-run trend
+//     flags and the explainer (obs/explain), which diffs the same pair.
 //   * drift — robust median/MAD changepoint per metric series: the split
 //     maximizing |median(before) - median(after)| scaled by the series
 //     MAD. Catches slow multi-run creep that per-pair tolerance checks
 //     miss.
 //   * sparklines — a compact ASCII ramp of each metric's history for the
 //     trend table.
+//
+// This module also owns the run snapshots both trend and explain compare:
+// a run (report or ledger record) reduced to its flat metrics, and the
+// newest-run-vs-median-of-prior baseline.
 //
 // tools/trend is the CLI front-end; tests/test_trend.cpp pins the
 // analyses, including the injected-regression fixture the trend_gate CI
@@ -30,8 +34,46 @@
 
 #include "common/json.h"
 #include "obs/bench_diff.h"
+#include "obs/bench_report.h"
 
 namespace hpcos::obs::trend {
+
+// One side of a cross-run comparison — a run (or a synthesized baseline)
+// reduced to its identity and flat metrics.
+struct RunSnapshot {
+  std::string label;        // "newest run", "median of 4 prior runs", path
+  std::string target;
+  std::string config_hash;  // "" when unknown
+  JsonValue config;         // null when the run carried no config document
+  std::vector<FlatMetric> metrics;  // flatten_metric order, host.* included
+};
+
+// Build a snapshot from a schema-valid BenchReport document or from a
+// run-ledger record (obs/runlog). Both throw std::runtime_error on
+// malformed input. Ledger records contribute their host.metrics too.
+RunSnapshot snapshot_from_report(const JsonValue& report_doc,
+                                 std::string label = {});
+RunSnapshot snapshot_from_record(const JsonValue& record,
+                                 std::string label = {});
+
+// Group selection over ledger records: keep records matching `target` and
+// (when non-empty) a config-hash prefix. Returns "" and fills `out` on
+// success; otherwise a one-line error (no match / ambiguous prefix).
+std::string select_group(const std::vector<JsonValue>& records,
+                         const std::string& target,
+                         const std::string& hash_prefix,
+                         std::vector<JsonValue>* out);
+
+// The newest record of a group as a snapshot.
+RunSnapshot snapshot_newest(const std::vector<JsonValue>& group);
+// The baseline find_regressions judges against: per flattened metric, the
+// median over all records but the newest. The config document comes from
+// the newest prior record (same hash across the group by construction).
+// Throws for groups of fewer than 2 records.
+RunSnapshot median_of_prior(const std::vector<JsonValue>& group);
+
+// The 8-character prefix the tools print for a config hash.
+std::string short_hash(const std::string& config_hash);
 
 // One metric's history within a group, in ledger append order. Runs that
 // do not emit the metric contribute no entry (values are positional, not
@@ -45,14 +87,14 @@ struct MetricSeries {
 struct RunGroup {
   std::string target;
   std::string config_hash;
-  std::size_t runs = 0;                 // records in this group
+  std::vector<JsonValue> records;       // ledger order
   std::vector<MetricSeries> metrics;    // first-seen order
 };
 
 // Group ledger records by (target, config_hash), groups in first-seen
-// order — deterministic for a fixed ledger. Percentile entries flatten to
-// "<name>.<pN>" exactly as bench_diff does, so tolerance globs match the
-// same names in both tools.
+// order — deterministic for a fixed ledger. Each record flattens through
+// snapshot_from_record, so percentile entries read "<name>.<pN>" exactly
+// as in bench_diff and tolerance globs match the same names in both tools.
 std::vector<RunGroup> group_records(const std::vector<JsonValue>& records);
 
 // Batch median (copies + sorts). Returns 0 for an empty set.
@@ -66,19 +108,16 @@ double mad(const std::vector<double>& values, double center);
 std::string sparkline(const std::vector<double>& values,
                       std::size_t max_width = 48);
 
-struct Regression {
+// A violation of the newest run against its group's median_of_prior
+// baseline: baseline is that median, current the newest run's value.
+struct Regression : MetricDelta {
   std::string target;
   std::string config_hash;
-  std::string metric;
-  double baseline = 0.0;   // median of all runs before the newest
-  double current = 0.0;    // newest run's value
-  double rel_delta = 0.0;  // |delta| / max(|baseline|, DBL_MIN)
-  MetricTolerance tolerance;
 };
 
-// Flag metrics whose newest value drifted out of tolerance vs the median
-// of their prior history. Groups with fewer than 2 runs and metrics the
-// policy ignores are skipped. Ranked worst-first by relative delta.
+// For every group of >= 2 runs, compare_metrics(median_of_prior,
+// snapshot_newest) and keep the violations; ranked across groups by
+// ranks_before. A metric the newest run no longer emits is not judged.
 std::vector<Regression> find_regressions(const std::vector<RunGroup>& groups,
                                          const DiffPolicy& policy);
 

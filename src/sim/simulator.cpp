@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -59,20 +58,27 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-Simulator::TagEntry& Simulator::tag_entry(const char* tag) {
-  for (TagEntry& e : tags_) {
-    if (e.tag == tag) return e;
+obs::prof::ScopeId Simulator::fire_scope(const char* tag) {
+  for (const TagScope& e : tags_) {
+    if (e.tag == tag) return e.scope;
   }
   // Same literal from another translation unit: match by content so the
-  // attribution table stays one row per tag.
-  for (TagEntry& e : tags_) {
-    if (std::strcmp(e.tag, tag) == 0) return e;
+  // attribution stays one scope per tag.
+  for (const TagScope& e : tags_) {
+    if (std::strcmp(e.tag, tag) == 0) return e.scope;
   }
-  TagEntry entry;
-  entry.tag = tag;
-  entry.scope = obs::prof::intern(std::string("des.fire.") + tag);
-  tags_.push_back(entry);
-  return tags_.back();
+  tags_.push_back(
+      TagScope{tag, obs::prof::intern(std::string("des.fire.") + tag)});
+  return tags_.back().scope;
+}
+
+// Decompose the hot loop by handler kind: one profiler scope per tag, so
+// the fire shows up in the hotspot table / flamegraph. Out of line, so the
+// profiler-off path of step() carries none of it.
+[[gnu::noinline]] void Simulator::fire_profiled(Pending& ev) {
+  const obs::prof::ScopedTimer timer(
+      fire_scope(ev.tag != nullptr ? ev.tag : kDefaultTag));
+  ev.fn();
 }
 
 bool Simulator::pop_next(HeapEntry& out, Pending& ev) {
@@ -112,14 +118,7 @@ bool Simulator::step() {
     }
   }
   if (obs::prof::enabled()) {
-    // Decompose the hot loop by handler kind: a profiler scope (so the
-    // fire shows up in the hotspot table / flamegraph) plus the per-tag
-    // host-time accumulator handler_stats() reports.
-    TagEntry& tag = tag_entry(ev.tag != nullptr ? ev.tag : kDefaultTag);
-    const obs::prof::ScopedTimer timer(tag.scope);
-    ev.fn();
-    ++tag.fired;
-    tag.host_ns += obs::prof::now_ns() - timer.start_ns();
+    fire_profiled(ev);
   } else {
     ev.fn();
   }
@@ -153,19 +152,6 @@ std::size_t Simulator::run_all(std::size_t max_events) {
   std::size_t n = 0;
   while (n < max_events && step()) ++n;
   return n;
-}
-
-std::vector<HandlerStat> Simulator::handler_stats() const {
-  std::vector<HandlerStat> out;
-  out.reserve(tags_.size());
-  for (const TagEntry& e : tags_) {
-    out.push_back(HandlerStat{e.tag, e.fired, e.host_ns});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const HandlerStat& a, const HandlerStat& b) {
-              return a.tag < b.tag;
-            });
-  return out;
 }
 
 }  // namespace hpcos::sim

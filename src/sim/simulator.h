@@ -17,9 +17,10 @@
 //   * Event tags + handler attribution — schedule sites may pass a static
 //     string tag ("linux.tick", "ikc.deliver"); while the host profiler
 //     is enabled, step() times each handler under a "des.fire.<tag>"
-//     profiler scope and accumulates per-tag host time, decomposing the
-//     DES hot loop's cost by handler kind. Zero timing overhead while the
-//     profiler is disabled (one branch per event).
+//     profiler scope, decomposing the DES hot loop's cost by handler kind
+//     (the profile's scope counts and times are the attribution). Zero
+//     timing overhead while the profiler is disabled (one branch per
+//     event).
 //   * Live feed — while a ProgressMeter runs (obs/live/live.h), step()
 //     bumps the host-counter table's live.events and, every 512 events,
 //     live.sim_time_ns / live.des.depth / live.des.max_depth
@@ -54,15 +55,6 @@ struct QueueTelemetry {
   std::uint64_t cancels = 0;     // successful cancel() calls
   std::uint64_t skipped = 0;     // cancelled heap entries discarded on pop
   std::size_t max_depth = 0;     // peak pending-event count
-};
-
-// Per-tag host-time attribution, populated only while obs::prof is
-// enabled. `fired` counts are a pure function of the simulated work;
-// `host_ns` is host-dependent.
-struct HandlerStat {
-  std::string tag;
-  std::uint64_t fired = 0;
-  std::int64_t host_ns = 0;
 };
 
 class Simulator {
@@ -107,10 +99,6 @@ class Simulator {
   using DepthProbe = std::function<void(SimTime, std::size_t)>;
   void set_depth_probe(DepthProbe probe) { depth_probe_ = std::move(probe); }
 
-  // Host-time attribution per event tag, tag-sorted (deterministic).
-  // Empty unless events fired while obs::prof was enabled.
-  std::vector<HandlerStat> handler_stats() const;
-
  private:
   struct HeapEntry {
     SimTime time;
@@ -126,16 +114,15 @@ class Simulator {
     const char* tag = nullptr;
   };
 
-  // Per-tag accumulator; tags are interned by pointer identity first
-  // (string literals), falling back to a content match so equal literals
-  // from different translation units share one slot.
-  struct TagEntry {
+  // Tag -> "des.fire.<tag>" profiler scope; tags are looked up by pointer
+  // identity first (string literals), falling back to a content match so
+  // equal literals from different translation units share one scope.
+  struct TagScope {
     const char* tag = nullptr;
     obs::prof::ScopeId scope = 0;
-    std::uint64_t fired = 0;
-    std::int64_t host_ns = 0;
   };
-  TagEntry& tag_entry(const char* tag);
+  obs::prof::ScopeId fire_scope(const char* tag);
+  void fire_profiled(Pending& ev);
 
   // Pops the next live heap entry into `out`; skips cancelled ones.
   bool pop_next(HeapEntry& out, Pending& ev);
@@ -149,7 +136,7 @@ class Simulator {
   std::unordered_map<std::uint64_t, Pending> pending_;
   QueueTelemetry telemetry_;
   DepthProbe depth_probe_;
-  std::vector<TagEntry> tags_;
+  std::vector<TagScope> tags_;
 };
 
 }  // namespace hpcos::sim

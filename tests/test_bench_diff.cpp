@@ -208,6 +208,27 @@ TEST(BenchDiff, IgnoreRuleSkipsHostDependentMetrics) {
   EXPECT_EQ(result.deltas[0].metric, "alpha");
 }
 
+TEST(BenchDiff, HostMetricsAreNeverJudged) {
+  // host.* is tracked, never gated — with no tolerance file at all, a 50x
+  // wall-clock move passes, and a host metric on one side only is neither
+  // missing nor new.
+  const auto baseline = report_with(
+      {{"host.wall_s", 1.0}, {"host.gone_s", 1.0}, {"alpha", 5.0}});
+  const auto current = report_with(
+      {{"host.wall_s", 50.0}, {"host.fresh_s", 1.0}, {"alpha", 5.0}});
+  const auto result = diff_reports(current, baseline, DiffPolicy{});
+  EXPECT_TRUE(result.ok());
+  ASSERT_EQ(result.deltas.size(), 1u);
+  EXPECT_EQ(result.deltas[0].metric, "alpha");
+  EXPECT_TRUE(result.violations.empty());
+  EXPECT_TRUE(result.missing_in_current.empty());
+  EXPECT_TRUE(result.new_in_current.empty());
+  // The pair is still tracked, unjudged.
+  ASSERT_EQ(result.host.size(), 1u);
+  EXPECT_EQ(result.host[0].metric, "host.wall_s");
+  EXPECT_FALSE(result.host[0].violation);
+}
+
 TEST(BenchDiff, MissingMetricFailsNewMetricNotes) {
   const auto baseline = report_with({{"alpha", 1.0}, {"gone", 2.0}});
   const auto current = report_with({{"alpha", 1.0}, {"fresh", 3.0}});

@@ -24,6 +24,7 @@ namespace hpcos {
 namespace {
 
 namespace ex = obs::explain;
+namespace trend = obs::trend;
 
 JsonValue fixture_config(double noise_rate = 0.003) {
   JsonValue c = JsonValue::object();
@@ -67,8 +68,8 @@ std::vector<JsonValue> fixture_group() {
 // ---------------------------------------------------------- snapshots
 
 TEST(ExplainSnapshot, FlattensPercentilesAndHostMetrics) {
-  const ex::RunSnapshot snap =
-      ex::snapshot_from_record(fixture_record(0, false));
+  const trend::RunSnapshot snap =
+      trend::snapshot_from_record(fixture_record(0, false));
   EXPECT_EQ(snap.target, "noise_fixture");
   EXPECT_EQ(snap.config_hash, config_hash_hex(fixture_config()));
   auto value_of = [&](const std::string& name) -> double {
@@ -97,7 +98,7 @@ TEST(ExplainSnapshot, GroupSelectionErrorsAreSpecific) {
 
   std::vector<JsonValue> group;
   const std::string ambiguous =
-      ex::select_group(records, "noise_fixture", "", &group);
+      trend::select_group(records, "noise_fixture", "", &group);
   EXPECT_NE(ambiguous.find("2 config groups"), std::string::npos);
   EXPECT_NE(ambiguous.find(config_hash_hex(fixture_config())),
             std::string::npos);
@@ -105,16 +106,16 @@ TEST(ExplainSnapshot, GroupSelectionErrorsAreSpecific) {
   // A hash prefix disambiguates; 8 characters is enough.
   const std::string prefix =
       config_hash_hex(fixture_config()).substr(0, 8);
-  EXPECT_EQ(ex::select_group(records, "noise_fixture", prefix, &group),
+  EXPECT_EQ(trend::select_group(records, "noise_fixture", prefix, &group),
             "");
   EXPECT_EQ(group.size(), 5u);
 
-  EXPECT_NE(ex::select_group(records, "no_such_target", "", &group), "");
+  EXPECT_NE(trend::select_group(records, "no_such_target", "", &group), "");
 }
 
 TEST(ExplainSnapshot, MedianOfPriorMatchesTrendBaseline) {
   const auto group = fixture_group();
-  const ex::RunSnapshot base = ex::median_of_prior(group);
+  const trend::RunSnapshot base = trend::median_of_prior(group);
   // trend's regression baseline for the same group must be the same
   // number — the two tools must judge the identical pair.
   const auto groups = obs::trend::group_records(group);
@@ -123,11 +124,11 @@ TEST(ExplainSnapshot, MedianOfPriorMatchesTrendBaseline) {
     std::vector<double> prior(m.values.begin(), m.values.end() - 1);
     for (const auto& fm : base.metrics) {
       if (fm.name == m.name) {
-        EXPECT_EQ(fm.value, obs::trend::median(prior)) << m.name;
+        EXPECT_EQ(fm.value, trend::median(prior)) << m.name;
       }
     }
   }
-  EXPECT_THROW((void)ex::median_of_prior({group[0]}), std::runtime_error);
+  EXPECT_THROW((void)trend::median_of_prior({group[0]}), std::runtime_error);
 }
 
 // ------------------------------------------------------------- layers
@@ -135,7 +136,7 @@ TEST(ExplainSnapshot, MedianOfPriorMatchesTrendBaseline) {
 TEST(ExplainLayers, RanksInjectedCauseFirstAndQuarantinesHost) {
   const auto group = fixture_group();
   const ex::ExplainReport report = ex::explain_runs(
-      ex::median_of_prior(group), ex::snapshot_newest(group),
+      trend::median_of_prior(group), trend::snapshot_newest(group),
       obs::DiffPolicy{});
 
   // Config layer: same hash, so no config causes and an empty diff.
@@ -144,15 +145,16 @@ TEST(ExplainLayers, RanksInjectedCauseFirstAndQuarantinesHost) {
   EXPECT_TRUE(report.config_diff.empty());
 
   // Metric layer: the kworker jump (rel 1.0) outranks everything.
-  ASSERT_FALSE(report.metrics.ranked.empty());
-  EXPECT_EQ(report.metrics.ranked.front().name,
+  ASSERT_FALSE(report.metrics.deltas.empty());
+  EXPECT_EQ(report.metrics.deltas.front().metric,
             "attrib.src.kworker.stolen_us");
-  // host.* never reaches ranked/causes; it lands in the advisory list.
-  for (const auto& d : report.metrics.ranked) {
-    EXPECT_NE(d.name.rfind("host.", 0), 0u) << d.name;
+  // host.* never reaches the judged deltas or causes; it lands in the
+  // advisory host list.
+  for (const auto& d : report.metrics.deltas) {
+    EXPECT_NE(d.metric.rfind("host.", 0), 0u) << d.metric;
   }
-  ASSERT_EQ(report.metrics.host_advisory.size(), 1u);
-  EXPECT_EQ(report.metrics.host_advisory[0].name, "host.wall_s");
+  ASSERT_EQ(report.metrics.host.size(), 1u);
+  EXPECT_EQ(report.metrics.host[0].metric, "host.wall_s");
 
   // Cause list: the attribution layer names the injected source first.
   ASSERT_FALSE(report.causes.empty());
@@ -173,7 +175,7 @@ TEST(ExplainLayers, RanksInjectedCauseFirstAndQuarantinesHost) {
 TEST(ExplainLayers, AttributionReconcilesToTolerance) {
   const auto group = fixture_group();
   const ex::ExplainReport report = ex::explain_runs(
-      ex::median_of_prior(group), ex::snapshot_newest(group),
+      trend::median_of_prior(group), trend::snapshot_newest(group),
       obs::DiffPolicy{});
   ASSERT_TRUE(report.attrib.present);
   EXPECT_EQ(report.attrib.total_delta_us, 100.0);
@@ -191,11 +193,11 @@ TEST(ExplainLayers, DivergentAttributionIsFlaggedNotHidden) {
   // per-source delta is 60. The layer must report DIVERGED, because a
   // gap means a source escaped attribution — exactly what an operator
   // needs to see.
-  ex::RunSnapshot base;
+  trend::RunSnapshot base;
   base.target = "t";
   base.metrics = {{"attrib.total_stolen_us", "us", 300.0},
                   {"attrib.src.kworker.stolen_us", "us", 300.0}};
-  ex::RunSnapshot current = base;
+  trend::RunSnapshot current = base;
   current.metrics = {{"attrib.total_stolen_us", "us", 400.0},
                      {"attrib.src.kworker.stolen_us", "us", 360.0}};
   const ex::ExplainReport report =
@@ -207,8 +209,8 @@ TEST(ExplainLayers, DivergentAttributionIsFlaggedNotHidden) {
 
 TEST(ExplainLayers, ConfigKnobChangeOutranksEveryMeasuredDelta) {
   const auto group = fixture_group();
-  ex::RunSnapshot base = ex::median_of_prior(group);
-  ex::RunSnapshot current = ex::snapshot_newest(group);
+  trend::RunSnapshot base = trend::median_of_prior(group);
+  trend::RunSnapshot current = trend::snapshot_newest(group);
   // Same measured regression, but the current run also changed a knob:
   // the knob is definitionally the top cause, however large the metric
   // movement.
@@ -237,18 +239,18 @@ TEST(ExplainContract, TopMetricMatchesTrendFlaggedMetric) {
   ASSERT_FALSE(regressions.empty());
 
   const ex::ExplainReport report = ex::explain_runs(
-      ex::median_of_prior(group), ex::snapshot_newest(group), policy);
+      trend::median_of_prior(group), trend::snapshot_newest(group), policy);
   ASSERT_NE(report.top_metric(), nullptr);
   // The contract explain_gate stands on: trend's worst flagged metric IS
   // the explainer's top-ranked metric, because both rank the identical
   // deltas by the identical rule.
-  EXPECT_EQ(report.top_metric()->name, regressions.front().metric);
-  EXPECT_EQ(report.top_metric()->base, regressions.front().baseline);
+  EXPECT_EQ(report.top_metric()->metric, regressions.front().metric);
+  EXPECT_EQ(report.top_metric()->baseline, regressions.front().baseline);
   EXPECT_EQ(report.top_metric()->current, regressions.front().current);
   // And the full flagged set agrees, in order.
   std::vector<std::string> flagged;
-  for (const auto& d : report.metrics.ranked) {
-    if (d.out_of_tolerance) flagged.push_back(d.name);
+  for (const auto& d : report.metrics.deltas) {
+    if (d.violation) flagged.push_back(d.metric);
   }
   ASSERT_EQ(flagged.size(), regressions.size());
   for (std::size_t i = 0; i < flagged.size(); ++i) {
@@ -259,7 +261,7 @@ TEST(ExplainContract, TopMetricMatchesTrendFlaggedMetric) {
 TEST(ExplainContract, PrintedHeadlineIsStableAndGreppable) {
   const auto group = fixture_group();
   const ex::ExplainReport report = ex::explain_runs(
-      ex::median_of_prior(group), ex::snapshot_newest(group),
+      trend::median_of_prior(group), trend::snapshot_newest(group),
       obs::DiffPolicy{});
   std::ostringstream full;
   ex::print_explain(full, report);
@@ -280,7 +282,7 @@ TEST(ExplainContract, PrintedHeadlineIsStableAndGreppable) {
 TEST(ExplainContract, ReportMetricsAreSchemaValid) {
   const auto group = fixture_group();
   const ex::ExplainReport report = ex::explain_runs(
-      ex::median_of_prior(group), ex::snapshot_newest(group),
+      trend::median_of_prior(group), trend::snapshot_newest(group),
       obs::DiffPolicy{});
   obs::BenchReport bench("explain", /*quick=*/true);
   ex::add_explain_metrics(bench, report);

@@ -197,13 +197,8 @@ TEST_F(ProfTest, SimulatorQueueTelemetryAndHandlerAttribution) {
   EXPECT_GE(probe_calls, 3u);  // after each push and each executed event
   EXPECT_EQ(probe_max_depth, 3u);
 
-  const auto handlers = s.handler_stats();
-  ASSERT_EQ(handlers.size(), 1u);  // test.b never fired
-  EXPECT_EQ(handlers[0].tag, "test.a");
-  EXPECT_EQ(handlers[0].fired, 2u);
-  EXPECT_GE(handlers[0].host_ns, 0);
-
-  // The same firings appear as des.fire.<tag> profiler scopes.
+  // Handler attribution: each firing is one des.fire.<tag> profiler
+  // scope; test.b never fired.
   const auto counts = scope_counts(prof::collect());
   ASSERT_NE(counts.find("des.fire.test.a"), counts.end());
   EXPECT_EQ(counts.at("des.fire.test.a"), 2u);

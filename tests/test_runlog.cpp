@@ -275,6 +275,12 @@ TEST(RunLedger, StrictParserNamesTheFirstDamagedLineNumber) {
               std::string::npos)
         << e.what();
   }
+
+  // Whitespace-only lines are blank as well, in strict mode too.
+  const obs::RunLedger spaced = obs::parse_run_ledger(
+      good + "\n \t\r\n" + good + "\n", /*strict=*/true);
+  EXPECT_EQ(spaced.records.size(), 2u);
+  EXPECT_EQ(spaced.skipped, 0u);
 }
 
 TEST(RunLedger, MissingFileIsEmptyInLenientModeErrorInStrict) {

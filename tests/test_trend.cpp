@@ -8,6 +8,7 @@
 
 #include "common/json.h"
 #include "obs/bench_report.h"
+#include "obs/explain/explain.h"
 #include "obs/runlog.h"
 #include "obs/timeseries/openmetrics.h"
 #include "obs/trend.h"
@@ -53,7 +54,7 @@ TEST(Trend, GroupsByTargetAndConfigHashAndFlattensPercentiles) {
   const auto groups = trend::group_records(records);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].target, "bench_a");
-  EXPECT_EQ(groups[0].runs, 2u);
+  EXPECT_EQ(groups[0].records.size(), 2u);
   ASSERT_EQ(groups[0].metrics.size(), 2u);
   EXPECT_EQ(groups[0].metrics[0].name, "fwq.noise_rate");
   EXPECT_EQ(groups[0].metrics[0].values,
@@ -62,7 +63,7 @@ TEST(Trend, GroupsByTargetAndConfigHashAndFlattensPercentiles) {
   EXPECT_EQ(groups[0].metrics[1].name, "fwq.noise_rate.p99");
   EXPECT_EQ(groups[0].metrics[1].values,
             (std::vector<double>{2.0, 2.2}));
-  EXPECT_EQ(groups[1].runs, 1u);
+  EXPECT_EQ(groups[1].records.size(), 1u);
   EXPECT_EQ(groups[2].target, "bench_b");
   // Same target, different config hash -> different groups.
   EXPECT_NE(groups[0].config_hash, groups[1].config_hash);
@@ -161,6 +162,32 @@ TEST(Trend, WithinToleranceIgnoredAndIgnoreRulesRespected) {
                   trend::group_records(history("b", "x", {1.0})),
                   obs::DiffPolicy{})
                   .empty());
+}
+
+TEST(Trend, MetricDroppedByNewestRunIsNotFlagged) {
+  // a.x reads 1, 1, 5 and then the newest run stops emitting it. The
+  // newest run carries no a.x to judge, so trend must not flag the stale
+  // 5; explain over the same pair lists a.x as dropped and finds no cause.
+  std::vector<JsonValue> records;
+  JsonValue config = JsonValue::object();
+  config.set("schema", "hpcos-config-test/1");
+  for (const double x : {1.0, 1.0, 5.0, -1.0}) {
+    obs::BenchReport report("demo", /*quick=*/true, /*seed=*/1);
+    if (x >= 0.0) report.add_metric("a.x", "us", x);
+    report.add_metric("a.y", "us", 2.0);
+    records.push_back(
+        obs::make_run_record(report, config, "2026-08-08T00:00:00Z"));
+  }
+  const auto groups = trend::group_records(records);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_TRUE(trend::find_regressions(groups, obs::DiffPolicy{}).empty());
+
+  const obs::explain::ExplainReport report = obs::explain::explain_runs(
+      trend::median_of_prior(records), trend::snapshot_newest(records),
+      obs::DiffPolicy{});
+  EXPECT_EQ(report.metrics.missing_in_current,
+            (std::vector<std::string>{"a.x"}));
+  EXPECT_TRUE(report.causes.empty());
 }
 
 TEST(Trend, RegressionBaselineIsRobustToOneEarlierOutlier) {

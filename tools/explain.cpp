@@ -34,6 +34,7 @@
 #include "obs/bench_report.h"
 #include "obs/explain/explain.h"
 #include "obs/runlog.h"
+#include "obs/trend.h"
 
 #include "cli_util.h"
 
@@ -41,6 +42,7 @@ namespace {
 
 using namespace hpcos;
 namespace ex = obs::explain;
+namespace trend = obs::trend;
 
 // Lenient ledger read (trend's policy: torn lines are skipped and
 // counted, never fatal) + group selection, with tool-prefixed errors.
@@ -54,7 +56,7 @@ bool load_group(const std::string& ledger_path, const std::string& target,
               << " damaged ledger line(s) in " << ledger_path << "\n";
   }
   if (const std::string err =
-          ex::select_group(ledger.records, target, hash_prefix, group);
+          trend::select_group(ledger.records, target, hash_prefix, group);
       !err.empty()) {
     std::cerr << "explain: " << ledger_path << ": " << err << "\n";
     return false;
@@ -106,18 +108,18 @@ int main(int argc, char** argv) {
   }
 
   try {
-    ex::RunSnapshot base;
-    ex::RunSnapshot current;
+    trend::RunSnapshot base;
+    trend::RunSnapshot current;
     if (report_mode) {
       if (base_path.empty() || current_path.empty()) {
         std::cerr << "explain: report mode needs both --base and"
                      " --current\n";
         return 2;
       }
-      base = ex::snapshot_from_report(obs::load_json_file(base_path),
-                                      base_path);
-      current = ex::snapshot_from_report(obs::load_json_file(current_path),
-                                         current_path);
+      base = trend::snapshot_from_report(obs::load_json_file(base_path),
+                                         base_path);
+      current = trend::snapshot_from_report(
+          obs::load_json_file(current_path), current_path);
     } else {
       if (target.empty()) {
         std::cerr << "explain: ledger mode needs --target <name>\n";
@@ -135,14 +137,14 @@ int main(int argc, char** argv) {
                         &base_group)) {
           return 2;
         }
-        base = ex::snapshot_newest(base_group);
+        base = trend::snapshot_newest(base_group);
         base.label += " (" + base_ledger_path + ")";
-        current = ex::snapshot_newest(group);
+        current = trend::snapshot_newest(group);
         current.label += " (" + ledger_path + ")";
       } else {
         // Trend-aligned mode: newest vs median of prior history.
-        base = ex::median_of_prior(group);
-        current = ex::snapshot_newest(group);
+        base = trend::median_of_prior(group);
+        current = trend::snapshot_newest(group);
       }
     }
 

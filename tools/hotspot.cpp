@@ -227,17 +227,24 @@ int main(int argc, char** argv) {
        TextTable::fmt(mean_depth, 1)});
   queue_table.print(std::cout);
 
-  const auto handlers = node->simulator().handler_stats();
+  // Handler attribution is the profile's des.fire.<tag> scopes, tag-sorted.
+  const std::string fire_prefix = "des.fire.";
+  std::vector<obs::prof::ScopeStat> handlers;
+  for (const auto& scope : profile.scopes) {
+    if (scope.name.starts_with(fire_prefix)) handlers.push_back(scope);
+  }
+  std::sort(handlers.begin(), handlers.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
   print_banner(std::cout, "DES handler attribution (host time per tag)");
   TextTable handler_table({"tag", "fired", "host ms", "ns/event"});
   for (std::size_t c = 1; c < 4; ++c) handler_table.set_align(c, Align::kRight);
   for (const auto& h : handlers) {
     handler_table.add_row(
-        {h.tag, TextTable::fmt_int(static_cast<long long>(h.fired)),
-         TextTable::fmt(static_cast<double>(h.host_ns) / 1e6, 3),
-         TextTable::fmt(h.fired > 0 ? static_cast<double>(h.host_ns) /
-                                          static_cast<double>(h.fired)
-                                    : 0.0,
+        {h.name.substr(fire_prefix.size()),
+         TextTable::fmt_int(static_cast<long long>(h.count)),
+         TextTable::fmt(static_cast<double>(h.total_ns) / 1e6, 3),
+         TextTable::fmt(static_cast<double>(h.total_ns) /
+                            static_cast<double>(h.count),
                         0)});
   }
   handler_table.print(std::cout);
@@ -398,10 +405,10 @@ int main(int argc, char** argv) {
                     static_cast<double>(qt.max_depth));
   report.add_metric("des.queue.mean_depth", "count", mean_depth);
   for (const auto& h : handlers) {
-    report.add_metric("des.fire." + h.tag + ".count", "count",
-                      static_cast<double>(h.fired));
-    report.add_metric("host.des.fire." + h.tag + ".us", "us",
-                      static_cast<double>(h.host_ns) / 1e3);
+    report.add_metric(h.name + ".count", "count",
+                      static_cast<double>(h.count));
+    report.add_metric("host." + h.name + ".us", "us",
+                      static_cast<double>(h.total_ns) / 1e3);
   }
   report.add_metric("live.trace.records.count", "count",
                     static_cast<double>(trace_records.size()));

@@ -22,6 +22,7 @@
 // consume it), --openmetrics emits the hpcos_trend exposition.
 //
 // Exit codes: 0 clean, 1 regressions found, 2 usage/I-O errors.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -39,10 +40,7 @@
 namespace {
 
 using namespace hpcos;
-
-std::string short_hash(const std::string& hash) {
-  return hash.substr(0, 8);
-}
+using obs::trend::short_hash;
 
 std::string fmt_value(double v) {
   return TextTable::fmt_sci(v, 4);
@@ -110,7 +108,8 @@ int main(int argc, char** argv) {
     overview.set_align(3, Align::kRight);
     for (const auto& g : groups) {
       overview.add_row({g.target, short_hash(g.config_hash),
-                        TextTable::fmt_int(static_cast<long long>(g.runs)),
+                        TextTable::fmt_int(
+                            static_cast<long long>(g.records.size())),
                         TextTable::fmt_int(
                             static_cast<long long>(g.metrics.size()))});
     }
@@ -118,7 +117,8 @@ int main(int argc, char** argv) {
 
     for (const auto& g : groups) {
       print_banner(std::cout, g.target + " @ " + short_hash(g.config_hash) +
-                                  " (" + std::to_string(g.runs) + " runs)");
+                                  " (" + std::to_string(g.records.size()) +
+                                  " runs)");
       TextTable table({"metric", "n", "first", "median", "last", "trend"});
       for (std::size_t c = 1; c < 5; ++c) table.set_align(c, Align::kRight);
       for (const auto& m : g.metrics) {
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
       const std::string base =
           "group." + g.target + "." + short_hash(g.config_hash);
       report.add_metric(base + ".runs", "count",
-                        static_cast<double>(g.runs));
+                        static_cast<double>(g.records.size()));
       for (const auto& m : g.metrics) {
         if (m.values.empty()) continue;
         report.add_metric(base + "." + m.name + ".last", m.unit,
@@ -198,33 +198,29 @@ int main(int argc, char** argv) {
                        TextTable::fmt_sci(r.tolerance.abs, 1)});
       }
       table.print(std::cout);
-      // Auto-explain the worst flagged group on the same screen: rebuild
-      // the exact pair find_regressions judged (newest vs median of
-      // prior) and run the hierarchical differ over it. Best-effort — a
-      // diagnosis failure must not change the gate's verdict.
+      // Auto-explain the worst flagged group on the same screen: the exact
+      // pair find_regressions judged (newest vs median of prior) through
+      // the hierarchical differ. Best-effort — a diagnosis failure must not
+      // change the gate's verdict.
       try {
         const auto& worst = regressions.front();
-        std::vector<JsonValue> group;
-        for (const JsonValue& r : records) {
-          if (r.at("target").as_string() == worst.target &&
-              r.at("config_hash").as_string() == worst.config_hash) {
-            group.push_back(r);
-          }
-        }
-        if (group.size() >= 2) {
-          print_banner(std::cout, "Why (worst group, newest vs median)");
-          const auto explanation = obs::explain::explain_runs(
-              obs::explain::median_of_prior(group),
-              obs::explain::snapshot_newest(group), policy);
-          obs::explain::print_explain_summary(std::cout, explanation);
-          std::cout << "trend: full drill-down: explain --ledger "
-                    << ledger_path << " --target " << worst.target
-                    << " --config " << short_hash(worst.config_hash)
-                    << (tolerances_path.empty()
-                            ? std::string{}
-                            : " --tolerances " + tolerances_path)
-                    << "\n";
-        }
+        const auto group = std::find_if(
+            groups.begin(), groups.end(), [&](const auto& g) {
+              return g.target == worst.target &&
+                     g.config_hash == worst.config_hash;
+            });
+        print_banner(std::cout, "Why (worst group, newest vs median)");
+        const auto explanation = obs::explain::explain_runs(
+            obs::trend::median_of_prior(group->records),
+            obs::trend::snapshot_newest(group->records), policy);
+        obs::explain::print_explain_summary(std::cout, explanation);
+        std::cout << "trend: full drill-down: explain --ledger "
+                  << ledger_path << " --target " << worst.target
+                  << " --config " << short_hash(worst.config_hash)
+                  << (tolerances_path.empty()
+                          ? std::string{}
+                          : " --tolerances " + tolerances_path)
+                  << "\n";
       } catch (const std::exception& e) {
         std::cout << "trend: explanation unavailable: " << e.what()
                   << "\n";
