@@ -12,7 +12,6 @@
 // Expected shape (§6.3): OFP-Linux tail reaches ~24 ms; OFP-McKernel stays
 // under ~7 ms; Fugaku-Linux at full scale reaches ~10 ms; Linux on 24
 // racks is only slightly worse than McKernel.
-#include <chrono>
 #include <iostream>
 
 #include "cluster/config_json.h"
@@ -60,8 +59,8 @@ int main(int argc, char** argv) {
   const auto opts = obs::parse_bench_options(argc, argv);
   obs::BenchReport report("bench_fig4_fwq_cdf", opts.quick, 20211115);
   // Smoke mode shrinks the populations and the per-core wall time; the
-  // configurations, the parallelism check, and the registry parity check
-  // all still run.
+  // configurations and the parallelism, registry and profiler parity
+  // checks all still run.
   const bool q = opts.quick;
   const SimTime duration = SimTime::sec(q ? 300 : 3600);
 
@@ -163,112 +162,69 @@ int main(int argc, char** argv) {
                       full.worst_node_max_us.front() / 1000.0);
   }
 
-  // Host parallelism and observability parity on the OFP/Linux campaign:
-  //  * serial vs the work-stealing scheduler must be bit-identical
-  //    (DESIGN §6), with the speedup tracking the affinity-mask core
-  //    count (on a 1-CPU runner it is ~1x and only the bit-identity
-  //    check carries signal — see EXPERIMENTS.md "Scheduler");
-  //  * attaching an obs::Registry must not change a single bit of the
-  //    result, and its cost must be in the noise — the instrumented paths
-  //    count shard-locally and fold once at the end, so "registry on" is
-  //    perf-parity with "registry off".
+  // Host parallelism and observability parity on the OFP/Linux campaign.
+  // The serial run is the reference; each variant must reproduce it bit
+  // for bit:
+  //  * the work-stealing scheduler (DESIGN §6);
+  //  * an attached obs::Registry — the instrumented paths count
+  //    shard-locally and fold once at the end;
+  //  * the host-side self-profiler (obs/prof), whose scope fire counts are
+  //    a pure function of the simulated work (gated) while its times are
+  //    host-dependent (host.*, never judged).
+  // What these cost in host time is bench/scale's job: its fig4_campaign
+  // workload reports campaign speedup and pool utilisation.
   {
     print_banner(std::cout,
-                 "Host parallelism & registry parity: serial vs pool vs "
-                 "instrumented");
+                 "Host parallelism & observability parity: serial vs pool "
+                 "vs registry vs profiler");
     cluster::FwqCampaignConfig pcfg;
     pcfg.nodes = q ? 64 : 1024;
     pcfg.app_cores = 256;
     pcfg.duration_per_core = duration;
     pcfg.max_materialized_hits = 2048;
     pcfg.seed = Seed{20211115};
-    auto timed_run = [&](std::size_t threads, obs::Registry* registry) {
+    auto run = [&](std::size_t threads, obs::Registry* registry) {
       pcfg.threads = threads;
       pcfg.registry = registry;
-      const auto start = std::chrono::steady_clock::now();
-      auto r = cluster::run_fwq_campaign(noise::ofp_linux_profile(), pcfg);
-      const auto stop = std::chrono::steady_clock::now();
-      return std::make_pair(
-          std::move(r),
-          std::chrono::duration<double>(stop - start).count());
+      return cluster::run_fwq_campaign(noise::ofp_linux_profile(), pcfg);
     };
-    const auto [serial, serial_s] = timed_run(1, nullptr);
-    const auto [pooled, pooled_s] = timed_run(default_parallelism(), nullptr);
+    const std::size_t pool = default_parallelism();
+    const auto serial = run(1, nullptr);
+    const bool pool_identical = identical_results(serial, run(pool, nullptr));
     obs::Registry registry;
-    const auto [instrumented, instr_s] = timed_run(1, &registry);
+    const bool registry_identical =
+        identical_results(serial, run(1, &registry));
+    const bool was_enabled = obs::prof::enabled();
+    obs::prof::reset();
+    obs::prof::set_enabled(true);
+    const bool prof_identical = identical_results(serial, run(pool, nullptr));
+    obs::prof::set_enabled(was_enabled);
+    const auto profile = obs::prof::collect();
+    const auto* shard_stat = profile.find("fwq.shard");
 
-    const bool pool_identical = identical_results(serial, pooled);
-    const bool registry_identical = identical_results(serial, instrumented);
-    const double overhead = instr_s / serial_s;
-    std::cout << "threads=1: " << TextTable::fmt(serial_s, 3)
-              << " s;  threads=" << default_parallelism() << ": "
-              << TextTable::fmt(pooled_s, 3) << " s;  speedup "
-              << TextTable::fmt(serial_s / pooled_s, 2) << "x;  results "
-              << (pool_identical ? "bit-identical" : "DIFFER (BUG)")
-              << "\n";
-    std::cout << "registry attached (threads=1): "
-              << TextTable::fmt(instr_s, 3) << " s;  overhead "
-              << TextTable::fmt(overhead, 3) << "x;  results "
-              << (registry_identical ? "bit-identical" : "DIFFER (BUG)")
-              << ";  topk pushes="
+    auto verdict = [](bool identical) {
+      return identical ? "bit-identical" : "DIFFER (BUG)";
+    };
+    std::cout << "threads=" << pool << " vs serial: results "
+              << verdict(pool_identical) << "\n";
+    std::cout << "registry attached (threads=1): results "
+              << verdict(registry_identical) << ";  topk pushes="
               << registry.find_counter("fwq.topk.pushes")->value()
               << " evictions="
               << registry.find_counter("fwq.topk.evictions")->value()
               << "\n";
-    report.add_metric("parallel.speedup", "ratio", serial_s / pooled_s);
+    std::cout << "profiler on (threads=" << pool << "): results "
+              << verdict(prof_identical) << ";  scope events="
+              << profile.events << " dropped=" << profile.dropped << "\n";
+    obs::print_profile(std::cout, profile, /*top=*/10);
     report.add_metric("parallel.bit_identical", "count",
                       pool_identical ? 1.0 : 0.0);
     report.add_metric("registry.bit_identical", "count",
                       registry_identical ? 1.0 : 0.0);
-    report.add_metric("registry.overhead_ratio", "ratio", overhead);
     report.add_metric(
         "registry.topk_pushes", "count",
         static_cast<double>(
             registry.find_counter("fwq.topk.pushes")->value()));
-  }
-
-  // Profiler parity on the same campaign: the host-side self-profiler
-  // (obs/prof) must obey the registry's contract — enabling it changes
-  // no bit of the simulation result, and its scope fire counts are a
-  // pure function of the simulated work (gated), while its times are
-  // host-dependent (host.*, ignored). The disabled case is the default
-  // everywhere else in this binary, so the campaign timings above double
-  // as the "one branch when off" regression check.
-  {
-    print_banner(std::cout, "Profiler parity: prof off vs prof on");
-    cluster::FwqCampaignConfig pcfg;
-    pcfg.nodes = q ? 64 : 1024;
-    pcfg.app_cores = 256;
-    pcfg.duration_per_core = duration;
-    pcfg.max_materialized_hits = 2048;
-    pcfg.seed = Seed{20211115};
-    auto timed_run = [&]() {
-      const auto start = std::chrono::steady_clock::now();
-      auto r = cluster::run_fwq_campaign(noise::ofp_linux_profile(), pcfg);
-      const auto stop = std::chrono::steady_clock::now();
-      return std::make_pair(
-          std::move(r),
-          std::chrono::duration<double>(stop - start).count());
-    };
-    const bool was_enabled = obs::prof::enabled();
-    obs::prof::set_enabled(false);
-    const auto [plain, plain_s] = timed_run();
-    obs::prof::reset();
-    obs::prof::set_enabled(true);
-    const auto [profiled, prof_s] = timed_run();
-    obs::prof::set_enabled(was_enabled);
-    const auto profile = obs::prof::collect();
-
-    const bool prof_identical = identical_results(plain, profiled);
-    const auto* shard_stat = profile.find("fwq.shard");
-    std::cout << "prof off: " << TextTable::fmt(plain_s, 3)
-              << " s;  prof on: " << TextTable::fmt(prof_s, 3)
-              << " s;  overhead " << TextTable::fmt(prof_s / plain_s, 3)
-              << "x;  results "
-              << (prof_identical ? "bit-identical" : "DIFFER (BUG)")
-              << ";  scope events=" << profile.events
-              << " dropped=" << profile.dropped << "\n";
-    obs::print_profile(std::cout, profile, /*top=*/10);
     report.add_metric("prof.bit_identical", "count",
                       prof_identical ? 1.0 : 0.0);
     report.add_metric("prof.dropped", "count",
@@ -276,7 +232,6 @@ int main(int argc, char** argv) {
     report.add_metric(
         "prof.fwq.shard.count", "count",
         shard_stat != nullptr ? static_cast<double>(shard_stat->count) : 0.0);
-    report.add_metric("host.prof.overhead_ratio", "ratio", prof_s / plain_s);
     if (!prof_identical) return 1;
   }
 
@@ -284,12 +239,11 @@ int main(int argc, char** argv) {
   // summation order (determinism contract), so the tunable trade-off is
   // merge overhead (many small shards → many histogram merges) against
   // scheduling granularity (few large shards → poor load balance across
-  // the pool). Wall time per geometry is host-dependent (the bench gate
-  // ignores it); noise_rate per geometry is deterministic and gated, so a
+  // the pool). noise_rate per geometry is deterministic and gated, so a
   // change in how sharding folds the sums cannot slip through. The default
-  // of 64 nodes/shard sits in the flat center of this curve: ~2,500 shards
-  // at full Fugaku scale (158,976 nodes) keeps every pool width busy while
-  // merge cost stays ~0.1% of the campaign.
+  // of 64 nodes/shard sits in the flat center of the cost curve: ~2,500
+  // shards at full Fugaku scale (158,976 nodes) keeps every pool width
+  // busy while merge cost stays ~0.1% of the campaign.
   {
     print_banner(std::cout,
                  "nodes_per_shard sweep: merge overhead vs scheduling "
@@ -300,27 +254,22 @@ int main(int argc, char** argv) {
     scfg.duration_per_core = duration;
     scfg.max_materialized_hits = 1024;
     scfg.seed = Seed{20211115};
-    TextTable st({"nodes/shard", "shards", "wall (s)", "noise rate"});
+    TextTable st({"nodes/shard", "shards", "noise rate"});
     for (std::size_t c = 1; c < st.num_columns(); ++c) {
       st.set_align(c, Align::kRight);
     }
     for (const std::int64_t per_shard : {8L, 32L, 64L, 256L, 1024L}) {
       scfg.nodes_per_shard = per_shard;
-      const auto start = std::chrono::steady_clock::now();
       const auto r =
           cluster::run_fwq_campaign(noise::fugaku_linux_profile(), scfg);
-      const auto stop = std::chrono::steady_clock::now();
-      const double wall_s =
-          std::chrono::duration<double>(stop - start).count();
       const std::int64_t shards =
           (scfg.nodes + per_shard - 1) / per_shard;
       st.add_row({TextTable::fmt_int(per_shard),
-                  TextTable::fmt_int(shards), TextTable::fmt(wall_s, 3),
+                  TextTable::fmt_int(shards),
                   TextTable::fmt_sci(r.stats.noise_rate, 4)});
       const std::string slug =
           "shard_sweep." + std::to_string(per_shard);
       report.add_metric(slug + ".noise_rate", "ratio", r.stats.noise_rate);
-      report.add_metric(slug + ".wall_s", "s", wall_s);
     }
     st.print(std::cout);
     report.add_metric("shard_sweep.default", "count", 64.0);

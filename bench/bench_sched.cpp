@@ -2,19 +2,19 @@
 //
 // Measures flat vs. nested parallel_for throughput over a deterministic
 // RNG workload and reports the scheduler's event counts over the run as
-// parallel.<event>.count: wakeups and task groups from the host-counter
-// table (obs/prof/counters.h), chunks and steals from the per-slot
-// health totals (parallel_health_total). Two kinds of output:
+// host.parallel.<event>.count: wakeups and task groups from the
+// host-counter table (obs/prof/counters.h), chunks and steals from the
+// per-slot health totals (parallel_health_total). Two kinds of output:
 //
 //   * Determinism gates: sched.*.checksum / sched.*.items are pure
 //     functions of the seed (index-addressed slots summed in index
 //     order), so they must match the committed baseline bitwise-ish
 //     (default tolerance) on every machine and thread count.
-//   * Host-behavior telemetry: throughput is wall-clock (host.* — the
-//     tolerance policy ignores it) and the parallel.* counters depend on
-//     pool size and OS scheduling (ignored likewise). On a 1-CPU runner
-//     the flat/nested throughput ratio carries no signal; see
-//     EXPERIMENTS.md "Scheduler".
+//   * Host-behavior telemetry, named host.* so it is never judged:
+//     throughput is wall-clock, and the scheduler counts depend on pool
+//     size and OS scheduling. On a 1-CPU runner the flat/nested
+//     throughput ratio carries no signal; see EXPERIMENTS.md
+//     "Scheduler".
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   report.add_metric("sched.flat.items", "count", static_cast<double>(items));
   report.add_metric("sched.outer.points", "count",
                     static_cast<double>(outer));
-  // Host-behavior telemetry (ignored by the tolerance policy).
+  // Host-behavior telemetry (host.*, never judged).
   report.add_metric("host.flat.items_per_s", "rate", total_items / flat_s);
   report.add_metric("host.nested.items_per_s", "rate",
                     total_items / nested_s);
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   report.add_metric("host.capacity", "count",
                     static_cast<double>(parallel_capacity()));
   for (const auto& [name, value] : sched_counts) {
-    report.add_metric(name, "count", static_cast<double>(value));
+    report.add_metric("host." + name, "count", static_cast<double>(value));
   }
 
   obs::maybe_write_report(report, opts);

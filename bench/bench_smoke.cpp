@@ -11,6 +11,8 @@
 // uses this to hand the tool its `--ledger <fixture>` input. Exit 0 only
 // when the bench ran, wrote the file, and the document validates — this
 // is what the per-bench `bench_smoke.*` ctest jobs execute.
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -40,8 +42,12 @@ int main(int argc, char** argv) {
   std::cout << "[bench_smoke] running: " << cmd << "\n" << std::flush;
   const int rc = std::system(cmd.c_str());
   if (rc != 0) {
-    std::cerr << "[bench_smoke] FAIL: bench exited with status " << rc
-              << "\n";
+    std::cerr << "[bench_smoke] FAIL: bench ";
+    if (WIFSIGNALED(rc)) {
+      std::cerr << "killed by signal " << WTERMSIG(rc) << "\n";
+    } else {
+      std::cerr << "exited with code " << WEXITSTATUS(rc) << "\n";
+    }
     return 1;
   }
 

@@ -37,6 +37,7 @@
 #include "obs/registry.h"
 #include "obs/timeseries/openmetrics.h"
 #include "sim/chrome_trace.h"
+#include "sim/span_tree.h"
 
 namespace {
 
@@ -138,35 +139,31 @@ class MiniSolver final : public cluster::Workload {
   }
 };
 
-// Print parent-linked span trees whose root matches `is_root`, indenting
-// children under their parent (at most `max_roots` trees).
+// Print the span trees whose root matches `is_root`, children indented
+// under their parent (at most `max_roots` trees), in (time, span) order.
 void print_span_trees(
     const std::vector<sim::TraceRecord>& records, const std::string& title,
     const std::function<bool(const sim::TraceRecord&)>& is_root,
     std::size_t max_roots) {
-  std::map<std::uint64_t, std::vector<const sim::TraceRecord*>> children;
-  for (const auto& r : records) {
-    if (r.parent != 0) children[r.parent].push_back(&r);
-  }
+  const sim::SpanForest forest(records);
   print_banner(std::cout, title);
-  std::function<void(const sim::TraceRecord&, int)> print_node =
-      [&](const sim::TraceRecord& r, int depth) {
-        std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ')
-                  << r.label << "  [" << to_string(r.category) << "] "
-                  << TextTable::fmt(r.duration.to_us(), 2) << " us @ t="
-                  << TextTable::fmt(r.time.to_us(), 1) << " us\n";
-        const auto it = children.find(r.span);
-        if (it == children.end()) return;
-        for (const auto* c : it->second) print_node(*c, depth + 1);
-      };
+  std::function<void(std::size_t, int)> print_node = [&](std::size_t i,
+                                                          int depth) {
+    const sim::TraceRecord& r = records[i];
+    std::cout << std::string(static_cast<std::size_t>(depth) * 2, ' ')
+              << r.label << "  [" << to_string(r.category) << "] "
+              << TextTable::fmt(r.duration.to_us(), 2) << " us @ t="
+              << TextTable::fmt(r.time.to_us(), 1) << " us\n";
+    for (const std::size_t c : forest.children(i)) print_node(c, depth + 1);
+  };
   std::size_t printed = 0;
   std::size_t matched = 0;
-  for (const auto& r : records) {
-    if (r.span == 0 || r.parent != 0 || !is_root(r)) continue;
+  for (const std::size_t root : forest.roots()) {
+    if (!is_root(records[root])) continue;
     ++matched;
     if (printed >= max_roots) continue;
     ++printed;
-    print_node(r, 0);
+    print_node(root, 0);
   }
   if (matched > printed) {
     std::cout << "(" << matched - printed << " more tree(s) elided)\n";

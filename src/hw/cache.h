@@ -1,10 +1,9 @@
-// Last-level cache with A64FX-style sector partitioning.
+// Last-level cache parameters (Table 1), held by PlatformConfig::cache.
 //
 // Fugaku partitions L2 cache blocks into a system sector and an application
 // sector ("sector cache", §4.2) so that OS activity on the assistant cores
-// cannot evict application working sets. The model exposes the effective
-// capacity seen by each partition and a simple capacity-miss estimate used
-// by the workload cost models.
+// cannot evict application working sets. The platforms record the sector
+// count; no workload cost model reads these parameters.
 #pragma once
 
 #include <cstdint>
@@ -18,38 +17,6 @@ struct CacheParams {
   int num_sectors = 1;        // A64FX supports sector partitioning; 1 = none
   SimTime hit_latency = SimTime::ns(10);
   SimTime miss_latency = SimTime::ns(90);
-};
-
-class SectorCache {
- public:
-  explicit SectorCache(CacheParams params);
-
-  const CacheParams& params() const { return params_; }
-  bool supports_partitioning() const { return params_.num_sectors > 1; }
-
-  // Assign `system_sectors` of the total to the OS partition. No-op (and
-  // returns false) when the hardware lacks sector support.
-  bool partition(int system_sectors);
-  bool partitioned() const { return system_sectors_ > 0; }
-
-  std::uint64_t application_capacity() const;
-  std::uint64_t system_capacity() const;
-
-  // Capacity miss fraction of a working set against a capacity, following
-  // the standard power-law ("square root") rule of thumb for scientific
-  // codes: misses ~ sqrt(1 - capacity/ws) for ws > capacity.
-  static double miss_fraction(std::uint64_t working_set_bytes,
-                              std::uint64_t capacity_bytes);
-
-  // Slowdown multiplier (>=1) for a memory phase whose working set contends
-  // with `interference_bytes` of foreign (OS) data. With partitioning the
-  // interference term vanishes.
-  double interference_slowdown(std::uint64_t app_working_set,
-                               std::uint64_t interference_bytes) const;
-
- private:
-  CacheParams params_;
-  int system_sectors_ = 0;
 };
 
 }  // namespace hpcos::hw

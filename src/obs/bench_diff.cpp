@@ -39,7 +39,7 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 }
 
 // An unrecognized key in a tolerance policy is almost certainly a typo
-// ("patern", "ingore") that would silently disable the rule it was meant
+// ("patern", "abss") that would silently disable the rule it was meant
 // to configure — precisely the failure a regression gate must not have.
 // Unknown keys are therefore collected across the whole document and
 // reported as a hard error, likeliest typos first.
@@ -80,9 +80,6 @@ MetricTolerance parse_tolerance_fields(const JsonValue& obj,
                                        MetricTolerance base) {
   if (const JsonValue* rel = obj.find("rel")) base.rel = rel->as_number();
   if (const JsonValue* abs = obj.find("abs")) base.abs = abs->as_number();
-  if (const JsonValue* ign = obj.find("ignore")) {
-    base.ignore = ign->as_bool();
-  }
   if (base.rel < 0.0 || base.abs < 0.0) {
     throw std::runtime_error("tolerances: rel/abs must be non-negative");
   }
@@ -139,14 +136,14 @@ DiffPolicy parse_tolerance_policy(const JsonValue& doc) {
   std::vector<UnknownKey> unknown;
   collect_unknown_keys(doc, "", {"schema", "default", "metrics"}, unknown);
   if (const JsonValue* def = doc.find("default"); def != nullptr) {
-    collect_unknown_keys(*def, "default", {"rel", "abs", "ignore"}, unknown);
+    collect_unknown_keys(*def, "default", {"rel", "abs"}, unknown);
   }
   if (const JsonValue* metrics = doc.find("metrics"); metrics != nullptr) {
     const auto& entries = metrics->as_array();
     for (std::size_t i = 0; i < entries.size(); ++i) {
       collect_unknown_keys(entries[i],
                            "metrics[" + std::to_string(i) + "]",
-                           {"pattern", "rel", "abs", "ignore"}, unknown);
+                           {"pattern", "rel", "abs"}, unknown);
     }
   }
   if (!unknown.empty()) {
@@ -174,7 +171,7 @@ DiffPolicy parse_tolerance_policy(const JsonValue& doc) {
       ToleranceRule rule;
       rule.pattern = entry.at("pattern").as_string();
       // Rules refine the fallback, not the built-in defaults, so a policy
-      // file's "default" applies to rules that only set e.g. "ignore".
+      // file's "default" supplies whatever a rule does not set.
       rule.tolerance = parse_tolerance_fields(entry, policy.fallback);
       policy.rules.push_back(std::move(rule));
     }
@@ -211,8 +208,6 @@ MetricComparison compare_metrics(const std::vector<FlatMetric>& baseline,
   MetricComparison out;
   for (const FlatMetric& c : current) {
     const bool host = is_host_metric(c.name);
-    const MetricTolerance& tol = policy.lookup(c.name);
-    if (!host && tol.ignore) continue;
     const FlatMetric* b = find(baseline, c.name);
     if (b == nullptr) {
       if (!host) out.new_in_current.push_back(c.name);
@@ -229,13 +224,14 @@ MetricComparison compare_metrics(const std::vector<FlatMetric>& baseline,
       out.host.push_back(std::move(d));
       continue;
     }
+    const MetricTolerance& tol = policy.lookup(c.name);
     d.tolerance = tol;
     d.violation =
         d.abs_delta > std::max(tol.abs, tol.rel * std::abs(b->value));
     out.deltas.push_back(std::move(d));
   }
   for (const FlatMetric& b : baseline) {
-    if (is_host_metric(b.name) || policy.lookup(b.name).ignore) continue;
+    if (is_host_metric(b.name)) continue;
     if (find(current, b.name) == nullptr) {
       out.missing_in_current.push_back(b.name);
     }

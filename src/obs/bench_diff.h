@@ -12,15 +12,15 @@
 //     "schema": "hpcos-bench-tolerances/1",
 //     "default": { "rel": 0.05, "abs": 1e-9 },
 //     "metrics": [
-//       { "pattern": "parallel.speedup", "ignore": true },   // wall clock
+//       { "pattern": "*.reconciliation_error", "rel": 0.0 },
 //       { "pattern": "*.p99_ms", "rel": 0.10 }
 //     ]
 //   }
 //
 // Patterns are glob-style with '*' wildcards; the first matching rule wins,
-// falling back to "default". Rules marked "ignore" skip the metric entirely
-// (host-dependent wall-clock measurements). host.* metrics need no rule:
-// compare_metrics never judges them.
+// falling back to "default". Any other key is a hard error. There is no
+// way to exempt a metric here: host-dependent measurements are named
+// host.*, and compare_metrics never judges those.
 #pragma once
 
 #include <string>
@@ -39,7 +39,6 @@ struct MetricTolerance {
   //   |current - baseline| <= max(abs, rel * |baseline|).
   double rel = 0.05;
   double abs = 1e-9;
-  bool ignore = false;  // skip the metric (wall-clock, host-dependent)
 };
 
 struct ToleranceRule {
@@ -85,8 +84,7 @@ struct MetricDelta {
 // trend (newest run vs median of prior) and explain (any pair) all decide
 // through compare_metrics, so they agree by construction.
 struct MetricComparison {
-  // Judged: metrics both sides carry that are neither host.* nor
-  // ignore-listed, in `current` order.
+  // Judged: non-host.* metrics both sides carry, in `current` order.
   std::vector<MetricDelta> deltas;
   // host.* pairs: tracked, never judged (no tolerance, never a violation)
   // — wall-clock rates move with the machine, not the code.

@@ -330,9 +330,8 @@ BenchOptions parse_bench_options(int argc, char** argv) {
 void maybe_write_report(BenchReport& report, const BenchOptions& opts) {
   // Stop the live meter first: its final heartbeat closes the stream and
   // the whole-run aggregates become host.* metrics (routed into the
-  // record's host half by make_run_record; the gate/trend tolerances
-  // ignore host.progress.* / host.watchdog.*, so wall-clock throughput
-  // is tracked but never gated).
+  // record's host half by make_run_record; compare_metrics never judges
+  // host.*, so wall-clock throughput is tracked but never gated).
   const live::MeterSummary progress = live::stop_global_meter();
   if (progress.active) {
     const live::HeartbeatAggregates& a = progress.agg;
@@ -361,38 +360,42 @@ void maybe_write_report(BenchReport& report, const BenchOptions& opts) {
   }
   if (opts.sinks.profile) {
     // One profile section per report: a target that folded its own
-    // (hotspot's accounting run) keeps it.
+    // (hotspot's accounting run) keeps it. The ledger record takes the
+    // section from the report's host.prof.* metrics.
     const prof::Profile profile = prof::collect();
     add_profile_metrics(report, profile);
     std::cout << "\n=== host-side hotspots (--profile) ===\n";
     print_profile(std::cout, profile);
   }
-  if (!opts.sinks.json_path.empty()) {
-    report.write(opts.sinks.json_path);
-    std::cout << "[bench-report] wrote " << report.metric_count()
-              << " metrics to " << opts.sinks.json_path << "\n";
-  }
-  if (!opts.sinks.ledger_path.empty()) {
-    // Config fallback when the target attached none: the bench identity.
-    // Targets with a real simulation config call report.set_config() and
-    // get exact-memoization hashes instead.
-    JsonValue config = report.config();
-    if (config.is_null()) {
-      config = JsonValue::object();
-      config.set("schema", "hpcos-config-bench-identity/1");
-      config.set("bench", report.bench_name());
-      config.set("quick", report.quick());
-      config.set("seed", report.seed());
+  try {
+    if (!opts.sinks.json_path.empty()) {
+      report.write(opts.sinks.json_path);
+      std::cout << "[bench-report] wrote " << report.metric_count()
+                << " metrics to " << opts.sinks.json_path << "\n";
     }
-    const prof::Profile profile = opts.sinks.profile ? prof::collect()
-                                                     : prof::Profile{};
-    const JsonValue record = make_run_record(
-        report, config, ledger_timestamp(),
-        opts.sinks.profile ? &profile : nullptr);
-    append_run_record(opts.sinks.ledger_path, record);
-    std::cout << "[run-ledger] appended " << report.bench_name()
-              << " (config " << record.at("config_hash").as_string()
-              << ") to " << opts.sinks.ledger_path << "\n";
+    if (!opts.sinks.ledger_path.empty()) {
+      // Config fallback when the target attached none: the bench
+      // identity. Targets with a real simulation config call
+      // report.set_config() and get exact-memoization hashes instead.
+      JsonValue config = report.config();
+      if (config.is_null()) {
+        config = JsonValue::object();
+        config.set("schema", "hpcos-config-bench-identity/1");
+        config.set("bench", report.bench_name());
+        config.set("quick", report.quick());
+        config.set("seed", report.seed());
+      }
+      const JsonValue record =
+          make_run_record(report, config, ledger_timestamp());
+      append_run_record(opts.sinks.ledger_path, record);
+      std::cout << "[run-ledger] appended " << report.bench_name()
+                << " (config " << record.at("config_hash").as_string()
+                << ") to " << opts.sinks.ledger_path << "\n";
+    }
+  } catch (const std::exception& e) {
+    // An unwritable sink is an I/O error (exit 2), like a bad flag.
+    std::cerr << report.bench_name() << ": " << e.what() << "\n";
+    std::exit(2);
   }
 }
 

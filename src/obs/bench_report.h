@@ -130,17 +130,17 @@ std::string validate_bench_report(const JsonValue& doc);
 struct BenchSinks {
   // --profile: host-side self-profiler (obs/prof). maybe_write_report
   // appends the collected hotspot metrics (prof.*.count gated,
-  // host.prof.* / host.mem.* ignore-listed) and prints the ranked table.
+  // host.prof.* / host.mem.* never judged) and prints the ranked table.
   bool profile = false;
   // --json <path>: write the BenchReport document there.
   std::string json_path;
   // --ledger <path>: append one run record (obs/runlog) — config hash,
-  // metric snapshot, series digests, host summary.
+  // metric snapshot, series digests, host.* metrics.
   std::string ledger_path;
   // --progress[=interval_ms]: run a live ProgressMeter (obs/live) for
   // the duration of the target — heartbeat JSONL stream plus an ASCII
   // line per tick on stderr; final aggregates land in the report under
-  // host.progress.* (ignore-listed by the gate/trend tolerances).
+  // host.progress.* (never judged by the gate or trend).
   bool progress = false;
   int progress_interval_ms = 1000;
   // --progress-file <path>: heartbeat stream destination. Defaults to
@@ -177,7 +177,9 @@ BenchOptions parse_bench_options(int argc, char** argv);
 // host.watchdog.* aggregates into the report), append the profiler
 // section, write the JSON report, append the ledger record. No-op for
 // sinks that weren't requested. Non-const: sink sections are appended
-// here so every bench target gets them without per-target plumbing.
+// here so every bench target gets them without per-target plumbing. A
+// report or ledger path that cannot be written prints "<bench>: <error>"
+// and exits 2, the usage/I/O code.
 void maybe_write_report(BenchReport& report, const BenchOptions& opts);
 
 }  // namespace hpcos::obs

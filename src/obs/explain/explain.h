@@ -161,8 +161,7 @@ struct ExplainReport {
 };
 
 // Diff `current` against `base` under `policy` (the same tolerance file
-// the gates use; metrics matching ignore rules are excluded from ranking
-// and causes).
+// the gates use; host.* metrics are never judged).
 ExplainReport explain_runs(trend::RunSnapshot base,
                            trend::RunSnapshot current,
                            const DiffPolicy& policy);

@@ -15,7 +15,7 @@
 #include "common/parallel.h"
 #include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
-#include "obs/prof/prof.h"
+#include "obs/prof_report.h"
 
 namespace hpcos::obs::live {
 

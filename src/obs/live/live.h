@@ -24,8 +24,8 @@
 //     deterministic output — reports with and without --progress are
 //     bit-identical.
 //   * Everything it emits is host telemetry. Its aggregates enter the
-//     run ledger only under host.progress.* / host.watchdog.*, which the
-//     trend/gate tolerance rules ignore.
+//     run ledger only under host.progress.* / host.watchdog.*, which
+//     the trend and gate judgment (compare_metrics) never judges.
 //   * Stall abort uses std::_Exit: the watchdog fires on a wedged
 //     process, and running destructors from the meter thread while the
 //     wedged threads hold locks would trade a diagnosable hang for an

@@ -19,7 +19,7 @@
 // The table is std-only, like the profiler, so the bottom layers
 // (common/parallel, sim/simulator) write to it without a dependency
 // cycle. Host counters never feed deterministic outputs: they are
-// reported only under host.* names or as ignore-listed parallel.* counts.
+// reported only under host.* names.
 //
 // Names follow the repo rule <subsystem>.<object>[.<detail>].
 #pragma once

@@ -3,32 +3,31 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 namespace hpcos::obs::prof {
 namespace {
 
 constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
-
-struct Event {
-  ScopeId id = 0;
-  std::uint32_t depth = 0;  // nesting depth at entry, per thread
-  std::int64_t start_ns = 0;
-  std::int64_t end_ns = 0;
-};
+// Span ids carry (buffer index + 1) above this bit and the buffer's own
+// sequence below it, so ids are unique across threads and never 0.
+constexpr int kSpanIndexShift = 40;
 
 // Single-writer ring with a release-published size. The owner thread
-// appends; collect() acquire-loads size_ and reads the prefix, which the
+// appends; snapshot() acquire-loads size and reads the prefix, which the
 // release store ordered after the event payload write.
 struct ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity) : events(capacity) {}
+  ThreadBuffer(std::size_t capacity, std::uint64_t index)
+      : events(std::make_unique_for_overwrite<ScopeEvent[]>(capacity)),
+        capacity(capacity),
+        last_span(index << kSpanIndexShift) {}
 
-  void record(const Event& e) {
+  void record(const ScopeEvent& e) {
     const std::size_t n = size.load(std::memory_order_relaxed);
-    if (n >= events.size()) {
+    if (n >= capacity) {
       dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -36,7 +35,9 @@ struct ThreadBuffer {
     size.store(n + 1, std::memory_order_release);
   }
 
-  std::vector<Event> events;
+  std::unique_ptr<ScopeEvent[]> events;
+  std::size_t capacity;
+  std::uint64_t last_span;  // owner thread only
   std::atomic<std::size_t> size{0};
   std::atomic<std::uint64_t> dropped{0};
 };
@@ -58,28 +59,18 @@ State& state() {
 }
 
 thread_local ThreadBuffer* tl_buffer = nullptr;
-thread_local std::uint32_t tl_depth = 0;
+thread_local std::uint64_t tl_open_span = 0;  // innermost armed scope
 
 ThreadBuffer& thread_buffer() {
   if (tl_buffer == nullptr) {
     State& s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.buffers.push_back(std::make_unique<ThreadBuffer>(s.capacity));
+    s.buffers.push_back(
+        std::make_unique<ThreadBuffer>(s.capacity, s.buffers.size() + 1));
     tl_buffer = s.buffers.back().get();
   }
   return *tl_buffer;
 }
-
-// Per-buffer reconstruction node. Events are recorded at scope *exit*, so
-// a buffer is a postorder stream: every child precedes its parent, and
-// any pending event deeper than the current one belongs to its subtree
-// (an intervening same-depth parent would already have consumed it).
-struct Node {
-  ScopeId id = 0;
-  std::int64_t total = 0;
-  std::int64_t self = 0;
-  std::ptrdiff_t parent = -1;
-};
 
 }  // namespace
 
@@ -132,15 +123,16 @@ ScopedTimer::ScopedTimer(ScopeId id) {
   if (!enabled()) return;
   armed_ = true;
   id_ = id;
-  ++tl_depth;
+  span_ = ++thread_buffer().last_span;
+  parent_ = std::exchange(tl_open_span, span_);
   start_ = now_ns();
 }
 
 ScopedTimer::~ScopedTimer() {
   if (!armed_) return;
   const std::int64_t end = now_ns();
-  --tl_depth;
-  thread_buffer().record(Event{id_, tl_depth, start_, end});
+  tl_open_span = parent_;
+  tl_buffer->record(ScopeEvent{id_, span_, parent_, start_, end});
 }
 
 const ScopeStat* Profile::find(const std::string& name) const {
@@ -156,107 +148,20 @@ std::int64_t Profile::sum_self_ns() const {
   return sum;
 }
 
-std::string Profile::folded_text() const {
-  std::string out;
-  for (const auto& [path, value] : folded) {
-    out += path;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  }
-  return out;
-}
-
-Profile collect() {
+Snapshot snapshot() {
   State& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
-
-  struct NameStat {
-    std::uint64_t count = 0;
-    std::int64_t total = 0;
-    std::int64_t self = 0;
-  };
-  // Name- and path-keyed maps: aggregation order does not affect integer
-  // sums, and sorted keys make the output deterministic.
-  std::map<std::string, NameStat> by_name;
-  std::map<std::string, std::int64_t> folded;
-
-  Profile profile;
+  Snapshot snap;
+  snap.names = s.names;
   for (const auto& buf : s.buffers) {
     const std::size_t n = buf->size.load(std::memory_order_acquire);
-    profile.dropped += buf->dropped.load(std::memory_order_relaxed);
+    snap.dropped += buf->dropped.load(std::memory_order_relaxed);
     if (n == 0) continue;
-    ++profile.threads;
-    profile.events += n;
-
-    // Rebuild the scope forest from the postorder stream.
-    std::vector<Node> nodes(n);
-    std::vector<std::uint32_t> depth(n);
-    std::vector<std::size_t> pending;  // indices awaiting a parent
-    for (std::size_t i = 0; i < n; ++i) {
-      const Event& e = buf->events[i];
-      nodes[i].id = e.id;
-      nodes[i].total = e.end_ns - e.start_ns;
-      depth[i] = e.depth;
-      std::int64_t child_total = 0;
-      while (!pending.empty() && depth[pending.back()] > e.depth) {
-        const std::size_t c = pending.back();
-        pending.pop_back();
-        nodes[c].parent = static_cast<std::ptrdiff_t>(i);
-        child_total += nodes[c].total;
-      }
-      nodes[i].self = std::max<std::int64_t>(nodes[i].total - child_total, 0);
-      pending.push_back(i);
-    }
-    for (const std::size_t r : pending) profile.root_total_ns += nodes[r].total;
-
-    // Paths, memoized child-to-parent (parents appear after children in
-    // the stream, so walk the chain on demand and cache).
-    std::vector<std::string> paths(n);
-    std::vector<bool> have_path(n, false);
-    auto path_of = [&](std::size_t i, auto&& self_fn) -> const std::string& {
-      if (!have_path[i]) {
-        const std::string name = i < n && nodes[i].id < s.names.size()
-                                     ? s.names[nodes[i].id]
-                                     : std::string("<unknown>");
-        std::string clean = name;
-        std::replace(clean.begin(), clean.end(), ';', ':');
-        if (nodes[i].parent < 0) {
-          paths[i] = clean;
-        } else {
-          paths[i] =
-              self_fn(static_cast<std::size_t>(nodes[i].parent), self_fn) +
-              ";" + clean;
-        }
-        have_path[i] = true;
-      }
-      return paths[i];
-    };
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& name =
-          nodes[i].id < s.names.size() ? s.names[nodes[i].id]
-                                       : std::string("<unknown>");
-      NameStat& stat = by_name[name];
-      ++stat.count;
-      stat.total += nodes[i].total;
-      stat.self += nodes[i].self;
-      if (nodes[i].self > 0) folded[path_of(i, path_of)] += nodes[i].self;
-    }
+    ++snap.threads;
+    snap.events.insert(snap.events.end(), buf->events.get(),
+                       buf->events.get() + n);
   }
-
-  profile.scopes.reserve(by_name.size());
-  for (const auto& [name, stat] : by_name) {
-    profile.scopes.push_back(
-        ScopeStat{name, stat.count, stat.total, stat.self});
-  }
-  std::sort(profile.scopes.begin(), profile.scopes.end(),
-            [](const ScopeStat& a, const ScopeStat& b) {
-              if (a.self_ns != b.self_ns) return a.self_ns > b.self_ns;
-              return a.name < b.name;
-            });
-  profile.folded.assign(folded.begin(), folded.end());
-  return profile;
+  return snap;
 }
 
 }  // namespace hpcos::obs::prof

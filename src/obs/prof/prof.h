@@ -12,21 +12,26 @@
 //     site compiles to one branch when profiling is disabled (the armed
 //     check), and two clock reads plus one ring-buffer append when it is
 //     enabled. No locks on the hot path.
+//   * Each scope instance is a span: at entry it takes an id unique
+//     across threads (its buffer's index in the high bits) and links to
+//     the thread's innermost open scope as its parent. Nesting is never
+//     reconstructed here; sim::SpanForest rebuilds it from those links.
 //   * Each thread writes completed scopes into its own pre-sized ring
-//     buffer (registered once per thread under a mutex, written
-//     single-writer afterwards). The only cross-thread handshake is a
-//     release-store of the buffer's size, acquire-loaded by collect() —
+//     buffer (registered at its first scope entry under a mutex, written
+//     single-writer afterwards, allocated uninitialized so registration
+//     costs no page faults). The only cross-thread handshake is a
+//     release-store of the buffer's size, acquire-loaded by snapshot() —
 //     ThreadSanitizer-clean by construction.
-//   * collect() merges every thread's buffer into one Profile: a ranked
-//     self/total-time hotspot table keyed by scope *name* (scope fire
-//     counts are a pure function of the simulated work, so the merged
-//     counts are bit-identical across host thread counts — the
-//     determinism contract the tests pin) and a folded-stack view keyed
-//     by the host call path (input format of flamegraph.pl/speedscope,
-//     validated by sim::validate_folded_stack).
+//   * collect() (obs/prof_report.h) turns a snapshot into one Profile: a
+//     ranked self/total-time hotspot table keyed by scope *name* (scope
+//     fire counts are a pure function of the simulated work, so the
+//     merged counts are bit-identical across host thread counts — the
+//     determinism contract the tests pin) and the forest's folded-stack
+//     text (input format of flamegraph.pl/speedscope).
 //   * Buffers never wrap: a full buffer drops new scopes and counts the
 //     drops, because silently overwriting parents would corrupt the
-//     nesting reconstruction. Size the buffer for the measurement window
+//     span links. Children whose parent was dropped become roots, so the
+//     accounting still closes. Size the buffer for the measurement window
 //     (set_thread_buffer_capacity) and reset() between windows.
 //
 // Scope naming follows the repo-wide counter rule:
@@ -35,7 +40,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace hpcos::obs::prof {
@@ -52,8 +56,8 @@ bool enabled();
 void set_enabled(bool on);
 
 // Ring capacity, in scope events, for per-thread buffers created after
-// this call (existing buffers keep their size). Default 1<<16 (~2 MiB per
-// participating thread).
+// this call (existing buffers keep their size). Default 1<<16 (~2.5 MiB
+// per participating thread, touched only as it fills).
 void set_thread_buffer_capacity(std::size_t events);
 
 // Clear every thread's buffer and drop counters. Callers must quiesce
@@ -82,6 +86,8 @@ class ScopedTimer {
  private:
   ScopeId id_ = 0;
   std::int64_t start_ = 0;
+  std::uint64_t span_ = 0;
+  std::uint64_t parent_ = 0;
   bool armed_ = false;
 };
 
@@ -111,9 +117,10 @@ struct Profile {
   // Ranked by self_ns descending, name ascending on ties. Counts are
   // bit-identical across host thread counts; times are host-dependent.
   std::vector<ScopeStat> scopes;
-  // Folded-stack aggregation: host call path ("a;b;c") -> summed self
-  // ns, path-sorted (deterministic, diffable). Zero-self paths omitted.
-  std::vector<std::pair<std::string, std::int64_t>> folded;
+  // Folded-stack text of the scope forest: "<path> <self-ns>\n" lines,
+  // path-sorted, zero-self paths omitted (sim::folded_stack output, the
+  // flamegraph.pl/speedscope input format).
+  std::string folded;
   std::uint64_t threads = 0;  // thread buffers merged
   std::uint64_t events = 0;   // scope events merged
   std::uint64_t dropped = 0;  // scope events lost to full buffers
@@ -124,13 +131,26 @@ struct Profile {
 
   const ScopeStat* find(const std::string& name) const;
   std::int64_t sum_self_ns() const;
-  // "<path> <self-ns>\n" lines, the flamegraph.pl/speedscope input
-  // format (sim::validate_folded_stack accepts it).
-  std::string folded_text() const;
 };
 
-// Merge every registered thread buffer (snapshot; buffers keep their
-// contents until reset()).
-Profile collect();
+// One completed scope instance, as its thread's buffer holds it. No
+// member initializers: rings are allocated uninitialized.
+struct ScopeEvent {
+  ScopeId id;
+  std::uint64_t span;    // unique across threads, never 0
+  std::uint64_t parent;  // enclosing scope's span on this thread; 0 = root
+  std::int64_t start_ns;
+  std::int64_t end_ns;
+};
+
+// Raw copy of every registered thread buffer (buffers keep their contents
+// until reset()). collect() in obs/prof_report builds the Profile from it.
+struct Snapshot {
+  std::vector<std::string> names;  // ScopeId -> scope name
+  std::vector<ScopeEvent> events;  // buffer by buffer, each in exit order
+  std::uint64_t threads = 0;       // buffers holding at least one event
+  std::uint64_t dropped = 0;       // scope events lost to full buffers
+};
+Snapshot snapshot();
 
 }  // namespace hpcos::obs::prof

@@ -1,11 +1,15 @@
 #include "obs/prof_report.h"
 
 #include <algorithm>
+#include <map>
 #include <ostream>
+#include <vector>
 
 #include "common/table.h"
 #include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
+#include "sim/folded_stack.h"
+#include "sim/span_tree.h"
 
 namespace hpcos::obs {
 namespace {
@@ -13,6 +17,50 @@ namespace {
 double to_us(std::int64_t ns) { return static_cast<double>(ns) / 1e3; }
 
 }  // namespace
+
+prof::Profile prof::collect() {
+  const Snapshot snap = snapshot();
+  std::vector<sim::TraceRecord> records;
+  records.reserve(snap.events.size());
+  for (const ScopeEvent& e : snap.events) {
+    records.push_back(sim::TraceRecord{
+        .time = SimTime::ns(e.start_ns),
+        .duration = SimTime::ns(e.end_ns - e.start_ns),
+        .label = e.id < snap.names.size() ? snap.names[e.id] : "<unknown>",
+        .span = e.span,
+        .parent = e.parent});
+  }
+  const sim::SpanForest forest(records);
+
+  Profile profile;
+  profile.threads = snap.threads;
+  profile.events = records.size();
+  profile.dropped = snap.dropped;
+  // Name-keyed: aggregation order does not affect integer sums, and
+  // sorted keys make the output deterministic.
+  std::map<std::string, ScopeStat> by_name;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ScopeStat& stat = by_name[records[i].label];
+    ++stat.count;
+    stat.total_ns += records[i].duration.count_ns();
+    stat.self_ns += forest.self_time(i).count_ns();
+  }
+  for (const std::size_t r : forest.roots()) {
+    profile.root_total_ns += records[r].duration.count_ns();
+  }
+  profile.scopes.reserve(by_name.size());
+  for (auto& [name, stat] : by_name) {
+    stat.name = name;
+    profile.scopes.push_back(std::move(stat));
+  }
+  std::sort(profile.scopes.begin(), profile.scopes.end(),
+            [](const ScopeStat& a, const ScopeStat& b) {
+              if (a.self_ns != b.self_ns) return a.self_ns > b.self_ns;
+              return a.name < b.name;
+            });
+  profile.folded = sim::folded_stack(forest);
+  return profile;
+}
 
 void add_profile_metrics(BenchReport& report, const prof::Profile& profile) {
   if (report.has_metric("host.prof.events")) return;

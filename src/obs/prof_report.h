@@ -1,12 +1,13 @@
 // Reporting glue between the host-side profiler (obs/prof) and the
-// repo's observability surfaces: BenchReport JSON and the human-readable
-// hotspot table.
+// repo's observability surfaces: the Profile itself (built here, one
+// layer above the std-only recorder, because it needs sim::SpanForest),
+// BenchReport JSON and the human-readable hotspot table.
 //
-// Naming discipline (enforced by the bench_gate tolerance file): scope
-// *fire counts* are a pure function of the simulated work, so they are
-// emitted as plain gated metrics (`prof.<scope>.count`); everything
-// measured in host nanoseconds is machine-dependent and goes under the
-// ignore-listed `host.*` prefix (`host.prof.*`, `host.mem.*`).
+// Naming discipline (enforced by compare_metrics): scope *fire counts*
+// are a pure function of the simulated work, so they are emitted as plain
+// gated metrics (`prof.<scope>.count`); everything measured in host
+// nanoseconds is machine-dependent and goes under the never-judged
+// `host.*` prefix (`host.prof.*`, `host.mem.*`).
 #pragma once
 
 #include <iosfwd>
@@ -17,10 +18,18 @@
 
 namespace hpcos::obs {
 
+namespace prof {
+// Merge every thread buffer (prof::snapshot()) into one Profile. The
+// scope events become span records; sim::SpanForest links them (a scope
+// whose parent was dropped by a full buffer becomes a root) and supplies
+// each scope's self time, and sim::folded_stack renders the flamegraph.
+Profile collect();
+}  // namespace prof
+
 // The report's profile section — a collected profile, the host-counter
 // table's allocation counters and the process RSS sample:
 //   prof.<scope>.count            count  (deterministic, gated)
-//   host.prof.<scope>.self_us     us     (ignored by the gate)
+//   host.prof.<scope>.self_us     us     (never judged)
 //   host.prof.<scope>.total_us    us
 //   host.prof.events / .threads / .dropped / .root_total_us
 //   host.mem.<site>.bytes/.events  (table counters mem.<site>.*)

@@ -13,7 +13,6 @@
 #include "common/confighash.h"
 #include "common/parallel.h"
 #include "obs/bench_report.h"
-#include "obs/prof/prof.h"
 
 namespace hpcos::obs {
 
@@ -43,8 +42,7 @@ bool is_hex16(const std::string& s) {
 }  // namespace
 
 JsonValue make_run_record(const BenchReport& report, const JsonValue& config,
-                          const std::string& timestamp,
-                          const prof::Profile* profile) {
+                          const std::string& timestamp) {
   JsonValue record = JsonValue::object();
   record.set("schema", kRunLedgerSchema);
   record.set("target", report.bench_name());
@@ -85,23 +83,6 @@ JsonValue make_run_record(const BenchReport& report, const JsonValue& config,
   host.set("parallelism", static_cast<std::uint64_t>(default_parallelism()));
   if (!host_metrics.as_array().empty()) {
     host.set("metrics", std::move(host_metrics));
-  }
-  if (profile != nullptr && !profile->scopes.empty()) {
-    // Compact summary: top scopes by self time (the collect() ranking),
-    // enough to answer "where did this run's host time go" from the
-    // ledger alone without the full hotspot report.
-    JsonValue top = JsonValue::array();
-    const std::size_t n = std::min<std::size_t>(profile->scopes.size(), 8);
-    for (std::size_t i = 0; i < n; ++i) {
-      const prof::ScopeStat& s = profile->scopes[i];
-      JsonValue entry = JsonValue::object();
-      entry.set("scope", s.name);
-      entry.set("count", s.count);
-      entry.set("self_ms", static_cast<double>(s.self_ns) / 1e6);
-      entry.set("total_ms", static_cast<double>(s.total_ns) / 1e6);
-      top.push_back(std::move(entry));
-    }
-    host.set("profile", std::move(top));
   }
   record.set("host", std::move(host));
   return record;

@@ -17,8 +17,7 @@
 //     "host": {                              // the non-deterministic part
 //       "timestamp": "2026-08-08T12:00:00Z", // injected, never sampled here
 //       "parallelism": 8,
-//       "metrics": [ ...host.* metrics... ],
-//       "profile": [ {scope, count, self_ms, total_ms}, ... ]
+//       "metrics": [ ...host.* metrics... ]  // incl. --profile scope times
 //     }
 //   }
 //
@@ -44,21 +43,15 @@
 namespace hpcos::obs {
 
 class BenchReport;
-namespace prof {
-struct Profile;
-}  // namespace prof
 
 inline constexpr const char* kRunLedgerSchema = "hpcos-run-ledger/1";
 
 // Build a run record from a finished report. `config` defines the record's
 // config_hash (confighash canonical digest); pass the real simulation
 // config when the target attached one, or the bench identity fallback.
-// `timestamp` is stored verbatim under "host" (empty allowed). `profile`
-// (optional) contributes the compact host-profile summary: top scopes by
-// self time.
+// `timestamp` is stored verbatim under "host" (empty allowed).
 JsonValue make_run_record(const BenchReport& report, const JsonValue& config,
-                          const std::string& timestamp,
-                          const prof::Profile* profile = nullptr);
+                          const std::string& timestamp);
 
 // Schema validation. Returns "" when valid, else a one-line description.
 // Unknown schema strings are invalid (the strict reader rejects them).

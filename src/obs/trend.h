@@ -9,9 +9,10 @@
 //   * regressions — the newest run vs the median of all prior runs
 //     (snapshot_newest vs median_of_prior), judged by compare_metrics
 //     under the SAME tolerance policy the bench_gate uses (obs/bench_diff
-//     DiffPolicy: glob rules, ignore list, rel/abs allowance). One policy
-//     file and one judgment govern per-commit gating, cross-run trend
-//     flags and the explainer (obs/explain), which diffs the same pair.
+//     DiffPolicy: glob rules, rel/abs allowance; host.* never judged).
+//     One policy file and one judgment govern per-commit gating,
+//     cross-run trend flags and the explainer (obs/explain), which diffs
+//     the same pair.
 //   * drift — robust median/MAD changepoint per metric series: the split
 //     maximizing |median(before) - median(after)| scaled by the series
 //     MAD. Catches slow multi-run creep that per-pair tolerance checks

@@ -50,16 +50,13 @@ TEST(TolerancePolicy, RulesRefineTheDefault) {
     "schema": "hpcos-bench-tolerances/1",
     "default": {"rel": 0.02, "abs": 1e-6},
     "metrics": [
-      {"pattern": "parallel.speedup", "ignore": true},
       {"pattern": "*.p99_ms", "rel": 0.10}
     ]
   })");
   const DiffPolicy policy = parse_tolerance_policy(doc);
-  EXPECT_TRUE(policy.lookup("parallel.speedup").ignore);
   // The rule only sets rel; abs is inherited from the file's default.
   EXPECT_DOUBLE_EQ(policy.lookup("x.p99_ms").rel, 0.10);
   EXPECT_DOUBLE_EQ(policy.lookup("x.p99_ms").abs, 1e-6);
-  EXPECT_FALSE(policy.lookup("x.p99_ms").ignore);
   // Unmatched metrics fall back to the default.
   EXPECT_DOUBLE_EQ(policy.lookup("other.metric").rel, 0.02);
 }
@@ -114,10 +111,21 @@ TEST(TolerancePolicy, UnknownKeysAreHardErrorsWithSuggestions) {
 
   const std::string def_err = policy_error(R"({
     "schema": "hpcos-bench-tolerances/1",
-    "default": {"ingore": true}
+    "default": {"abss": 1e-9}
   })");
-  EXPECT_NE(def_err.find("default.ingore"), std::string::npos);
-  EXPECT_NE(def_err.find("did you mean \"ignore\"?"), std::string::npos);
+  EXPECT_NE(def_err.find("default.abss"), std::string::npos);
+  EXPECT_NE(def_err.find("did you mean \"abs\"?"), std::string::npos);
+
+  // "ignore" is not a key: a host-dependent metric is named host.*, which
+  // compare_metrics never judges, so no rule can exempt a metric.
+  const std::string ignore_err = policy_error(R"({
+    "schema": "hpcos-bench-tolerances/1",
+    "metrics": [
+      {"pattern": "parallel.speedup", "ignore": true}
+    ]
+  })");
+  EXPECT_NE(ignore_err.find("unknown key"), std::string::npos);
+  EXPECT_NE(ignore_err.find("metrics[0].ignore"), std::string::npos);
 
   // A key nothing like any allowed key gets no (misleading) suggestion.
   const std::string far_err = policy_error(R"({
@@ -164,14 +172,13 @@ TEST(TolerancePolicy, CommittedGateToleranceFileShapeStillParses) {
     "schema": "hpcos-bench-tolerances/1",
     "default": {"rel": 0.02, "abs": 1e-9},
     "metrics": [
-      {"pattern": "parallel.speedup", "ignore": true},
-      {"pattern": "registry.overhead_ratio", "ignore": true},
-      {"pattern": "shard_sweep.*.wall_s", "ignore": true},
-      {"pattern": "host.*", "ignore": true}
+      {"pattern": "*.reconciliation_error", "rel": 0.0, "abs": 1e-9},
+      {"pattern": "explain.top_cause.layer", "rel": 0.0, "abs": 0.0}
     ]
   })"));
-  EXPECT_TRUE(policy.lookup("host.wall_s").ignore);
-  EXPECT_FALSE(policy.lookup("attrib.total_stolen_us").ignore);
+  EXPECT_DOUBLE_EQ(policy.lookup("explain.reconciliation_error").rel, 0.0);
+  EXPECT_DOUBLE_EQ(policy.lookup("explain.top_cause.layer").abs, 0.0);
+  EXPECT_DOUBLE_EQ(policy.lookup("attrib.total_stolen_us").rel, 0.02);
 }
 
 // ----------------------------------------------------------------- diff
@@ -194,18 +201,6 @@ TEST(BenchDiff, ViolationsRankedWorstFirst) {
   EXPECT_EQ(result.violations[0].metric, "beta");  // 100% > 10%
   EXPECT_EQ(result.violations[1].metric, "alpha");
   EXPECT_DOUBLE_EQ(result.violations[0].rel_delta, 1.0);
-}
-
-TEST(BenchDiff, IgnoreRuleSkipsHostDependentMetrics) {
-  const auto baseline = report_with({{"wall_s", 1.0}, {"alpha", 5.0}});
-  const auto current = report_with({{"wall_s", 50.0}, {"alpha", 5.0}});
-  DiffPolicy policy;
-  policy.rules.push_back({"wall*", MetricTolerance{.ignore = true}});
-  const auto result = diff_reports(current, baseline, policy);
-  EXPECT_TRUE(result.ok());
-  // Ignored metrics are excluded from the compared set entirely.
-  ASSERT_EQ(result.deltas.size(), 1u);
-  EXPECT_EQ(result.deltas[0].metric, "alpha");
 }
 
 TEST(BenchDiff, HostMetricsAreNeverJudged) {
@@ -257,23 +252,19 @@ TEST(BenchDiff, PercentilesCompareAsFlattenedMetrics) {
 }
 
 TEST(BenchDiff, InjectedRegressionTripsTheGateTolerances) {
-  // The exact policy the committed bench_gate uses: 2% rel default with
-  // wall-clock ignores. A 5% regression on a deterministic metric fails;
-  // an arbitrarily large wall-clock change does not.
+  // The committed bench_gate's default: 2% rel. A 5% regression on a
+  // deterministic metric fails; an arbitrarily large change in a host.*
+  // measurement does not.
   const auto policy = parse_tolerance_policy(JsonValue::parse(R"({
     "schema": "hpcos-bench-tolerances/1",
-    "default": {"rel": 0.02, "abs": 1e-9},
-    "metrics": [
-      {"pattern": "parallel.speedup", "ignore": true},
-      {"pattern": "shard_sweep.*.wall_s", "ignore": true}
-    ]
+    "default": {"rel": 0.02, "abs": 1e-9}
   })"));
   const auto baseline = report_with({{"ofp_linux.p99_ms", 6.5},
-                                     {"parallel.speedup", 3.0},
-                                     {"shard_sweep.64.wall_s", 0.01}});
+                                     {"host.parallel.steals.count", 3.0},
+                                     {"host.wall_s", 0.01}});
   const auto regressed = report_with({{"ofp_linux.p99_ms", 6.5 * 1.05},
-                                      {"parallel.speedup", 30.0},
-                                      {"shard_sweep.64.wall_s", 10.0}});
+                                      {"host.parallel.steals.count", 30.0},
+                                      {"host.wall_s", 10.0}});
   const auto result = diff_reports(regressed, baseline, policy);
   EXPECT_FALSE(result.ok());
   ASSERT_EQ(result.violations.size(), 1u);

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "hw/cache.h"
 #include "hw/cpuset.h"
 #include "hw/hwbarrier.h"
 #include "hw/memory.h"
@@ -100,31 +99,6 @@ TEST(Tlb, BroadcastStallMatchesPaperNumber) {
   EXPECT_EQ(a64.broadcast_stall(2000), SimTime::us(400));
   TlbModel x86(make_ofp_platform().tlb);
   EXPECT_EQ(x86.broadcast_stall(2000), SimTime::zero());  // no TLBI bcast
-}
-
-TEST(Cache, SectorPartitioningIsolatesInterference) {
-  SectorCache c(CacheParams{.capacity_bytes = 32ull << 20,
-                            .num_sectors = 4});
-  EXPECT_TRUE(c.supports_partitioning());
-  ASSERT_TRUE(c.partition(1));
-  EXPECT_EQ(c.application_capacity(), 24ull << 20);
-  EXPECT_EQ(c.system_capacity(), 8ull << 20);
-  // With partitioning, OS interference bytes do not degrade the app.
-  EXPECT_DOUBLE_EQ(c.interference_slowdown(20ull << 20, 16ull << 20), 1.0);
-  SectorCache flat(CacheParams{.capacity_bytes = 32ull << 20,
-                               .num_sectors = 1});
-  EXPECT_FALSE(flat.partition(1));
-  EXPECT_GT(flat.interference_slowdown(30ull << 20, 16ull << 20), 1.0);
-}
-
-TEST(Cache, MissFractionMonotone) {
-  const std::uint64_t cap = 8ull << 20;
-  EXPECT_DOUBLE_EQ(SectorCache::miss_fraction(4ull << 20, cap), 0.0);
-  const double a = SectorCache::miss_fraction(16ull << 20, cap);
-  const double b = SectorCache::miss_fraction(64ull << 20, cap);
-  EXPECT_GT(a, 0.0);
-  EXPECT_GT(b, a);
-  EXPECT_LE(b, 1.0);
 }
 
 TEST(Memory, StreamTimeFromBandwidth) {

@@ -29,6 +29,7 @@
 #include "obs/bench_report.h"
 #include "obs/live/span_sampler.h"
 #include "obs/prof/prof.h"
+#include "obs/prof_report.h"
 #include "obs/runlog.h"
 #include "sim/trace.h"
 

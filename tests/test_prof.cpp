@@ -17,6 +17,7 @@
 #include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/fwq_campaign.h"
@@ -118,17 +119,16 @@ TEST_F(ProfTest, FoldedStackValidatesAndRoundTrips) {
   prof::set_enabled(false);
   const prof::Profile p = prof::collect();
 
-  const std::string folded = p.folded_text();
-  EXPECT_EQ(sim::validate_folded_stack(folded), "");
+  EXPECT_EQ(sim::validate_folded_stack(p.folded), "");
 
-  const auto parsed = sim::parse_folded_stack(folded);
-  ASSERT_EQ(parsed.size(), p.folded.size());
+  const auto parsed = sim::parse_folded_stack(p.folded);
+  std::string rewritten;
   std::int64_t parsed_total = 0;
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].first, p.folded[i].first);
-    EXPECT_EQ(parsed[i].second, p.folded[i].second);
-    parsed_total += parsed[i].second;
+  for (const auto& [path, value] : parsed) {
+    rewritten += path + " " + std::to_string(value) + "\n";
+    parsed_total += value;
   }
+  EXPECT_EQ(rewritten, p.folded);
   // Folded values are self times, so they sum to the same total the
   // ranked table accounts for (zero-self paths are omitted, not lost).
   EXPECT_EQ(parsed_total, p.sum_self_ns());
@@ -141,6 +141,36 @@ TEST_F(ProfTest, FoldedStackValidatesAndRoundTrips) {
     }
   }
   EXPECT_TRUE(found_nested);
+}
+
+TEST_F(ProfTest, FullBufferDropsParentsAndAccountingStillCloses) {
+  // A full buffer keeps the first scopes to exit and drops the rest.
+  // Children exit before their parent, so a root can be dropped while its
+  // leaves are kept; those orphans become roots, and the books still
+  // balance exactly.
+  prof::set_thread_buffer_capacity(16);
+  prof::set_enabled(true);
+  std::thread([] {  // a fresh thread registers a fresh 16-event buffer
+    for (int root = 0; root < 4; ++root) {
+      PROF_SCOPE("t.full.root");
+      for (int leaf = 0; leaf < 8; ++leaf) {
+        PROF_SCOPE("t.full.leaf");
+      }
+    }
+  }).join();
+  prof::set_enabled(false);
+  prof::set_thread_buffer_capacity(std::size_t{1} << 16);
+  const prof::Profile p = prof::collect();
+
+  // Root 0 and its 8 leaves, then 7 of root 1's leaves fill the buffer.
+  EXPECT_EQ(p.events, 16u);
+  EXPECT_EQ(p.dropped, 20u);
+  ASSERT_NE(p.find("t.full.root"), nullptr);
+  ASSERT_NE(p.find("t.full.leaf"), nullptr);
+  EXPECT_EQ(p.find("t.full.root")->count, 1u);
+  EXPECT_EQ(p.find("t.full.leaf")->count, 15u);
+  EXPECT_EQ(p.sum_self_ns(), p.root_total_ns);
+  EXPECT_EQ(sim::validate_folded_stack(p.folded), "");
 }
 
 TEST_F(ProfTest, CampaignScopeCountsIdenticalAcrossThreadCounts) {

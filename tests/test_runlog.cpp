@@ -10,6 +10,7 @@
 #include "common/confighash.h"
 #include "common/json.h"
 #include "obs/bench_report.h"
+#include "obs/prof/prof.h"
 #include "obs/runlog.h"
 
 namespace hpcos {
@@ -323,6 +324,58 @@ TEST(RunLedger, MaybeWriteReportAppendsWithInjectedTimestamp) {
             ledger.records[1].at("config_hash").as_string());
   EXPECT_EQ(obs::deterministic_line(r),
             obs::deterministic_line(ledger.records[1]));
+}
+
+TEST(RunLedger, ProfiledRunCarriesItsProfileOnce) {
+  // A --profile run's scopes reach the ledger once: as the report's
+  // host.prof.* metrics, not again as a separate host summary.
+  TempFile file("test_runlog_profiled.ledger.jsonl");
+  obs::BenchOptions opts;
+  opts.quick = true;
+  opts.sinks.profile = true;
+  opts.sinks.ledger_path = file.path;
+  obs::prof::reset();
+  obs::prof::set_enabled(true);
+  { PROF_SCOPE("t.runlog.scope"); }
+  obs::prof::set_enabled(false);
+  auto report = test_report();
+  obs::maybe_write_report(report, opts);
+  obs::prof::reset();
+
+  const obs::RunLedger ledger =
+      obs::read_run_ledger(file.path, /*strict=*/true);
+  ASSERT_EQ(ledger.records.size(), 1u);
+  const JsonValue& host = ledger.records[0].at("host");
+  EXPECT_FALSE(host.contains("profile"));
+  std::size_t self_entries = 0;
+  for (const JsonValue& m : host.at("metrics").as_array()) {
+    if (m.at("name").as_string() == "host.prof.t.runlog.scope.self_us") {
+      ++self_entries;
+    }
+  }
+  EXPECT_EQ(self_entries, 1u);
+}
+
+TEST(RunLedgerDeathTest, UnwritableSinkExitsWithTheIoCode) {
+  // An unwritable --json or --ledger path is an I/O error: one line on
+  // stderr and exit 2, never an uncaught exception.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  obs::BenchOptions json_opts;
+  json_opts.sinks.json_path = "no_such_dir/report.json";
+  EXPECT_EXIT(
+      {
+        auto report = test_report();
+        obs::maybe_write_report(report, json_opts);
+      },
+      ::testing::ExitedWithCode(2), "runlog_bench: .*no_such_dir");
+  obs::BenchOptions ledger_opts;
+  ledger_opts.sinks.ledger_path = "no_such_dir/run.ledger.jsonl";
+  EXPECT_EXIT(
+      {
+        auto report = test_report();
+        obs::maybe_write_report(report, ledger_opts);
+      },
+      ::testing::ExitedWithCode(2), "runlog_bench: .*no_such_dir");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit + integration tests: the paper's methodology tools — interference
-// analysis (§4.2.1), PMU-based attribution (§4.2.2), the FTQ benchmark,
-// and the batch job launcher (§4.1 / §5.1).
+// analysis (§4.2.1), PMU-based attribution (§4.2.2), and the batch job
+// launcher (§4.1 / §5.1).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,7 +9,6 @@
 #include "kernel_test_util.h"
 #include "linuxk/interference.h"
 #include "noise/attribution.h"
-#include "noise/ftq.h"
 #include "noise/fwq.h"
 
 namespace hpcos {
@@ -156,51 +155,6 @@ TEST(Attribution, DesRoundTrip_TlbiIsHardware_DaemonIsOs) {
   const auto after = node.lwk->accounting(2);
   EXPECT_EQ(noise::attribute_window(mid, after).cls,
             noise::InterferenceClass::kOsKernelActivity);
-}
-
-// ---- FTQ ----
-
-TEST(Ftq, CleanRunCountsIdealWorkEveryWindow) {
-  test::MultiKernelNode node;
-  noise::FtqConfig cfg;
-  cfg.window = 1_ms;
-  cfg.unit_work = 50_us;
-  cfg.windows = 40;
-  const auto traces =
-      noise::run_ftq(*node.lwk, test::one_core(node.topo, 2), cfg);
-  ASSERT_EQ(traces.size(), 1u);
-  ASSERT_EQ(traces[0].work_counts.size(), 40u);
-  const std::uint64_t ideal = traces[0].ideal_count(cfg);
-  EXPECT_EQ(ideal, 20u);
-  for (const std::uint64_t c : traces[0].work_counts) {
-    EXPECT_EQ(c, ideal);
-  }
-  EXPECT_DOUBLE_EQ(noise::ftq_work_loss(traces), 0.0);
-}
-
-TEST(Ftq, InterruptDepressesTheHitWindow) {
-  test::MultiKernelNode node;
-  noise::FtqConfig cfg;
-  cfg.window = 1_ms;
-  cfg.unit_work = 50_us;
-  cfg.windows = 20;
-  // Inject a 500 us interrupt inside the third window.
-  node.sim.schedule_at(SimTime::from_us(2300), [&] {
-    node.lwk->interrupt_core(2, 500_us, sim::TraceCategory::kIrq, "hit");
-  });
-  const auto traces =
-      noise::run_ftq(*node.lwk, test::one_core(node.topo, 2), cfg);
-  ASSERT_EQ(traces[0].work_counts.size(), 20u);
-  const std::uint64_t ideal = traces[0].ideal_count(cfg);
-  // Exactly ~10 quanta (500 us) of work displaced, visible as depressed
-  // counts near window 2/3.
-  std::uint64_t lost = 0;
-  for (const std::uint64_t c : traces[0].work_counts) {
-    lost += ideal - std::min(ideal, c);
-  }
-  EXPECT_GE(lost, 9u);
-  EXPECT_LE(lost, 11u);
-  EXPECT_GT(noise::ftq_work_loss(traces), 0.0);
 }
 
 // ---- job launcher ----

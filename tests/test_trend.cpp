@@ -149,14 +149,20 @@ TEST(Trend, WithinToleranceIgnoredAndIgnoreRulesRespected) {
                       history("b", "x", {1.0, 1.0, 1.0, 1.03})),
                   policy)
                   .empty());
-  // Same shift as the failing case, but the metric is ignore-listed.
-  policy.rules.push_back(
-      {"fwq.*", obs::MetricTolerance{0.05, 1e-9, /*ignore=*/true}});
-  EXPECT_TRUE(trend::find_regressions(
-                  trend::group_records(
-                      history("b", "x", {1.0, 1.0, 1.0, 1.5})),
-                  policy)
-                  .empty());
+  // Same shift as the failing case, but on a host.* metric: tracked,
+  // never judged.
+  std::vector<JsonValue> host_runs;
+  for (const double v : {1.0, 1.0, 1.0, 1.5}) {
+    obs::BenchReport report("b", /*quick=*/true, /*seed=*/1);
+    report.add_metric("host.fwq.wall_s", "s", v);
+    host_runs.push_back(obs::make_run_record(report, JsonValue::object(),
+                                             "2026-08-08T00:00:00Z"));
+  }
+  const auto host_groups = trend::group_records(host_runs);
+  ASSERT_EQ(host_groups.size(), 1u);
+  ASSERT_EQ(host_groups[0].metrics.size(), 1u);
+  EXPECT_EQ(host_groups[0].metrics[0].name, "host.fwq.wall_s");
+  EXPECT_TRUE(trend::find_regressions(host_groups, policy).empty());
   // Single-run groups have no history to regress against.
   EXPECT_TRUE(trend::find_regressions(
                   trend::group_records(history("b", "x", {1.0})),

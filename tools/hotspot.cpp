@@ -27,9 +27,10 @@
 //
 // Exit status is non-zero when any accounting check fails, so the
 // hotspot_smoke ctest job guards the profiler's arithmetic, not just
-// its plumbing. Determinism: every scope/handler *count* and every
-// simulated-time metric is a pure function of (config, seed) and is
-// regression-gated; host times ride under the ignored host.* prefix.
+// its plumbing (exit 2 when the --folded path cannot be written).
+// Determinism: every scope/handler *count* and every simulated-time
+// metric is a pure function of (config, seed) and is regression-gated;
+// host times ride under the never-judged host.* prefix.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -189,20 +190,21 @@ int main(int argc, char** argv) {
   ok = ok && self_closes && wall_accounted && profile.dropped == 0;
 
   // Folded-stack flamegraph export.
-  const std::string folded = profile.folded_text();
-  const std::string folded_err = sim::validate_folded_stack(folded);
+  const std::string folded_err = sim::validate_folded_stack(profile.folded);
   if (!folded_err.empty()) {
     std::cout << "folded-stack INVALID: " << folded_err << "\n";
     ok = false;
   }
   if (!folded_path.empty()) {
     std::ofstream out(folded_path);
+    out << profile.folded;
     if (!out) {
-      std::cerr << "cannot open " << folded_path << "\n";
-      return 1;
+      std::cerr << "hotspot: cannot write " << folded_path << "\n";
+      return 2;
     }
-    out << folded;
-    std::cout << "folded flamegraph (" << profile.folded.size()
+    std::cout << "folded flamegraph ("
+              << std::count(profile.folded.begin(), profile.folded.end(),
+                            '\n')
               << " stacks) written to " << folded_path << "\n";
   }
 
@@ -381,7 +383,7 @@ int main(int argc, char** argv) {
   // ---- report -----------------------------------------------------------
   // Deterministic (gated): every scope/handler count, the DES queue
   // counters, and the campaign's simulated results. Host times and
-  // scheduler health go under ignored prefixes (host.*, parallel.*.count).
+  // scheduler health (pool-size and OS-scheduling dependent) are host.*.
   report.add_metric("prof.accounting_ok", "bool",
                     self_closes && wall_accounted ? 1.0 : 0.0);
   report.add_metric("prof.folded_valid", "bool",
@@ -430,11 +432,11 @@ int main(int argc, char** argv) {
   obs::explain::add_span_label_metrics(report, trace_records,
                                        &lossless.sketches);
   add_profile_metrics(report, profile);
-  report.add_metric("parallel.steals.count", "count",
+  report.add_metric("host.parallel.steals.count", "count",
                     static_cast<double>(sched_total.steals));
-  report.add_metric("parallel.steal_attempts.count", "count",
+  report.add_metric("host.parallel.steal_attempts.count", "count",
                     static_cast<double>(sched_total.steal_attempts));
-  report.add_metric("parallel.parks.count", "count",
+  report.add_metric("host.parallel.parks.count", "count",
                     static_cast<double>(sched_total.parks));
   report.add_metric("host.parallel.park_ms", "ms",
                     static_cast<double>(sched_total.park_ns) / 1e6);

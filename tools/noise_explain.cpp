@@ -19,6 +19,7 @@
 // attrib_smoke/attrib_gate ctest jobs consume this), --folded <path>
 // (folded-stack export of the anchored BSP trace for flamegraph tools).
 #include <chrono>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -220,7 +221,12 @@ int main(int argc, char** argv) {
                                   obs::attrib::trace_ledger(node_records));
 
   if (!folded_path.empty()) {
-    sim::export_folded_stack(bsp_records, folded_path);
+    try {
+      sim::export_folded_stack(bsp_records, folded_path);
+    } catch (const std::exception& e) {
+      std::cerr << "noise_explain: " << e.what() << "\n";
+      return 2;
+    }
     std::cout << "\nFolded stacks (flamegraph/speedscope) written to "
               << folded_path << "\n";
   }

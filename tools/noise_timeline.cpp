@@ -21,6 +21,8 @@
 //     this).
 //
 // Flags: --quick (smaller campaign), --json <path>, --openmetrics <path>.
+// Exit 1 when the reconciliation fails, 2 when an output path cannot be
+// written.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -251,11 +253,12 @@ int main(int argc, char** argv) {
   }
   if (!openmetrics_path.empty()) {
     std::ofstream out(openmetrics_path);
-    if (!out) {
-      std::cerr << "cannot open " << openmetrics_path << "\n";
-      return 1;
-    }
     out << obs::ts::openmetrics_text(node->registry(), &all_series);
+    if (!out) {
+      std::cerr << "noise_timeline: cannot write " << openmetrics_path
+                << "\n";
+      return 2;
+    }
     std::cout << "\nOpenMetrics exposition written to " << openmetrics_path
               << "\n";
   }
