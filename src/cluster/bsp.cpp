@@ -5,14 +5,8 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/stats.h"
-#include "noise/metrics.h"
 
 namespace hpcos::cluster {
-
-double RunResult::performance() const {
-  HPCOS_CHECK(!total.is_zero());
-  return static_cast<double>(iteration_times.size()) / total.to_sec();
-}
 
 SimTime RunResult::step_time(int step, int num_steps) const {
   HPCOS_CHECK(num_steps >= 1 && step >= 0 && step < num_steps);
@@ -277,28 +271,6 @@ RunResult BspEngine::run(const Workload& workload) {
   }
   r.total = total;
   return r;
-}
-
-double BspEngine::analytic_noise_delay(SimTime sync_interval) const {
-  std::vector<noise::NoiseGroup> groups;
-  for (const auto& s : env_.profile.sources) {
-    // Per-thread occurrence interval of the source.
-    SimTime interval = s.mean_interval;
-    if (s.scope == noise::SourceScope::kPerNodeRandomCore) {
-      interval = interval * (job_.ranks_per_node * job_.threads_per_rank);
-    }
-    if (s.node_fraction < 1.0) {
-      const double active =
-          static_cast<double>(job_.nodes) * s.node_fraction;
-      if (active < 1.0) continue;
-      // Concentrated on a subset: per-thread interval within that subset.
-    }
-    groups.push_back(noise::NoiseGroup{.length = s.duration.mean(),
-                                       .interval = interval});
-  }
-  return noise::bsp_noise_delay(
-      groups, sync_interval,
-      static_cast<std::uint64_t>(job_.total_threads()));
 }
 
 RelativeResult relative_performance(const Workload& workload,

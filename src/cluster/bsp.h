@@ -39,10 +39,6 @@ struct RunResult {
   // with the init phase folded into step 0 (how GAMERA's per-step numbers
   // read: setup dominates the first time step, §6.4).
   SimTime step_time(int step, int num_steps) const;
-  // Figure-of-merit used by the paper's relative plots: iterations per
-  // second of the solve loop (init included in `total` but the paper's
-  // metrics are dominated by the loop except for GAMERA).
-  double performance() const;
 };
 
 class BspEngine {
@@ -77,10 +73,6 @@ class BspEngine {
                   std::size_t capacity = 128);
 
   RunResult run(const Workload& workload);
-
-  // Expected fractional noise overhead for a given sync interval — the
-  // deterministic Eq. 1 view of this machine (used by tests/benches).
-  double analytic_noise_delay(SimTime sync_interval) const;
 
  private:
   const OsEnvironment& env_;

@@ -50,7 +50,6 @@ JsonValue to_config_json(const FwqCampaignConfig& config) {
   v.set("timeline_buckets",
         static_cast<std::uint64_t>(config.timeline_buckets));
   v.set("timeline_resolution_ns", ns_of(config.timeline_resolution));
-  v.set("sketch_relative_error", config.sketch_relative_error);
   v.set("heatmap_rows", static_cast<std::uint64_t>(config.heatmap_rows));
   v.set("heatmap_cols", static_cast<std::uint64_t>(config.heatmap_cols));
   v.set("seed", config.seed.value);

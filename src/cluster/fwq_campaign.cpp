@@ -66,7 +66,7 @@ struct ShardAccumulator {
   // ledger slots and merged in shard order.
   bool timeline = false;
   std::vector<obs::ts::TimeSeries> series;    // per ledger slot
-  std::vector<QuantileSketch> sketches;       // per ledger slot
+  std::vector<LogHistogram> sketches;         // per ledger slot
   obs::ts::NodeTimeGrid grid;
 
   void enable_timeline(const FwqCampaignConfig& config, SimTime resolution,
@@ -76,7 +76,7 @@ struct ShardAccumulator {
     sketches.reserve(slots);
     for (std::size_t i = 0; i < slots; ++i) {
       series.emplace_back(resolution, config.timeline_buckets);
-      sketches.emplace_back(config.sketch_relative_error);
+      sketches.push_back(duration_us_histogram());
     }
     grid = obs::ts::NodeTimeGrid(config.nodes, config.duration_per_core,
                                  config.heatmap_rows, config.heatmap_cols);
@@ -89,7 +89,7 @@ struct ShardAccumulator {
                        double overhead_us, std::uint64_t weight) {
     if (!timeline || weight == 0) return;
     series[slot].record_n(t, overhead_us, weight);
-    sketches[slot].add(overhead_us > 0.0 ? overhead_us : 0.0, weight);
+    sketches[slot].add_n(std::max(overhead_us, 0.0), weight);
     grid.add(node, t, overhead_us * static_cast<double>(weight));
   }
 
@@ -401,7 +401,7 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
     for (std::size_t i = 0; i < attrib_slots; ++i) {
       result.timeline.per_source.emplace_back(timeline_resolution,
                                               config.timeline_buckets);
-      result.timeline.sketches.emplace_back(config.sketch_relative_error);
+      result.timeline.sketches.push_back(duration_us_histogram());
     }
     result.timeline.heatmap = obs::ts::NodeTimeGrid(
         config.nodes, config.duration_per_core, config.heatmap_rows,

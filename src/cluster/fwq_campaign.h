@@ -24,7 +24,6 @@
 
 #include "common/histogram.h"
 #include "common/rng.h"
-#include "common/sketch.h"
 #include "noise/analytic.h"
 #include "noise/fwq.h"
 #include "noise/metrics.h"
@@ -76,8 +75,8 @@ struct FwqCampaignConfig {
   // phase (fwq.campaign.nodes/.iterations, fwq.topk.pushes/.evictions) —
   // shards count locally, the Registry stays single-writer.
   obs::Registry* registry = nullptr;
-  // Streaming timeline (off by default): per-source overhead series, tail
-  // quantile sketches, and the Figure 4 node x time heatmap. Event
+  // Streaming timeline (off by default): per-source overhead series and
+  // distributions, and the Figure 4 node x time heatmap. Event
   // timestamps come from a dedicated RNG substream (node split 2), so
   // enabling the timeline never perturbs the existing draw sequences —
   // every non-timeline number in the result is bit-identical either way.
@@ -87,8 +86,6 @@ struct FwqCampaignConfig {
   // zero; a finer explicit resolution exercises the 2x auto-coarsening.
   std::size_t timeline_buckets = 96;
   SimTime timeline_resolution = SimTime::zero();
-  // Relative-error bound (alpha) of the per-source overhead sketches.
-  double sketch_relative_error = 0.01;
   // Heatmap grid shape (rows clamp to the node count).
   std::size_t heatmap_rows = 32;
   std::size_t heatmap_cols = 96;
@@ -120,8 +117,9 @@ struct FwqTimeline {
   SimTime duration;  // campaign window [0, duration_per_core)
   // Overhead (us) over virtual time, one series per ledger slot.
   std::vector<obs::ts::TimeSeries> per_source;
-  // Tail sketches of per-iteration overhead (us), one per ledger slot.
-  std::vector<QuantileSketch> sketches;
+  // Per-iteration overhead (us) distributions, one per ledger slot, in the
+  // duration_us_histogram() layout.
+  std::vector<LogHistogram> sketches;
   // Figure 4 analogue: node-bin x time-bin overhead (us) grid.
   obs::ts::NodeTimeGrid heatmap;
 };

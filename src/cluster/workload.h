@@ -22,9 +22,6 @@ struct JobConfig {
   int threads_per_rank = 12;
 
   std::int64_t total_ranks() const { return nodes * ranks_per_node; }
-  std::int64_t total_threads() const {
-    return total_ranks() * threads_per_rank;
-  }
 };
 
 // Per-rank, per-iteration work description.

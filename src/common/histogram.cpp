@@ -175,10 +175,6 @@ double LogHistogram::bin_lower(std::size_t i) const {
 
 double LogHistogram::bin_upper(std::size_t i) const { return bin_lower(i + 1); }
 
-double LogHistogram::bin_center(std::size_t i) const {
-  return std::sqrt(bin_lower(i) * bin_upper(i));
-}
-
 double LogHistogram::quantile(double q) const {
   if (total_ == 0) return 0.0;
   const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total_);
@@ -186,7 +182,7 @@ double LogHistogram::quantile(double q) const {
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     cum += counts_[i];
     if (static_cast<double>(cum) >= target) {
-      return std::min(bin_upper(i), observed_max_);
+      return std::clamp(bin_upper(i), observed_min_, observed_max_);
     }
   }
   return observed_max_;
@@ -205,81 +201,6 @@ std::vector<std::pair<double, double>> LogHistogram::cdf_points() const {
   return out;
 }
 
-void EmpiricalCdf::add_all(std::span<const double> vs) {
-  samples_.insert(samples_.end(), vs.begin(), vs.end());
-  sorted_ = false;
-}
-
-void EmpiricalCdf::merge(const EmpiricalCdf& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = false;
-}
-
-void EmpiricalCdf::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double EmpiricalCdf::fraction_at_or_below(double x) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
-double EmpiricalCdf::quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  return percentile_from_sorted(q);
-}
-
-double EmpiricalCdf::min() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.front();
-}
-
-double EmpiricalCdf::max() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.back();
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::cdf_points(
-    std::size_t num) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || num == 0) return out;
-  ensure_sorted();
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  if (lo == hi) {
-    out.emplace_back(lo, 1.0);
-    return out;
-  }
-  out.reserve(num);
-  for (std::size_t i = 0; i < num; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(num - 1);
-    out.emplace_back(x, fraction_at_or_below(x));
-  }
-  return out;
-}
-
-std::span<const double> EmpiricalCdf::sorted_samples() const {
-  ensure_sorted();
-  return samples_;
-}
-
-double EmpiricalCdf::percentile_from_sorted(double q) const {
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  const double rank =
-      clamped * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
-}
+LogHistogram duration_us_histogram() { return LogHistogram(1e-3, 1e7, 2315); }
 
 }  // namespace hpcos

@@ -1,16 +1,16 @@
-// Latency histogram and empirical CDF containers.
+// The repo's one distribution type.
 //
 // The evaluation plots (Figure 4 in particular) are cumulative distribution
 // functions of FWQ iteration lengths aggregated over tens of thousands of
 // cores. LogHistogram keeps memory bounded while preserving the tail
-// resolution those plots need; EmpiricalCdf keeps exact samples for the
-// smaller data sets.
+// resolution those plots need; the campaign timeline, the span sampler and
+// the Registry keep their distributions in it too, so every quantile in the
+// repo has one definition (DESIGN §6).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -35,13 +35,12 @@ class LogHistogram {
   std::uint64_t total_count() const { return total_; }
   std::size_t num_bins() const { return counts_.size(); }
   std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  // Geometric midpoint of bin i.
-  double bin_center(std::size_t i) const;
   double bin_lower(std::size_t i) const;
   double bin_upper(std::size_t i) const;
 
-  // Value below which fraction q of the samples fall (q in [0,1]); uses the
-  // bin upper edge, so it is an upper bound on the true quantile.
+  // q in [0, 1]; 0 when empty. The upper edge of the bin that holds the
+  // ceil(q * count)-th sample, clamped to [observed_min, observed_max]: an
+  // upper bound on that sample within one bin, and exact for one sample.
   double quantile(double q) const;
   double observed_max() const { return observed_max_; }
   double observed_min() const { return observed_min_; }
@@ -71,34 +70,10 @@ class LogHistogram {
   double observed_max_ = 0.0;
 };
 
-// Exact empirical CDF over retained samples.
-class EmpiricalCdf {
- public:
-  void add(double v) { samples_.push_back(v); }
-  void add_all(std::span<const double> vs);
-  void merge(const EmpiricalCdf& other);
-
-  std::size_t size() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  // Fraction of samples <= x.
-  double fraction_at_or_below(double x) const;
-  // q in [0, 1].
-  double quantile(double q) const;
-  double min() const;
-  double max() const;
-
-  // Evenly spaced plot points (num points along the sample range).
-  std::vector<std::pair<double, double>> cdf_points(std::size_t num) const;
-
-  std::span<const double> sorted_samples() const;
-
- private:
-  void ensure_sorted() const;
-  double percentile_from_sorted(double q) const;
-
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
+// The layout of every microsecond-duration distribution outside Fig. 4's
+// CDF (the campaign timeline's per-source overheads, the span sampler's
+// per-label root durations): [1e-3, 1e7] us with adjacent bin edges at most
+// 1 % apart, ceil(ln(1e10) / ln(1.01)) = 2,315 bins.
+LogHistogram duration_us_histogram();
 
 }  // namespace hpcos

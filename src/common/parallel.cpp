@@ -200,8 +200,6 @@ class Scheduler {
 
   std::size_t capacity() const { return nworkers_ + 1; }
 
-  static bool in_region() { return tl_executing_ != nullptr; }
-
   std::vector<WorkerHealth> worker_health() const {
     std::vector<WorkerHealth> out(nworkers_ + 1);
     for (std::size_t i = 0; i <= nworkers_; ++i) {
@@ -230,23 +228,6 @@ class Scheduler {
       out[i] = deques_[i].approx_depth();
     }
     return out;
-  }
-
-  void set_timeline(bool enabled) {
-    std::lock_guard<std::mutex> lock(timeline_mutex_);
-    park_events_.clear();
-    depth_samples_.clear();
-    timeline_enabled_.store(enabled, std::memory_order_release);
-  }
-
-  std::vector<ParkEvent> park_events() const {
-    std::lock_guard<std::mutex> lock(timeline_mutex_);
-    return park_events_;
-  }
-
-  std::vector<DepthSample> depth_samples() const {
-    std::lock_guard<std::mutex> lock(timeline_mutex_);
-    return depth_samples_;
   }
 
   void run(std::size_t count, const std::function<void(std::size_t)>& fn,
@@ -341,12 +322,6 @@ class Scheduler {
       h.parks.fetch_add(1, std::memory_order_relaxed);
       h.park_ns.fetch_add(static_cast<std::uint64_t>(park_end - park_start),
                           std::memory_order_relaxed);
-      if (timeline_enabled_.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> tlock(timeline_mutex_);
-        if (park_events_.size() < kTimelineCap) {
-          park_events_.push_back(ParkEvent{slot, park_start, park_end});
-        }
-      }
     }
   }
 
@@ -424,14 +399,8 @@ class Scheduler {
     return c;
   }
 
-  // Publish-time backlog probe: one relaxed depth read per deque. The
-  // counters are always on; timeline appends happen only when enabled
-  // and take the (cold) timeline mutex once per dispatch.
+  // Publish-time backlog probe: one relaxed depth read per deque.
   void sample_depths() {
-    const bool timeline = timeline_enabled_.load(std::memory_order_acquire);
-    const std::int64_t t = timeline ? host_now_ns() : 0;
-    std::vector<DepthSample> batch;
-    if (timeline) batch.reserve(nworkers_ + 1);
     for (std::size_t i = 0; i <= nworkers_; ++i) {
       const std::uint64_t d = deques_[i].approx_depth();
       SlotHealth& h = health_[i];
@@ -440,16 +409,6 @@ class Scheduler {
       std::uint64_t prev = h.max_depth.load(std::memory_order_relaxed);
       while (prev < d && !h.max_depth.compare_exchange_weak(
                              prev, d, std::memory_order_relaxed)) {
-      }
-      if (timeline) {
-        batch.push_back(DepthSample{i, t, static_cast<std::size_t>(d)});
-      }
-    }
-    if (timeline) {
-      std::lock_guard<std::mutex> lock(timeline_mutex_);
-      for (const DepthSample& s : batch) {
-        if (depth_samples_.size() >= kTimelineCap) break;
-        depth_samples_.push_back(s);
       }
     }
   }
@@ -500,8 +459,6 @@ class Scheduler {
     std::atomic<std::uint64_t> max_depth{0};
   };
 
-  static constexpr std::size_t kTimelineCap = 65536;
-
   // Top-level session (external callers serialize; workers never take it).
   std::mutex session_mutex_;
 
@@ -516,12 +473,6 @@ class Scheduler {
   std::unique_ptr<ChunkDeque[]> deques_;  // [0] = external caller slot
   std::unique_ptr<SlotHealth[]> health_;  // parallel to deques_
   std::vector<std::jthread> workers_;     // request_stop + join on destruction
-
-  // Timeline rings (diagnosis only; bounded, cold-path mutex).
-  std::atomic<bool> timeline_enabled_{false};
-  mutable std::mutex timeline_mutex_;
-  std::vector<ParkEvent> park_events_;        // guarded by timeline_mutex_
-  std::vector<DepthSample> depth_samples_;    // guarded by timeline_mutex_
 
   // Dispatch counters in the host-counter table. Chunk and steal totals
   // need no table entry: they are sums over the per-slot health above.
@@ -558,8 +509,6 @@ std::size_t default_parallelism() {
 
 std::size_t parallel_capacity() { return Scheduler::instance().capacity(); }
 
-bool in_parallel_region() { return Scheduler::in_region(); }
-
 std::vector<WorkerHealth> parallel_worker_health() {
   return Scheduler::instance().worker_health();
 }
@@ -582,18 +531,6 @@ WorkerHealth parallel_health_total() {
 
 std::vector<std::size_t> parallel_deque_depths() {
   return Scheduler::instance().deque_depths();
-}
-
-void set_scheduler_timeline(bool enabled) {
-  Scheduler::instance().set_timeline(enabled);
-}
-
-std::vector<ParkEvent> scheduler_park_events() {
-  return Scheduler::instance().park_events();
-}
-
-std::vector<DepthSample> scheduler_depth_samples() {
-  return Scheduler::instance().depth_samples();
 }
 
 void parallel_for(std::size_t count,

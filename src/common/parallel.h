@@ -36,11 +36,6 @@ std::size_t default_parallelism();
 // capacity rather than silently assuming helpers that don't exist.
 std::size_t parallel_capacity();
 
-// True while the current thread is executing chunks of a parallel_for —
-// on scheduler workers and on the calling thread (which always
-// participates).
-bool in_parallel_region();
-
 // Per-slot scheduler health since process start. Slot 0 is the external
 // caller slot (whichever thread holds the top-level session); slots
 // 1..n are the persistent workers. Counters are single-writer relaxed
@@ -74,26 +69,6 @@ WorkerHealth parallel_health_total();
 // diagnostics (the stall watchdog's "where is the backlog" view), never
 // for control flow.
 std::vector<std::size_t> parallel_deque_depths();
-
-// Optional scheduler timeline capture (off by default). When enabled,
-// park intervals and publish-time deque-depth samples are appended to
-// bounded global rings (host steady-clock timestamps, ns). Recording
-// stops silently once a ring is full; enabling clears both rings.
-// Timeline data is host-scheduling-dependent and therefore for
-// diagnosis only — never fold it into deterministic outputs.
-struct ParkEvent {
-  std::size_t worker = 0;  // slot index (1..n; slot 0 never parks)
-  std::int64_t start_ns = 0;
-  std::int64_t end_ns = 0;
-};
-struct DepthSample {
-  std::size_t worker = 0;  // slot index whose deque was probed
-  std::int64_t t_ns = 0;
-  std::size_t depth = 0;
-};
-void set_scheduler_timeline(bool enabled);
-std::vector<ParkEvent> scheduler_park_events();
-std::vector<DepthSample> scheduler_depth_samples();
 
 // Invoke fn(i) for every i in [0, count) across up to `threads` workers
 // (0 = default_parallelism(), 1 = inline serial execution; values above

@@ -73,11 +73,6 @@ std::uint64_t RngStream::uniform_index(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 bool RngStream::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -138,13 +133,6 @@ SimTime RngStream::uniform_time(SimTime lo, SimTime hi) {
   if (hi <= lo) return lo;
   const auto span = static_cast<std::uint64_t>((hi - lo).count_ns());
   return lo + SimTime::ns(static_cast<std::int64_t>(uniform_index(span)));
-}
-
-SimTime RngStream::normal_time(SimTime mean, SimTime stddev, SimTime floor) {
-  const double v = normal(static_cast<double>(mean.count_ns()),
-                          static_cast<double>(stddev.count_ns()));
-  const auto t = SimTime::ns(static_cast<std::int64_t>(v));
-  return t < floor ? floor : t;
 }
 
 }  // namespace hpcos

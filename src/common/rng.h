@@ -44,8 +44,6 @@ class RngStream {
   double uniform(double lo, double hi);
   // Uniform integer in [0, n); n must be > 0.
   std::uint64_t uniform_index(std::uint64_t n);
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   bool bernoulli(double p);
   // Exponential with the given mean (not rate).
   double exponential(double mean);
@@ -60,10 +58,6 @@ class RngStream {
   // Duration helpers used throughout the noise models.
   SimTime exponential_time(SimTime mean);
   SimTime uniform_time(SimTime lo, SimTime hi);
-  // Normal-distributed duration clamped at a floor (durations can't go
-  // negative).
-  SimTime normal_time(SimTime mean, SimTime stddev,
-                      SimTime floor = SimTime::zero());
 
  private:
   std::array<std::uint64_t, 4> state_{};

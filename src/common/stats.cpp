@@ -79,11 +79,4 @@ SampleSummary summarize(std::span<const double> samples) {
   return s;
 }
 
-double coefficient_of_variation(std::span<const double> samples) {
-  OnlineStats os;
-  for (double v : samples) os.add(v);
-  if (os.count() < 2 || os.mean() == 0.0) return 0.0;
-  return os.stddev() / os.mean();
-}
-
 }  // namespace hpcos

@@ -53,8 +53,4 @@ struct SampleSummary {
 
 SampleSummary summarize(std::span<const double> samples);
 
-// Relative standard deviation of per-run results; used for error bars in
-// the application figures.
-double coefficient_of_variation(std::span<const double> samples);
-
 }  // namespace hpcos

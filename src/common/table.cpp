@@ -52,10 +52,6 @@ void TextTable::set_align(std::size_t column, Align a) {
   align_.at(column) = a;
 }
 
-const std::string& TextTable::cell(std::size_t row, std::size_t col) const {
-  return rows_.at(row).at(col);
-}
-
 void TextTable::print(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {

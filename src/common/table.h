@@ -35,7 +35,6 @@ class TextTable {
 
   std::size_t num_rows() const { return rows_.size(); }
   std::size_t num_columns() const { return headers_.size(); }
-  const std::string& cell(std::size_t row, std::size_t col) const;
 
  private:
   std::vector<std::string> headers_;

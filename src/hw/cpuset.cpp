@@ -39,8 +39,6 @@ void CpuSet::set(CoreId id, bool value) {
   bits_[static_cast<std::size_t>(id)] = value;
 }
 
-void CpuSet::clear() { std::fill(bits_.begin(), bits_.end(), false); }
-
 std::size_t CpuSet::count() const {
   return static_cast<std::size_t>(
       std::count(bits_.begin(), bits_.end(), true));

@@ -29,7 +29,6 @@ class CpuSet {
   std::size_t capacity() const { return bits_.size(); }
   bool test(CoreId id) const;
   void set(CoreId id, bool value = true);
-  void clear();
 
   std::size_t count() const;
   bool empty() const { return count() == 0; }

@@ -4,18 +4,6 @@
 
 namespace hpcos::hw {
 
-std::string to_string(MemoryKind k) {
-  switch (k) {
-    case MemoryKind::kDdr4:
-      return "DDR4";
-    case MemoryKind::kMcdram:
-      return "MCDRAM";
-    case MemoryKind::kHbm2:
-      return "HBM2";
-  }
-  return "?";
-}
-
 void NodeMemory::add_region(MemoryRegion region) {
   HPCOS_CHECK(region.params.capacity_bytes > 0);
   regions_.push_back(region);

@@ -11,7 +11,6 @@
 namespace hpcos::hw {
 
 enum class MemoryKind { kDdr4, kMcdram, kHbm2 };
-std::string to_string(MemoryKind k);
 
 struct MemoryParams {
   MemoryKind kind = MemoryKind::kDdr4;

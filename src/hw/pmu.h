@@ -34,7 +34,6 @@ struct PmuCounters {
   void add(PmuEvent e, std::uint64_t delta) {
     values[static_cast<int>(e)] += delta;
   }
-  PmuCounters delta_since(const PmuCounters& earlier) const;
 };
 
 struct PmuParams {

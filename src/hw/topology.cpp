@@ -42,13 +42,6 @@ void NodeTopology::add_numa_domain(NumaDomain domain) {
   numa_.push_back(std::move(domain));
 }
 
-NumaId NodeTopology::numa_of(CoreId logical) const {
-  for (const auto& d : numa_) {
-    if (d.cores.test(logical)) return d.id;
-  }
-  return kInvalidNuma;
-}
-
 std::uint64_t NodeTopology::total_memory_bytes() const {
   return std::accumulate(numa_.begin(), numa_.end(), std::uint64_t{0},
                          [](std::uint64_t acc, const NumaDomain& d) {

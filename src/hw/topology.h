@@ -34,7 +34,6 @@ class NodeTopology {
 
   void add_numa_domain(NumaDomain domain);
   const std::vector<NumaDomain>& numa_domains() const { return numa_; }
-  NumaId numa_of(CoreId logical) const;
   std::uint64_t total_memory_bytes() const;
 
   // The system/application split. On Fugaku: 2-4 assistant cores vs 48

@@ -44,11 +44,6 @@ void ResourcePartition::release_memory(std::uint64_t bytes) {
   reserved_memory_ -= bytes;
 }
 
-void ResourcePartition::release_all() {
-  reserved_cpus_.clear();
-  reserved_memory_ = 0;
-}
-
 hw::CpuSet ResourcePartition::remaining_host_cpus() const {
   return host_cores_.minus(reserved_cpus_);
 }

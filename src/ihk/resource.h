@@ -30,7 +30,6 @@ class ResourcePartition {
 
   void release_cpus(const hw::CpuSet& cores);
   void release_memory(std::uint64_t bytes);
-  void release_all();
 
   const hw::CpuSet& reserved_cpus() const { return reserved_cpus_; }
   std::uint64_t reserved_memory() const { return reserved_memory_; }

@@ -42,10 +42,6 @@ std::uint64_t VirtualNuma::used_bytes(MemRegion region) const {
   return region_for(region).used;
 }
 
-std::uint64_t VirtualNuma::capacity_bytes(MemRegion region) const {
-  return region_for(region).capacity;
-}
-
 double VirtualNuma::frag_score(const Region& r) {
   if (r.churn == 0) return 0.0;
   // Churn equal to the region capacity ~= fully recycled memory; score

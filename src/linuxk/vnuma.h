@@ -31,7 +31,6 @@ class VirtualNuma {
   void free(MemRegion region, std::uint64_t bytes);
 
   std::uint64_t used_bytes(MemRegion region) const;
-  std::uint64_t capacity_bytes(MemRegion region) const;
 
   // Multiplier (>= 1) on application page-fault service time caused by
   // fragmentation of the region application allocations draw from.

@@ -243,20 +243,6 @@ os::NodeKernel::SyscallDisposition McKernel::do_munmap(
   return d;
 }
 
-SimTime McKernel::touch_memory(os::Pid pid, std::uint64_t addr,
-                               std::uint64_t length) {
-  os::Process& proc = process(pid);
-  const os::FaultBatch batch = proc.address_space.touch_batch(addr, length);
-  if (batch.faults == 0) return SimTime::zero();
-  obs::bump(fault_counter_, batch.faults);
-  const SimTime cost =
-      config_.page_fault_cost * static_cast<std::int64_t>(batch.faults);
-  record_fault_spans(hw::kInvalidCore,
-                     lwk_fault_kind(batch.page_size, /*bulk=*/false),
-                     batch.faults, cost);
-  return cost;
-}
-
 void McKernel::record_fault_spans(hw::CoreId core, os::FaultKind kind,
                                   std::uint64_t faults, SimTime cost) {
   sim::TraceBuffer* tb = trace();

@@ -52,9 +52,6 @@ class McKernel final : public os::NodeKernel {
   // of performance sensitive system calls").
   static bool is_local_syscall(os::Syscall no);
 
-  // First-touch fault-in, LWK fault path (cheap, no fragmentation effects).
-  SimTime touch_memory(os::Pid pid, std::uint64_t addr, std::uint64_t length);
-
   // POSIX signal delivery: wakes blocked targets (EINTR), interrupts
   // running ones.
   void send_signal(os::ThreadId target);

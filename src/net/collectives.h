@@ -15,9 +15,6 @@ class Collectives {
 
   const Fabric& fabric() const { return fabric_; }
 
-  // Forward observability wiring to the owned fabric.
-  void set_registry(obs::Registry* registry) { fabric_.set_registry(registry); }
-
   // Dissemination barrier: ceil(log2 P) rounds of zero-byte messages.
   // TofuD's hardware-assisted barrier gates cut the per-round software
   // overhead roughly in half.

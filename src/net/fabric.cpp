@@ -48,29 +48,12 @@ int Fabric::average_hops(std::int64_t nodes) const {
   return nodes <= 32 ? 1 : 3;
 }
 
-void Fabric::set_registry(obs::Registry* registry) {
-  if (registry == nullptr) {
-    messages_counter_ = nullptr;
-    busy_ns_counter_ = nullptr;
-    return;
-  }
-  messages_counter_ = registry->counter("fabric.messages");
-  busy_ns_counter_ = registry->counter("fabric.busy_ns");
-}
-
-void Fabric::account(SimTime busy) const {
-  obs::bump(messages_counter_);
-  obs::bump(busy_ns_counter_, static_cast<std::uint64_t>(busy.count_ns()));
-}
-
 SimTime Fabric::p2p(std::uint64_t bytes, std::int64_t nodes) const {
   const int hops = average_hops(nodes);
   const double bw_sec = static_cast<double>(bytes) /
                         static_cast<double>(params_.bandwidth_bytes_per_sec);
-  const SimTime cost = params_.sw_overhead + params_.injection_overhead +
-                       params_.link_latency * hops + SimTime::from_sec(bw_sec);
-  account(cost);
-  return cost;
+  return params_.sw_overhead + params_.injection_overhead +
+         params_.link_latency * hops + SimTime::from_sec(bw_sec);
 }
 
 SimTime Fabric::halo_exchange(std::uint64_t bytes_per_neighbor,
@@ -81,11 +64,8 @@ SimTime Fabric::halo_exchange(std::uint64_t bytes_per_neighbor,
   const double bw_sec =
       static_cast<double>(bytes_per_neighbor) /
       static_cast<double>(params_.bandwidth_bytes_per_sec);
-  const SimTime cost =
-      (params_.sw_overhead + params_.injection_overhead) * neighbors +
-      params_.link_latency * 2 + SimTime::from_sec(bw_sec);
-  account(cost);
-  return cost;
+  return (params_.sw_overhead + params_.injection_overhead) * neighbors +
+         params_.link_latency * 2 + SimTime::from_sec(bw_sec);
 }
 
 }  // namespace hpcos::net

@@ -13,7 +13,6 @@
 
 #include "common/sim_time.h"
 #include "hw/platform.h"
-#include "obs/registry.h"
 
 namespace hpcos::net {
 
@@ -47,17 +46,8 @@ class Fabric {
   SimTime halo_exchange(std::uint64_t bytes_per_neighbor,
                         int neighbors) const;
 
-  // Register fabric.messages and fabric.busy_ns (total modeled link-busy
-  // time). Counters are bumped from the const cost methods, so they are
-  // held mutably; the single-writer rule still applies.
-  void set_registry(obs::Registry* registry);
-
  private:
-  void account(SimTime busy) const;
-
   FabricParams params_;
-  obs::Counter* messages_counter_ = nullptr;
-  obs::Counter* busy_ns_counter_ = nullptr;
 };
 
 }  // namespace hpcos::net

@@ -592,7 +592,7 @@ void add_explain_metrics(BenchReport& report, const ExplainReport& ex) {
 
 void add_span_label_metrics(
     BenchReport& report, const std::vector<sim::TraceRecord>& records,
-    const std::map<std::string, QuantileSketch>* label_sketches) {
+    const std::map<std::string, LogHistogram>* label_sketches) {
   const sim::SpanForest forest(records);
   // Summed self time per label over every spanned record — nested spans
   // never double count because self = total - children in the forest.
@@ -609,7 +609,7 @@ void add_span_label_metrics(
     m.value = total;
     if (label_sketches != nullptr) {
       const auto it = label_sketches->find(label);
-      if (it != label_sketches->end() && !it->second.empty()) {
+      if (it != label_sketches->end() && it->second.total_count() > 0) {
         m.percentiles["p50"] = it->second.quantile(0.50);
         m.percentiles["p99"] = it->second.quantile(0.99);
       }

@@ -30,7 +30,7 @@
 //                   regression names its source.
 //   4. spans      — self-time deltas per span label
 //                   (span.<label>.self_us, SpanForest aggregates) plus
-//                   p50/p99 movement from the per-label QuantileSketch
+//                   p50/p99 movement from the per-label LogHistogram
 //                   percentiles.
 //
 // The layers fold into one ranked cause list; causes[0] is the headline.
@@ -47,7 +47,7 @@
 #include <vector>
 
 #include "common/confighash.h"
-#include "common/sketch.h"
+#include "common/histogram.h"
 #include "obs/bench_diff.h"
 #include "obs/bench_report.h"
 #include "obs/trend.h"
@@ -104,7 +104,7 @@ struct SpanLabelDelta {
   double current_self_us = 0.0;
   double delta_us = 0.0;
   double rel_delta = 0.0;
-  // Quantile movement from the per-label sketch percentiles, when both
+  // Quantile movement from the per-label histogram percentiles, when both
   // sides carried them.
   bool has_quantiles = false;
   double p50_base = 0.0, p50_current = 0.0;
@@ -181,12 +181,12 @@ void add_explain_metrics(BenchReport& report, const ExplainReport& ex);
 
 // Emit span-label aggregates in the explainer's naming convention:
 //   span.<label>.self_us          summed SpanForest self time per label
-//   (percentiles p50/p99)         from the per-label sketch when present
+//   (percentiles p50/p99)         from the per-label histogram when present
 // so any target with a span trace becomes explainable. Labels come from
-// spanned records only; sketches are keyed by root label (obs/live
+// spanned records only; histograms are keyed by root label (obs/live
 // NodeSample::sketches is the usual source).
 void add_span_label_metrics(
     BenchReport& report, const std::vector<sim::TraceRecord>& records,
-    const std::map<std::string, QuantileSketch>* label_sketches = nullptr);
+    const std::map<std::string, LogHistogram>* label_sketches = nullptr);
 
 }  // namespace hpcos::obs::explain

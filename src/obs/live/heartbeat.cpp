@@ -173,32 +173,34 @@ HeartbeatLog read_heartbeat_log(const std::string& path, bool strict) {
                          "heartbeat", "heartbeat log");
 }
 
-HeartbeatAggregates aggregate_heartbeats(
-    const std::vector<JsonValue>& records) {
-  HeartbeatAggregates agg;
-  for (const JsonValue& rec : records) {
-    ++agg.records;
-    const std::string& kind = rec.at("kind").as_string();
-    if (kind == "tick") ++agg.ticks;
-    agg.stalls = std::max(
-        agg.stalls, static_cast<std::uint64_t>(rec.at("stalls").as_number()));
-    // Cumulative fields: the stream's last word wins.
-    agg.events_total = static_cast<std::uint64_t>(rec.at("events").as_number());
-    agg.elapsed_s = std::max(agg.elapsed_s, rec.at("t_ms").as_number() / 1e3);
-    agg.events_per_sec_max =
-        std::max(agg.events_per_sec_max, rec.at("events_per_sec").as_number());
-    agg.units_done =
-        static_cast<std::uint64_t>(rec.at("units_done").as_number());
-    agg.units_total =
-        static_cast<std::uint64_t>(rec.at("units_total").as_number());
-    agg.peak_rss_bytes = std::max(
-        agg.peak_rss_bytes,
-        static_cast<std::uint64_t>(rec.at("peak_rss_bytes").as_number()));
-  }
+void fold_heartbeat(HeartbeatAggregates& agg, const JsonValue& record) {
+  ++agg.records;
+  if (record.at("kind").as_string() == "tick") ++agg.ticks;
+  agg.stalls = std::max(
+      agg.stalls, static_cast<std::uint64_t>(record.at("stalls").as_number()));
+  // Cumulative fields: the stream's last word wins.
+  agg.events_total =
+      static_cast<std::uint64_t>(record.at("events").as_number());
+  agg.elapsed_s = std::max(agg.elapsed_s, record.at("t_ms").as_number() / 1e3);
+  agg.events_per_sec_max = std::max(agg.events_per_sec_max,
+                                    record.at("events_per_sec").as_number());
+  agg.units_done =
+      static_cast<std::uint64_t>(record.at("units_done").as_number());
+  agg.units_total =
+      static_cast<std::uint64_t>(record.at("units_total").as_number());
+  agg.peak_rss_bytes = std::max(
+      agg.peak_rss_bytes,
+      static_cast<std::uint64_t>(record.at("peak_rss_bytes").as_number()));
   if (agg.elapsed_s > 0.0) {
     agg.events_per_sec_mean =
         static_cast<double>(agg.events_total) / agg.elapsed_s;
   }
+}
+
+HeartbeatAggregates aggregate_heartbeats(
+    const std::vector<JsonValue>& records) {
+  HeartbeatAggregates agg;
+  for (const JsonValue& rec : records) fold_heartbeat(agg, rec);
   return agg;
 }
 

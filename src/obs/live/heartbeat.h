@@ -109,6 +109,10 @@ struct HeartbeatAggregates {
   std::uint64_t units_total = 0;
   std::uint64_t peak_rss_bytes = 0;
 };
+// Fold one validated record into `agg`. aggregate_heartbeats folds a whole
+// stream; the ProgressMeter folds each record as it writes it, so its
+// summary equals aggregate_heartbeats over the stream it wrote.
+void fold_heartbeat(HeartbeatAggregates& agg, const JsonValue& record);
 HeartbeatAggregates aggregate_heartbeats(const std::vector<JsonValue>& records);
 
 }  // namespace hpcos::obs::live

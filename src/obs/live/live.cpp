@@ -155,7 +155,8 @@ struct ProgressMeter::Impl {
   void emit(const Heartbeat& hb) {
     // heartbeat_line re-validates: a meter that emits schema-invalid
     // records is a bug worth crashing a bench over.
-    const std::string line = heartbeat_line(heartbeat_to_json(hb));
+    const JsonValue record = heartbeat_to_json(hb);
+    const std::string line = heartbeat_line(record);
     if (out.is_open()) {
       out << line << '\n';
       out.flush();  // tail -f consumers see each tick promptly
@@ -163,22 +164,9 @@ struct ProgressMeter::Impl {
     if (cfg.stderr_line) {
       std::fputs((heartbeat_ascii(hb) + "\n").c_str(), stderr);
     }
-    fold(hb);
-  }
-
-  // Mirror of aggregate_heartbeats over the emitted stream, maintained
-  // incrementally so stop() needs no re-read of the file.
-  void fold(const Heartbeat& hb) {
-    ++agg.records;
-    if (hb.kind == "tick") ++agg.ticks;
-    agg.stalls = std::max(agg.stalls, hb.stalls);
-    agg.events_total = hb.events;
-    agg.elapsed_s = std::max(agg.elapsed_s, hb.t_ms / 1e3);
-    agg.events_per_sec_max = std::max(agg.events_per_sec_max,
-                                      hb.events_per_sec);
-    agg.units_done = hb.units_done;
-    agg.units_total = hb.units_total;
-    agg.peak_rss_bytes = std::max(agg.peak_rss_bytes, hb.peak_rss_bytes);
+    // The record just written, folded as aggregate_heartbeats folds the
+    // stream, so stop() needs no re-read of the file.
+    fold_heartbeat(agg, record);
   }
 
   void loop(std::stop_token st) {
@@ -294,10 +282,6 @@ MeterSummary ProgressMeter::stop() {
   impl_->emit(hb);
   prof::set_live_feed(false);
   if (impl_->out.is_open()) impl_->out.close();
-  if (impl_->agg.elapsed_s > 0.0) {
-    impl_->agg.events_per_sec_mean =
-        static_cast<double>(impl_->agg.events_total) / impl_->agg.elapsed_s;
-  }
   impl_->summary.active = true;
   impl_->summary.agg = impl_->agg;
   return impl_->summary;

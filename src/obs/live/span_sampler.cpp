@@ -33,9 +33,12 @@ NodeSample sample_node(const SpanSamplerConfig& cfg, std::uint64_t node_index,
   for (std::size_t root : forest.roots()) {
     ++sample.roots_seen;
     const sim::TraceRecord& rec = forest.records()[root];
-    // Exact side first: every root contributes its duration, kept or not.
-    auto [it, inserted] = sample.sketches.try_emplace(
-        rec.label, QuantileSketch(cfg.sketch_relative_error));
+    // Distribution side first: every root contributes its duration, kept
+    // or not.
+    auto it = sample.sketches.find(rec.label);
+    if (it == sample.sketches.end()) {
+      it = sample.sketches.emplace(rec.label, duration_us_histogram()).first;
+    }
     it->second.add(rec.duration.to_us());
 
     // Sampled side: rate gate, then Algorithm-R reservoir over the kept
@@ -61,12 +64,6 @@ NodeSample sample_node(const SpanSamplerConfig& cfg, std::uint64_t node_index,
   }
   sample.records_kept = sample.records.size();
   return sample;
-}
-
-std::size_t SampledTrace::sketch_bucket_count() const {
-  std::size_t total = 0;
-  for (const auto& [label, sketch] : sketches) total += sketch.bucket_count();
-  return total;
 }
 
 SampledTrace aggregate_samples(const std::vector<NodeSample>& samples) {

@@ -5,10 +5,11 @@
 // ring is hundreds of GiB of TraceRecords. The sampler decouples the two
 // costs:
 //
-//   * Distributions stay EXACT and bounded: every root span's duration
-//     feeds a per-label QuantileSketch (log-bucketed, mergeable), so
-//     p50/p99/p999 latency per span label cover the full population at
-//     O(buckets) memory no matter how long the run is.
+//   * Distributions cover every root and stay bounded: every root span's
+//     duration feeds a per-label LogHistogram in the duration_us_histogram()
+//     layout (bin edges 1 % apart, mergeable), so p50/p99/p999 latency per
+//     span label cover the full population in a fixed 18.5 KB per label no
+//     matter how long the run is.
 //   * Raw trees are SAMPLED: each root is kept with probability `rate`
 //     by a per-(seed, node) RngStream, optionally thinned further by an
 //     Algorithm-R reservoir of at most `max_roots_per_node` roots; a
@@ -18,7 +19,7 @@
 //
 // Determinism: sample_node() is a pure function of (config, node_index,
 // records) — the RNG is derived from (seed, node) alone, never from a
-// global counter or host state — and sketch merge is exactly
+// global counter or host state — and histogram merge is exactly
 // associative. Sampling node outputs in parallel and aggregating them in
 // node-index order therefore yields bit-identical results for any host
 // thread count, the same contract as every campaign merge (DESIGN §6).
@@ -30,8 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/rng.h"
-#include "common/sketch.h"
 #include "sim/trace.h"
 
 namespace hpcos::obs::live {
@@ -44,8 +45,6 @@ struct SpanSamplerConfig {
   // Reservoir cap on retained roots per node after rate sampling;
   // 0 = unlimited. This is the hard memory bound for long runs.
   std::size_t max_roots_per_node = 0;
-  // Relative error of the per-label duration sketches.
-  double sketch_relative_error = 0.01;
 };
 
 // One node's sampled trace. `sketches` cover every root seen (exact
@@ -55,8 +54,8 @@ struct NodeSample {
   std::uint64_t roots_kept = 0;
   std::uint64_t records_kept = 0;
   std::vector<sim::TraceRecord> records;
-  // Root-span label -> sketch of root durations in microseconds.
-  std::map<std::string, QuantileSketch> sketches;
+  // Root-span label -> histogram of root durations in microseconds.
+  std::map<std::string, LogHistogram> sketches;
 };
 
 // Sample one node's record snapshot. Pure: no global state, no host
@@ -72,11 +71,7 @@ struct SampledTrace {
   std::uint64_t roots_kept = 0;
   std::uint64_t records_kept = 0;
   std::vector<sim::TraceRecord> records;
-  std::map<std::string, QuantileSketch> sketches;
-
-  // Total sketch buckets across labels — the distribution side's entire
-  // memory footprint, what the bounded-memory test pins.
-  std::size_t sketch_bucket_count() const;
+  std::map<std::string, LogHistogram> sketches;
 };
 SampledTrace aggregate_samples(const std::vector<NodeSample>& samples);
 

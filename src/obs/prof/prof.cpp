@@ -85,12 +85,6 @@ ScopeId intern(const std::string& name) {
   return id;
 }
 
-std::string scope_name(ScopeId id) {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return id < s.names.size() ? s.names[id] : std::string("<unknown>");
-}
-
 bool enabled() { return state().enabled.load(std::memory_order_relaxed); }
 
 void set_enabled(bool on) {

@@ -49,7 +49,6 @@ namespace hpcos::obs::prof {
 // local static), never per fire.
 using ScopeId = std::uint32_t;
 ScopeId intern(const std::string& name);
-std::string scope_name(ScopeId id);
 
 // Global enable switch (relaxed atomic; one load per scope entry).
 bool enabled();

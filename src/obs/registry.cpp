@@ -29,13 +29,6 @@ const Counter* Registry::find_counter(const std::string& name) const {
   return nullptr;
 }
 
-const LogHistogram* Registry::find_histogram(const std::string& name) const {
-  for (const auto& h : histograms_) {
-    if (h.name == name) return h.value.get();
-  }
-  return nullptr;
-}
-
 Snapshot Registry::snapshot() const {
   Snapshot s;
   s.counters.reserve(counters_.size());

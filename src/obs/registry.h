@@ -22,7 +22,7 @@
 // Counter naming convention (see EXPERIMENTS.md "Observability"):
 //   <subsystem>.<object>[.<detail>]   e.g. ikc.to_host.posted,
 //   offload.requests, lwk.sched.dispatches, linux.tlb.shootdown_ipis,
-//   fabric.busy_ns, fwq.topk.evictions. Units are encoded as the last
+//   offload.rtt_us, fwq.topk.evictions. Units are encoded as the last
 //   name segment when not "events" (_ns, _us, _bytes).
 #pragma once
 
@@ -98,7 +98,6 @@ class Registry {
   // Lookup without creation (nullptr when absent) — for tests and report
   // tools.
   const Counter* find_counter(const std::string& name) const;
-  const LogHistogram* find_histogram(const std::string& name) const;
 
   std::size_t counter_count() const { return counters_.size(); }
   std::size_t histogram_count() const { return histograms_.size(); }

@@ -87,12 +87,6 @@ Process& NodeKernel::process(Pid pid) {
   return *it->second;
 }
 
-const Process& NodeKernel::process(Pid pid) const {
-  auto it = processes_.find(pid);
-  HPCOS_CHECK_MSG(it != processes_.end(), "unknown pid");
-  return *it->second;
-}
-
 bool NodeKernel::process_alive(Pid pid) const {
   return processes_.contains(pid);
 }
@@ -286,18 +280,6 @@ void NodeKernel::preempt_running(hw::CoreId core) {
   // Preempted threads stay local: queue back on the same core.
   sched().enqueue(core, t);
   on_thread_enqueued(core);
-  maybe_dispatch(core);
-}
-
-void NodeKernel::block_running(Thread& thread) {
-  HPCOS_CHECK(thread.state == ThreadState::kRunning);
-  const hw::CoreId core = thread.core;
-  CoreState& cs = core_state(core);
-  HPCOS_CHECK(cs.running == thread.tid);
-  pause_burst(core);
-  thread.state = ThreadState::kBlocked;
-  thread.action = PendingAction{};
-  release_core(core);
   maybe_dispatch(core);
 }
 

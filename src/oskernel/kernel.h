@@ -61,7 +61,6 @@ class NodeKernel {
   // ---- processes & threads ----
   Pid create_process(ProcessAttrs attrs);
   Process& process(Pid pid);
-  const Process& process(Pid pid) const;
   bool process_alive(Pid pid) const;
 
   // Spawn a thread. Empty affinity means "all owned cores". The thread is
@@ -148,9 +147,6 @@ class NodeKernel {
   // Move the running thread (if any) back to the ready queue and dispatch
   // the scheduler's next pick.
   void preempt_running(hw::CoreId core);
-
-  // Block the running thread outside of the syscall path (subclass use).
-  void block_running(Thread& thread);
 
   void trace_event(hw::CoreId core, sim::TraceCategory cat, SimTime duration,
                    const std::string& label);

@@ -109,11 +109,6 @@ void export_chrome_trace(const std::vector<TraceRecord>& records,
   if (!out) throw std::runtime_error("write failed for trace: " + path);
 }
 
-void export_chrome_trace(const TraceBuffer& buffer, const std::string& path,
-                         const ChromeTraceOptions& options) {
-  export_chrome_trace(buffer.snapshot(), path, options);
-}
-
 std::string validate_chrome_trace(const JsonValue& doc) {
   if (!doc.is_object()) return "document is not a JSON object";
   const JsonValue* events = doc.find("traceEvents");

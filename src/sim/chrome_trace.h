@@ -58,10 +58,8 @@ struct ChromeTraceGroup {
 // the validator's monotonic-ts check holds across groups.
 JsonValue chrome_trace_document(const std::vector<ChromeTraceGroup>& groups);
 
-// Snapshot `buffer` and write the document to `path` (pretty-printed).
-// Throws std::runtime_error on I/O failure.
-void export_chrome_trace(const TraceBuffer& buffer, const std::string& path,
-                         const ChromeTraceOptions& options = {});
+// Write the document to `path` (pretty-printed). Throws
+// std::runtime_error on I/O failure.
 void export_chrome_trace(const std::vector<TraceRecord>& records,
                          const std::string& path,
                          const ChromeTraceOptions& options = {});

@@ -259,13 +259,13 @@ TEST(LogHistogram, TableBinningMatchesLogFormula) {
     double max_value;
     std::size_t bins;
   };
-  // Every layout the tree constructs (campaign CDF, offload latencies,
-  // proxy backlog, IKC in-flight), the layouts of the tests above, and one
-  // whose |log| range is too wide for a table.
-  const Layout layouts[] = {{1000.0, 1e6, 2048}, {0.1, 1e5, 48},
-                            {1.0, 1024.0, 24},   {1.0, 4096.0, 32},
-                            {1.0, 1000.0, 30},   {10.0, 100.0, 4},
-                            {1e-40, 1e40, 64}};
+  // Every layout the tree constructs (campaign CDF, duration_us_histogram,
+  // offload latencies, proxy backlog, IKC in-flight), the layouts of the
+  // tests above, and one whose |log| range is too wide for a table.
+  const Layout layouts[] = {{1000.0, 1e6, 2048}, {1e-3, 1e7, 2315},
+                            {0.1, 1e5, 48},      {1.0, 1024.0, 24},
+                            {1.0, 4096.0, 32},   {1.0, 1000.0, 30},
+                            {10.0, 100.0, 4},    {1e-40, 1e40, 64}};
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const Layout& l : layouts) {
     SCOPED_TRACE(::testing::Message() << "layout {" << l.min_value << ", "
@@ -309,17 +309,178 @@ TEST(LogHistogram, TableBinningMatchesLogFormula) {
   }
 }
 
-TEST(EmpiricalCdf, FractionsAndQuantiles) {
-  EmpiricalCdf c;
-  for (int i = 1; i <= 10; ++i) c.add(double(i));
-  EXPECT_DOUBLE_EQ(c.fraction_at_or_below(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(c.fraction_at_or_below(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(c.fraction_at_or_below(100.0), 1.0);
-  EXPECT_DOUBLE_EQ(c.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(c.quantile(1.0), 10.0);
-  const auto pts = c.cdf_points(10);
-  EXPECT_EQ(pts.size(), 10u);
-  EXPECT_DOUBLE_EQ(pts.back().second, 1.0);
+// ---- LogHistogram as the repo's one distribution type: the quantile
+// contract the timeline and the span sampler rely on.
+
+TEST(LogHistogram, EmptyHistogramReturnsZero) {
+  const LogHistogram h = duration_us_histogram();
+  EXPECT_EQ(h.total_count(), 0u);
+  for (double q : {0.0, 0.5, 1.0}) EXPECT_EQ(h.quantile(q), 0.0) << q;
+}
+
+TEST(LogHistogram, SingleValueEveryQuantileIsThatValue) {
+  LogHistogram h = duration_us_histogram();
+  h.add(42.5);
+  // Clamping to the observed [min, max] makes one-sample histograms exact.
+  for (double q : {0.0, 0.25, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(h.quantile(q), 42.5) << "q=" << q;
+  }
+}
+
+TEST(LogHistogram, QuantileNeverLeavesTheObservedRange) {
+  // Fig. 4's layout: the first bin [1000, 1003.4) us is empty, so the
+  // q = 0 search stops there and its upper edge lies below every sample.
+  LogHistogram h(1000.0, 1e6, 2048);
+  h.add(6500.0);
+  h.add(7000.0);
+  EXPECT_EQ(h.quantile(0.0), 6500.0);
+  EXPECT_EQ(h.quantile(1.0), 7000.0);
+  // Every sample above the top edge: the last bin's upper edge (10) would
+  // again lie below all of them.
+  LogHistogram above(1.0, 10.0, 4);
+  above.add(20.0);
+  above.add(30.0);
+  for (double q : {0.0, 0.5, 1.0}) {
+    EXPECT_GE(above.quantile(q), 20.0) << q;
+    EXPECT_LE(above.quantile(q), 30.0) << q;
+  }
+}
+
+TEST(LogHistogram, WeightedAddEqualsRepeatedAdd) {
+  LogHistogram weighted = duration_us_histogram();
+  LogHistogram repeated = duration_us_histogram();
+  RngStream rng(Seed{5}, 0);
+  for (int i = 0; i < 200; ++i) {
+    const double v = rng.lognormal(3.0, 1.0);
+    const auto w = static_cast<std::uint64_t>(1 + i % 7);
+    weighted.add_n(v, w);
+    for (std::uint64_t k = 0; k < w; ++k) repeated.add(v);
+  }
+  ASSERT_EQ(weighted.total_count(), repeated.total_count());
+  for (std::size_t i = 0; i < weighted.num_bins(); ++i) {
+    ASSERT_EQ(weighted.bin_count(i), repeated.bin_count(i)) << i;
+  }
+  for (double q : {0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(weighted.quantile(q), repeated.quantile(q)) << q;
+  }
+  // Zero-weight adds are no-ops.
+  const double before = weighted.quantile(0.5);
+  weighted.add_n(1e9, 0);
+  EXPECT_EQ(weighted.quantile(0.5), before);
+  EXPECT_EQ(weighted.total_count(), repeated.total_count());
+}
+
+TEST(LogHistogram, MergeIsExactAndOrderInvariant) {
+  RngStream rng(Seed{8}, 3);
+  std::vector<double> samples;
+  for (int i = 0; i < 4000; ++i) samples.push_back(rng.lognormal(4.0, 1.2));
+
+  LogHistogram whole = duration_us_histogram();
+  for (double v : samples) whole.add(v);
+
+  // 8 ragged shards, merged forward and reversed: integer bin counts make
+  // both orders bit-identical to the single pass.
+  std::vector<LogHistogram> shards(8, duration_us_histogram());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    shards[(i * i + 3) % shards.size()].add(samples[i]);
+  }
+  LogHistogram forward = duration_us_histogram();
+  for (const auto& s : shards) forward.merge(s);
+  LogHistogram reversed = duration_us_histogram();
+  for (auto it = shards.rbegin(); it != shards.rend(); ++it) {
+    reversed.merge(*it);
+  }
+  for (const LogHistogram* m : {&forward, &reversed}) {
+    ASSERT_EQ(m->total_count(), whole.total_count());
+    EXPECT_EQ(m->observed_min(), whole.observed_min());
+    EXPECT_EQ(m->observed_max(), whole.observed_max());
+    for (std::size_t i = 0; i < whole.num_bins(); ++i) {
+      ASSERT_EQ(m->bin_count(i), whole.bin_count(i)) << i;
+    }
+    for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(m->quantile(q), whole.quantile(q)) << q;
+    }
+  }
+}
+
+TEST(LogHistogram, ZeroAndNegativeValuesLandInTheFirstBin) {
+  LogHistogram h = duration_us_histogram();
+  h.add(0.0);
+  h.add(-3.0);
+  h.add(h.bin_lower(0));  // at the bottom edge: the first bin as well
+  EXPECT_EQ(h.total_count(), 3u);
+  EXPECT_EQ(h.bin_count(0), 3u);
+  // The first bin's upper edge, clamped to the largest sample.
+  EXPECT_EQ(h.quantile(0.5), h.observed_max());
+  // Mixed stream: the first bin holds the low ranks, positives the high.
+  h.add(10.0);
+  h.add(10.0);
+  EXPECT_EQ(h.quantile(0.0), h.bin_upper(0));
+  EXPECT_EQ(h.quantile(0.5), h.bin_upper(0));
+  EXPECT_EQ(h.observed_min(), -3.0);  // observed min still reported
+  EXPECT_EQ(h.quantile(1.0), 10.0);
+}
+
+TEST(LogHistogram, MergeRejectsMismatchedLayout) {
+  // The duration layout against the same range at 5 % edges
+  // (ceil(ln(1e10) / ln(1.05)) = 472 bins) and against the same bin count
+  // over a shifted range: neither merges, and a refused merge changes
+  // nothing.
+  LogHistogram a = duration_us_histogram();
+  LogHistogram coarser(1e-3, 1e7, 472);
+  LogHistogram shifted(1e-2, 1e8, a.num_bins());
+  coarser.add(1.0);
+  shifted.add(1.0);
+  EXPECT_THROW(a.merge(coarser), std::invalid_argument);
+  EXPECT_THROW(a.merge(shifted), std::invalid_argument);
+  EXPECT_EQ(a.total_count(), 0u);
+  // Merging an empty same-layout histogram is a no-op.
+  a.add(5.0);
+  a.merge(duration_us_histogram());
+  EXPECT_EQ(a.total_count(), 1u);
+  EXPECT_EQ(a.quantile(0.5), 5.0);
+}
+
+TEST(LogHistogram, DurationLayoutEdgesAtMostOnePercentApart) {
+  const LogHistogram h = duration_us_histogram();
+  EXPECT_DOUBLE_EQ(h.bin_lower(0), 1e-3);
+  EXPECT_DOUBLE_EQ(h.bin_upper(h.num_bins() - 1), 1e7);
+  // Every bin has the same edge ratio; one bin fewer would exceed 1 %.
+  EXPECT_LE(h.bin_upper(0) / h.bin_lower(0), 1.01);
+  const LogHistogram fewer(1e-3, 1e7, h.num_bins() - 1);
+  EXPECT_GT(fewer.bin_upper(0) / fewer.bin_lower(0), 1.01);
+}
+
+TEST(LogHistogram, QuantilesWithinBinRatioOfBatchPercentile) {
+  // Lognormal overhead-like data spanning ~4 decades, on the duration
+  // layout's [1e-3, 1e7] range at edge ratios of 1 % (the layout itself)
+  // and 5 %: every quantile, the extremes included, sits within one edge
+  // ratio of stats::percentile.
+  for (double ratio : {1.01, 1.05}) {
+    const auto bins = static_cast<std::size_t>(
+        std::ceil(std::log(1e7 / 1e-3) / std::log(ratio)));
+    LogHistogram h(1e-3, 1e7, bins);
+    std::vector<double> samples;
+    RngStream rng(Seed{6}, 1);
+    for (int i = 0; i < 20000; ++i) {
+      const double v = rng.lognormal(2.0, 1.4);
+      samples.push_back(v);
+      h.add(v);
+    }
+    std::sort(samples.begin(), samples.end());
+    for (double q : {0.0, 0.05, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      const double exact = percentile_sorted(samples, q * 100.0);
+      EXPECT_NEAR(h.quantile(q), exact, (ratio - 1.0) * exact)
+          << "ratio=" << ratio << " q=" << q;
+    }
+  }
+}
+
+TEST(LogHistogram, ConstructorRejectsBadLayout) {
+  EXPECT_THROW(LogHistogram(0.0, 10.0, 4), std::invalid_argument);
+  EXPECT_THROW(LogHistogram(-1.0, 10.0, 4), std::invalid_argument);
+  EXPECT_THROW(LogHistogram(10.0, 10.0, 4), std::invalid_argument);
+  EXPECT_THROW(LogHistogram(1.0, 10.0, 0), std::invalid_argument);
 }
 
 TEST(TextTable, RendersAlignedColumns) {

@@ -152,8 +152,6 @@ TEST(ConfigHash, EverySemanticFwqKnobChangesTheHash) {
       {"timeline_buckets", [](auto& c) { c.timeline_buckets += 1; }},
       {"timeline_resolution",
        [](auto& c) { c.timeline_resolution = SimTime::ms(5); }},
-      {"sketch_relative_error",
-       [](auto& c) { c.sketch_relative_error = 0.02; }},
       {"heatmap_rows", [](auto& c) { c.heatmap_rows += 1; }},
       {"heatmap_cols", [](auto& c) { c.heatmap_cols += 1; }},
       {"seed", [](auto& c) { c.seed = Seed{c.seed.value + 1}; }},

@@ -11,8 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "common/confighash.h"
+#include "common/histogram.h"
 #include "common/json.h"
-#include "common/sketch.h"
 #include "obs/bench_diff.h"
 #include "obs/bench_report.h"
 #include "obs/explain/explain.h"
@@ -319,9 +319,12 @@ TEST(ExplainProducers, SpanLabelMetricsSumSelfTimeWithoutDoubleCount) {
   second_root.duration = SimTime::us(10);
   records.push_back(second_root);
 
-  std::map<std::string, QuantileSketch> sketches;
-  sketches["bsp:compute"].add(25.0);
-  sketches["bsp:compute"].add(10.0);
+  std::map<std::string, LogHistogram> sketches;
+  LogHistogram& compute_us =
+      sketches.try_emplace("bsp:compute", duration_us_histogram())
+          .first->second;
+  compute_us.add(25.0);
+  compute_us.add(10.0);
 
   obs::BenchReport report("spans", /*quick=*/true);
   ex::add_span_label_metrics(report, records, &sketches);

@@ -218,6 +218,40 @@ TEST(ProgressMeter, StopEmitsFinalHeartbeatAndAggregates) {
   EXPECT_EQ(meter.stop().agg.events_total, 5000u);
 }
 
+TEST(ProgressMeter, SummaryEqualsAggregatesOfTheStreamItWrote) {
+  TempFile stream("meter_fold.heartbeat.jsonl");
+  ProgressConfig cfg;
+  cfg.target = "fold_test";
+  cfg.interval_ms = 10;
+  cfg.jsonl_path = stream.path;
+  cfg.stderr_line = false;
+  ProgressMeter meter(cfg);
+  meter.start();
+  feed(prof::kLiveUnitsTotal, 10);
+  for (int i = 0; i < 5; ++i) {
+    feed(prof::kLiveEvents, 1000);
+    feed(prof::kLiveUnitsDone, 2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  }
+  const HeartbeatAggregates got = meter.stop().agg;
+  const HeartbeatAggregates want = aggregate_heartbeats(
+      read_heartbeat_log(stream.path, /*strict=*/true).records);
+
+  ASSERT_GE(want.records, 2u);  // at least one tick plus the final record
+  EXPECT_EQ(got.records, want.records);
+  EXPECT_EQ(got.ticks, want.ticks);
+  EXPECT_EQ(got.stalls, want.stalls);
+  EXPECT_EQ(got.events_total, want.events_total);
+  // Doubles compared exactly: the stream stores shortest round-trip text.
+  EXPECT_EQ(got.elapsed_s, want.elapsed_s);
+  EXPECT_EQ(got.events_per_sec_mean, want.events_per_sec_mean);
+  EXPECT_EQ(got.events_per_sec_max, want.events_per_sec_max);
+  EXPECT_EQ(got.units_done, want.units_done);
+  EXPECT_EQ(got.units_total, want.units_total);
+  EXPECT_EQ(got.peak_rss_bytes, want.peak_rss_bytes);
+  EXPECT_EQ(got.events_total, 5000u);
+}
+
 TEST(ProgressMeter, WatchdogFiresOnInjectedStallWithDiagnosticSnapshot) {
   TempFile stream("meter_stall.heartbeat.jsonl");
   std::mutex mu;
@@ -350,9 +384,9 @@ TEST(SpanSampler, RateOneKeepsEveryTreeExactly) {
   EXPECT_EQ(sample.roots_kept, 25u);
   EXPECT_EQ(sample.records_kept, records.size());
   ASSERT_EQ(sample.records.size(), records.size());
-  // One sketch per root label, fed by every root.
+  // One histogram per root label, fed by every root.
   ASSERT_EQ(sample.sketches.size(), 1u);
-  EXPECT_EQ(sample.sketches.at("offload.write").count(), 25u);
+  EXPECT_EQ(sample.sketches.at("offload.write").total_count(), 25u);
 }
 
 TEST(SpanSampler, TenTimesLongerRunStaysWithinReservoirBound) {
@@ -368,9 +402,9 @@ TEST(SpanSampler, TenTimesLongerRunStaysWithinReservoirBound) {
   EXPECT_LE(base.roots_kept, cfg.max_roots_per_node);
   EXPECT_EQ(ten_x.roots_kept, cfg.max_roots_per_node);
   EXPECT_LE(ten_x.records_kept, cfg.max_roots_per_node * 4);
-  // Exact side: the sketch still covers the full population.
+  // Distribution side: the histogram still covers the full population.
   EXPECT_EQ(ten_x.roots_seen, 400u);
-  EXPECT_EQ(ten_x.sketches.at("offload.write").count(), 400u);
+  EXPECT_EQ(ten_x.sketches.at("offload.write").total_count(), 400u);
 }
 
 TEST(SpanSampler, PureFunctionOfConfigNodeAndRecords) {
@@ -415,8 +449,13 @@ TEST(SpanSampler, AggregateMergesSketchesAndCountsAcrossNodes) {
   EXPECT_EQ(whole.nodes, 6u);
   EXPECT_EQ(whole.roots_seen, 300u);
   EXPECT_LE(whole.roots_kept, 6u * cfg.max_roots_per_node);
-  EXPECT_EQ(whole.sketches.at("offload.write").count(), 300u);
-  EXPECT_GT(whole.sketch_bucket_count(), 0u);
+  // The merged histogram covers every root of every node.
+  std::uint64_t node_roots = 0;
+  for (const NodeSample& s : samples) {
+    node_roots += s.sketches.at("offload.write").total_count();
+  }
+  EXPECT_EQ(whole.sketches.at("offload.write").total_count(), 300u);
+  EXPECT_EQ(node_roots, 300u);
   std::uint64_t records_sum = 0;
   for (const NodeSample& s : samples) records_sum += s.records_kept;
   EXPECT_EQ(whole.records_kept, records_sum);

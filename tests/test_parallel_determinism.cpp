@@ -23,7 +23,6 @@
 #include "common/histogram.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/sketch.h"
 #include "common/stats.h"
 #include "noise/profiles.h"
 #include "obs/bench_report.h"
@@ -38,6 +37,19 @@ namespace {
 
 using namespace hpcos::literals;
 
+// Bitwise LogHistogram identity: every bin count and the observed range.
+void expect_same_histogram(const LogHistogram& a, const LogHistogram& b,
+                           const std::string& what) {
+  ASSERT_EQ(a.num_bins(), b.num_bins()) << what;
+  ASSERT_EQ(a.total_count(), b.total_count()) << what;
+  // EXPECT_EQ on doubles on purpose: bitwise identity.
+  EXPECT_EQ(a.observed_min(), b.observed_min()) << what;
+  EXPECT_EQ(a.observed_max(), b.observed_max()) << what;
+  for (std::size_t i = 0; i < a.num_bins(); ++i) {
+    ASSERT_EQ(a.bin_count(i), b.bin_count(i)) << what << " bin " << i;
+  }
+}
+
 void expect_identical(const FwqCampaignResult& a, const FwqCampaignResult& b) {
   EXPECT_EQ(a.total_iterations, b.total_iterations);
   EXPECT_EQ(a.stats.t_min, b.stats.t_min);
@@ -49,13 +61,7 @@ void expect_identical(const FwqCampaignResult& a, const FwqCampaignResult& b) {
   EXPECT_DOUBLE_EQ(a.stats.noise_rate, b.stats.noise_rate);
   ASSERT_EQ(a.worst_node_max_us.size(), b.worst_node_max_us.size());
   EXPECT_EQ(a.worst_node_max_us, b.worst_node_max_us);
-  ASSERT_EQ(a.cdf.num_bins(), b.cdf.num_bins());
-  EXPECT_EQ(a.cdf.total_count(), b.cdf.total_count());
-  EXPECT_DOUBLE_EQ(a.cdf.observed_min(), b.cdf.observed_min());
-  EXPECT_DOUBLE_EQ(a.cdf.observed_max(), b.cdf.observed_max());
-  for (std::size_t i = 0; i < a.cdf.num_bins(); ++i) {
-    ASSERT_EQ(a.cdf.bin_count(i), b.cdf.bin_count(i)) << "bin " << i;
-  }
+  expect_same_histogram(a.cdf, b.cdf, "cdf");
 }
 
 FwqCampaignConfig campaign_config(std::size_t threads) {
@@ -160,9 +166,9 @@ TEST(ParallelDeterminism, RunLedgerDeterministicLineIdenticalAcrossThreads) {
 }
 
 TEST(ParallelDeterminism, TimelineIdenticalAcrossThreadCounts) {
-  // The streaming timeline (per-source series, quantile sketches, node x
+  // The streaming timeline (per-source series, overhead histograms, node x
   // time heatmap) accumulates shard-locally and merges in shard order:
-  // every bucket, sketch quantile, and heatmap cell must be bit-identical
+  // every bucket, histogram bin, and heatmap cell must be bit-identical
   // for threads in {1, 2, 8}.
   const auto profile = noise::fugaku_linux_profile();
   auto with_timeline = [](std::size_t threads) {
@@ -193,13 +199,8 @@ TEST(ParallelDeterminism, TimelineIdenticalAcrossThreadCounts) {
         ASSERT_EQ(sa.bucket(j).min, sb.bucket(j).min) << i << "/" << j;
         ASSERT_EQ(sa.bucket(j).max, sb.bucket(j).max) << i << "/" << j;
       }
-      const auto& ka = a.timeline.sketches[i];
-      const auto& kb = b.timeline.sketches[i];
-      ASSERT_EQ(ka.count(), kb.count()) << "slot " << i;
-      ASSERT_EQ(ka.bucket_count(), kb.bucket_count()) << "slot " << i;
-      for (double q : {0.5, 0.99, 0.999}) {
-        ASSERT_EQ(ka.quantile(q), kb.quantile(q)) << "slot " << i;
-      }
+      expect_same_histogram(a.timeline.sketches[i], b.timeline.sketches[i],
+                            "slot " + std::to_string(i));
     }
     const auto& ga = a.timeline.heatmap;
     const auto& gb = b.timeline.heatmap;
@@ -251,12 +252,11 @@ TEST(ParallelDeterminism, NestedCampaignMergesIdenticalAcrossThreadCounts) {
   // run_plan + relative_performance now execute via the work-stealing
   // scheduler): inner results land in index-addressed slots, shard
   // accumulators fold them in item order, and shards merge in shard
-  // order — so Histogram, OnlineStats, and QuantileSketch must all be
-  // bit-identical across host thread counts.
+  // order — so LogHistogram and OnlineStats must both be bit-identical
+  // across host thread counts.
   struct Merged {
     LogHistogram hist{1000.0, 1e6, 1024};
     OnlineStats stats;
-    QuantileSketch sketch{0.01};
   };
   auto run = [](std::size_t threads) {
     const std::size_t shards = 7;
@@ -276,7 +276,6 @@ TEST(ParallelDeterminism, NestedCampaignMergesIdenticalAcrossThreadCounts) {
           for (double v : vals) {
             accs[sh].hist.add(v);
             accs[sh].stats.add(v);
-            accs[sh].sketch.add(v);
           }
         },
         threads);
@@ -284,32 +283,20 @@ TEST(ParallelDeterminism, NestedCampaignMergesIdenticalAcrossThreadCounts) {
     for (const auto& acc : accs) {
       m.hist.merge(acc.hist);
       m.stats.merge(acc.stats);
-      m.sketch.merge(acc.sketch);
     }
     return m;
   };
   const Merged serial = run(1);
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const Merged par = run(threads);
-    ASSERT_EQ(par.hist.total_count(), serial.hist.total_count());
-    EXPECT_DOUBLE_EQ(par.hist.observed_min(), serial.hist.observed_min());
-    EXPECT_DOUBLE_EQ(par.hist.observed_max(), serial.hist.observed_max());
-    for (std::size_t i = 0; i < serial.hist.num_bins(); ++i) {
-      ASSERT_EQ(par.hist.bin_count(i), serial.hist.bin_count(i))
-          << "threads " << threads << " bin " << i;
-    }
+    expect_same_histogram(par.hist, serial.hist,
+                          "threads " + std::to_string(threads));
     EXPECT_EQ(par.stats.count(), serial.stats.count());
     // EXPECT_EQ on doubles on purpose: bitwise identity.
     EXPECT_EQ(par.stats.mean(), serial.stats.mean());
     EXPECT_EQ(par.stats.stddev(), serial.stats.stddev());
     EXPECT_EQ(par.stats.min(), serial.stats.min());
     EXPECT_EQ(par.stats.max(), serial.stats.max());
-    EXPECT_EQ(par.sketch.count(), serial.sketch.count());
-    EXPECT_EQ(par.sketch.bucket_count(), serial.sketch.bucket_count());
-    for (double q : {0.5, 0.9, 0.99, 0.999}) {
-      EXPECT_EQ(par.sketch.quantile(q), serial.sketch.quantile(q))
-          << "threads " << threads << " q " << q;
-    }
   }
 }
 
@@ -477,8 +464,8 @@ TEST(ParallelDeterminism, SampledSpanTraceIdenticalAcrossThreadCounts) {
   // The sampler's contract (obs/live/span_sampler.h): sample_node is a
   // pure function of (config, node, records) and aggregation happens in
   // node-index order, so the whole sampled trace — kept span sequence,
-  // counts, and every sketch quantile — must be bit-identical no matter
-  // how many host threads ran the per-node sampling.
+  // counts, and every per-label histogram — must be bit-identical no
+  // matter how many host threads ran the per-node sampling.
   namespace live = obs::live;
   constexpr std::size_t kNodes = 48;
   live::SpanSamplerConfig cfg;
@@ -518,22 +505,18 @@ TEST(ParallelDeterminism, SampledSpanTraceIdenticalAcrossThreadCounts) {
     for (const auto& [label, sketch] : a.sketches) {
       const auto it = b.sketches.find(label);
       ASSERT_NE(it, b.sketches.end()) << label;
-      EXPECT_EQ(sketch.count(), it->second.count()) << label;
-      EXPECT_EQ(sketch.bucket_count(), it->second.bucket_count()) << label;
-      for (double q : {0.5, 0.9, 0.99, 0.999}) {
-        // Bitwise: merge is exactly associative and node-ordered.
-        EXPECT_DOUBLE_EQ(sketch.quantile(q), it->second.quantile(q))
-            << label << " q=" << q;
-      }
+      // Bitwise: merge is exactly associative and node-ordered.
+      expect_same_histogram(sketch, it->second, label);
     }
   };
   expect_identical(serial, two);
   expect_identical(serial, eight);
 
   // Sanity on the fixture itself: sampling actually thinned something
-  // and the sketch side still covers the full population.
+  // and the histogram side still covers the full population.
   EXPECT_GT(serial.roots_seen, serial.roots_kept);
-  EXPECT_EQ(serial.sketches.at("offload.write").count(), serial.roots_seen);
+  EXPECT_EQ(serial.sketches.at("offload.write").total_count(),
+            serial.roots_seen);
 }
 
 }  // namespace

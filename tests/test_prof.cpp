@@ -235,7 +235,7 @@ TEST_F(ProfTest, SimulatorQueueTelemetryAndHandlerAttribution) {
   EXPECT_EQ(counts.count("des.fire.test.b"), 0u);
 }
 
-TEST_F(ProfTest, SchedulerHealthCountersAndTimeline) {
+TEST_F(ProfTest, SchedulerHealthCounters) {
   auto sum_pushes = [] {
     std::uint64_t n = 0;
     for (const auto& h : parallel_worker_health()) n += h.pushes;
@@ -249,24 +249,16 @@ TEST_F(ProfTest, SchedulerHealthCountersAndTimeline) {
 
   const std::uint64_t pushes_before = sum_pushes();
   const std::uint64_t chunks_before = sum_chunks();
-  set_scheduler_timeline(true);
   std::atomic<std::uint64_t> acc{0};
   parallel_for(64, [&](std::size_t i) {
     acc.fetch_add(i, std::memory_order_relaxed);
   }, 4);
-  const auto depths = scheduler_depth_samples();
-  set_scheduler_timeline(false);
 
   EXPECT_EQ(acc.load(), 64u * 63u / 2u);
   // Health counters are cumulative across the process; the run must have
   // pushed at least one chunk and executed them all.
   EXPECT_GT(sum_pushes(), pushes_before);
   EXPECT_GE(sum_chunks() - chunks_before, sum_pushes() - pushes_before);
-  // One depth-sample batch per parallel_for (one sample per slot).
-  EXPECT_GE(depths.size(), 1u);
-  // Disabling clears the rings.
-  EXPECT_TRUE(scheduler_depth_samples().empty());
-  EXPECT_TRUE(scheduler_park_events().empty());
 }
 
 TEST_F(ProfTest, AllocCountersAndHostSample) {

@@ -14,7 +14,6 @@
 #include "cluster/fwq_campaign.h"
 #include "cluster/osenv.h"
 #include "common/check.h"
-#include "common/sketch.h"
 #include "noise/profiles.h"
 #include "obs/bench_report.h"
 #include "obs/registry.h"
@@ -450,7 +449,7 @@ TEST(CampaignTimeline, SeriesTotalsReconcileWithLedgerSlots) {
         << slot.source;
     series_total += series.total_sum();
     if (slot.stolen_us > 0.0) {
-      EXPECT_GT(sketch.count(), 0u) << slot.source;
+      EXPECT_GT(sketch.total_count(), 0u) << slot.source;
       EXPECT_GE(sketch.quantile(0.99), 0.0) << slot.source;
     }
     // In-window samples at the derived resolution never overflow the ring.

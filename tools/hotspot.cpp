@@ -15,15 +15,16 @@
 //      depth-over-virtual-time), the per-handler host-time attribution,
 //      and exports the folded-stack flamegraph (--folded).
 //   2. Scheduler health: the same campaign across the work-stealing
-//      pool with the park/depth timeline enabled; prints per-worker
-//      deque depth, steal success rates, and park time.
+//      pool; prints per-worker deque depth, steal success rates, and
+//      park time.
 //   3. Memory: per-subsystem allocation counters (the host-counter
 //      table's mem.* entries) and process RSS.
 //   4. Sampled span tracing (obs/live): the accounting node's span trace
 //      through the deterministic sampler, both lossless (rate=1 must
 //      keep every tree — an exactness check on the sampler itself) and
 //      thinned (rate + reservoir cap, the full-scale memory story), with
-//      per-label duration quantiles from the exact sketch side.
+//      per-label duration quantiles from the histograms that see every
+//      root.
 //
 // Exit status is non-zero when any accounting check fails, so the
 // hotspot_smoke ctest job guards the profiler's arithmetic, not just
@@ -253,7 +254,6 @@ int main(int argc, char** argv) {
 
   // ---- 2. scheduler health (parallel campaign) --------------------------
   obs::prof::reset();
-  set_scheduler_timeline(true);
   // Ask for at least two participants so the run crosses the scheduler
   // even on single-core CI hosts (requests clamp to parallel_capacity();
   // results are thread-count-independent by the determinism contract).
@@ -262,9 +262,6 @@ int main(int argc, char** argv) {
       campaign_config(q, std::max<std::size_t>(2, parallel_capacity())));
   const auto health = parallel_worker_health();
   const WorkerHealth sched_total = parallel_health_total();
-  const auto parks = scheduler_park_events();
-  const auto depths = scheduler_depth_samples();
-  set_scheduler_timeline(false);
 
   const bool campaign_identical =
       serial_campaign.stats.noise_rate == parallel_campaign.stats.noise_rate &&
@@ -301,8 +298,7 @@ int main(int argc, char** argv) {
          TextTable::fmt_int(static_cast<long long>(h.max_depth))});
   }
   sched.print(std::cout);
-  std::cout << "timeline: " << parks.size() << " park intervals, "
-            << depths.size() << " depth samples;  parallel results "
+  std::cout << "parallel results "
             << (campaign_identical ? "match serial (bit-identical)"
                                    : "DIFFER FROM SERIAL (BUG)")
             << "\n";
@@ -329,8 +325,8 @@ int main(int argc, char** argv) {
   // lossless (rate=1, no cap) must keep every tree bit-for-bit — the
   // in-tool twin of the quick-scale exactness test — while the thinned
   // config shows what a full-machine run would retain per node. The
-  // sketches cover every root either way, so the quantile columns are
-  // exact regardless of how hard the raw side thins.
+  // histograms cover every root either way, so the quantile columns do
+  // not depend on how hard the raw side thins.
   const std::vector<sim::TraceRecord> trace_records = node->trace().snapshot();
   std::size_t spanned_records = 0;
   for (const sim::TraceRecord& r : trace_records) {
@@ -356,18 +352,15 @@ int main(int argc, char** argv) {
   ok = ok && sampler_lossless && reservoir_bounded;
 
   print_banner(std::cout, "Sampled span tracing (obs/live, node span trace)");
-  std::size_t sketch_buckets = 0;
-  TextTable span_table(
-      {"root label", "roots", "p50 us", "p99 us", "max us", "buckets"});
-  for (std::size_t c = 1; c < 6; ++c) span_table.set_align(c, Align::kRight);
+  TextTable span_table({"root label", "roots", "p50 us", "p99 us", "max us"});
+  for (std::size_t c = 1; c < 5; ++c) span_table.set_align(c, Align::kRight);
   for (const auto& [label, sketch] : lossless.sketches) {
-    sketch_buckets += sketch.bucket_count();
     span_table.add_row(
-        {label, TextTable::fmt_int(static_cast<long long>(sketch.count())),
+        {label,
+         TextTable::fmt_int(static_cast<long long>(sketch.total_count())),
          TextTable::fmt(sketch.quantile(0.50), 2),
          TextTable::fmt(sketch.quantile(0.99), 2),
-         TextTable::fmt(sketch.max(), 2),
-         TextTable::fmt_int(static_cast<long long>(sketch.bucket_count()))});
+         TextTable::fmt(sketch.observed_max(), 2)});
   }
   span_table.print(std::cout);
   std::cout << "trace: " << trace_records.size() << " records ("
@@ -424,10 +417,8 @@ int main(int argc, char** argv) {
                     static_cast<double>(thinned.records_kept));
   report.add_metric("live.sketch.labels.count", "count",
                     static_cast<double>(lossless.sketches.size()));
-  report.add_metric("live.sketch.buckets.count", "count",
-                    static_cast<double>(sketch_buckets));
   // Per-label span self-time aggregates (span.<label>.self_us with
-  // p50/p99 from the lossless sketches) — the explainer's span layer
+  // p50/p99 from the lossless histograms) — the explainer's span layer
   // reads these, making hotspot runs pair-wise explainable.
   obs::explain::add_span_label_metrics(report, trace_records,
                                        &lossless.sketches);

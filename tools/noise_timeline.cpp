@@ -2,14 +2,16 @@
 //
 // Figure 3 shows per-countermeasure noise over a run on one node; Figure 4
 // profiles OS noise across the full machine. This tool drives the
-// streaming telemetry layer (obs/timeseries + common/sketch) end to end:
+// streaming telemetry layer (obs/timeseries + common/histogram) end to
+// end:
 //
 //  1. runs a seeded machine-scale FWQ campaign with the timeline enabled
 //     and reconciles every per-source series total against the
 //     attribution ledger (Eq. 2 stats) — the totals must agree to <1e-9
 //     relative error or the tool exits non-zero,
 //  2. renders the Fig. 3 analogue: per-source overhead over virtual time
-//     as an ASCII plot, with tail quantiles from the mergeable sketches,
+//     as an ASCII plot, with tail quantiles from the per-source
+//     histograms,
 //  3. renders the Fig. 4 analogue: a node x time overhead heatmap
 //     downsampled to a fixed grid at ingest,
 //  4. boots a DES multi-kernel node and turns periodic Registry snapshot
@@ -123,7 +125,7 @@ int main(int argc, char** argv) {
                    std::to_string(config.nodes) + " nodes x " +
                    std::to_string(config.app_cores) + " cores)");
   TextTable recon({"source", "ledger stolen (us)", "series sum (us)",
-                   "rel err", "sketch p99 (us)", "buckets"});
+                   "rel err", "p99 (us)", "buckets"});
   for (std::size_t c = 1; c < 5; ++c) recon.set_align(c, Align::kRight);
   double max_rel_err = 0.0;
   for (std::size_t i = 0; i < campaign.per_source.size(); ++i) {
