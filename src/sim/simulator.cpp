@@ -1,6 +1,8 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "obs/prof/counters.h"
@@ -10,6 +12,10 @@ namespace hpcos::sim {
 namespace {
 
 constexpr const char* kDefaultTag = "event";
+
+// Children per heap node: a 4-ary heap halves the depth of a binary one,
+// and the four children of a node sit next to each other in memory.
+constexpr std::size_t kArity = 4;
 
 // The DES loop's share of the live feed, looked up once per process.
 struct LiveFeed {
@@ -30,20 +36,40 @@ std::uint64_t sim_ns(SimTime t) {
   return static_cast<std::uint64_t>(t.count_ns());  // never negative
 }
 
+// The (time, seq) total order of heap records. Bitwise, not
+// short-circuit, operators keep it free of branches: which child of a
+// heap node is smallest is a coin flip the branch predictor cannot learn.
+template <class Record>
+bool before(const Record& a, const Record& b) {
+  return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
+}
+
 }  // namespace
 
 EventId Simulator::schedule_at(SimTime t, EventFn fn, const char* tag) {
+  static_assert(sizeof(Slot) == 64, "one slot per cache line");
+  static_assert(sizeof(HeapRecord) == 24);
   HPCOS_CHECK_MSG(t >= now_, "event scheduled in the past");
   HPCOS_CHECK(fn != nullptr);
   const std::uint64_t seq = next_seq_++;
-  heap_.push(HeapEntry{t, seq});
-  pending_.emplace(seq, Pending{std::move(fn), tag});
-  ++telemetry_.pushes;
-  if (pending_.size() > telemetry_.max_depth) {
-    telemetry_.max_depth = pending_.size();
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  if (depth_probe_) depth_probe_(now_, pending_.size());
-  return EventId{seq};
+  heap_push(HeapRecord{t.count_ns(), seq, slot});
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.tag = tag;
+  s.seq = seq;
+  ++live_;
+  ++telemetry_.pushes;
+  if (live_ > telemetry_.max_depth) telemetry_.max_depth = live_;
+  if (depth_probe_) depth_probe_(now_, live_);
+  return EventId{seq, slot};
 }
 
 EventId Simulator::schedule_after(SimTime dt, EventFn fn, const char* tag) {
@@ -52,10 +78,60 @@ EventId Simulator::schedule_after(SimTime dt, EventFn fn, const char* tag) {
 }
 
 bool Simulator::cancel(EventId id) {
-  if (!id.valid()) return false;
-  if (pending_.erase(id.seq) == 0) return false;
+  if (!id.valid() || id.slot >= slots_.size()) return false;
+  Slot& s = slots_[id.slot];
+  if (s.seq != id.seq) return false;  // fired, cancelled, or slot reused
+  // Free the slot first: the captured state's destructor runs when `dead`
+  // leaves scope, outside the slot table.
+  const EventFn dead = std::move(s.fn);
+  s.seq = 0;
+  free_slots_.push_back(id.slot);
+  --live_;
   ++telemetry_.cancels;
   return true;
+}
+
+void Simulator::heap_push(HeapRecord r) {
+  heap_.push_back(r);
+  std::size_t hole = heap_.size() - 1;
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!before(r, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = r;
+}
+
+void Simulator::heap_pop() {
+  const HeapRecord last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  HeapRecord* h = heap_.data();
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = kArity * hole + 1;
+    std::size_t best = first;
+    if (first + kArity <= n) {
+      // Smallest of four children as a two-round tournament, selected
+      // with masks rather than jumps.
+      const std::size_t a = first + before(h[first + 1], h[first]);
+      const std::size_t b = first + 2 + before(h[first + 3], h[first + 2]);
+      const std::size_t pick_b = -static_cast<std::size_t>(before(h[b], h[a]));
+      best = a ^ ((a ^ b) & pick_b);
+    } else if (first < n) {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (before(h[c], h[best])) best = c;
+      }
+    } else {
+      break;
+    }
+    if (!before(h[best], last)) break;
+    h[hole] = h[best];
+    hole = best;
+  }
+  h[hole] = last;
 }
 
 obs::prof::ScopeId Simulator::fire_scope(const char* tag) {
@@ -72,37 +148,46 @@ obs::prof::ScopeId Simulator::fire_scope(const char* tag) {
   return tags_.back().scope;
 }
 
-// Decompose the hot loop by handler kind: one profiler scope per tag, so
-// the fire shows up in the hotspot table / flamegraph. Out of line, so the
+// Decompose the hot loop into the queue and each handler kind: the pop
+// under one profiler scope, the fire under one scope per tag, so both
+// show up in the hotspot table / flamegraph. Out of line, so the
 // profiler-off path of step() carries none of it.
-[[gnu::noinline]] void Simulator::fire_profiled(Pending& ev) {
+[[gnu::noinline]] bool Simulator::pop_profiled(Popped& ev) {
+  PROF_SCOPE("des.queue.pop");
+  return pop_next(ev);
+}
+
+[[gnu::noinline]] void Simulator::fire_profiled(Popped& ev) {
   const obs::prof::ScopedTimer timer(
       fire_scope(ev.tag != nullptr ? ev.tag : kDefaultTag));
   ev.fn();
 }
 
-bool Simulator::pop_next(HeapEntry& out, Pending& ev) {
+bool Simulator::pop_next(Popped& ev) {
   while (!heap_.empty()) {
-    const HeapEntry top = heap_.top();
-    heap_.pop();
-    auto it = pending_.find(top.seq);
-    if (it == pending_.end()) {
-      ++telemetry_.skipped;  // cancelled; its ghost entry dies here
+    const HeapRecord top = heap_.front();
+    heap_pop();
+    if (is_ghost(top)) {
+      ++telemetry_.skipped;  // cancelled; its ghost record dies here
       continue;
     }
-    out = top;
-    ev = std::move(it->second);
-    pending_.erase(it);
+    Slot& s = slots_[top.slot];
+    ev.time = top.time;
+    ev.fn = std::move(s.fn);
+    ev.tag = s.tag;
+    s.seq = 0;
+    free_slots_.push_back(top.slot);
+    --live_;
     return true;
   }
   return false;
 }
 
 bool Simulator::step() {
-  HeapEntry e;
-  Pending ev;
-  if (!pop_next(e, ev)) return false;
-  now_ = e.time;
+  const bool profiled = obs::prof::enabled();
+  Popped ev;
+  if (!(profiled ? pop_profiled(ev) : pop_next(ev))) return false;
+  now_ = SimTime::ns(ev.time);
   ++executed_;
   ++telemetry_.pops;
   if (obs::prof::live_feed_enabled()) {
@@ -113,16 +198,16 @@ bool Simulator::step() {
     feed.events->add(1);
     if ((executed_ & 0x1FF) == 0) {
       feed.sim_time_ns->note_max(sim_ns(now_));
-      feed.des_depth->set(pending_.size());
-      feed.des_max_depth->note_max(pending_.size());
+      feed.des_depth->set(live_);
+      feed.des_max_depth->note_max(live_);
     }
   }
-  if (obs::prof::enabled()) {
+  if (profiled) {
     fire_profiled(ev);
   } else {
     ev.fn();
   }
-  if (depth_probe_) depth_probe_(now_, pending_.size());
+  if (depth_probe_) depth_probe_(now_, live_);
   return true;
 }
 
@@ -131,13 +216,12 @@ std::size_t Simulator::run_until(SimTime t_end) {
   std::size_t n = 0;
   while (!heap_.empty()) {
     // Peek at the earliest live event without committing to it.
-    HeapEntry top = heap_.top();
-    if (pending_.find(top.seq) == pending_.end()) {
-      heap_.pop();
+    if (is_ghost(heap_.front())) {
+      heap_pop();
       ++telemetry_.skipped;
       continue;
     }
-    if (top.time > t_end) break;
+    if (heap_.front().time > t_end.count_ns()) break;
     step();
     ++n;
   }
