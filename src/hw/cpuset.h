@@ -3,6 +3,10 @@
 // Used wherever the real systems use affinity masks: cgroup cpusets, IRQ
 // smp_affinity, kworker binding, blk_mq_hw_ctx.cpumask, and IHK's core
 // reservation.
+//
+// Storage is one 64-bit word per 64 cores (no core-count cap), so the set
+// algebra runs a word at a time. Bits at and above capacity() stay zero,
+// which makes the defaulted == compare capacity and membership.
 #pragma once
 
 #include <cstddef>
@@ -26,16 +30,21 @@ class CpuSet {
   // Contiguous range [first, last] inclusive, like "0-47".
   static CpuSet range(std::size_t num_cores, CoreId first, CoreId last);
 
-  std::size_t capacity() const { return bits_.size(); }
-  bool test(CoreId id) const;
+  std::size_t capacity() const { return size_; }
+  // Out-of-range ids (negative or >= capacity) read as unset.
+  bool test(CoreId id) const {
+    const auto i = static_cast<std::size_t>(id);  // negative ids wrap high
+    return i < size_ &&
+           ((words_[i / kWordBits] >> (i % kWordBits)) & 1u) != 0;
+  }
   void set(CoreId id, bool value = true);
 
   std::size_t count() const;
-  bool empty() const { return count() == 0; }
-  bool any() const { return !empty(); }
+  bool empty() const { return !any(); }
+  bool any() const;
 
   // First set core, or kInvalidCore when empty.
-  CoreId first() const;
+  CoreId first() const { return next(-1); }
   // Next set core strictly after `id`, or kInvalidCore.
   CoreId next(CoreId id) const;
   std::vector<CoreId> to_vector() const;
@@ -52,7 +61,10 @@ class CpuSet {
   std::string to_string() const;
 
  private:
-  std::vector<bool> bits_;
+  static constexpr std::size_t kWordBits = 64;
+
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> words_;  // core i is bit i % 64 of word i / 64
 };
 
 }  // namespace hpcos::hw

@@ -33,14 +33,17 @@ void IkcChannel::post(IkcMessage message) {
   obs::bump(posted_counter_);
   // Queue depth the new message observes (itself included).
   obs::observe(inflight_hist_, static_cast<double>(posted_ - delivered_));
-  sim_.schedule_after(
-      latency_,
-      [this, msg = std::move(message)] {
-        ++delivered_;
-        obs::bump(delivered_counter_);
-        receiver_(msg);
-      },
-      "ikc.deliver");
+  inflight_.push_back(std::move(message));
+  sim_.schedule_after(latency_, [this] { deliver(); }, "ikc.deliver");
+}
+
+void IkcChannel::deliver() {
+  // Off the queue before the receiver runs, which may post again.
+  const IkcMessage msg = std::move(inflight_.front());
+  inflight_.pop_front();
+  ++delivered_;
+  obs::bump(delivered_counter_);
+  receiver_(msg);
 }
 
 }  // namespace hpcos::ihk

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 
@@ -54,8 +55,9 @@ class IkcChannel {
   void set_registry(obs::Registry* registry);
 
   // Enqueue a message; delivered (receiver invoked) after the channel
-  // latency. Messages never reorder: delivery inherits the simulator's
-  // FIFO tie-breaking for equal timestamps.
+  // latency. Messages never reorder: the latency is fixed and the
+  // simulator breaks equal timestamps in scheduling order, so the k-th
+  // delivery event carries the k-th message posted.
   void post(IkcMessage message);
 
   const std::string& name() const { return name_; }
@@ -64,10 +66,16 @@ class IkcChannel {
   std::uint64_t messages_delivered() const { return delivered_; }
 
  private:
+  // Pops the oldest in-flight message and hands it to the receiver.
+  void deliver();
+
   sim::Simulator& sim_;
   std::string name_;
   SimTime latency_;
   Handler receiver_;
+  // Posted, not yet delivered, oldest first (so delivery events capture
+  // only `this`).
+  std::deque<IkcMessage> inflight_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t posted_ = 0;
   std::uint64_t delivered_ = 0;

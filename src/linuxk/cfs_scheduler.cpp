@@ -34,39 +34,44 @@ const CfsScheduler::Queue& CfsScheduler::queue(hw::CoreId core) const {
 }
 
 hw::CoreId CfsScheduler::select_core(const os::Thread& thread,
-                                     const std::vector<std::size_t>& load) {
+                                     const os::CoreLoad& load) {
   // wake_affine: stick to the previous CPU when allowed — this is why
   // unbound daemons keep landing on application cores once they have run
   // there. Fresh threads (no previous core) pick a random allowed core,
-  // then load balancing below evens things out over time.
-  const hw::CpuSet allowed = thread.affinity & owned_;
-  HPCOS_CHECK_MSG(allowed.any(), "no allowed core for thread");
+  // then load balancing below evens things out over time. Allowed means
+  // in the affinity and owned, tested per core in ascending order.
+  HPCOS_CHECK_MSG(thread.affinity.intersects(owned_),
+                  "no allowed core for thread");
+  const hw::CpuSet& aff = thread.affinity;
 
-  if (thread.core != hw::kInvalidCore && allowed.test(thread.core)) {
-    const std::size_t here = load[static_cast<std::size_t>(thread.core)];
+  if (aff.test(thread.core) && owned_.test(thread.core)) {
     // Stay unless clearly imbalanced (another allowed core is idle while
     // this one is contended).
-    if (here <= 1) return thread.core;
-    for (hw::CoreId c = allowed.first(); c != hw::kInvalidCore;
-         c = allowed.next(c)) {
-      if (load[static_cast<std::size_t>(c)] == 0) return c;
+    if (load.at(thread.core) <= 1) return thread.core;
+    for (hw::CoreId c = aff.first(); c != hw::kInvalidCore; c = aff.next(c)) {
+      if (owned_.test(c) && load.at(c) == 0) return c;
     }
     return thread.core;
   }
 
   // Initial placement: uniformly random among the least-loaded allowed
-  // cores (deterministic under the seed).
+  // cores (deterministic under the seed): one pass finds the least load
+  // and how many cores carry it, one draw picks the k-th of them.
   std::size_t best = std::numeric_limits<std::size_t>::max();
-  for (hw::CoreId c = allowed.first(); c != hw::kInvalidCore;
-       c = allowed.next(c)) {
-    best = std::min(best, load[static_cast<std::size_t>(c)]);
+  std::size_t ties = 0;
+  for (hw::CoreId c = aff.first(); c != hw::kInvalidCore; c = aff.next(c)) {
+    if (!owned_.test(c)) continue;
+    const std::size_t l = load.at(c);
+    if (l < best) {
+      best = l;
+      ties = 0;
+    }
+    if (l == best) ++ties;
   }
-  std::vector<hw::CoreId> candidates;
-  for (hw::CoreId c = allowed.first(); c != hw::kInvalidCore;
-       c = allowed.next(c)) {
-    if (load[static_cast<std::size_t>(c)] == best) candidates.push_back(c);
+  std::size_t k = rng_.uniform_index(ties);
+  for (hw::CoreId c = aff.first();; c = aff.next(c)) {
+    if (owned_.test(c) && load.at(c) == best && k-- == 0) return c;
   }
-  return candidates[rng_.uniform_index(candidates.size())];
 }
 
 void CfsScheduler::enqueue(hw::CoreId core, os::Thread& thread) {
@@ -76,7 +81,7 @@ void CfsScheduler::enqueue(hw::CoreId core, os::Thread& thread) {
   thread.vruntime = std::max(
       thread.vruntime, q.min_vruntime - to_vr(params_.sleeper_credit));
   q.threads.push_back(&thread);
-  queued_on_[thread.tid] = core;
+  thread.queued_on = core;
 }
 
 os::ThreadId CfsScheduler::pick_next(hw::CoreId core) {
@@ -88,19 +93,15 @@ os::ThreadId CfsScheduler::pick_next(hw::CoreId core) {
                              });
   os::Thread* t = *it;
   q.threads.erase(it);
-  queued_on_.erase(t->tid);
+  t->queued_on = hw::kInvalidCore;
   q.min_vruntime = std::max(q.min_vruntime, t->vruntime);
   return t->tid;
 }
 
-void CfsScheduler::remove(const os::Thread& thread) {
-  auto it = queued_on_.find(thread.tid);
-  if (it == queued_on_.end()) return;
-  Queue& q = queue(it->second);
-  std::erase_if(q.threads, [&](const os::Thread* t) {
-    return t->tid == thread.tid;
-  });
-  queued_on_.erase(it);
+void CfsScheduler::remove(os::Thread& thread) {
+  if (thread.queued_on == hw::kInvalidCore) return;
+  std::erase(queue(thread.queued_on).threads, &thread);
+  thread.queued_on = hw::kInvalidCore;
 }
 
 std::size_t CfsScheduler::runnable_count(hw::CoreId core) const {

@@ -8,7 +8,6 @@
 // nohz_full core while more than one task is runnable).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,10 +28,10 @@ class CfsScheduler final : public os::Scheduler {
                hw::CpuSet nohz_full_cores, CfsParams params, RngStream rng);
 
   hw::CoreId select_core(const os::Thread& thread,
-                         const std::vector<std::size_t>& load) override;
+                         const os::CoreLoad& load) override;
   void enqueue(hw::CoreId core, os::Thread& thread) override;
   os::ThreadId pick_next(hw::CoreId core) override;
-  void remove(const os::Thread& thread) override;
+  void remove(os::Thread& thread) override;
   std::size_t runnable_count(hw::CoreId core) const override;
   bool preempt_on_wakeup(const os::Thread& woken,
                          const os::Thread& running) const override;
@@ -53,7 +52,6 @@ class CfsScheduler final : public os::Scheduler {
   hw::CpuSet nohz_full_;
   CfsParams params_;
   std::vector<Queue> queues_;
-  std::unordered_map<os::ThreadId, hw::CoreId> queued_on_;
   RngStream rng_;
 };
 

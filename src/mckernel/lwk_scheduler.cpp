@@ -11,21 +11,22 @@ LwkScheduler::LwkScheduler(std::size_t num_cores, hw::CpuSet owned_cores)
     : owned_(std::move(owned_cores)), queues_(num_cores) {}
 
 hw::CoreId LwkScheduler::select_core(const os::Thread& thread,
-                                     const std::vector<std::size_t>& load) {
-  const hw::CpuSet allowed = thread.affinity & owned_;
-  HPCOS_CHECK_MSG(allowed.any(), "no allowed core for LWK thread");
+                                     const os::CoreLoad& load) {
+  HPCOS_CHECK_MSG(thread.affinity.intersects(owned_),
+                  "no allowed core for LWK thread");
   // Threads stay put once placed (the LWK never migrates); fresh threads
-  // fill the least-loaded core, lowest id first — matching mcexec's
-  // deterministic one-rank/thread-per-core layout.
-  if (thread.core != hw::kInvalidCore && allowed.test(thread.core)) {
-    return thread.core;
-  }
+  // fill the least-loaded allowed core (in the affinity and owned), lowest
+  // id first — matching mcexec's deterministic one-rank/thread-per-core
+  // layout.
+  const hw::CpuSet& aff = thread.affinity;
+  if (aff.test(thread.core) && owned_.test(thread.core)) return thread.core;
   hw::CoreId best = hw::kInvalidCore;
   std::size_t best_load = std::numeric_limits<std::size_t>::max();
-  for (hw::CoreId c = allowed.first(); c != hw::kInvalidCore;
-       c = allowed.next(c)) {
-    if (load[static_cast<std::size_t>(c)] < best_load) {
-      best_load = load[static_cast<std::size_t>(c)];
+  for (hw::CoreId c = aff.first(); c != hw::kInvalidCore; c = aff.next(c)) {
+    if (!owned_.test(c)) continue;
+    const std::size_t l = load.at(c);
+    if (l < best_load) {
+      best_load = l;
       best = c;
     }
   }
@@ -33,26 +34,24 @@ hw::CoreId LwkScheduler::select_core(const os::Thread& thread,
 }
 
 void LwkScheduler::enqueue(hw::CoreId core, os::Thread& thread) {
-  queues_.at(static_cast<std::size_t>(core)).push_back(thread.tid);
-  queued_on_[thread.tid] = core;
+  queues_.at(static_cast<std::size_t>(core)).push_back(&thread);
+  thread.queued_on = core;
 }
 
 os::ThreadId LwkScheduler::pick_next(hw::CoreId core) {
   auto& q = queues_.at(static_cast<std::size_t>(core));
   if (q.empty()) return os::kInvalidThread;
-  const os::ThreadId tid = q.front();
+  os::Thread* t = q.front();
   q.pop_front();
-  queued_on_.erase(tid);
+  t->queued_on = hw::kInvalidCore;
   obs::bump(dispatch_counter_);
-  return tid;
+  return t->tid;
 }
 
-void LwkScheduler::remove(const os::Thread& thread) {
-  auto it = queued_on_.find(thread.tid);
-  if (it == queued_on_.end()) return;
-  auto& q = queues_.at(static_cast<std::size_t>(it->second));
-  std::erase(q, thread.tid);
-  queued_on_.erase(it);
+void LwkScheduler::remove(os::Thread& thread) {
+  if (thread.queued_on == hw::kInvalidCore) return;
+  std::erase(queues_.at(static_cast<std::size_t>(thread.queued_on)), &thread);
+  thread.queued_on = hw::kInvalidCore;
 }
 
 std::size_t LwkScheduler::runnable_count(hw::CoreId core) const {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/cpuset.h"
@@ -20,10 +19,10 @@ class LwkScheduler final : public os::Scheduler {
   LwkScheduler(std::size_t num_cores, hw::CpuSet owned_cores);
 
   hw::CoreId select_core(const os::Thread& thread,
-                         const std::vector<std::size_t>& load) override;
+                         const os::CoreLoad& load) override;
   void enqueue(hw::CoreId core, os::Thread& thread) override;
   os::ThreadId pick_next(hw::CoreId core) override;
-  void remove(const os::Thread& thread) override;
+  void remove(os::Thread& thread) override;
   std::size_t runnable_count(hw::CoreId core) const override;
   bool preempt_on_wakeup(const os::Thread& woken,
                          const os::Thread& running) const override;
@@ -40,8 +39,7 @@ class LwkScheduler final : public os::Scheduler {
  private:
   obs::Counter* dispatch_counter_ = nullptr;
   hw::CpuSet owned_;
-  std::vector<std::deque<os::ThreadId>> queues_;  // FIFO round robin
-  std::unordered_map<os::ThreadId, hw::CoreId> queued_on_;
+  std::vector<std::deque<os::Thread*>> queues_;  // FIFO round robin
 };
 
 }  // namespace hpcos::mck

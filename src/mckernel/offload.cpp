@@ -81,9 +81,13 @@ void SyscallOffloader::offload(os::ThreadId lwk_tid, os::Pid lwk_pid,
   m.span = pending.span;
   m.offload_start = pending.t0;
   // Marshalling on the LWK side happens before the doorbell rings.
-  const SimTime marshal = lwk_.config().offload_marshal_cost;
+  marshalling_.push_back(std::move(m));
   lwk_.simulator().schedule_after(
-      marshal, [this, m = std::move(m)] { to_host_.post(m); },
+      lwk_.config().offload_marshal_cost,
+      [this] {
+        to_host_.post(std::move(marshalling_.front()));
+        marshalling_.pop_front();
+      },
       "lwk.offload.marshal");
 }
 

@@ -105,6 +105,9 @@ class SyscallOffloader {
   hw::CpuSet proxy_affinity_;
   std::unordered_map<os::Pid, Proxy> proxies_;
   std::unordered_map<os::ThreadId, Pending> pending_;  // by sender tid
+  // Requests being marshalled, oldest first: the marshal cost is fixed,
+  // so they finish in the order they started.
+  std::deque<ihk::IkcMessage> marshalling_;
   std::uint64_t requests_ = 0;
   std::uint64_t replies_ = 0;
   OnlineStats roundtrip_us_;

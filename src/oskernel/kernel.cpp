@@ -94,25 +94,28 @@ bool NodeKernel::process_alive(Pid pid) const {
 ThreadId NodeKernel::spawn(std::unique_ptr<ThreadBody> body,
                            SpawnAttrs attrs) {
   HPCOS_CHECK(body != nullptr);
+  hw::CpuSet affinity =
+      attrs.affinity.any() ? std::move(attrs.affinity) : owned_cores_;
+  HPCOS_CHECK_MSG(affinity.intersects(owned_cores_),
+                  "thread affinity excludes all owned cores");
+  HPCOS_CHECK_MSG(attrs.pid == kInvalidPid || process_alive(attrs.pid),
+                  "unknown pid");
   const Pid pid = attrs.pid == kInvalidPid
                       ? create_process(ProcessAttrs{.name = attrs.name})
                       : attrs.pid;
-  const ThreadId tid = next_tid_++;
+  const ThreadId tid = threads_.size() + 1;
 
   auto t = std::make_unique<Thread>();
   t->tid = tid;
   t->pid = pid;
   t->name = attrs.name.empty() ? ("thread-" + std::to_string(tid))
                                : std::move(attrs.name);
-  t->affinity = attrs.affinity.any() ? std::move(attrs.affinity)
-                                     : owned_cores_;
-  HPCOS_CHECK_MSG(t->affinity.intersects(owned_cores_),
-                  "thread affinity excludes all owned cores");
+  t->affinity = std::move(affinity);
   t->kernel_thread = attrs.kernel_thread;
   t->background = attrs.background;
   t->body = std::move(body);
 
-  threads_.emplace(tid, std::move(t));
+  Thread* thread = threads_.emplace_back(std::move(t)).get();
   process(pid).threads.push_back(tid);
   ++live_threads_;
   // Initial dispatch goes through the event queue so spawn() returns
@@ -120,31 +123,35 @@ ThreadId NodeKernel::spawn(std::unique_ptr<ThreadBody> body,
   // creator's stack frame).
   sim_.schedule_after(
       SimTime::zero(),
-      [this, tid] {
-        auto it = threads_.find(tid);
-        if (it == threads_.end()) return;
-        Thread& t = *it->second;
-        if (t.state == ThreadState::kReady) enqueue_and_maybe_dispatch(t);
+      [this, thread] {
+        if (thread->state == ThreadState::kReady) {
+          enqueue_and_maybe_dispatch(*thread);
+        }
       },
       "os.thread.start");
   return tid;
 }
 
+Thread* NodeKernel::find_thread(ThreadId tid) const {
+  return tid >= 1 && tid <= threads_.size() ? threads_[tid - 1].get()
+                                            : nullptr;
+}
+
 const Thread& NodeKernel::thread(ThreadId tid) const {
-  auto it = threads_.find(tid);
-  HPCOS_CHECK_MSG(it != threads_.end(), "unknown tid");
-  return *it->second;
+  const Thread* t = find_thread(tid);
+  HPCOS_CHECK_MSG(t != nullptr, "unknown tid");
+  return *t;
 }
 
 Thread& NodeKernel::thread_mut(ThreadId tid) {
-  auto it = threads_.find(tid);
-  HPCOS_CHECK_MSG(it != threads_.end(), "unknown tid");
-  return *it->second;
+  Thread* t = find_thread(tid);
+  HPCOS_CHECK_MSG(t != nullptr, "unknown tid");
+  return *t;
 }
 
 bool NodeKernel::thread_alive(ThreadId tid) const {
-  auto it = threads_.find(tid);
-  return it != threads_.end() && it->second->state != ThreadState::kExited;
+  const Thread* t = find_thread(tid);
+  return t != nullptr && t->state != ThreadState::kExited;
 }
 
 void NodeKernel::set_affinity(ThreadId tid, hw::CpuSet affinity) {
@@ -221,22 +228,19 @@ void NodeKernel::stall_all_cores_except(hw::CoreId initiator,
 // ---- blocking ----
 
 void NodeKernel::wake(ThreadId tid) {
-  auto it = threads_.find(tid);
-  if (it == threads_.end()) return;
-  Thread& t = *it->second;
-  if (t.state != ThreadState::kBlocked) return;  // spurious wake
-  enqueue_and_maybe_dispatch(t);
+  Thread* t = find_thread(tid);
+  if (t == nullptr || t->state != ThreadState::kBlocked) return;  // spurious
+  enqueue_and_maybe_dispatch(*t);
 }
 
 void NodeKernel::complete_blocked_syscall(ThreadId tid,
                                           SyscallResult result) {
-  auto it = threads_.find(tid);
-  HPCOS_CHECK_MSG(it != threads_.end(), "completing syscall of unknown tid");
-  Thread& t = *it->second;
-  HPCOS_CHECK_MSG(t.state == ThreadState::kBlocked,
+  Thread* t = find_thread(tid);
+  HPCOS_CHECK_MSG(t != nullptr, "completing syscall of unknown tid");
+  HPCOS_CHECK_MSG(t->state == ThreadState::kBlocked,
                   "completing syscall of non-blocked thread");
-  t.last_result = result;
-  wake(tid);
+  t->last_result = result;
+  enqueue_and_maybe_dispatch(*t);
 }
 
 // ---- introspection ----
@@ -275,8 +279,10 @@ void NodeKernel::preempt_running(hw::CoreId core) {
   t.state = ThreadState::kReady;
   ++t.involuntary_switches;
   cs.running = kInvalidThread;
-  trace_event(core, sim::TraceCategory::kScheduler, SimTime::zero(),
-              "preempt:" + t.name);
+  if (tracing()) {
+    trace_event(core, sim::TraceCategory::kScheduler, SimTime::zero(),
+                "preempt:" + t.name);
+  }
   // Preempted threads stay local: queue back on the same core.
   sched().enqueue(core, t);
   on_thread_enqueued(core);
@@ -285,7 +291,7 @@ void NodeKernel::preempt_running(hw::CoreId core) {
 
 void NodeKernel::trace_event(hw::CoreId core, sim::TraceCategory cat,
                              SimTime duration, const std::string& label) {
-  if (trace_ == nullptr || !trace_->enabled()) return;
+  if (!tracing()) return;
   trace_->record(sim::TraceRecord{.time = sim_.now(),
                                   .core = core,
                                   .category = cat,
@@ -301,28 +307,14 @@ NodeKernel::CoreState& NodeKernel::core_state(hw::CoreId core) {
   return cores_[static_cast<std::size_t>(core)];
 }
 
-std::vector<std::size_t> NodeKernel::load_vector() const {
-  std::vector<std::size_t> load(cores_.size(), 0);
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    if (!cores_[i].owned) continue;
-    // The const_cast-free route: schedulers expose runnable counts, and the
-    // running thread adds one.
-    load[i] = (cores_[i].running != kInvalidThread ? 1 : 0);
-  }
-  // Queue depths are added by the caller via the scheduler; see
-  // enqueue_and_maybe_dispatch.
-  return load;
+std::size_t NodeKernel::Load::at(hw::CoreId core) const {
+  const bool running = kernel_.core_state(core).running != kInvalidThread;
+  return (running ? 1 : 0) + kernel_.sched().runnable_count(core);
 }
 
 void NodeKernel::enqueue_and_maybe_dispatch(Thread& thread) {
   thread.state = ThreadState::kReady;
-  std::vector<std::size_t> load = load_vector();
-  for (std::size_t i = 0; i < load.size(); ++i) {
-    if (cores_[i].owned) {
-      load[i] += sched().runnable_count(static_cast<hw::CoreId>(i));
-    }
-  }
-  const hw::CoreId core = sched().select_core(thread, load);
+  const hw::CoreId core = sched().select_core(thread, Load(*this));
   HPCOS_CHECK_MSG(core != hw::kInvalidCore, "scheduler returned no core");
   HPCOS_CHECK_MSG(core_state(core).owned,
                   "scheduler placed thread on un-owned core");
@@ -372,7 +364,8 @@ void NodeKernel::dispatch(hw::CoreId core, ThreadId tid) {
     // The switch occupies the core in kernel mode before the thread runs;
     // begin_action below will start (or defer) the burst accordingly.
     interrupt_core(core, costs_.context_switch,
-                   sim::TraceCategory::kContextSwitch, "switch:" + t.name);
+                   sim::TraceCategory::kContextSwitch,
+                   tracing() ? "switch:" + t.name : std::string());
   }
   on_core_activated(core);
   begin_action(core, t);
@@ -396,8 +389,10 @@ void NodeKernel::begin_action(hw::CoreId core, Thread& thread) {
       if (thread.remaining.is_zero()) {
         // Fresh call: consult the concrete kernel.
         const SyscallRequest req = thread.action.syscall;
-        trace_event(core, sim::TraceCategory::kSyscall, SimTime::zero(),
-                    to_string(req.no));
+        if (tracing()) {
+          trace_event(core, sim::TraceCategory::kSyscall, SimTime::zero(),
+                      to_string(req.no));
+        }
         SyscallDisposition disp = handle_syscall(thread, req);
         if (disp.kind == SyscallDisposition::Kind::kBlocked) {
           thread.state = ThreadState::kBlocked;

@@ -64,7 +64,9 @@ class NodeKernel {
   bool process_alive(Pid pid) const;
 
   // Spawn a thread. Empty affinity means "all owned cores". The thread is
-  // enqueued immediately and runs when the scheduler dispatches it.
+  // enqueued immediately and runs when the scheduler dispatches it. A
+  // spawn rejected for its affinity or an unknown attrs.pid throws before
+  // it creates a process or takes a tid.
   ThreadId spawn(std::unique_ptr<ThreadBody> body, SpawnAttrs attrs);
 
   const Thread& thread(ThreadId tid) const;
@@ -148,6 +150,8 @@ class NodeKernel {
   // the scheduler's next pick.
   void preempt_running(hw::CoreId core);
 
+  // True while the trace buffer records; build labels only then.
+  bool tracing() const { return trace_ != nullptr && trace_->enabled(); }
   void trace_event(hw::CoreId core, sim::TraceCategory cat, SimTime duration,
                    const std::string& label);
 
@@ -169,9 +173,20 @@ class NodeKernel {
     CoreAccounting acct;
   };
 
+  // The scheduler's view of this kernel's per-core load.
+  class Load final : public CoreLoad {
+   public:
+    explicit Load(NodeKernel& kernel) : kernel_(kernel) {}
+    std::size_t at(hw::CoreId core) const override;
+
+   private:
+    NodeKernel& kernel_;
+  };
+
+  // The record of `tid`, or nullptr when no thread has that id.
+  Thread* find_thread(ThreadId tid) const;
   Thread& thread_mut(ThreadId tid);
   CoreState& core_state(hw::CoreId core);
-  std::vector<std::size_t> load_vector() const;
 
   void enqueue_and_maybe_dispatch(Thread& thread);
   void maybe_dispatch(hw::CoreId core);
@@ -194,9 +209,10 @@ class NodeKernel {
   obs::Counter* interrupt_ns_counter_ = nullptr;
 
   std::vector<CoreState> cores_;
-  std::unordered_map<ThreadId, std::unique_ptr<Thread>> threads_;
+  // Thread records by tid - 1: tids are dense and a record outlives its
+  // thread, so the next tid is size() + 1.
+  std::vector<std::unique_ptr<Thread>> threads_;
   std::unordered_map<Pid, std::unique_ptr<Process>> processes_;
-  ThreadId next_tid_ = 1;
   Pid next_pid_ = 1;
   std::size_t live_threads_ = 0;
 };

@@ -8,28 +8,38 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "hw/ids.h"
 #include "oskernel/thread.h"
 
 namespace hpcos::os {
 
+// Runnable + running thread count of one core, computed when asked, so a
+// placement pays only for the cores it looks at.
+class CoreLoad {
+ public:
+  virtual std::size_t at(hw::CoreId core) const = 0;
+
+ protected:
+  ~CoreLoad() = default;
+};
+
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  // Pick the core a newly-runnable thread should be queued on. Must honor
-  // thread.affinity. `running_load` reports runnable+running counts per
-  // core, indexed by CoreId.
+  // Pick the core a newly-runnable thread should be queued on: one in
+  // thread.affinity that this scheduler owns. `load` answers for owned
+  // cores only.
   virtual hw::CoreId select_core(const Thread& thread,
-                                 const std::vector<std::size_t>& load) = 0;
+                                 const CoreLoad& load) = 0;
 
+  // Queue the thread on `core` and record it in thread.queued_on.
   virtual void enqueue(hw::CoreId core, Thread& thread) = 0;
   // Pop the next thread to run on `core`; kInvalidThread when idle.
   virtual ThreadId pick_next(hw::CoreId core) = 0;
   // Remove a thread from any queue it is on (exit or re-placement).
-  virtual void remove(const Thread& thread) = 0;
+  virtual void remove(Thread& thread) = 0;
 
   virtual std::size_t runnable_count(hw::CoreId core) const = 0;
 

@@ -115,6 +115,8 @@ struct Thread {
 
   // Scheduler state (interpreted by the active scheduler).
   double vruntime = 0.0;
+  // Core whose run queue holds this thread, or kInvalidCore.
+  hw::CoreId queued_on = hw::kInvalidCore;
 
   bool runnable() const {
     return state == ThreadState::kReady || state == ThreadState::kRunning;

@@ -16,8 +16,8 @@
 //     firing an event does no hashing.
 //   * EventFn keeps a callable inline in a 32-byte buffer when it is
 //     nothrow-movable and at most 32 bytes: `this` plus a few ids or
-//     references, or a std::function. A larger callable (an IKC message
-//     captured by value) spills to one heap allocation.
+//     references, or a std::function. A larger callable spills to one
+//     heap allocation; no schedule site in the tree passes one.
 //   * An EventId is (seq, slot). cancel() succeeds only while the slot
 //     still carries the id's seq, so an id whose event fired or was
 //     cancelled, and whose slot another event has since taken, cancels

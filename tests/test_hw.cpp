@@ -1,7 +1,13 @@
 // Unit tests: hardware models and the Table-1 platform configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
 #include "hw/cpuset.h"
 #include "hw/hwbarrier.h"
 #include "hw/memory.h"
@@ -43,6 +49,174 @@ TEST(CpuSet, ToStringUsesRanges) {
   EXPECT_EQ(CpuSet::range(64, 0, 47).to_string(), "0-47");
   EXPECT_EQ(CpuSet::of(16, {1, 2, 3, 7}).to_string(), "1-3,7");
   EXPECT_EQ(CpuSet(8).to_string(), "");
+}
+
+// Reference model for CpuSet: one bool per core.
+using Model = std::vector<bool>;
+
+Model model_of(const CpuSet& s) {
+  Model m(s.capacity());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m[i] = s.test(static_cast<CoreId>(i));
+  }
+  return m;
+}
+
+bool model_test(const Model& m, CoreId id) {
+  return id >= 0 && static_cast<std::size_t>(id) < m.size() &&
+         m[static_cast<std::size_t>(id)];
+}
+
+CoreId model_next(const Model& m, CoreId id) {
+  for (CoreId i = std::max<CoreId>(id + 1, 0);
+       static_cast<std::size_t>(i) < m.size(); ++i) {
+    if (m[static_cast<std::size_t>(i)]) return i;
+  }
+  return kInvalidCore;
+}
+
+std::string model_string(const Model& m) {
+  std::string out;
+  for (std::size_t i = 0; i < m.size();) {
+    if (!m[i]) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end + 1 < m.size() && m[end + 1]) ++end;
+    if (!out.empty()) out += ",";
+    out += std::to_string(i);
+    if (end > i) out += "-" + std::to_string(end);
+    i = end + 1;
+  }
+  return out;
+}
+
+std::size_t model_count(const Model& m) {
+  return static_cast<std::size_t>(std::count(m.begin(), m.end(), true));
+}
+
+// `s` holds exactly the cores of `m`: membership, capacity, count, and
+// equality with the same set built core by core.
+void expect_matches(const CpuSet& s, const Model& m) {
+  EXPECT_EQ(model_of(s), m);
+  EXPECT_EQ(s.capacity(), m.size());
+  EXPECT_EQ(s.count(), model_count(m));
+  CpuSet rebuilt(m.size());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (m[i]) rebuilt.set(static_cast<CoreId>(i));
+  }
+  EXPECT_EQ(s, rebuilt);
+}
+
+// Combines two models core by core over the larger capacity (or over
+// `size` when given), reading missing cores as unset.
+template <class Op>
+Model model_combine(const Model& a, const Model& b, Op op,
+                    std::size_t size) {
+  Model r(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    r[i] = op(i < a.size() && a[i], i < b.size() && b[i]);
+  }
+  return r;
+}
+
+// A random set of `capacity` cores, built through set() and mirrored in
+// its model; the density is drawn per set so that empty and full sets
+// occur.
+struct Sample {
+  CpuSet set;
+  Model model;
+};
+
+Sample random_sample(RngStream& rng, std::size_t capacity) {
+  static constexpr double kDensity[] = {0.0, 0.05, 0.5, 0.95, 1.0};
+  const double p = kDensity[rng.uniform_index(5)];
+  Sample s{CpuSet(capacity), Model(capacity)};
+  auto apply = [&s](std::size_t i, bool value) {
+    s.set.set(static_cast<CoreId>(i), value);
+    s.model[i] = value;
+  };
+  for (std::size_t i = 0; i < capacity; ++i) {
+    if (rng.bernoulli(p)) apply(i, true);
+  }
+  // Some clears, so set(id, false) is covered too.
+  for (int k = 0; k < 4 && capacity > 0; ++k) {
+    apply(rng.uniform_index(capacity), false);
+  }
+  return s;
+}
+
+TEST(CpuSet, MatchesReferenceModel) {
+  const std::size_t capacities[] = {0, 1, 63, 64, 65, 128, 272};
+  RngStream rng(Seed{2021}, 0);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t cap_a = capacities[rng.uniform_index(7)];
+    const std::size_t cap_b = capacities[rng.uniform_index(7)];
+    const auto [a, ma] = random_sample(rng, cap_a);
+    const auto [b, mb] = random_sample(rng, cap_b);
+    SCOPED_TRACE("a=" + a.to_string() + "/" + std::to_string(cap_a) +
+                 " b=" + b.to_string() + "/" + std::to_string(cap_b));
+
+    // Single-set queries, including ids just outside the capacity.
+    ASSERT_EQ(a.capacity(), cap_a);
+    const auto cap = static_cast<CoreId>(cap_a);
+    for (CoreId id = -2; id <= cap + 65; ++id) {
+      ASSERT_EQ(a.test(id), model_test(ma, id)) << id;
+    }
+    expect_matches(a, ma);
+    ASSERT_EQ(a.any(), a.count() > 0);
+    ASSERT_EQ(a.empty(), a.count() == 0);
+    ASSERT_EQ(a.first(), model_next(ma, -1));
+    for (CoreId id = -1; id <= cap + 1; ++id) {
+      ASSERT_EQ(a.next(id), model_next(ma, id)) << id;
+    }
+    std::vector<CoreId> ids;
+    for (std::size_t i = 0; i < ma.size(); ++i) {
+      if (ma[i]) ids.push_back(static_cast<CoreId>(i));
+    }
+    ASSERT_EQ(a.to_vector(), ids);
+    ASSERT_EQ(a.to_string(), model_string(ma));
+
+    // Binary operations across mixed capacities.
+    const std::size_t wide = std::max(cap_a, cap_b);
+    const Model both = model_combine(ma, mb, std::logical_and<>(), wide);
+    expect_matches(a & b, both);
+    expect_matches(a | b, model_combine(ma, mb, std::logical_or<>(), wide));
+    expect_matches(a.minus(b),
+                   model_combine(
+                       ma, mb, [](bool x, bool y) { return x && !y; },
+                       cap_a));
+    ASSERT_EQ(a.intersects(b), model_count(both) > 0);
+    ASSERT_EQ(a.contains(b),
+              model_count(model_combine(
+                  mb, ma, [](bool y, bool x) { return y && !x; }, wide)) ==
+                  0);
+    ASSERT_EQ(a == b, ma == mb);
+  }
+}
+
+TEST(CpuSet, FactoriesMatchReferenceModel) {
+  for (std::size_t cap : {1, 63, 64, 65, 128, 272}) {
+    SCOPED_TRACE(cap);
+    const auto last = static_cast<CoreId>(cap - 1);
+    EXPECT_EQ(model_of(CpuSet::all(cap)), Model(cap, true));
+    EXPECT_EQ(CpuSet::all(cap).count(), cap);
+    EXPECT_EQ(CpuSet::all(cap), CpuSet::range(cap, 0, last));
+    EXPECT_EQ(CpuSet::all(cap).to_string(),
+              cap == 1 ? "0" : "0-" + std::to_string(last));
+    CpuSet rebuilt(cap);
+    for (CoreId id = 0; id <= last; ++id) rebuilt.set(id);
+    EXPECT_EQ(rebuilt, CpuSet::all(cap));
+    EXPECT_TRUE(CpuSet::all(cap).contains(CpuSet::of(cap, {last})));
+    EXPECT_EQ(CpuSet::of(cap, {last}).first(), last);
+    EXPECT_THROW(CpuSet(cap).set(static_cast<CoreId>(cap)), SimError);
+    EXPECT_THROW(CpuSet(cap).set(-1), SimError);
+  }
+  // Equal membership at different capacities is not equality.
+  EXPECT_NE(CpuSet::of(64, {3}), CpuSet::of(65, {3}));
+  EXPECT_EQ(CpuSet(), CpuSet(0));
+  EXPECT_TRUE(CpuSet().empty());
 }
 
 TEST(Topology, SmtSiblingsFollowLinuxNumbering) {

@@ -63,26 +63,70 @@ TEST_F(IhkTest, OsInstanceLifecycle) {
 }
 
 TEST_F(IhkTest, IkcDeliversAfterLatencyInOrder) {
-  ihk::IkcChannel ch(sim, "test", SimTime::us(1));
-  std::vector<std::uint64_t> got;
-  std::vector<SimTime> when;
-  ch.set_receiver([&](const ihk::IkcMessage& m) {
-    got.push_back(m.seq);
-    when.push_back(sim.now());
+  // `to` carries requests; its receiver answers each one on `back` from
+  // inside the delivery callback.
+  ihk::IkcChannel to(sim, "to", SimTime::us(1));
+  ihk::IkcChannel back(sim, "back", SimTime::us(2));
+  struct Got {
+    std::uint64_t seq;
+    SimTime when;
+    ihk::IkcMessage message;
+  };
+  std::vector<Got> at_dest;
+  std::vector<Got> at_source;
+  to.set_receiver([&](const ihk::IkcMessage& m) {
+    at_dest.push_back({m.seq, sim.now(), m});
+    ihk::IkcMessage reply = m;
+    reply.is_reply = true;
+    back.post(reply);
   });
-  ihk::IkcMessage a;
-  ihk::IkcMessage b;
-  ch.post(a);
+  back.set_receiver([&](const ihk::IkcMessage& m) {
+    at_source.push_back({m.seq, sim.now(), m});
+  });
+
+  auto message = [](os::ThreadId sender) {
+    ihk::IkcMessage m;
+    m.sender = sender;
+    m.request = os::SyscallRequest{
+        os::Syscall::kStat, os::SyscallArgs{.arg0 = 100 + sender,
+                                            .arg1 = 200 + sender}};
+    m.span = 1000 + sender;
+    return m;
+  };
+  // Three posts at t = 0, one at 500 ns.
+  to.post(message(1));
+  to.post(message(2));
+  to.post(message(3));
   sim.run_until(SimTime::ns(500));
-  ch.post(b);
+  to.post(message(4));
   sim.run_all();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 1u);
-  EXPECT_EQ(got[1], 2u);
-  EXPECT_EQ(when[0], SimTime::us(1));
-  EXPECT_EQ(when[1], SimTime::ns(1500));
-  EXPECT_EQ(ch.messages_posted(), 2u);
-  EXPECT_EQ(ch.messages_delivered(), 2u);
+
+  const std::vector<SimTime> dest_when = {SimTime::us(1), SimTime::us(1),
+                                          SimTime::us(1), SimTime::ns(1500)};
+  ASSERT_EQ(at_dest.size(), 4u);
+  ASSERT_EQ(at_source.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    const os::ThreadId sender = i + 1;
+    for (const Got* g : {&at_dest[i], &at_source[i]}) {
+      EXPECT_EQ(g->seq, i + 1);  // each channel numbers its own posts
+      EXPECT_EQ(g->message.sender, sender);
+      EXPECT_EQ(g->message.request.no, os::Syscall::kStat);
+      EXPECT_EQ(g->message.request.args.arg0, 100 + sender);
+      EXPECT_EQ(g->message.request.args.arg1, 200 + sender);
+      EXPECT_EQ(g->message.span, 1000 + sender);
+    }
+    EXPECT_FALSE(at_dest[i].message.is_reply);
+    EXPECT_TRUE(at_source[i].message.is_reply);
+    EXPECT_EQ(at_dest[i].when, dest_when[i]);
+    EXPECT_EQ(at_dest[i].message.sent_at, dest_when[i] - SimTime::us(1));
+    EXPECT_EQ(at_source[i].when, dest_when[i] + SimTime::us(2));
+    EXPECT_EQ(at_source[i].message.sent_at, dest_when[i]);
+  }
+  EXPECT_EQ(to.messages_posted(), 4u);
+  EXPECT_EQ(to.messages_delivered(), 4u);
+  EXPECT_EQ(back.messages_posted(), 4u);
+  EXPECT_EQ(back.messages_delivered(), 4u);
 }
 
 TEST_F(IhkTest, IkcWithoutReceiverFails) {

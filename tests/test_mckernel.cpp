@@ -130,6 +130,58 @@ TEST(McKernelOffload, ConcurrentRequestsAllComplete) {
   EXPECT_EQ(node.offloader->proxy_count(), 4u);
 }
 
+TEST(McKernelOffload, EachReplyWakesItsOwnSender) {
+  // Four LWK threads of one process, one per core, issue offloaded STAG
+  // registrations at the same instants; their one proxy serves them in
+  // turn. Thread i registers (i + 1) x 64 MiB, so the Linux service time
+  // in each reply names the request it answers.
+  MultiKernelNode node;
+  const os::Pid pid = node.lwk->create_process(os::ProcessAttrs{});
+  constexpr int kCalls = 5;
+  std::vector<std::vector<SimTime>> service(4);
+  std::vector<std::vector<SimTime>> woke(4);
+  for (int i = 0; i < 4; ++i) {
+    spawn_script(
+        *node.lwk,
+        [&, i, calls = 0](os::ThreadContext& ctx) mutable {
+          if (calls > 0) {
+            EXPECT_EQ(ctx.last_syscall().path,
+                      os::SyscallResult::Path::kOffloaded);
+            service[i].push_back(ctx.last_syscall().service_time);
+            woke[i].push_back(ctx.now());
+          }
+          if (calls++ == kCalls) return false;
+          ctx.invoke(os::Syscall::kIoctl,
+                     os::SyscallArgs{.arg0 = 0,
+                                     .arg1 = (i + 1ull) * (64ull << 20),
+                                     .arg2 = mck::kTofuRegisterStag});
+          return true;
+        },
+        os::SpawnAttrs{.pid = pid,
+                       .affinity = test::one_core(node.topo, 2 + i)});
+  }
+  node.sim.run_until(10_s);
+  EXPECT_EQ(node.offloader->proxy_count(), 1u);
+  EXPECT_EQ(node.offloader->replies(), 4u * kCalls);
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(service[i].size(), static_cast<std::size_t>(kCalls));
+    for (SimTime t : service[i]) EXPECT_EQ(t, service[i][0]);
+    if (i > 0) {
+      EXPECT_GT(service[i][0], service[i - 1][0]);
+    }
+  }
+  // The threads ran concurrently: every thread's first reply came before
+  // any thread's last.
+  SimTime latest_first = SimTime::zero();
+  SimTime earliest_last = SimTime::max();
+  for (const auto& w : woke) {
+    latest_first = std::max(latest_first, w.front());
+    earliest_last = std::min(earliest_last, w.back());
+  }
+  EXPECT_LT(latest_first, earliest_last);
+}
+
 TEST(McKernelPico, RegistrationUsesFastPathWhenEnabled) {
   MultiKernelNode with_pico(
       [](mck::McKernelConfig& c) { c.picodriver.enabled = true; });

@@ -3,7 +3,11 @@
 // machinery is always used).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "kernel_test_util.h"
+#include "linuxk/cfs_scheduler.h"
+#include "mckernel/lwk_scheduler.h"
 #include "oskernel/address_space.h"
 
 namespace hpcos {
@@ -285,6 +289,154 @@ TEST(KernelExec, SpawnWithBadAffinityThrows) {
       spawn_script(*node.lwk, [](os::ThreadContext&) { return false; },
                    os::SpawnAttrs{.affinity = test::one_core(node.topo, 0)}),
       SimError);
+}
+
+TEST(KernelExec, RejectedSpawnLeavesNoProcessOrThread) {
+  MultiKernelNode node;
+  const auto quit = [](os::ThreadContext&) { return false; };
+  // Core 0 is a Linux/system core; the LWK does not own it.
+  EXPECT_THROW(
+      spawn_script(*node.lwk, quit,
+                   os::SpawnAttrs{.affinity = test::one_core(node.topo, 0)}),
+      SimError);
+  EXPECT_THROW(spawn_script(*node.lwk, quit, os::SpawnAttrs{.pid = 42}),
+               SimError);
+  EXPECT_FALSE(node.lwk->process_alive(1));
+  EXPECT_FALSE(node.lwk->thread_alive(1));
+  EXPECT_FALSE(node.lwk->thread_alive(2));
+  EXPECT_THROW(node.lwk->thread(1), SimError);
+  EXPECT_EQ(node.lwk->live_thread_count(), 0u);
+
+  const os::ThreadId tid = spawn_script(*node.lwk, quit);
+  EXPECT_EQ(tid, 1u);
+  EXPECT_TRUE(node.lwk->process_alive(1));
+  EXPECT_EQ(node.lwk->thread(tid).pid, 1u);
+  node.sim.run_until(1_ms);
+  EXPECT_FALSE(node.lwk->thread_alive(tid));
+}
+
+// ---- placement (Scheduler::select_core through a stub CoreLoad) ----
+
+// Fixed per-core loads; records every core it is asked about.
+class StubLoad final : public os::CoreLoad {
+ public:
+  explicit StubLoad(std::vector<std::size_t> loads)
+      : loads_(std::move(loads)) {}
+  std::size_t at(hw::CoreId core) const override {
+    asked.push_back(core);
+    return loads_.at(static_cast<std::size_t>(core));
+  }
+  mutable std::vector<hw::CoreId> asked;
+
+ private:
+  std::vector<std::size_t> loads_;
+};
+
+os::Thread thread_on(hw::CpuSet affinity, hw::CoreId core) {
+  os::Thread t;
+  t.affinity = std::move(affinity);
+  t.core = core;
+  return t;
+}
+
+linuxk::CfsScheduler make_cfs(hw::CpuSet owned, std::uint64_t seed) {
+  const std::size_t n = owned.capacity();
+  return linuxk::CfsScheduler(n, std::move(owned), hw::CpuSet(n),
+                              linuxk::CfsParams{},
+                              RngStream(Seed{seed}, 0));
+}
+
+TEST(Placement, PinnedLwkThreadQueriesNoCore) {
+  mck::LwkScheduler lwk(8, hw::CpuSet::range(8, 2, 7));
+  const StubLoad load({9, 9, 9, 9, 9, 9, 9, 9});
+  EXPECT_EQ(lwk.select_core(thread_on(hw::CpuSet::of(8, {4}), 4), load), 4);
+  // A wider affinity stays on the previous core too: the LWK never
+  // migrates.
+  EXPECT_EQ(lwk.select_core(thread_on(hw::CpuSet::all(8), 6), load), 6);
+  EXPECT_TRUE(load.asked.empty());
+
+  // A fresh thread fills the least-loaded allowed core, lowest id first,
+  // asking about each allowed core once.
+  const StubLoad fresh({0, 0, 2, 1, 1, 3, 1, 0});
+  EXPECT_EQ(lwk.select_core(thread_on(hw::CpuSet::range(8, 1, 6),
+                                      hw::kInvalidCore),
+                            fresh),
+            3);
+  EXPECT_EQ(fresh.asked, (std::vector<hw::CoreId>{2, 3, 4, 5, 6}));
+}
+
+TEST(Placement, CfsKeepsWokenThreadUnlessItsCoreIsContended) {
+  auto cfs = make_cfs(hw::CpuSet::all(8), 1);
+  const hw::CpuSet aff = hw::CpuSet::of(8, {1, 4, 5, 6});
+  // Load <= 1 on the previous core: stay, after one query.
+  for (std::size_t here : {0u, 1u}) {
+    const StubLoad load({0, 0, 0, 0, 0, here, 0, 0});
+    EXPECT_EQ(cfs.select_core(thread_on(aff, 5), load), 5);
+    EXPECT_EQ(load.asked, (std::vector<hw::CoreId>{5}));
+  }
+  // Contended: move to the lowest idle allowed core (core 2 is idle but
+  // outside the affinity).
+  const StubLoad busy({1, 1, 0, 1, 0, 2, 0, 0});
+  EXPECT_EQ(cfs.select_core(thread_on(aff, 5), busy), 4);
+  // No allowed core idle: stay.
+  const StubLoad all_busy({1, 1, 0, 1, 1, 3, 2, 0});
+  EXPECT_EQ(cfs.select_core(thread_on(aff, 5), all_busy), 5);
+}
+
+TEST(Placement, FreshCfsThreadDrawsOnceAmongLeastLoaded) {
+  // Allowed: affinity 0-6 and owned 1-7, so cores 1-6; the least load
+  // there is 1, on cores 1, 3, 4 and 6.
+  auto cfs = make_cfs(hw::CpuSet::range(8, 1, 7), 99);
+  RngStream reference(Seed{99}, 0);
+  const StubLoad load({0, 1, 2, 1, 1, 3, 1, 0});
+  const std::vector<hw::CoreId> least = {1, 3, 4, 6};
+  std::vector<bool> seen(8, false);
+  for (int i = 0; i < 40; ++i) {
+    const hw::CoreId got = cfs.select_core(
+        thread_on(hw::CpuSet::range(8, 0, 6), hw::kInvalidCore), load);
+    // Same pick as one draw on the same stream, so the two streams stay
+    // in step only if select_core draws exactly once.
+    ASSERT_EQ(got, least[reference.uniform_index(least.size())]) << i;
+    seen[static_cast<std::size_t>(got)] = true;
+  }
+  EXPECT_TRUE(seen[1] && seen[3] && seen[4] && seen[6]);
+  for (hw::CoreId c : load.asked) {
+    EXPECT_TRUE(c >= 1 && c <= 6) << c;
+  }
+}
+
+TEST(Placement, NeverOutsideAffinityAndOwned) {
+  RngStream rng(Seed{5}, 0);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(70);
+    hw::CpuSet owned(n);
+    hw::CpuSet aff(n);
+    std::vector<std::size_t> loads(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      owned.set(static_cast<hw::CoreId>(c), rng.bernoulli(0.5));
+      aff.set(static_cast<hw::CoreId>(c), rng.bernoulli(0.3));
+      loads[c] = rng.uniform_index(3);
+    }
+    // The affinity may name un-owned cores, but must meet the owned set.
+    if (!aff.intersects(owned)) continue;
+    const hw::CpuSet allowed = aff & owned;
+    const auto prev = static_cast<hw::CoreId>(rng.uniform_index(n + 1)) - 1;
+    const StubLoad load(loads);
+    auto cfs = make_cfs(owned, trial);
+    mck::LwkScheduler lwk(n, owned);
+    const hw::CoreId by_cfs = cfs.select_core(thread_on(aff, prev), load);
+    const hw::CoreId by_lwk = lwk.select_core(thread_on(aff, prev), load);
+    EXPECT_TRUE(allowed.test(by_cfs)) << trial;
+    EXPECT_TRUE(allowed.test(by_lwk)) << trial;
+    for (hw::CoreId c : load.asked) EXPECT_TRUE(allowed.test(c)) << trial;
+  }
+  // An affinity of un-owned cores only is rejected.
+  auto cfs = make_cfs(hw::CpuSet::range(8, 2, 7), 1);
+  mck::LwkScheduler lwk(8, hw::CpuSet::range(8, 2, 7));
+  const StubLoad load(std::vector<std::size_t>(8, 0));
+  const os::Thread outside = thread_on(hw::CpuSet::of(8, {0, 1}), 0);
+  EXPECT_THROW(cfs.select_core(outside, load), SimError);
+  EXPECT_THROW(lwk.select_core(outside, load), SimError);
 }
 
 }  // namespace
