@@ -63,9 +63,9 @@ using FigurePlan =
 // paired seeded engines) and each writes its own row slot, so row order
 // — and every number in it — is identical to the serial run. Each
 // point's relative_performance trials loop is itself a parallel_for;
-// under the work-stealing scheduler the two levels genuinely compose
-// (inner trials are stolen by idle participants) instead of the inner
-// loop degrading to serial inside a worker.
+// the scheduler composes the two levels (idle participants claim inner
+// trial chunks) instead of the inner loop degrading to serial inside a
+// worker.
 inline std::vector<FigureRow> run_plan(const FigurePlan& plan,
                                        apps::PlatformKind platform,
                                        const cluster::OsEnvironment& linux_env,

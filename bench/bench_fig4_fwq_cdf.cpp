@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   // Host parallelism and observability parity on the OFP/Linux campaign.
   // The serial run is the reference; each variant must reproduce it bit
   // for bit:
-  //  * the work-stealing scheduler (DESIGN §6);
+  //  * the parallel_for scheduler (DESIGN §6);
   //  * an attached obs::Registry — the instrumented paths count
   //    shard-locally and fold once at the end;
   //  * the host-side self-profiler (obs/prof), whose scope fire counts are

@@ -1,10 +1,9 @@
-// bench_sched — work-stealing scheduler microbenchmark.
+// bench_sched — parallel_for scheduler microbenchmark.
 //
 // Measures flat vs. nested parallel_for throughput over a deterministic
 // RNG workload and reports the scheduler's event counts over the run as
-// host.parallel.<event>.count: wakeups and task groups from the
-// host-counter table (obs/prof/counters.h), chunks and steals from the
-// per-slot health totals (parallel_health_total). Two kinds of output:
+// host.parallel.<event>.count, each the run's delta of one host-counter
+// table entry (obs/prof/counters.h). Two kinds of output:
 //
 //   * Determinism gates: sched.*.checksum / sched.*.items are pure
 //     functions of the seed (index-addressed slots summed in index
@@ -61,19 +60,18 @@ int main(int argc, char** argv) {
   const Seed seed{0x5CED};
 
   print_banner(std::cout, "Scheduler microbenchmark: flat vs nested "
-                          "parallel_for, steal telemetry");
+                          "parallel_for, scheduler counters");
   std::cout << "pool capacity " << parallel_capacity() << " (workers + "
             << "caller), default_parallelism " << default_parallelism()
             << ", items " << items << ", rounds " << rounds << "\n";
 
   const obs::prof::HostCounterSnapshot table_before =
       obs::prof::host_counter_snapshot();
-  const WorkerHealth slots_before = parallel_health_total();
 
   // Flat: one top-level parallel_for over all items. Threads are pinned
   // to the full pool capacity (workers + caller) rather than
   // default_parallelism(): on a 1-CPU affinity mask the default is 1 and
-  // parallel_for would run inline, leaving the steal telemetry below
+  // parallel_for would run inline, leaving the scheduler counters below
   // vacuously zero. Checksums are thread-count invariant either way.
   const std::size_t bench_threads = parallel_capacity();
   std::vector<double> flat_slots(items, 0.0);
@@ -108,20 +106,15 @@ int main(int argc, char** argv) {
 
   const obs::prof::HostCounterSnapshot table_after =
       obs::prof::host_counter_snapshot();
-  const WorkerHealth slots_after = parallel_health_total();
-  auto table_delta = [&](const char* name) {
-    return table_after.value(name) - table_before.value(name);
-  };
   // Name-sorted, like every other counter listing.
-  const std::vector<std::pair<std::string, std::uint64_t>> sched_counts = {
-      {"parallel.chunks.count", slots_after.chunks - slots_before.chunks},
-      {"parallel.groups.count", table_delta("parallel.groups")},
-      {"parallel.nested_groups.count", table_delta("parallel.nested_groups")},
-      {"parallel.steal_attempts.count",
-       slots_after.steal_attempts - slots_before.steal_attempts},
-      {"parallel.steals.count", slots_after.steals - slots_before.steals},
-      {"parallel.wakeups.count", table_delta("parallel.wakeups")},
-  };
+  std::vector<std::pair<std::string, std::uint64_t>> sched_counts;
+  for (const char* name : {"parallel.chunks", "parallel.groups",
+                           "parallel.nested_groups", "parallel.steals",
+                           "parallel.wakeups"}) {
+    sched_counts.emplace_back(
+        std::string(name) + ".count",
+        table_after.value(name) - table_before.value(name));
+  }
 
   const double total_items = static_cast<double>(items) * rounds;
   TextTable t({"pass", "wall (s)", "items/s", "checksum"});

@@ -282,8 +282,8 @@ RelativeResult relative_performance(const Workload& workload,
   // Each trial derives its own seed and writes its ratio into its own
   // slot; the workload and environments are shared read-only. Callers
   // like run_plan invoke this from inside their own parallel_for: the
-  // trials then run as a nested task group on the work-stealing
-  // scheduler, and the rank-ordered fold below keeps the result
+  // trials then run as a nested task group on the host scheduler, and
+  // the rank-ordered fold below keeps the result
   // bit-identical for any (outer, inner) host thread combination.
   std::vector<double> ratios(static_cast<std::size_t>(trials), 0.0);
   parallel_for(

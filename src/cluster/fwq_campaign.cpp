@@ -348,7 +348,7 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
   // thread count, and each shard accumulates into its own slot — so the
   // shard-ordered merge below is bit-identical whether this call runs
   // top-level or as a nested task group inside another parallel_for
-  // (the work-stealing scheduler executes both without serial fallback).
+  // (the scheduler executes both without serial fallback).
   static const obs::prof::AllocCounter alloc("fwq.shards");
   alloc.add(num_shards * sizeof(ShardAccumulator));
   // Live progress feed: shards are the campaign's completion units, and

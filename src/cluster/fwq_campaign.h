@@ -9,7 +9,7 @@
 // histogram as a weighted bulk (with a small representative sample of the
 // jitter floor). Per-node worst values drive the worst-100 selection.
 //
-// Node simulations run across the host work-stealing scheduler
+// Node simulations run across the host scheduler behind parallel_for
 // (common/parallel.h); campaigns issued from inside another parallel
 // region (e.g. a bench plan point) nest as child task groups.
 // Each node's randomness comes from its own split of the campaign seed and

@@ -28,8 +28,9 @@ std::string json_format_number(double d) {
         "replace the value before serializing");
   }
   if (d == 0.0) return "0";  // normalizes -0.0, which JSON cannot preserve
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::abs(d) < 9.007199254740992e15) {  // 2^53: exact integer range
+  // Range first: the cast of a double outside int64 is undefined.
+  if (std::abs(d) < 9.007199254740992e15 &&  // 2^53: exact integer range
+      d == static_cast<double>(static_cast<std::int64_t>(d))) {
     return std::to_string(static_cast<std::int64_t>(d));
   }
   // Shortest representation that survives the round trip: try increasing

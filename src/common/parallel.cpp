@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <stop_token>
 #include <thread>
@@ -18,7 +17,6 @@
 #endif
 
 #include "obs/prof/counters.h"
-#include "obs/prof/mem.h"
 
 namespace hpcos {
 namespace {
@@ -29,39 +27,27 @@ std::int64_t host_now_ns() {
       .count();
 }
 
-struct TaskGroup;
-
-// One contiguous index range of one task group. Chunks live in their
-// group's pre-sized vector (stable addresses), so deques store plain
-// pointers and claiming a chunk never allocates.
-struct Chunk {
-  TaskGroup* group = nullptr;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-// One parallel_for call: its chunk storage, completion count, and error
-// state. `parent` is the group whose chunk was executing when this group
-// was submitted (nullptr at top level); cancellation checks walk the
-// parent chain so a failing ancestor also drains its descendants'
-// remaining chunks. Lifetime: a group is a stack object in run(), which
-// returns only after every chunk is claimed and finished, and a parent
-// group cannot complete while the chunk that spawned a child is still
-// executing — so parent pointers never dangle.
+// One parallel_for call. Its claim and completion state is guarded by the
+// scheduler mutex; only `stop` is atomic, because a failing chunk sets it
+// before it takes that mutex. `parent` is the group whose chunk was
+// executing when this group was dispatched (nullptr at top level);
+// cancellation checks walk the parent chain so a failing ancestor also
+// drains its descendants' unclaimed chunks. Lifetime: a group is a stack
+// object in run(), which returns only after every chunk is retired, and a
+// parent group cannot complete while the chunk that dispatched a child is
+// still executing — so parent pointers never dangle.
 struct TaskGroup {
   const std::function<void(std::size_t)>* fn = nullptr;
   TaskGroup* parent = nullptr;
-  std::vector<Chunk> chunks;
+  std::thread::id owner;       // the thread that issued the call
+  std::size_t count = 0;
+  std::size_t chunk = 0;       // indices per chunk
+  std::size_t nchunks = 0;
+  std::size_t next = 0;        // first unclaimed chunk
+  std::size_t remaining = 0;   // chunks not yet retired
+  std::exception_ptr error;    // the first exception
   std::atomic<bool> stop{false};
-  // Completion state is fully mutex-guarded on purpose: the group is a
-  // stack object in run(), so the waiter may only observe "remaining ==
-  // 0" under the same lock inside which the last finisher decremented
-  // and notified — otherwise the waiter could destroy the group while
-  // that finisher is still touching the condition variable.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = 0;     // guarded by done_mutex
-  std::exception_ptr error;      // guarded by done_mutex
+  std::condition_variable done;  // notified when remaining reaches 0
 
   bool cancelled() const {
     for (const TaskGroup* g = this; g != nullptr; g = g->parent) {
@@ -71,126 +57,14 @@ struct TaskGroup {
   }
 };
 
-// Chase-Lev work-stealing deque (Lê et al., "Correct and Efficient
-// Work-Stealing for Weak Memory Models", PPoPP'13) in the fence-free
-// seq_cst formulation: the owner pushes/pops at the bottom without locks,
-// thieves CAS the top. Slots are atomic pointers, and the owner's
-// release-store of `bottom_` paired with thieves' acquire-loads carries
-// the happens-before edge for the chunk payload, so the algorithm is
-// both C++-correct and ThreadSanitizer-clean without standalone fences.
-// Grown buffers are retired, not freed, until the deque dies: a thief
-// racing a grow may still read the old buffer's slot for an index the
-// grow copied, which stays valid.
-class ChunkDeque {
- public:
-  ChunkDeque() { buf_.store(new_buffer(kInitialCap), std::memory_order_relaxed); }
-
-  // Owner only.
-  void push(Chunk* c) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Buffer* a = buf_.load(std::memory_order_relaxed);
-    if (b - t >= static_cast<std::int64_t>(a->cap)) a = grow(a, t, b);
-    a->put(b, c);
-    bottom_.store(b + 1, std::memory_order_release);
-  }
-
-  // Owner only. nullptr when empty (or when a thief won the last item).
-  Chunk* pop() {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Buffer* a = buf_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    Chunk* c = nullptr;
-    if (t <= b) {
-      c = a->get(b);
-      if (t == b) {
-        // Last element: race the thieves for it.
-        if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-          c = nullptr;
-        }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return c;
-  }
-
-  // Any thread. nullptr when empty or when the CAS lost a race (callers
-  // treat both as "try another victim").
-  Chunk* steal() {
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return nullptr;
-    Buffer* a = buf_.load(std::memory_order_acquire);
-    Chunk* c = a->get(t);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return nullptr;
-    }
-    return c;
-  }
-
-  // Any thread; approximate by design (two relaxed loads racing pops and
-  // steals). Good enough for backlog telemetry, never for control flow.
-  std::size_t approx_depth() const {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
- private:
-  static constexpr std::size_t kInitialCap = 256;  // power of two
-
-  struct Buffer {
-    explicit Buffer(std::size_t n)
-        : cap(n), mask(n - 1),
-          slots(std::make_unique<std::atomic<Chunk*>[]>(n)) {}
-    const std::size_t cap;
-    const std::size_t mask;
-    std::unique_ptr<std::atomic<Chunk*>[]> slots;
-
-    Chunk* get(std::int64_t i) const {
-      return slots[static_cast<std::size_t>(i) & mask].load(
-          std::memory_order_relaxed);
-    }
-    void put(std::int64_t i, Chunk* c) {
-      slots[static_cast<std::size_t>(i) & mask].store(
-          c, std::memory_order_relaxed);
-    }
-  };
-
-  Buffer* new_buffer(std::size_t n) {
-    buffers_.push_back(std::make_unique<Buffer>(n));
-    static const obs::prof::AllocCounter alloc("parallel.deque");
-    alloc.add(sizeof(Buffer) + n * sizeof(std::atomic<Chunk*>));
-    return buffers_.back().get();
-  }
-
-  Buffer* grow(Buffer* old, std::int64_t t, std::int64_t b) {
-    Buffer* bigger = new_buffer(old->cap * 2);
-    for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
-    buf_.store(bigger, std::memory_order_release);
-    return bigger;
-  }
-
-  alignas(64) std::atomic<std::int64_t> top_{0};
-  alignas(64) std::atomic<std::int64_t> bottom_{0};
-  alignas(64) std::atomic<Buffer*> buf_{nullptr};
-  std::vector<std::unique_ptr<Buffer>> buffers_;  // owner-only; retired kept
-};
-
-constexpr std::ptrdiff_t kNoSlot = -1;
-
-// Lazily-initialized work-stealing scheduler. Deque slot 0 belongs to
-// whichever external thread holds the session mutex (top-level calls
-// serialize, as before); slots 1..n belong to the persistent workers.
-// Dispatch wakes only as many sleeping workers as the task group can
-// use — never the whole pool — and idle workers park on a condition
-// variable guarded by a publish epoch so no published chunk can be
-// missed without a wakeup token being minted for it.
+// Lazily initialized scheduler: one mutex guards the list of open task
+// groups (those with unclaimed chunks) and every group's claim and
+// completion state; chunks run with the mutex released. A thread waiting
+// on its own group claims that group's next chunk first and otherwise
+// the newest open group's, as an idle worker does; idle workers sleep on
+// one condition variable. parallel_for dispatches a few task groups and
+// at most a few thousand chunks per second, so the one lock is never
+// contended enough to need per-thread queues.
 class Scheduler {
  public:
   static Scheduler& instance() {
@@ -200,77 +74,52 @@ class Scheduler {
 
   std::size_t capacity() const { return nworkers_ + 1; }
 
-  std::vector<WorkerHealth> worker_health() const {
-    std::vector<WorkerHealth> out(nworkers_ + 1);
-    for (std::size_t i = 0; i <= nworkers_; ++i) {
-      const SlotHealth& h = health_[i];
-      out[i].chunks = h.chunks.load(std::memory_order_relaxed);
-      out[i].pushes = h.pushes.load(std::memory_order_relaxed);
-      out[i].steals = h.steals.load(std::memory_order_relaxed);
-      out[i].steal_attempts =
-          h.steal_attempts.load(std::memory_order_relaxed);
-      out[i].parks = h.parks.load(std::memory_order_relaxed);
-      out[i].park_ns = h.park_ns.load(std::memory_order_relaxed);
-      out[i].depth_sum = h.depth_sum.load(std::memory_order_relaxed);
-      out[i].depth_samples =
-          h.depth_samples.load(std::memory_order_relaxed);
-      out[i].max_depth = h.max_depth.load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
-  std::vector<std::size_t> deque_depths() const {
-    // Live backlog snapshot for the stall watchdog: approx_depth is two
-    // relaxed loads per slot (telemetry, never control flow), so this is
-    // safe to call from a watchdog thread while the slots run.
-    std::vector<std::size_t> out(nworkers_ + 1);
-    for (std::size_t i = 0; i <= nworkers_; ++i) {
-      out[i] = deques_[i].approx_depth();
-    }
-    return out;
-  }
-
   void run(std::size_t count, const std::function<void(std::size_t)>& fn,
            std::size_t participants) {
-    const bool nested = tl_slot_ != kNoSlot;
+    const bool nested = tl_in_region_;
     std::unique_lock<std::mutex> session;
     if (!nested) {
       session = std::unique_lock<std::mutex>(session_mutex_);
-      tl_slot_ = 0;
+      tl_in_region_ = true;
     }
 
     TaskGroup group;
     group.fn = &fn;
     group.parent = tl_executing_;
+    group.owner = std::this_thread::get_id();
+    group.count = count;
     // Dynamic chunking: modest chunks so stragglers (nodes with busy
     // noise traces) don't serialize the run. Boundaries are a pure
     // function of (count, participants); results never depend on them.
-    const std::size_t chunk =
-        std::max<std::size_t>(1, count / (participants * 8));
-    const std::size_t nchunks = (count + chunk - 1) / chunk;
-    group.chunks.resize(nchunks);
-    for (std::size_t i = 0; i < nchunks; ++i) {
-      group.chunks[i].group = &group;
-      group.chunks[i].begin = i * chunk;
-      group.chunks[i].end = std::min(count, (i + 1) * chunk);
-    }
-    group.remaining = nchunks;  // published by the deque pushes below
-
+    group.chunk = std::max<std::size_t>(1, count / (participants * 8));
+    group.nchunks = (count + group.chunk - 1) / group.chunk;
+    group.remaining = group.nchunks;
     groups_->add(1);
     if (nested) nested_groups_->add(1);
 
-    // Publish: reverse push so the owner pops index-ascending chunks
-    // (locality) while thieves steal from the high end.
-    ChunkDeque& dq = deques_[static_cast<std::size_t>(tl_slot_)];
-    for (std::size_t i = nchunks; i-- > 0;) dq.push(&group.chunks[i]);
-    health_[static_cast<std::size_t>(tl_slot_)].pushes.fetch_add(
-        nchunks, std::memory_order_relaxed);
-    sample_depths();
-    wake_workers(participants - 1);
+    std::unique_lock<std::mutex> lock(mutex_);
+    open_.push_back(&group);
+    set_backlog(backlog_ + group.nchunks);
+    max_backlog_->note_max(backlog_);
+    const std::size_t wake = std::min(participants - 1, sleepers_);
+    wakeups_->add(wake);
+    for (std::size_t i = 0; i < wake; ++i) idle_.notify_one();
 
-    help(group);
+    // Help until the group completes. Blocking is safe only once nothing
+    // is claimable: this group's chunks are then all in flight on other
+    // threads, which by induction make progress, and the last one to
+    // retire notifies `done`.
+    while (group.remaining > 0) {
+      std::size_t index = 0;
+      if (TaskGroup* g = claim(&group, index)) {
+        execute(*g, index, lock);
+        continue;
+      }
+      group.done.wait(lock, [&] { return group.remaining == 0; });
+    }
+    lock.unlock();
 
-    if (!nested) tl_slot_ = kNoSlot;
+    if (!nested) tl_in_region_ = false;
     if (group.error) std::rethrow_exception(group.error);
   }
 
@@ -285,212 +134,138 @@ class Scheduler {
       }
     }
     nworkers_ = n;
-    deques_ = std::make_unique<ChunkDeque[]>(nworkers_ + 1);
-    health_ = std::make_unique<SlotHealth[]>(nworkers_ + 1);
     workers_.reserve(nworkers_);
     for (std::size_t i = 0; i < nworkers_; ++i) {
-      workers_.emplace_back(
-          [this, i](std::stop_token st) { worker_loop(i + 1, st); });
+      workers_.emplace_back([this](std::stop_token st) { worker_loop(st); });
     }
   }
 
-  void worker_loop(std::size_t slot, std::stop_token st) {
-    tl_slot_ = static_cast<std::ptrdiff_t>(slot);
-    tl_rng_ = 0x9E3779B97F4A7C15ull * (slot + 1) | 1;
+  void worker_loop(std::stop_token st) {
+    tl_in_region_ = true;
+    std::unique_lock<std::mutex> lock(mutex_);
     while (!st.stop_requested()) {
-      // The epoch is sampled before probing: if a publish lands after the
-      // probe missed it, the epoch comparison under the sleep mutex
-      // detects it and re-probes instead of sleeping through it.
-      const std::uint64_t seen =
-          publish_epoch_.load(std::memory_order_acquire);
-      Chunk* c = deques_[slot].pop();
-      if (c == nullptr) c = try_steal();
-      if (c != nullptr) {
-        execute(*c);
+      std::size_t index = 0;
+      if (TaskGroup* g = claim(nullptr, index)) {
+        execute(*g, index, lock);
         continue;
       }
-      std::unique_lock<std::mutex> lock(sleep_mutex_);
-      if (publish_epoch_.load(std::memory_order_relaxed) != seen) continue;
       ++sleepers_;
       const std::int64_t park_start = host_now_ns();
-      sleep_cv_.wait(lock, st, [&] { return wake_tokens_ > 0; });
-      const std::int64_t park_end = host_now_ns();
-      if (wake_tokens_ > 0) --wake_tokens_;
+      idle_.wait(lock, st, [&] { return backlog_ > 0; });
+      parks_->add(1);
+      park_ns_->add(static_cast<std::uint64_t>(host_now_ns() - park_start));
       --sleepers_;
-      lock.unlock();
-      SlotHealth& h = health_[slot];
-      h.parks.fetch_add(1, std::memory_order_relaxed);
-      h.park_ns.fetch_add(static_cast<std::uint64_t>(park_end - park_start),
-                          std::memory_order_relaxed);
     }
   }
 
-  // Wake at most `want` sleeping workers; already-awake workers find new
-  // chunks by stealing. Minting tokens under the sleep mutex (after the
-  // chunks are pushed) pairs with the epoch re-check in worker_loop, so
-  // a worker can neither miss the work nor be woken without need.
-  void wake_workers(std::size_t want) {
-    std::size_t granted = 0;
-    {
-      std::lock_guard<std::mutex> lock(sleep_mutex_);
-      publish_epoch_.fetch_add(1, std::memory_order_release);
-      const std::size_t asleep =
-          sleepers_ > wake_tokens_ ? sleepers_ - wake_tokens_ : 0;
-      granted = std::min(want, asleep);
-      wake_tokens_ += granted;
-    }
-    wakeups_->add(granted);
-    for (std::size_t i = 0; i < granted; ++i) sleep_cv_.notify_one();
-  }
-
-  // Run chunks until `group` completes. Local chunks first, then steals
-  // (which may execute sibling or descendant groups' chunks — helping is
-  // always safe because a chunk never blocks on anything but its own
-  // descendants). Blocking is safe only once nothing is runnable
-  // anywhere: this group's chunks are then all in flight on other
-  // threads, which by induction make progress, and the last finisher
-  // notifies done_cv.
-  void help(TaskGroup& group) {
+  // The next chunk for a thread waiting on `own` (nullptr: an idle
+  // worker): own's first, else the newest open group's. Returns its
+  // group and sets `index`, or returns nullptr when nothing is
+  // claimable. A cancelled group met on the way retires its unclaimed
+  // chunks unstarted. Caller holds mutex_.
+  TaskGroup* claim(TaskGroup* own, std::size_t& index) {
     for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(group.done_mutex);
-        if (group.remaining == 0) return;
+      TaskGroup* g = own;
+      if (g == nullptr || g->next == g->nchunks) {
+        if (open_.empty()) return nullptr;
+        g = open_.back();
       }
-      Chunk* c = deques_[static_cast<std::size_t>(tl_slot_)].pop();
-      if (c == nullptr) c = try_steal();
-      if (c != nullptr) {
-        execute(*c);
-        continue;
+      if (!g->cancelled()) {
+        index = take(*g, 1);
+        return g;
       }
-      std::unique_lock<std::mutex> lock(group.done_mutex);
-      group.done_cv.wait(lock, [&] { return group.remaining == 0; });
-      return;
+      const std::size_t unclaimed = g->nchunks - g->next;
+      take(*g, unclaimed);
+      retire(*g, unclaimed);
     }
   }
 
-  Chunk* try_steal() {
-    const std::size_t n = nworkers_ + 1;
-    const std::size_t me = static_cast<std::size_t>(tl_slot_);
-    if (tl_rng_ == 0) {
-      tl_rng_ = 0x9E3779B97F4A7C15ull * (me + 2) | 1;
+  // Claims the next `n` of g's chunks, closing g once none are left;
+  // returns the first one's index.
+  std::size_t take(TaskGroup& g, std::size_t n) {
+    const std::size_t first = g.next;
+    g.next += n;
+    set_backlog(backlog_ - n);
+    if (g.next == g.nchunks) {
+      open_.erase(std::find(open_.begin(), open_.end(), &g));
     }
-    std::uint64_t attempts = 0;
-    Chunk* c = nullptr;
-    // Randomized victims first (contention spread), then one
-    // deterministic sweep so "no chunk anywhere" is a reliable verdict
-    // before a caller decides to block or sleep.
-    for (std::size_t round = 0; round < 2 * n && c == nullptr; ++round) {
-      tl_rng_ ^= tl_rng_ << 13;
-      tl_rng_ ^= tl_rng_ >> 7;
-      tl_rng_ ^= tl_rng_ << 17;
-      const std::size_t victim = static_cast<std::size_t>(tl_rng_ % n);
-      if (victim == me) continue;
-      ++attempts;
-      c = deques_[victim].steal();
-    }
-    for (std::size_t victim = 0; victim < n && c == nullptr; ++victim) {
-      if (victim == me) continue;
-      ++attempts;
-      c = deques_[victim].steal();
-    }
-    SlotHealth& h = health_[me];
-    h.steal_attempts.fetch_add(attempts, std::memory_order_relaxed);
-    if (c != nullptr) h.steals.fetch_add(1, std::memory_order_relaxed);
-    return c;
+    return first;
   }
 
-  // Publish-time backlog probe: one relaxed depth read per deque.
-  void sample_depths() {
-    for (std::size_t i = 0; i <= nworkers_; ++i) {
-      const std::uint64_t d = deques_[i].approx_depth();
-      SlotHealth& h = health_[i];
-      h.depth_sum.fetch_add(d, std::memory_order_relaxed);
-      h.depth_samples.fetch_add(1, std::memory_order_relaxed);
-      std::uint64_t prev = h.max_depth.load(std::memory_order_relaxed);
-      while (prev < d && !h.max_depth.compare_exchange_weak(
-                             prev, d, std::memory_order_relaxed)) {
+  void retire(TaskGroup& g, std::size_t n) {
+    g.remaining -= n;
+    if (g.remaining == 0) g.done.notify_one();
+  }
+
+  void set_backlog(std::size_t n) {
+    backlog_ = n;
+    backlog_gauge_->set(n);
+  }
+
+  // Runs chunk `index` of g with mutex_ released, then retires it.
+  void execute(TaskGroup& g, std::size_t index,
+               std::unique_lock<std::mutex>& lock) {
+    lock.unlock();
+    chunks_->add(1);
+    if (g.owner != std::this_thread::get_id()) steals_->add(1);
+    TaskGroup* const prev = tl_executing_;
+    tl_executing_ = &g;
+    std::exception_ptr error;
+    const std::size_t end = std::min(g.count, (index + 1) * g.chunk);
+    for (std::size_t i = index * g.chunk; i < end; ++i) {
+      try {
+        (*g.fn)(i);
+      } catch (...) {
+        // Stop before taking the lock, so no participant claims another
+        // of this nest's chunks while this thread waits for it.
+        g.stop.store(true, std::memory_order_relaxed);
+        error = std::current_exception();
+        break;
       }
     }
+    tl_executing_ = prev;
+    lock.lock();
+    if (error && !g.error) g.error = error;
+    retire(g, 1);
   }
-
-  void execute(Chunk& c) {
-    TaskGroup* g = c.group;
-    // A cancelling ancestor drains descendants too: claimed chunks are
-    // discarded (never started), preserving chunk-granularity fail-fast.
-    if (!g->cancelled()) {
-      TaskGroup* const prev = tl_executing_;
-      tl_executing_ = g;
-      health_[static_cast<std::size_t>(tl_slot_)].chunks.fetch_add(
-          1, std::memory_order_relaxed);
-      for (std::size_t i = c.begin; i < c.end; ++i) {
-        try {
-          (*g->fn)(i);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(g->done_mutex);
-            if (!g->error) g->error = std::current_exception();
-          }
-          g->stop.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-      tl_executing_ = prev;
-    }
-    // Decrement AND notify inside the critical section: the waiter can
-    // then only see completion after this finisher is done with the
-    // group's synchronization objects (see TaskGroup).
-    std::lock_guard<std::mutex> lock(g->done_mutex);
-    if (--g->remaining == 0) g->done_cv.notify_all();
-  }
-
-  // Per-slot health counters. Each counter has a single writer (the
-  // slot's own thread) except max_depth/depth_sum/depth_samples, which
-  // any publisher may bump; cache-line alignment keeps the common
-  // single-writer case free of false sharing.
-  struct alignas(64) SlotHealth {
-    std::atomic<std::uint64_t> chunks{0};
-    std::atomic<std::uint64_t> pushes{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> steal_attempts{0};
-    std::atomic<std::uint64_t> parks{0};
-    std::atomic<std::uint64_t> park_ns{0};
-    std::atomic<std::uint64_t> depth_sum{0};
-    std::atomic<std::uint64_t> depth_samples{0};
-    std::atomic<std::uint64_t> max_depth{0};
-  };
 
   // Top-level session (external callers serialize; workers never take it).
   std::mutex session_mutex_;
 
-  // Sleep/wake machinery.
-  std::mutex sleep_mutex_;
-  std::condition_variable_any sleep_cv_;  // _any: waitable with stop_token
-  std::size_t sleepers_ = 0;              // guarded by sleep_mutex_
-  std::size_t wake_tokens_ = 0;           // guarded by sleep_mutex_
-  std::atomic<std::uint64_t> publish_epoch_{0};
-
+  std::mutex mutex_;
+  std::condition_variable_any idle_;  // _any: waitable with a stop_token
+  std::vector<TaskGroup*> open_;      // oldest first; guarded by mutex_
+  std::size_t backlog_ = 0;   // unclaimed chunks in open_; guarded by mutex_
+  std::size_t sleepers_ = 0;  // workers waiting on idle_; guarded by mutex_
   std::size_t nworkers_ = 0;
-  std::unique_ptr<ChunkDeque[]> deques_;  // [0] = external caller slot
-  std::unique_ptr<SlotHealth[]> health_;  // parallel to deques_
-  std::vector<std::jthread> workers_;     // request_stop + join on destruction
 
-  // Dispatch counters in the host-counter table. Chunk and steal totals
-  // need no table entry: they are sums over the per-slot health above.
-  obs::prof::HostCounter* const wakeups_ =
-      obs::prof::host_counter("parallel.wakeups");
   obs::prof::HostCounter* const groups_ =
       obs::prof::host_counter("parallel.groups");
   obs::prof::HostCounter* const nested_groups_ =
       obs::prof::host_counter("parallel.nested_groups");
+  obs::prof::HostCounter* const chunks_ =
+      obs::prof::host_counter("parallel.chunks");
+  obs::prof::HostCounter* const steals_ =
+      obs::prof::host_counter("parallel.steals");
+  obs::prof::HostCounter* const wakeups_ =
+      obs::prof::host_counter("parallel.wakeups");
+  obs::prof::HostCounter* const parks_ =
+      obs::prof::host_counter("parallel.parks");
+  obs::prof::HostCounter* const park_ns_ =
+      obs::prof::host_counter("parallel.park_ns");
+  obs::prof::HostCounter* const backlog_gauge_ =
+      obs::prof::host_counter("parallel.backlog");
+  obs::prof::HostCounter* const max_backlog_ =
+      obs::prof::host_counter("parallel.max_backlog");
 
-  static thread_local std::ptrdiff_t tl_slot_;
+  std::vector<std::jthread> workers_;  // request_stop + join on destruction
+
+  static thread_local bool tl_in_region_;
   static thread_local TaskGroup* tl_executing_;
-  static thread_local std::uint64_t tl_rng_;
 };
 
-thread_local std::ptrdiff_t Scheduler::tl_slot_ = kNoSlot;
+thread_local bool Scheduler::tl_in_region_ = false;
 thread_local TaskGroup* Scheduler::tl_executing_ = nullptr;
-thread_local std::uint64_t Scheduler::tl_rng_ = 0;
 
 }  // namespace
 
@@ -508,30 +283,6 @@ std::size_t default_parallelism() {
 }
 
 std::size_t parallel_capacity() { return Scheduler::instance().capacity(); }
-
-std::vector<WorkerHealth> parallel_worker_health() {
-  return Scheduler::instance().worker_health();
-}
-
-WorkerHealth parallel_health_total() {
-  WorkerHealth total;
-  for (const WorkerHealth& h : parallel_worker_health()) {
-    total.chunks += h.chunks;
-    total.pushes += h.pushes;
-    total.steals += h.steals;
-    total.steal_attempts += h.steal_attempts;
-    total.parks += h.parks;
-    total.park_ns += h.park_ns;
-    total.depth_sum += h.depth_sum;
-    total.depth_samples += h.depth_samples;
-    total.max_depth = std::max(total.max_depth, h.max_depth);
-  }
-  return total;
-}
-
-std::vector<std::size_t> parallel_deque_depths() {
-  return Scheduler::instance().deque_depths();
-}
 
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& fn,

@@ -5,15 +5,21 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace hpcos::obs::live {
 
 namespace {
 
+// Integer fields stop at 2^53: every such value is exact in a double and
+// in range for the integer casts readers apply (fold_heartbeat, `live`).
+constexpr double kMaxIntField = 9007199254740992.0;
+
 bool is_uint_field(const JsonValue& v) {
   if (!v.is_number()) return false;
   const double d = v.as_number();
-  return d >= 0.0 && std::floor(d) == d;
+  return d >= 0.0 && d <= kMaxIntField && std::floor(d) == d;
 }
 
 std::string fmt1(double v) {
@@ -108,9 +114,12 @@ std::string validate_heartbeat_record(const JsonValue& record) {
   for (const char* name : {"seq", "events", "units_done", "units_total",
                            "rss_bytes", "peak_rss_bytes", "stalls"}) {
     const JsonValue* v = record.find(name);
-    if (v == nullptr || !is_uint_field(*v)) {
-      return "missing non-negative integer field \"" + std::string(name) +
-             "\"";
+    if (v == nullptr) {
+      return "missing integer field \"" + std::string(name) + "\"";
+    }
+    if (!is_uint_field(*v)) {
+      return "field \"" + std::string(name) +
+             "\" must be an integer in [0, 2^53]";
     }
   }
   for (const char* name : {"t_ms", "events_per_sec", "sim_time_us", "eta_s"}) {
@@ -119,20 +128,26 @@ std::string validate_heartbeat_record(const JsonValue& record) {
       return "missing non-negative number field \"" + std::string(name) + "\"";
     }
   }
-  for (const char* section : {"des", "sched"}) {
+  // Each section must carry every key heartbeat_to_json writes: readers
+  // index them without checking.
+  const std::pair<std::string, std::vector<std::string>> sections[] = {
+      {"des", {"depth", "max_depth"}},
+      {"sched", {"chunks", "steals", "parks", "max_depth"}}};
+  for (const auto& [section, keys] : sections) {
     const JsonValue* sec = record.find(section);
     if (sec == nullptr || !sec->is_object()) {
-      return "missing object field \"" + std::string(section) + "\"";
+      return "missing object field \"" + section + "\"";
+    }
+    for (const std::string& key : keys) {
+      if (sec->find(key) == nullptr) {
+        return "missing field \"" + section + "." + key + "\"";
+      }
     }
     for (const auto& [key, value] : sec->members()) {
       if (!is_uint_field(value)) {
-        return "field \"" + std::string(section) + "." + key +
-               "\" must be a non-negative integer";
+        return "field \"" + section + "." + key +
+               "\" must be an integer in [0, 2^53]";
       }
-    }
-    if (sec->find("depth") == nullptr && sec->find("max_depth") == nullptr &&
-        sec->find("chunks") == nullptr) {
-      return "object field \"" + std::string(section) + "\" is empty";
     }
   }
   return "";

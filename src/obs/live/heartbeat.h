@@ -23,6 +23,12 @@
 //     "stalls": 0                    // watchdog episodes so far
 //   }
 //
+// "sched" carries the scheduler's host counters (common/parallel.h):
+// parallel.chunks, .steals and .parks, and as max_depth
+// parallel.max_backlog, the largest unclaimed-chunk backlog any dispatch
+// left. Integer fields are at most 2^53, and "des" and "sched" must carry
+// every key shown.
+//
 // Heartbeats are HOST telemetry by definition (wall-clock rates, RSS):
 // they never enter the deterministic half of any record, and a heartbeat
 // line in a *run-ledger* file is a hard, specifically-worded error in the

@@ -10,9 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
-#include "common/parallel.h"
 #include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 #include "obs/prof_report.h"
@@ -61,26 +59,13 @@ std::string build_stall_snapshot(const Heartbeat& hb, double stalled_for_s) {
   out << "des: queue depth " << hb.des_depth << " (max " << hb.des_max_depth
       << "), sim time " << fmt1(hb.sim_time_us / 1e6) << " s, events "
       << hb.events << "\n";
-  // The whole host-counter table: live feed, scheduler dispatch counts,
+  // The whole host-counter table: live feed, scheduler health (its
+  // parallel.backlog gauge counts the chunks no thread has claimed),
   // allocation counters.
   out << "host counters:\n";
   for (const prof::HostCounterValue& c :
        prof::host_counter_snapshot().counters) {
     out << "  " << c.name << " " << c.value << "\n";
-  }
-  // Live per-slot scheduler state: where is the backlog, who is asleep?
-  const std::vector<std::size_t> depths = parallel_deque_depths();
-  const std::vector<WorkerHealth> health = parallel_worker_health();
-  const std::size_t slots = std::max(depths.size(), health.size());
-  out << "sched: " << slots << " slots (slot 0 = caller)\n";
-  for (std::size_t i = 0; i < slots; ++i) {
-    out << "  slot " << i << ": deque depth "
-        << (i < depths.size() ? depths[i] : 0);
-    if (i < health.size()) {
-      out << ", chunks " << health[i].chunks << ", steals "
-          << health[i].steals << ", parks " << health[i].parks;
-    }
-    out << "\n";
   }
   if (prof::enabled()) {
     const prof::Profile profile = prof::collect();
@@ -138,11 +123,10 @@ struct ProgressMeter::Impl {
     }
     hb.des_depth = snap.value(prof::kLiveDesDepth);
     hb.des_max_depth = snap.value(prof::kLiveDesMaxDepth);
-    const WorkerHealth sched = parallel_health_total();
-    hb.sched_chunks = sched.chunks;
-    hb.sched_steals = sched.steals;
-    hb.sched_parks = sched.parks;
-    hb.sched_max_depth = sched.max_depth;
+    hb.sched_chunks = snap.value("parallel.chunks");
+    hb.sched_steals = snap.value("parallel.steals");
+    hb.sched_parks = snap.value("parallel.parks");
+    hb.sched_max_depth = snap.value("parallel.max_backlog");
     const prof::HostMemory mem = prof::sample_host_memory();
     if (mem.valid) {
       hb.rss_bytes = mem.rss_bytes;

@@ -4,16 +4,16 @@
 // is the one that talks while it runs. A dedicated sampling thread wakes
 // on a wall-clock timer, takes one snapshot of the host-counter table
 // (obs/prof/counters.h: the live.* feed the DES loop, FWQ campaigns and
-// bench plan drivers write) plus the per-slot scheduler health and the
-// profiler/procfs gauges, and
+// bench plan drivers write, and the scheduler's parallel.* health) plus
+// the profiler/procfs gauges, and
 //
 //   * emits one hpcos-heartbeat/1 JSON line per interval to an optional
 //     *.heartbeat.jsonl stream and/or an ASCII line to stderr, and
 //   * when armed, watches for stalls: if the progress signature (events,
 //     completed units, simulated time) stops changing for stall_after_s
 //     wall seconds, it emits a "stall" heartbeat, dumps a diagnostic
-//     snapshot — DES queue depth/max, per-slot deque depths + park
-//     counts, the host-counter table, top profile scopes, RSS/VmHWM —
+//     snapshot — DES queue depth/max, the host-counter table (with the
+//     scheduler's parallel.backlog), top profile scopes, RSS/VmHWM —
 //     and can abort the process
 //     with a nonzero exit so a CI hang becomes a diagnosable failure
 //     instead of a timeout.

@@ -4,8 +4,8 @@
 // that used to keep their own: the live progress feed (live.*, sampled by
 // the ProgressMeter in obs/live/live.h), per-subsystem allocation counters
 // (mem.<site>.bytes / mem.<site>.events, see obs/prof/mem.h) and the
-// work-stealing scheduler's dispatch counters (parallel.wakeups,
-// parallel.groups, parallel.nested_groups).
+// parallel_for scheduler's health (parallel.*, listed in
+// common/parallel.h).
 //
 //   * host_counter(name) finds or creates a counter and returns a pointer
 //     that stays valid for the life of the process. Lookup takes a mutex,

@@ -8,8 +8,8 @@
 //   * AllocCounter — an allocation site's pair of host-counter table
 //     entries (obs/prof/counters.h), mem.<site>.bytes and
 //     mem.<site>.events, bumped where the subsystem allocates (trace
-//     rings, time-series buckets, campaign shard accumulators, scheduler
-//     deque buffers). The --profile report folds them as host.mem.*.
+//     rings, time-series buckets, campaign shard accumulators). The
+//     --profile report folds them as host.mem.*.
 //   * sample_host_memory() — current VmSize/VmRSS from /proc/self/statm
 //     and peak RSS (VmHWM) from /proc/self/status. Returns valid=false
 //     where procfs is unavailable.

@@ -562,12 +562,16 @@ TEST(ParallelFor, NestedCallsCoverEveryIndexOnce) {
 
 TEST(ParallelFor, NestedWorkIsDistributedAcrossThreads) {
   // The scheduler's point: an inner parallel_for issued from inside a
-  // running worker must have its chunks stolen by idle participants, not
+  // running worker must have its chunks claimed by idle participants, not
   // run serially on the nested caller. One outer task is trivial so its
-  // thread becomes a thief; the other runs a slow inner loop whose
-  // chunks the thief picks up.
+  // thread goes idle; the other runs a slow inner loop whose chunks the
+  // idle thread picks up (parallel.steals counts chunks run by a thread
+  // other than the one that issued their group).
+  // Let the pool park first, so the calls below must wake a worker.
+  parallel_for(8, [](std::size_t) {}, 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const std::uint64_t nested_before = host_count("parallel.nested_groups");
-  const std::uint64_t steals_before = parallel_health_total().steals;
+  const std::uint64_t steals_before = host_count("parallel.steals");
   std::mutex m;
   std::set<std::thread::id> inner_threads;
   parallel_for(
@@ -587,7 +591,7 @@ TEST(ParallelFor, NestedWorkIsDistributedAcrossThreads) {
       },
       2);
   EXPECT_GE(host_count("parallel.nested_groups") - nested_before, 1u);
-  EXPECT_GE(parallel_health_total().steals - steals_before, 1u);
+  EXPECT_GE(host_count("parallel.steals") - steals_before, 1u);
   EXPECT_GE(inner_threads.size(), 2u);
 }
 

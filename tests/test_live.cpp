@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/sim_time.h"
 #include "obs/live/heartbeat.h"
 #include "obs/live/live.h"
@@ -137,6 +138,86 @@ TEST(Heartbeat, StrictParseNamesLineLenientSkipsAndCounts) {
   const HeartbeatLog log = parse_heartbeat_log(text, /*strict=*/false);
   EXPECT_EQ(log.records.size(), 2u);
   EXPECT_EQ(log.skipped, 1u);
+}
+
+TEST(Heartbeat, SectionWithoutEveryDocumentedKeyIsSkippedNotFatal) {
+  // A section missing a documented key must not validate: `live` indexes
+  // every key, so one such line would abort its whole lenient read.
+  const JsonValue good_record = heartbeat_to_json(sample_heartbeat());
+  const std::string good = heartbeat_line(good_record);
+  JsonValue partial_des = good_record;
+  JsonValue des = JsonValue::object();
+  des.set("max_depth", std::uint64_t{5});
+  partial_des.set("des", std::move(des));
+  EXPECT_NE(validate_heartbeat_record(partial_des), "");
+  JsonValue partial_sched = good_record;
+  JsonValue sched = JsonValue::object();
+  sched.set("chunks", std::uint64_t{1});
+  sched.set("steals", std::uint64_t{0});
+  sched.set("max_depth", std::uint64_t{1});
+  partial_sched.set("sched", std::move(sched));  // no "parks"
+  EXPECT_NE(validate_heartbeat_record(partial_sched), "");
+
+  const std::string text =
+      good + "\n" + partial_des.dump() + "\n" + good + "\n";
+  try {
+    parse_heartbeat_log(text, /*strict=*/true);
+    FAIL() << "strict parse accepted a partial des section";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("heartbeat line 2"),
+              std::string::npos)
+        << e.what();
+  }
+  const HeartbeatLog log = parse_heartbeat_log(text, /*strict=*/false);
+  EXPECT_EQ(log.records.size(), 2u);
+  EXPECT_EQ(log.skipped, 1u);
+}
+
+TEST(Heartbeat, IntegerFieldsAboveTwoToThe53AreRejected) {
+  // Beyond 2^53 an integer field is no longer exact in a double, and
+  // 1e300 would overflow the integer casts `live` and fold_heartbeat apply.
+  const JsonValue good_record = heartbeat_to_json(sample_heartbeat());
+  JsonValue at_cap = good_record;
+  at_cap.set("seq", JsonValue(9007199254740992.0));  // 2^53
+  EXPECT_EQ(validate_heartbeat_record(at_cap), "");
+  JsonValue above_cap = good_record;
+  above_cap.set("events", JsonValue(9007199254740994.0));  // 2^53 + 2
+  EXPECT_NE(validate_heartbeat_record(above_cap), "");
+  JsonValue huge_depth = good_record;
+  JsonValue des = JsonValue::object();
+  des.set("depth", JsonValue(1e300));
+  des.set("max_depth", std::uint64_t{5});
+  huge_depth.set("des", std::move(des));
+  EXPECT_NE(validate_heartbeat_record(huge_depth), "");
+
+  JsonValue huge_seq = good_record;
+  huge_seq.set("seq", JsonValue(1e300));
+  const std::string good = heartbeat_line(good_record);
+  const std::string text =
+      good + "\n" + huge_seq.dump() + "\n" + good + "\n";
+  try {
+    parse_heartbeat_log(text, /*strict=*/true);
+    FAIL() << "strict parse accepted seq 1e300";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("heartbeat line 2"),
+              std::string::npos)
+        << e.what();
+  }
+  const HeartbeatLog log = parse_heartbeat_log(text, /*strict=*/false);
+  EXPECT_EQ(log.skipped, 1u);
+  ASSERT_EQ(log.records.size(), 2u);
+  // The skipped line leaves the aggregates of the rest as they were.
+  const HeartbeatAggregates got = aggregate_heartbeats(log.records);
+  const HeartbeatAggregates want =
+      aggregate_heartbeats({good_record, good_record});
+  EXPECT_EQ(got.records, want.records);
+  EXPECT_EQ(got.ticks, want.ticks);
+  EXPECT_EQ(got.stalls, want.stalls);
+  EXPECT_EQ(got.events_total, want.events_total);
+  EXPECT_EQ(got.elapsed_s, want.elapsed_s);
+  EXPECT_EQ(got.events_per_sec_max, want.events_per_sec_max);
+  EXPECT_EQ(got.units_done, want.units_done);
+  EXPECT_EQ(got.peak_rss_bytes, want.peak_rss_bytes);
 }
 
 TEST(Heartbeat, AggregatesFoldTicksStallsAndRates) {
@@ -266,6 +347,9 @@ TEST(ProgressMeter, WatchdogFiresOnInjectedStallWithDiagnosticSnapshot) {
     std::lock_guard<std::mutex> lock(mu);
     snapshots.push_back(s);
   };
+  // A scheduler that has run has its health in the table the snapshot
+  // dumps, the parallel.backlog gauge among it.
+  parallel_for(8, [](std::size_t) {}, 2);
   ProgressMeter meter(cfg);
   meter.start();
   feed(prof::kLiveEvents, 100);
@@ -289,8 +373,7 @@ TEST(ProgressMeter, WatchdogFiresOnInjectedStallWithDiagnosticSnapshot) {
   EXPECT_NE(snap.find("stall watchdog"), std::string::npos) << snap;
   EXPECT_NE(snap.find("no progress for"), std::string::npos) << snap;
   EXPECT_NE(snap.find("des: queue depth"), std::string::npos) << snap;
-  EXPECT_NE(snap.find("slot 0"), std::string::npos) << snap;
-  EXPECT_NE(snap.find("deque depth"), std::string::npos) << snap;
+  EXPECT_NE(snap.find("parallel.backlog 0"), std::string::npos) << snap;
   EXPECT_NE(snap.find("live.events 100"), std::string::npos) << snap;
   EXPECT_NE(snap.find("mem: rss"), std::string::npos) << snap;
   EXPECT_NE(snap.find("=== end stall snapshot ==="), std::string::npos)

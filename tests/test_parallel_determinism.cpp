@@ -249,8 +249,8 @@ TEST(ParallelDeterminism, RelativePerformanceIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminism, NestedCampaignMergesIdenticalAcrossThreadCounts) {
   // A campaign whose per-shard fn itself calls parallel_for (the shape
-  // run_plan + relative_performance now execute via the work-stealing
-  // scheduler): inner results land in index-addressed slots, shard
+  // run_plan + relative_performance execute as nested task groups):
+  // inner results land in index-addressed slots, shard
   // accumulators fold them in item order, and shards merge in shard
   // order — so LogHistogram and OnlineStats must both be bit-identical
   // across host thread counts.

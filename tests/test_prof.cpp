@@ -14,6 +14,7 @@
 //     trip of the profiler's deterministic face all behave.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string>
@@ -236,29 +237,46 @@ TEST_F(ProfTest, SimulatorQueueTelemetryAndHandlerAttribution) {
 }
 
 TEST_F(ProfTest, SchedulerHealthCounters) {
-  auto sum_pushes = [] {
-    std::uint64_t n = 0;
-    for (const auto& h : parallel_worker_health()) n += h.pushes;
-    return n;
+  // The scheduler's health is host-counter table entries. Group and
+  // chunk counts are exact whichever threads run the chunks: the chunk
+  // rule is max(1, count / (participants * 8)).
+  auto count = [](const char* name) {
+    return prof::host_counter_snapshot().value(name);
   };
-  auto sum_chunks = [] {
-    std::uint64_t n = 0;
-    for (const auto& h : parallel_worker_health()) n += h.chunks;
-    return n;
-  };
-
-  const std::uint64_t pushes_before = sum_pushes();
-  const std::uint64_t chunks_before = sum_chunks();
+  const std::size_t participants =
+      std::min<std::size_t>(4, parallel_capacity());
+  const std::size_t chunk =
+      std::max<std::size_t>(1, 64 / (participants * 8));
+  const std::uint64_t groups_before = count("parallel.groups");
+  const std::uint64_t chunks_before = count("parallel.chunks");
+  const std::uint64_t steals_before = count("parallel.steals");
   std::atomic<std::uint64_t> acc{0};
   parallel_for(64, [&](std::size_t i) {
     acc.fetch_add(i, std::memory_order_relaxed);
   }, 4);
 
   EXPECT_EQ(acc.load(), 64u * 63u / 2u);
-  // Health counters are cumulative across the process; the run must have
-  // pushed at least one chunk and executed them all.
-  EXPECT_GT(sum_pushes(), pushes_before);
-  EXPECT_GE(sum_chunks() - chunks_before, sum_pushes() - pushes_before);
+  const std::uint64_t flat_chunks = count("parallel.chunks") - chunks_before;
+  EXPECT_EQ(count("parallel.groups") - groups_before, 1u);
+  EXPECT_EQ(flat_chunks, (64 + chunk - 1) / chunk);
+  EXPECT_LE(count("parallel.steals") - steals_before, flat_chunks);
+  EXPECT_EQ(count("parallel.backlog"), 0u);
+  // The dispatch left all of its chunks unclaimed at once.
+  EXPECT_GE(count("parallel.max_backlog"), flat_chunks);
+
+  // Nested: each of the two outer indices issues one 32-index group.
+  const std::uint64_t nested_before = count("parallel.nested_groups");
+  const std::uint64_t nested_chunks_before = count("parallel.chunks");
+  const std::uint64_t nested_steals_before = count("parallel.steals");
+  parallel_for(2, [&](std::size_t) {
+    parallel_for(32, [&](std::size_t i) {
+      acc.fetch_add(i, std::memory_order_relaxed);
+    }, 2);
+  }, 2);
+  EXPECT_EQ(count("parallel.nested_groups") - nested_before, 2u);
+  EXPECT_LE(count("parallel.steals") - nested_steals_before,
+            count("parallel.chunks") - nested_chunks_before);
+  EXPECT_EQ(count("parallel.backlog"), 0u);
 }
 
 TEST_F(ProfTest, AllocCountersAndHostSample) {

@@ -14,9 +14,10 @@
 //      hotspot table, the DES queue telemetry (push/pop/cancel,
 //      depth-over-virtual-time), the per-handler host-time attribution,
 //      and exports the folded-stack flamegraph (--folded).
-//   2. Scheduler health: the same campaign across the work-stealing
-//      pool; prints per-worker deque depth, steal success rates, and
-//      park time.
+//   2. Scheduler health: the same campaign across the worker pool;
+//      prints what it added to the host-counter table's parallel.*
+//      entries (groups, chunks, steals, wakeups, parks, park time,
+//      backlog).
 //   3. Memory: per-subsystem allocation counters (the host-counter
 //      table's mem.* entries) and process RSS.
 //   4. Sampled span tracing (obs/live): the accounting node's span trace
@@ -89,7 +90,7 @@ cluster::FwqCampaignConfig campaign_config(bool quick, std::size_t threads) {
   config.work_quantum = SimTime::from_ms(6.5);
   config.duration_per_core = quick ? SimTime::sec(60) : SimTime::sec(600);
   // Finer shards than the default so the scheduler-health section has
-  // deques worth watching. Shard boundaries fix the summation order, so
+  // chunks worth watching. Shard boundaries fix the summation order, so
   // both runs (serial and parallel) must use the same value — that is
   // exactly what makes their results bit-comparable.
   config.nodes_per_shard = 8;
@@ -257,11 +258,18 @@ int main(int argc, char** argv) {
   // Ask for at least two participants so the run crosses the scheduler
   // even on single-core CI hosts (requests clamp to parallel_capacity();
   // results are thread-count-independent by the determinism contract).
+  const obs::prof::HostCounterSnapshot sched_before =
+      obs::prof::host_counter_snapshot();
   const auto parallel_campaign = cluster::run_fwq_campaign(
       noise::fugaku_linux_profile(),
       campaign_config(q, std::max<std::size_t>(2, parallel_capacity())));
-  const auto health = parallel_worker_health();
-  const WorkerHealth sched_total = parallel_health_total();
+  const obs::prof::HostCounterSnapshot sched_after =
+      obs::prof::host_counter_snapshot();
+  // What the campaign added to each parallel.* entry; the backlog gauge
+  // and max_backlog are levels, so they print as read afterwards.
+  auto sched_delta = [&](const std::string& name) {
+    return sched_after.value(name) - sched_before.value(name);
+  };
 
   const bool campaign_identical =
       serial_campaign.stats.noise_rate == parallel_campaign.stats.noise_rate &&
@@ -269,33 +277,16 @@ int main(int argc, char** argv) {
   ok = ok && campaign_identical;
 
   print_banner(std::cout,
-               "Work-stealing scheduler health (campaign across " +
-                   std::to_string(parallel_capacity()) + " slots)");
-  TextTable sched({"slot", "chunks", "pushes", "steals", "attempts",
-                   "hit rate", "parks", "park ms", "avg depth", "max depth"});
-  for (std::size_t c = 1; c < 10; ++c) sched.set_align(c, Align::kRight);
-  for (std::size_t i = 0; i < health.size(); ++i) {
-    const WorkerHealth& h = health[i];
-    sched.add_row(
-        {i == 0 ? "caller" : "w" + std::to_string(i),
-         TextTable::fmt_int(static_cast<long long>(h.chunks)),
-         TextTable::fmt_int(static_cast<long long>(h.pushes)),
-         TextTable::fmt_int(static_cast<long long>(h.steals)),
-         TextTable::fmt_int(static_cast<long long>(h.steal_attempts)),
-         h.steal_attempts > 0
-             ? TextTable::fmt_percent(static_cast<double>(h.steals) /
-                                          static_cast<double>(
-                                              h.steal_attempts),
-                                      1)
-             : "-",
-         TextTable::fmt_int(static_cast<long long>(h.parks)),
-         TextTable::fmt(static_cast<double>(h.park_ns) / 1e6, 1),
-         h.depth_samples > 0
-             ? TextTable::fmt(static_cast<double>(h.depth_sum) /
-                                  static_cast<double>(h.depth_samples),
-                              2)
-             : "-",
-         TextTable::fmt_int(static_cast<long long>(h.max_depth))});
+               "Scheduler health (campaign across " +
+                   std::to_string(parallel_capacity()) + " threads)");
+  TextTable sched({"counter", "value"});
+  sched.set_align(1, Align::kRight);
+  for (const auto& c : sched_after.counters) {
+    if (!c.name.starts_with("parallel.")) continue;
+    const bool level =
+        c.name == "parallel.backlog" || c.name == "parallel.max_backlog";
+    sched.add_row({c.name, TextTable::fmt_int(static_cast<long long>(
+                               level ? c.value : sched_delta(c.name)))});
   }
   sched.print(std::cout);
   std::cout << "parallel results "
@@ -424,13 +415,12 @@ int main(int argc, char** argv) {
                                        &lossless.sketches);
   add_profile_metrics(report, profile);
   report.add_metric("host.parallel.steals.count", "count",
-                    static_cast<double>(sched_total.steals));
-  report.add_metric("host.parallel.steal_attempts.count", "count",
-                    static_cast<double>(sched_total.steal_attempts));
+                    static_cast<double>(sched_delta("parallel.steals")));
   report.add_metric("host.parallel.parks.count", "count",
-                    static_cast<double>(sched_total.parks));
-  report.add_metric("host.parallel.park_ms", "ms",
-                    static_cast<double>(sched_total.park_ns) / 1e6);
+                    static_cast<double>(sched_delta("parallel.parks")));
+  report.add_metric(
+      "host.parallel.park_ms", "ms",
+      static_cast<double>(sched_delta("parallel.park_ns")) / 1e6);
   report.add_metric("host.wall_ms", "ms", static_cast<double>(wall_ns) / 1e6);
   report.add_series("des.queue.depth", "events", depth_series);
   obs::maybe_write_report(report, opts);
