@@ -54,11 +54,4 @@ cluster::JobConfig job_geometry(const std::string& name,
   return job;
 }
 
-std::vector<std::string> workloads_for(PlatformKind platform) {
-  if (platform == PlatformKind::kOfp) {
-    return {"AMG2013", "Milc", "Lulesh", "LQCD", "GeoFEM", "GAMERA"};
-  }
-  return {"LQCD", "GeoFEM", "GAMERA"};
-}
-
 }  // namespace hpcos::apps

@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/osenv.h"
 #include "cluster/workload.h"
@@ -27,9 +26,5 @@ std::unique_ptr<cluster::Workload> make_workload(const std::string& name,
 // Ranks/threads per node for a workload on a platform (appendix values).
 cluster::JobConfig job_geometry(const std::string& name,
                                 PlatformKind platform, std::int64_t nodes);
-
-// All workload names with results on a platform (CORAL apps are
-// x86-only: no A64FX-optimized versions exist, §6.2).
-std::vector<std::string> workloads_for(PlatformKind platform);
 
 }  // namespace hpcos::apps

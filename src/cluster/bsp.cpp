@@ -38,14 +38,6 @@ void BspEngine::set_trace(sim::TraceBuffer* trace, hw::CoreId track,
   trace_anchor_ = anchor;
 }
 
-void BspEngine::set_series(obs::ts::SeriesSet* series, std::string prefix,
-                           SimTime resolution, std::size_t capacity) {
-  series_ = series;
-  series_prefix_ = std::move(prefix);
-  series_resolution_ = resolution;
-  series_capacity_ = capacity;
-}
-
 RunResult BspEngine::run(const Workload& workload) {
   RunResult r;
   r.workload = workload.name();
@@ -201,24 +193,6 @@ RunResult BspEngine::run(const Workload& workload) {
         rank_time + churn_extra + imbalance_extra + noise_delay + comm;
     r.iteration_times.push_back(iter_time);
     total += iter_time;
-
-    if (series_ != nullptr) {
-      // Phase durations at the iteration's start on the run timeline.
-      const SimTime at = cursor;
-      auto rec = [&](const char* name, SimTime dur) {
-        series_
-            ->series(series_prefix_ + name, series_resolution_,
-                     series_capacity_)
-            ->record(at, dur.to_us());
-      };
-      rec("compute_us", compute_time);
-      rec("fault_in_us", fault_time);
-      rec("churn_us", churn_med + churn_extra);
-      rec("imbalance_us", imbalance_extra);
-      rec("noise_wait_us", noise_delay);
-      rec("comm_us", comm);
-      rec("iteration_us", iter_time);
-    }
 
     if (tracing) {
       const std::uint64_t root = span(0, cursor, iter_time,

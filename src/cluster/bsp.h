@@ -21,7 +21,6 @@
 #include "cluster/osenv.h"
 #include "cluster/workload.h"
 #include "net/collectives.h"
-#include "obs/timeseries/timeseries.h"
 #include "sim/trace.h"
 
 namespace hpcos::cluster {
@@ -61,17 +60,6 @@ class BspEngine {
   void set_trace(sim::TraceBuffer* trace, hw::CoreId track = 0,
                  SimTime anchor = SimTime::zero());
 
-  // Optional streaming phase series (the Fig. 3 per-phase timeline view):
-  // when set, run() records each iteration's phase durations at the
-  // iteration's start on the run timeline into `<prefix><phase>_us`
-  // series (compute, fault_in, churn, imbalance, noise_wait, comm,
-  // iteration — units in the last name segment per the registry naming
-  // rule). Recording reads already-drawn values only, so attaching a
-  // series sink never changes the simulated result. nullptr detaches.
-  void set_series(obs::ts::SeriesSet* series, std::string prefix = "bsp.",
-                  SimTime resolution = SimTime::from_ms(50),
-                  std::size_t capacity = 128);
-
   RunResult run(const Workload& workload);
 
  private:
@@ -83,10 +71,6 @@ class BspEngine {
   sim::TraceBuffer* trace_ = nullptr;
   hw::CoreId trace_track_ = 0;
   SimTime trace_anchor_;
-  obs::ts::SeriesSet* series_ = nullptr;
-  std::string series_prefix_ = "bsp.";
-  SimTime series_resolution_ = SimTime::from_ms(50);
-  std::size_t series_capacity_ = 128;
 };
 
 // Convenience: mean relative performance of `env` vs `baseline` over

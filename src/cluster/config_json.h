@@ -1,6 +1,6 @@
-// Canonical JSON serializers for the simulation configs (DESIGN §8).
+// Canonical JSON serializer for the FWQ campaign config (DESIGN §8).
 //
-// These produce the documents that common/confighash.h digests into the
+// It produces the document that common/confighash.h digests into the
 // cross-run memoization key: the run ledger (obs/runlog) groups records by
 // config hash, tools/trend compares runs within a group, and the planned
 // campaign server will use the same key for exact result caching.
@@ -13,55 +13,21 @@
 //     bit-identical across host thread counts, DESIGN §6) and
 //     observability sinks (`registry`, attached series) never appear, so
 //     the same experiment run on different hosts lands in the same group;
-//   * times serialize as integer nanoseconds (exact), enums as their
-//     stable string names, and each document carries a `schema` member so
-//     a field rename is a visible schema bump, not a silent rehash.
+//   * times serialize as integer nanoseconds (exact), and the document
+//     carries a `schema` member so a field rename is a visible schema
+//     bump, not a silent rehash.
 //
 // tests/test_confighash.cpp pins both halves: hashes are invariant across
 // `threads` and member order, and flipping any semantic knob changes them.
 #pragma once
 
-#include <string>
-
-#include "common/json.h"
 #include "cluster/fwq_campaign.h"
-#include "cluster/osenv.h"
-#include "cluster/workload.h"
-#include "noise/analytic.h"
-#include "noise/profiles.h"
+#include "common/json.h"
 
 namespace hpcos::cluster {
 
 // FWQ campaign knobs (schema "hpcos-config-fwq-campaign/1"); `threads` and
 // `registry` are deliberately absent.
 JsonValue to_config_json(const FwqCampaignConfig& config);
-
-// BSP job geometry (schema "hpcos-config-bsp-job/1").
-JsonValue to_config_json(const JobConfig& job);
-
-// §4.2 Linux countermeasure toggles (schema
-// "hpcos-config-countermeasures/1") — the OS-personality knob space of
-// Table 2.
-JsonValue to_config_json(const noise::Countermeasures& cm);
-
-// Memory-management cost model knobs (schema "hpcos-config-mem-env/1").
-JsonValue to_config_json(const MemEnvModel& mem);
-
-// Full analytic noise profile: name, jitter floor, and every source spec
-// (schema "hpcos-config-noise-profile/1"). Countermeasure changes surface
-// here as source-list changes, so environments built from different
-// Countermeasures hash differently even though the struct itself is gone
-// by then.
-JsonValue to_config_json(const noise::AnalyticNoiseProfile& profile);
-
-// OS personality: kind, noise profile, memory model, fabric and RDMA path
-// (schema "hpcos-config-os-environment/1").
-JsonValue to_config_json(const OsEnvironment& env);
-
-// A bench plan point: workload x environment x job geometry x seed — the
-// unit the fig5/6/7 plans sweep (schema "hpcos-config-bench-plan/1").
-JsonValue bench_plan_config_json(const std::string& workload,
-                                 const OsEnvironment& env,
-                                 const JobConfig& job, Seed seed);
 
 }  // namespace hpcos::cluster

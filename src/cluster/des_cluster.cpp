@@ -7,20 +7,6 @@ namespace hpcos::cluster {
 DesCluster::DesCluster(int num_nodes, const hw::PlatformConfig& platform,
                        const linuxk::LinuxConfig& linux_config,
                        Options options) {
-  build(num_nodes, platform, linux_config, nullptr, options);
-}
-
-DesCluster::DesCluster(int num_nodes, const hw::PlatformConfig& platform,
-                       const linuxk::LinuxConfig& linux_config,
-                       const mck::McKernelConfig& lwk_config,
-                       Options options) {
-  build(num_nodes, platform, linux_config, &lwk_config, options);
-}
-
-void DesCluster::build(int num_nodes, const hw::PlatformConfig& platform,
-                       const linuxk::LinuxConfig& linux_config,
-                       const mck::McKernelConfig* lwk_config,
-                       Options options) {
   HPCOS_CHECK(num_nodes >= 1);
   nodes_.reserve(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
@@ -30,16 +16,8 @@ void DesCluster::build(int num_nodes, const hw::PlatformConfig& platform,
                                       static_cast<std::uint64_t>(n + 1)};
     node_opts.trace_capacity = options.trace_capacity;
     node_opts.shared_simulator = &sim_;
-    if (options.multikernel || lwk_config != nullptr) {
-      nodes_.push_back(SimNode::make_multikernel_node(
-          platform, linux_config,
-          lwk_config != nullptr ? *lwk_config
-                                : mck::McKernelConfig::defaults(),
-          node_opts));
-    } else {
-      nodes_.push_back(
-          SimNode::make_linux_node(platform, linux_config, node_opts));
-    }
+    nodes_.push_back(
+        SimNode::make_linux_node(platform, linux_config, node_opts));
   }
 }
 

@@ -2,11 +2,11 @@
 //
 // §6.3: "we extended FWQ to run on an arbitrary number of nodes (using
 // MPI) and measure OS noise on all CPU cores simultaneously". This class
-// is that harness for the DES side: N fully-modeled nodes (Linux-only or
-// multi-kernel) advance in one simulator, FWQ runs on every application
-// core of every node at once, and per-node traces come back for the
-// aggregate statistics. Node seeds derive from a base seed, so each node's
-// noise is independent but the whole cluster run is reproducible.
+// is that harness for the DES side: N fully-modeled Linux nodes advance
+// in one simulator, FWQ runs on every application core of every node at
+// once, and per-node traces come back for the aggregate statistics. Node
+// seeds derive from a base seed, so each node's noise is independent but
+// the whole cluster run is reproducible.
 #pragma once
 
 #include <memory>
@@ -21,16 +21,12 @@ class DesCluster {
  public:
   struct Options {
     Seed seed{0xC1D5};
-    bool multikernel = false;
     std::size_t trace_capacity = 0;
   };
 
-  // All nodes share `platform` hardware and the given kernel configs.
+  // All nodes share `platform` hardware and the given kernel config.
   DesCluster(int num_nodes, const hw::PlatformConfig& platform,
              const linuxk::LinuxConfig& linux_config, Options options);
-  DesCluster(int num_nodes, const hw::PlatformConfig& platform,
-             const linuxk::LinuxConfig& linux_config,
-             const mck::McKernelConfig& lwk_config, Options options);
 
   int size() const { return static_cast<int>(nodes_.size()); }
   sim::Simulator& simulator() { return sim_; }
@@ -42,10 +38,6 @@ class DesCluster {
       noise::FwqConfig config);
 
  private:
-  void build(int num_nodes, const hw::PlatformConfig& platform,
-             const linuxk::LinuxConfig& linux_config,
-             const mck::McKernelConfig* lwk_config, Options options);
-
   sim::Simulator sim_;
   std::vector<std::unique_ptr<SimNode>> nodes_;
 };

@@ -472,17 +472,4 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
   return result;
 }
 
-FwqCampaignResult fwq_result_from_traces(
-    const std::vector<noise::FwqTrace>& traces) {
-  FwqCampaignResult result;
-  result.stats = noise::compute_noise_stats(traces);
-  for (const auto& t : traces) {
-    for (const SimTime it : t.iteration_times) {
-      result.cdf.add(it.to_us());
-      ++result.total_iterations;
-    }
-  }
-  return result;
-}
-
 }  // namespace hpcos::cluster

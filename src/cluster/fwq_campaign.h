@@ -25,7 +25,6 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "noise/analytic.h"
-#include "noise/fwq.h"
 #include "noise/metrics.h"
 #include "obs/registry.h"
 #include "obs/timeseries/timeseries.h"
@@ -139,11 +138,5 @@ struct FwqCampaignResult {
 
 FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
                                    const FwqCampaignConfig& config);
-
-// DES cross-check: run real FWQ on a SimNode-owned kernel and return the
-// same stats shape (used by tests and the small-scale portion of the
-// Figure 4 bench).
-FwqCampaignResult fwq_result_from_traces(
-    const std::vector<noise::FwqTrace>& traces);
 
 }  // namespace hpcos::cluster

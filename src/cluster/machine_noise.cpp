@@ -46,22 +46,6 @@ MachineNoiseSampler::MachineNoiseSampler(
         break;
     }
 
-    // Expected per-thread overhead, averaged over every thread in the
-    // machine: arrivals x mean duration x threads delayed per arrival,
-    // divided by the total thread population. A kAllCores arrival stalls
-    // all app_threads_per_node threads of its node at once; every other
-    // scope delays exactly one thread per arrival. For gated sources
-    // (node_fraction < 1) the arrivals already carry the active_nodes
-    // factor, so the machine average correctly shrinks with the fraction.
-    const double mean_dur_ns =
-        static_cast<double>(s.duration.mean().count_ns());
-    const double threads_per_hit =
-        s.scope == noise::SourceScope::kAllCores
-            ? static_cast<double>(app_threads_per_node)
-            : 1.0;
-    expected_rate_ +=
-        as.arrivals_per_ns * mean_dur_ns * threads_per_hit / total_threads;
-
     sources_.push_back(std::move(as));
   }
 
@@ -71,7 +55,6 @@ MachineNoiseSampler::MachineNoiseSampler(
     const double z = std::sqrt(2.0 * std::log(std::max(2.0, total_threads)));
     jitter_worst_fraction_ =
         std::max(0.0, profile.base_jitter_mean + z * profile.base_jitter_sd);
-    expected_rate_ += profile.base_jitter_mean;
   }
 }
 
@@ -106,7 +89,5 @@ GlobalDelaySample MachineNoiseSampler::sample_global_delay_attributed(
   }
   return out;
 }
-
-double MachineNoiseSampler::expected_rate() const { return expected_rate_; }
 
 }  // namespace hpcos::cluster

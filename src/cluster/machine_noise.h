@@ -49,10 +49,6 @@ class MachineNoiseSampler {
   // dominant contributor.
   GlobalDelaySample sample_global_delay_attributed(SimTime window);
 
-  // Deterministic estimate of the average per-thread overhead fraction
-  // (for sanity checks against Eq. 2 style rates).
-  double expected_rate() const;
-
   std::size_t active_source_count() const { return sources_.size(); }
 
  private:
@@ -64,7 +60,6 @@ class MachineNoiseSampler {
 
   std::vector<ActiveSource> sources_;
   double jitter_worst_fraction_ = 0.0;  // max-of-N jitter floor
-  double expected_rate_ = 0.0;
   RngStream rng_;
 };
 

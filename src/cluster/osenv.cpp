@@ -6,10 +6,6 @@
 
 namespace hpcos::cluster {
 
-std::string to_string(OsKind k) {
-  return k == OsKind::kLinux ? "Linux" : "McKernel";
-}
-
 double OsEnvironment::tlb_compute_factor(std::uint64_t working_set_bytes,
                                          double mem_bound_fraction,
                                          double coverage_hint) const {

@@ -25,7 +25,6 @@
 namespace hpcos::cluster {
 
 enum class OsKind : std::uint8_t { kLinux, kMcKernel };
-std::string to_string(OsKind k);
 
 struct MemEnvModel {
   hw::PageSize base_page = hw::PageSize::k4K;

@@ -53,10 +53,6 @@ double RngStream::uniform() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-double RngStream::uniform(double lo, double hi) {
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t RngStream::uniform_index(std::uint64_t n) {
   // Lemire's multiply-shift rejection method: unbiased and fast.
   std::uint64_t x = next_u64();

@@ -40,8 +40,6 @@ class RngStream {
 
   // Uniform in [0, 1).
   double uniform();
-  // Uniform in [lo, hi).
-  double uniform(double lo, double hi);
   // Uniform integer in [0, n); n must be > 0.
   std::uint64_t uniform_index(std::uint64_t n);
   bool bernoulli(double p);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 
 namespace hpcos {
 
@@ -19,10 +18,6 @@ std::string SimTime::to_string() const {
     std::snprintf(buf, sizeof(buf), "%.4gs", static_cast<double>(ns_) / 1e9);
   }
   return buf;
-}
-
-std::ostream& operator<<(std::ostream& os, SimTime t) {
-  return os << t.to_string();
 }
 
 }  // namespace hpcos

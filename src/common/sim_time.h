@@ -12,7 +12,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <string>
 
@@ -87,8 +86,6 @@ class SimTime {
 
   std::int64_t ns_ = 0;
 };
-
-std::ostream& operator<<(std::ostream& os, SimTime t);
 
 namespace literals {
 constexpr SimTime operator""_ns(unsigned long long v) {

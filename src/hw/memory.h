@@ -32,14 +32,6 @@ class NodeMemory {
   void add_region(MemoryRegion region);
   const std::vector<MemoryRegion>& regions() const { return regions_; }
 
-  std::uint64_t total_capacity() const;
-  std::uint64_t capacity_of(MemoryKind kind) const;
-  // Aggregate stream bandwidth across regions of this kind.
-  std::uint64_t bandwidth_of(MemoryKind kind) const;
-
-  // Time to stream `bytes` from the given memory kind at full bandwidth.
-  SimTime stream_time(MemoryKind kind, std::uint64_t bytes) const;
-
  private:
   std::vector<MemoryRegion> regions_;
 };

@@ -17,24 +17,6 @@ NodeTopology::NodeTopology(std::string name, int physical_cores, int smt_ways)
   HPCOS_CHECK(smt_ways >= 1);
 }
 
-CpuSet NodeTopology::smt_siblings(CoreId logical) const {
-  HPCOS_CHECK(logical >= 0 && logical < logical_cores());
-  // Logical CPU numbering follows the Linux convention on both platforms:
-  // thread t of physical core p is logical id p + t * physical_cores. (KNL
-  // exposes its 4 hyperthreads this way: cpu 0, 68, 136, 204 share a core.)
-  CpuSet s(static_cast<std::size_t>(logical_cores()));
-  const CoreId phys = physical_of(logical);
-  for (int t = 0; t < smt_ways_; ++t) {
-    s.set(phys + t * physical_cores_);
-  }
-  return s;
-}
-
-CoreId NodeTopology::physical_of(CoreId logical) const {
-  HPCOS_CHECK(logical >= 0 && logical < logical_cores());
-  return logical % physical_cores_;
-}
-
 void NodeTopology::add_numa_domain(NumaDomain domain) {
   HPCOS_CHECK_MSG(domain.cores.capacity() ==
                       static_cast<std::size_t>(logical_cores()),

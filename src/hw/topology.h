@@ -28,10 +28,6 @@ class NodeTopology {
   int smt_ways() const { return smt_ways_; }
   int logical_cores() const { return physical_cores_ * smt_ways_; }
 
-  // Logical CPUs of one physical core (SMT siblings).
-  CpuSet smt_siblings(CoreId logical) const;
-  CoreId physical_of(CoreId logical) const;
-
   void add_numa_domain(NumaDomain domain);
   const std::vector<NumaDomain>& numa_domains() const { return numa_; }
   std::uint64_t total_memory_bytes() const;

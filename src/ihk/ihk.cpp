@@ -72,8 +72,4 @@ OsInstance& IhkManager::instance(int instance_id) {
   return it->second;
 }
 
-bool IhkManager::instance_exists(int instance_id) const {
-  return instances_.contains(instance_id);
-}
-
 }  // namespace hpcos::ihk

@@ -55,7 +55,6 @@ class IhkManager {
   void destroy(int instance_id);
 
   OsInstance& instance(int instance_id);
-  bool instance_exists(int instance_id) const;
   std::size_t instance_count() const { return instances_.size(); }
 
  private:

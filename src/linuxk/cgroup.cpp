@@ -1,7 +1,6 @@
 #include "linuxk/cgroup.h"
 
 #include "common/check.h"
-#include "oskernel/kernel.h"
 
 namespace hpcos::linuxk {
 
@@ -31,21 +30,9 @@ MemoryCgroup& CgroupManager::create_memory(std::string name,
   return it->second;
 }
 
-CpusetCgroup* CgroupManager::find_cpuset(const std::string& name) {
-  auto it = cpusets_.find(name);
-  return it == cpusets_.end() ? nullptr : &it->second;
-}
-
 MemoryCgroup* CgroupManager::find_memory(const std::string& name) {
   auto it = memories_.find(name);
   return it == memories_.end() ? nullptr : &it->second;
-}
-
-void CgroupManager::attach(os::NodeKernel& kernel, os::ThreadId tid,
-                           const std::string& cpuset_name) {
-  CpusetCgroup* cg = find_cpuset(cpuset_name);
-  HPCOS_CHECK_MSG(cg != nullptr, "attach to unknown cpuset cgroup");
-  kernel.set_affinity(tid, cg->cpus);
 }
 
 void CgroupManager::assign_memory_cgroup(os::Pid pid,

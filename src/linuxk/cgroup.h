@@ -15,10 +15,6 @@
 #include "hw/cpuset.h"
 #include "oskernel/types.h"
 
-namespace hpcos::os {
-class NodeKernel;
-}
-
 namespace hpcos::linuxk {
 
 // cpuset controller: a core mask plus allowed NUMA memory nodes.
@@ -57,14 +53,7 @@ class CgroupManager {
   // Create (or replace) a memory cgroup.
   MemoryCgroup& create_memory(std::string name, std::uint64_t limit_bytes);
 
-  CpusetCgroup* find_cpuset(const std::string& name);
   MemoryCgroup* find_memory(const std::string& name);
-
-  // Attach a thread to a cpuset: its affinity is narrowed to the cgroup's
-  // cpus immediately (the mechanism behind "bind daemons to assistant
-  // cores").
-  void attach(os::NodeKernel& kernel, os::ThreadId tid,
-              const std::string& cpuset_name);
 
   // Record/lookup which memory cgroup a process charges to.
   void assign_memory_cgroup(os::Pid pid, const std::string& name);

@@ -263,8 +263,7 @@ os::NodeKernel::SyscallDisposition LinuxKernel::do_mmap(
     page_faults_ += faults;
     obs::bump(fault_counter_, faults);
     record_fault_spans(thread.core,
-                       os::classify_fault(page, config_.base_page_size,
-                                          /*bulk_populate=*/true),
+                       os::classify_fault(page, config_.base_page_size),
                        faults, base_cost, total_cost - base_cost);
   }
   d.result.ok = true;
@@ -319,29 +318,6 @@ os::NodeKernel::SyscallDisposition LinuxKernel::do_munmap(
   }
   d.result.ok = true;
   return d;
-}
-
-SimTime LinuxKernel::touch_memory(os::Pid pid, std::uint64_t addr,
-                                  std::uint64_t length) {
-  os::Process& proc = process(pid);
-  const os::FaultBatch batch = proc.address_space.touch_batch(addr, length);
-  if (batch.faults == 0) return SimTime::zero();
-  page_faults_ += batch.faults;
-  obs::bump(fault_counter_, batch.faults);
-  const SimTime per_fault = batch.page_size == config_.base_page_size
-                                ? costs().page_fault_base
-                                : costs().page_fault_large;
-  const SimTime base_cost =
-      per_fault * static_cast<std::int64_t>(batch.faults);
-  const SimTime total_cost =
-      per_fault.scaled(vnuma_.app_fault_factor()) *
-      static_cast<std::int64_t>(batch.faults);
-  record_fault_spans(hw::kInvalidCore,
-                     os::classify_fault(batch.page_size,
-                                        config_.base_page_size,
-                                        /*bulk_populate=*/false),
-                     batch.faults, base_cost, total_cost - base_cost);
-  return total_cost;
 }
 
 std::uint64_t LinuxKernel::record_fault_spans(hw::CoreId core,

@@ -53,11 +53,6 @@ class LinuxKernel final : public os::NodeKernel {
                                 std::uint64_t length,
                                 bool prefer_large) const;
 
-  // First-touch [addr, addr+length) of pid's address space; returns the
-  // kernel time consumed by the resulting page faults (vNUMA fragmentation
-  // inflates it). Zero for resident ranges.
-  SimTime touch_memory(os::Pid pid, std::uint64_t addr, std::uint64_t length);
-
   // Remote-TLB invalidation for `flushes` page invalidations by `proc`
   // initiated from `initiator`. Returns the initiator-side cost; victim
   // cores are stalled/interrupted as a side effect per the flush mode.

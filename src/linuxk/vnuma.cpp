@@ -38,10 +38,6 @@ void VirtualNuma::free(MemRegion region, std::uint64_t bytes) {
   r.churn += bytes;
 }
 
-std::uint64_t VirtualNuma::used_bytes(MemRegion region) const {
-  return region_for(region).used;
-}
-
 double VirtualNuma::frag_score(const Region& r) {
   if (r.churn == 0) return 0.0;
   // Churn equal to the region capacity ~= fully recycled memory; score

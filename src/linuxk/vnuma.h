@@ -30,8 +30,6 @@ class VirtualNuma {
   bool allocate(MemRegion region, std::uint64_t bytes);
   void free(MemRegion region, std::uint64_t bytes);
 
-  std::uint64_t used_bytes(MemRegion region) const;
-
   // Multiplier (>= 1) on application page-fault service time caused by
   // fragmentation of the region application allocations draw from.
   double app_fault_factor() const;

@@ -9,11 +9,10 @@ namespace {
 
 // Fault classification on the LWK: k4K/k64K are first-level ("base") page
 // sizes; anything larger takes the large-page path (hugeTLB-equivalent).
-os::FaultKind lwk_fault_kind(hw::PageSize page, bool bulk_populate) {
+os::FaultKind lwk_fault_kind(hw::PageSize page) {
   const bool base =
       page == hw::PageSize::k4K || page == hw::PageSize::k64K;
-  return os::classify_fault(page, base ? page : hw::PageSize::k64K,
-                            bulk_populate);
+  return os::classify_fault(page, base ? page : hw::PageSize::k64K);
 }
 
 }  // namespace
@@ -219,7 +218,7 @@ os::NodeKernel::SyscallDisposition McKernel::do_mmap(
     const SimTime cost =
         config_.page_fault_cost * static_cast<std::int64_t>(faults);
     d.service_time += cost;
-    record_fault_spans(thread.core, lwk_fault_kind(page, /*bulk=*/true),
+    record_fault_spans(thread.core, lwk_fault_kind(page),
                        faults, cost);
   }
   d.result.value = static_cast<std::int64_t>(addr);
@@ -297,11 +296,6 @@ void McKernel::on_thread_exit(os::Thread& thread) {
                    costs().unmap_per_page * static_cast<std::int64_t>(pages),
                    sim::TraceCategory::kSyscall, "lwk-exit-teardown");
   }
-}
-
-std::uint64_t McKernel::pooled_bytes(os::Pid pid) const {
-  auto it = process_pool_.find(pid);
-  return it == process_pool_.end() ? 0 : it->second;
 }
 
 }  // namespace hpcos::mck

@@ -58,9 +58,6 @@ class McKernel final : public os::NodeKernel {
 
   std::uint64_t local_syscalls() const { return local_count_; }
   std::uint64_t offloaded_syscalls() const { return offload_count_; }
-  // Bytes of physical memory retained in a process's local pool (freed by
-  // the app, kept by the LWK for reuse).
-  std::uint64_t pooled_bytes(os::Pid pid) const;
 
  protected:
   os::Scheduler& sched() override { return lwk_sched_; }

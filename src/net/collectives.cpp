@@ -50,10 +50,4 @@ Collectives::AllreducePhases Collectives::allreduce_phases(
   return p;
 }
 
-SimTime Collectives::allgather(std::int64_t ranks,
-                               std::uint64_t bytes_per_rank) const {
-  if (ranks <= 1) return SimTime::zero();
-  return round_cost(bytes_per_rank) * (ranks - 1);
-}
-
 }  // namespace hpcos::net

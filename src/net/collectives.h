@@ -34,9 +34,6 @@ class Collectives {
   AllreducePhases allreduce_phases(std::int64_t ranks,
                                    std::uint64_t bytes) const;
 
-  // Allgather (ring): P-1 steps of bytes each.
-  SimTime allgather(std::int64_t ranks, std::uint64_t bytes_per_rank) const;
-
  private:
   SimTime round_cost(std::uint64_t bytes) const;
   static int log2_ceil(std::int64_t v);

@@ -1,11 +1,9 @@
 // Interconnect fabric model: TofuD and OmniPath.
 //
 // A LogGP-flavoured cost model: per-message latency (wire + switch hops +
-// software overhead) plus a bandwidth term, with topology-dependent average
-// hop counts (TofuD is a 6D mesh/torus; OmniPath on OFP is a two-level fat
-// tree). Absolute values are representative published figures; the study's
-// comparisons are between OSes on the *same* fabric, so only consistency
-// matters.
+// software overhead) plus a bandwidth term. Absolute values are
+// representative published figures; the study's comparisons are between
+// OSes on the *same* fabric, so only consistency matters.
 #pragma once
 
 #include <cstdint>
@@ -27,19 +25,12 @@ struct FabricParams {
 
 FabricParams make_tofud_params();
 FabricParams make_omnipath_params();
-FabricParams params_for(hw::InterconnectKind kind);
 
 class Fabric {
  public:
   explicit Fabric(FabricParams params) : params_(params) {}
 
   const FabricParams& params() const { return params_; }
-
-  // Average hop count between two random endpoints of a P-node system.
-  int average_hops(std::int64_t nodes) const;
-
-  // Point-to-point message time (one direction, no contention).
-  SimTime p2p(std::uint64_t bytes, std::int64_t nodes) const;
 
   // Nearest-neighbor exchange time: the rank sends/receives `bytes` with
   // each of `neighbors` peers (overlapped; cost = max of link serials).

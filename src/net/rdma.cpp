@@ -1,23 +1,8 @@
 #include "net/rdma.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "noise/analytic.h"
 
 namespace hpcos::net {
-
-std::string to_string(RegistrationPath p) {
-  switch (p) {
-    case RegistrationPath::kLinuxNative:
-      return "linux-ioctl";
-    case RegistrationPath::kMcKernelOffloaded:
-      return "mckernel-offloaded";
-    case RegistrationPath::kMcKernelPicoDriver:
-      return "mckernel-picodriver";
-  }
-  return "?";
-}
 
 SimTime RdmaRegistrationModel::median_cost(RegistrationPath path,
                                            std::uint64_t bytes) const {
@@ -45,15 +30,6 @@ double RdmaRegistrationModel::sigma_for(RegistrationPath path) const {
   return path == RegistrationPath::kMcKernelPicoDriver
              ? params_.lwk_tail_sigma
              : params_.linux_tail_sigma;
-}
-
-SimTime RdmaRegistrationModel::sample_cost(RegistrationPath path,
-                                           std::uint64_t bytes,
-                                           RngStream& rng) const {
-  const SimTime med = median_cost(path, bytes);
-  const double factor = std::min(params_.tail_max_factor,
-                                 rng.lognormal(0.0, sigma_for(path)));
-  return med.scaled(factor);
 }
 
 SimTime RdmaRegistrationModel::sample_worst_of(RegistrationPath path,

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -26,7 +25,6 @@ enum class RegistrationPath : std::uint8_t {
   kMcKernelOffloaded,   // ioctl delegated through the proxy process
   kMcKernelPicoDriver,  // LWK-local split-driver fast path
 };
-std::string to_string(RegistrationPath p);
 
 struct RdmaModelParams {
   SimTime ioctl_base = SimTime::us(3);
@@ -53,10 +51,6 @@ class RdmaRegistrationModel {
 
   // Deterministic median cost of registering `bytes` via `path`.
   SimTime median_cost(RegistrationPath path, std::uint64_t bytes) const;
-
-  // One sampled registration (median x lognormal tail factor).
-  SimTime sample_cost(RegistrationPath path, std::uint64_t bytes,
-                      RngStream& rng) const;
 
   // Worst of `k` independent registrations (what a barrier after setup
   // observes across ranks).

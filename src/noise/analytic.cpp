@@ -88,30 +88,6 @@ SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng) const {
   return quantile(q);
 }
 
-std::string to_string(SourceKind k) {
-  switch (k) {
-    case SourceKind::kDaemon:
-      return "daemon";
-    case SourceKind::kKworker:
-      return "kworker";
-    case SourceKind::kBlkMq:
-      return "blk-mq";
-    case SourceKind::kPmuRead:
-      return "pmu-read";
-    case SourceKind::kTlbiStorm:
-      return "tlbi-storm";
-    case SourceKind::kSar:
-      return "sar";
-    case SourceKind::kDeviceIrq:
-      return "device-irq";
-    case SourceKind::kResidualTick:
-      return "residual-tick";
-    case SourceKind::kHardware:
-      return "hardware";
-  }
-  return "?";
-}
-
 sim::TraceCategory trace_category(SourceKind k) {
   switch (k) {
     case SourceKind::kDaemon:
@@ -139,9 +115,8 @@ AnalyticNodeSampler::AnalyticNodeSampler(const AnalyticNoiseProfile& profile,
                                          int app_cores, RngStream rng)
     : base_jitter_mean_(profile.base_jitter_mean),
       base_jitter_sd_(profile.base_jitter_sd),
-      app_cores_(app_cores),
       rng_(rng) {
-  HPCOS_CHECK(app_cores_ > 0);
+  HPCOS_CHECK(app_cores > 0);
   for (const auto& s : profile.sources) {
     HPCOS_CHECK_MSG(s.mean_interval > SimTime::zero(),
                     "noise source needs a positive interval");
@@ -149,20 +124,6 @@ AnalyticNodeSampler::AnalyticNodeSampler(const AnalyticNoiseProfile& profile,
       active_.push_back(s);
     }
   }
-}
-
-SimTime AnalyticNodeSampler::per_core_interval(
-    const NoiseSourceSpec& spec) const {
-  switch (spec.scope) {
-    case SourceScope::kPerCore:
-    case SourceScope::kAllCores:
-      // Every core observes each occurrence.
-      return spec.mean_interval;
-    case SourceScope::kPerNodeRandomCore:
-      // A given core is hit 1/app_cores of the time.
-      return spec.mean_interval * app_cores_;
-  }
-  return spec.mean_interval;
 }
 
 SimTime AnalyticNodeSampler::sample_floor_iteration(SimTime quantum) {
@@ -173,55 +134,6 @@ SimTime AnalyticNodeSampler::sample_floor_iteration(SimTime quantum) {
     t_ns *= 1.0 + j;
   }
   return SimTime::ns(static_cast<std::int64_t>(t_ns));
-}
-
-SimTime AnalyticNodeSampler::sample_iteration(SimTime quantum) {
-  SimTime total = sample_floor_iteration(quantum);
-  for (const auto& s : active_) {
-    const double rate = quantum.ratio(per_core_interval(s));
-    const std::uint64_t hits = rng_.poisson(rate);
-    for (std::uint64_t h = 0; h < hits; ++h) {
-      total += s.duration.sample(rng_);
-    }
-  }
-  return total;
-}
-
-SimTime AnalyticNodeSampler::sample_rank_delay(SimTime sync, int threads) {
-  HPCOS_CHECK(threads > 0);
-  // The rank's barrier waits for its worst-hit thread. Hits land on
-  // independent threads with overwhelming probability at realistic rates,
-  // so the rank delay is the maximum single-hit duration (Eq. 1's logic),
-  // except for kAllCores sources, which delay every thread and therefore
-  // add unconditionally.
-  SimTime worst = SimTime::zero();
-  SimTime all_core_sum = SimTime::zero();
-  for (const auto& s : active_) {
-    if (s.scope == SourceScope::kAllCores) {
-      const double rate = sync.ratio(s.mean_interval);
-      const std::uint64_t hits = rng_.poisson(rate);
-      for (std::uint64_t h = 0; h < hits; ++h) {
-        all_core_sum += s.duration.sample(rng_);
-      }
-      continue;
-    }
-    // Aggregate arrival rate across the rank's threads within the window.
-    const double per_thread_rate = sync.ratio(per_core_interval(s));
-    const std::uint64_t hits =
-        rng_.poisson(per_thread_rate * static_cast<double>(threads));
-    for (std::uint64_t h = 0; h < hits; ++h) {
-      worst = std::max(worst, s.duration.sample(rng_));
-    }
-  }
-  SimTime jitter = SimTime::zero();
-  if (base_jitter_sd_ > 0.0 || base_jitter_mean_ > 0.0) {
-    // The slowest of `threads` draws; approximate with mean + 2 sd for
-    // realistic thread counts.
-    const double frac =
-        std::max(0.0, base_jitter_mean_ + 2.0 * base_jitter_sd_);
-    jitter = sync.scaled(frac);
-  }
-  return worst + all_core_sum + jitter;
 }
 
 }  // namespace hpcos::noise

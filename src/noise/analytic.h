@@ -1,12 +1,14 @@
-// Statistical noise sources and the analytic FWQ/BSP sampler.
+// Statistical noise sources and the per-node sampler of the FWQ campaign.
 //
 // The node DES reproduces noise mechanically (real kernel threads, IRQs,
 // TLBI storms). That is exact but O(events); a full-scale Fugaku run
 // (158,976 nodes x 48 cores x ~55k FWQ iterations) needs the statistical
 // equivalent instead. A NoiseSourceSpec describes one source's arrival
 // process and duration distribution; the same spec table parameterizes
-// both the DES subsystem generators (linuxk) and this sampler, and the
-// test suite checks the two agree.
+// the DES subsystem generators (linuxk), the FWQ campaign
+// (cluster/fwq_campaign) and the machine-noise sampler
+// (cluster/machine_noise), and the test suite checks the campaign against
+// the DES.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +72,6 @@ enum class SourceKind : std::uint8_t {
   kResidualTick,
   kHardware,  // non-OS jitter floor events (thermal, shared-resource)
 };
-std::string to_string(SourceKind k);
 
 // Trace category a kind's events are recorded under — the bridge between
 // the statistical source table and ftrace-style TraceRecord analysis
@@ -103,39 +104,28 @@ struct AnalyticNoiseProfile {
   double base_jitter_sd = 0.0;
 };
 
-// Samples FWQ iteration lengths / BSP rank intervals for ONE node. The
-// constructor decides (per node_fraction) which sources are active on this
-// node, so distinct nodes drawn from distinct streams form a heterogeneous
-// population.
+// One node of an FWQ campaign (cluster::run_fwq_campaign): the constructor
+// decides (per node_fraction) which sources are active on this node, so
+// distinct nodes drawn from distinct streams form a heterogeneous
+// population; the campaign draws each active source's hits itself.
 class AnalyticNodeSampler {
  public:
+  // `app_cores` must be positive.
   AnalyticNodeSampler(const AnalyticNoiseProfile& profile, int app_cores,
                       RngStream rng);
 
-  // Wall time of one FWQ iteration of `quantum` work on one core.
-  SimTime sample_iteration(SimTime quantum);
-
-  // Iteration with the jitter floor only (no discrete source hits); used
-  // when hits are accounted for separately (cluster::run_fwq_campaign).
+  // Wall time of one FWQ iteration of `quantum` work with the jitter floor
+  // only (no discrete source hits).
   SimTime sample_floor_iteration(SimTime quantum);
-
-  // Delay added to a rank of `threads` threads over a synchronization
-  // interval of `sync` (the rank waits for its worst-hit thread). This is
-  // the stochastic counterpart of Eq. 1.
-  SimTime sample_rank_delay(SimTime sync, int threads);
 
   const std::vector<NoiseSourceSpec>& active_sources() const {
     return active_;
   }
 
  private:
-  // Expected per-core arrival interval of `spec` on this node.
-  SimTime per_core_interval(const NoiseSourceSpec& spec) const;
-
   std::vector<NoiseSourceSpec> active_;
   double base_jitter_mean_;
   double base_jitter_sd_;
-  int app_cores_;
   RngStream rng_;
 };
 

@@ -4,8 +4,9 @@
 // CFS, preempting application threads exactly the way systemd units do) or
 // an event generator injecting kernel-mode interrupts / hardware stalls
 // (kworkers, blk-mq completions, PMU IPIs, TLBI storms, sar contention).
-// The statistical parameters are identical to what AnalyticNodeSampler
-// uses, keeping node-DES and cluster-scale results consistent.
+// The statistical parameters are identical to what the cluster-scale
+// samplers (the FWQ campaign, the machine-noise sampler) use, keeping
+// node-DES and cluster-scale results consistent.
 #pragma once
 
 #include <vector>

@@ -6,20 +6,17 @@
 #include "common/check.h"
 
 namespace hpcos::noise {
-namespace {
 
-void accumulate(std::span<const SimTime> ts, SimTime& t_min, SimTime& t_max) {
-  for (SimTime t : ts) {
-    t_min = std::min(t_min, t);
-    t_max = std::max(t_max, t);
-  }
-}
-
-NoiseStats finish_stats(std::span<const std::span<const SimTime>> series) {
+NoiseStats compute_noise_stats(const std::vector<FwqTrace>& traces) {
   NoiseStats s;
   s.t_min = SimTime::max();
   s.t_max = SimTime::zero();
-  for (auto ts : series) accumulate(ts, s.t_min, s.t_max);
+  for (const auto& trace : traces) {
+    for (SimTime t : trace.iteration_times) {
+      s.t_min = std::min(s.t_min, t);
+      s.t_max = std::max(s.t_max, t);
+    }
+  }
   if (s.t_min == SimTime::max()) {
     return NoiseStats{};  // no samples
   }
@@ -27,8 +24,8 @@ NoiseStats finish_stats(std::span<const std::span<const SimTime>> series) {
   const double tmin_ns = static_cast<double>(s.t_min.count_ns());
   double sum = 0.0;
   std::uint64_t n = 0;
-  for (auto ts : series) {
-    for (SimTime t : ts) {
+  for (const auto& trace : traces) {
+    for (SimTime t : trace.iteration_times) {
       if (tmin_ns > 0.0) {
         sum += static_cast<double>((t - s.t_min).count_ns()) / tmin_ns;
       }
@@ -41,20 +38,6 @@ NoiseStats finish_stats(std::span<const std::span<const SimTime>> series) {
   s.noise_rate = n > 0 && tmin_ns > 0.0 ? sum / static_cast<double>(n) : 0.0;
   s.samples = n;
   return s;
-}
-
-}  // namespace
-
-NoiseStats compute_noise_stats(std::span<const SimTime> iteration_times) {
-  const std::span<const SimTime> one[] = {iteration_times};
-  return finish_stats(one);
-}
-
-NoiseStats compute_noise_stats(const std::vector<FwqTrace>& traces) {
-  std::vector<std::span<const SimTime>> series;
-  series.reserve(traces.size());
-  for (const auto& t : traces) series.emplace_back(t.iteration_times);
-  return finish_stats(series);
 }
 
 std::vector<SimTime> noise_lengths(std::span<const SimTime> iteration_times) {

@@ -24,10 +24,7 @@ struct NoiseStats {
   std::uint64_t samples = 0;
 };
 
-// Stats over one thread's FWQ iterations.
-NoiseStats compute_noise_stats(std::span<const SimTime> iteration_times);
-
-// Stats over many traces, using the global minimum as T_min (how the paper
+// Stats over FWQ traces, using the global minimum as T_min (how the paper
 // aggregates multi-core / multi-node FWQ data).
 NoiseStats compute_noise_stats(const std::vector<FwqTrace>& traces);
 

@@ -3,9 +3,10 @@
 // One table per OS environment; the numbers are calibrated so the
 // regenerated Table 2 / Figure 3 / Figure 4 match the paper's reported
 // magnitudes (see EXPERIMENTS.md for paper-vs-measured). The same specs
-// configure both the linuxk DES generators and the cluster-scale
-// AnalyticNodeSampler, so micro (FWQ on one node) and macro (full-machine
-// CDFs, application runs) views stay mutually consistent.
+// configure both the linuxk DES generators and the cluster-scale samplers
+// (the FWQ campaign, the machine-noise sampler), so micro (FWQ on one
+// node) and macro (full-machine CDFs, application runs) views stay
+// mutually consistent.
 #pragma once
 
 #include "noise/analytic.h"

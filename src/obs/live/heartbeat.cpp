@@ -178,11 +178,6 @@ std::string heartbeat_ascii(const Heartbeat& hb) {
   return out.str();
 }
 
-HeartbeatLog parse_heartbeat_log(const std::string& text, bool strict) {
-  return parse_json_lines(text, validate_heartbeat_record, strict,
-                          "heartbeat");
-}
-
 HeartbeatLog read_heartbeat_log(const std::string& path, bool strict) {
   return read_json_lines(path, validate_heartbeat_record, strict,
                          "heartbeat", "heartbeat log");

@@ -92,13 +92,10 @@ std::string heartbeat_ascii(const Heartbeat& hb);
 // Records in file order (common/json JSON-lines reader).
 using HeartbeatLog = JsonLines;
 
-// Parse heartbeat stream text. Strict mode throws on the first malformed
-// line or unknown schema ("heartbeat line N: ..."); lenient mode skips
-// and counts.
-HeartbeatLog parse_heartbeat_log(const std::string& text, bool strict = true);
-
-// Read + parse a heartbeat file. Missing file: error in strict mode,
-// empty log in lenient mode.
+// Read + parse a heartbeat file (validate_heartbeat_record per line).
+// Strict mode throws on the first malformed line or unknown schema
+// ("heartbeat line N: ...") and on a missing file; lenient mode skips and
+// counts damaged lines, and reads a missing file as an empty log.
 HeartbeatLog read_heartbeat_log(const std::string& path, bool strict = true);
 
 // Whole-stream aggregates — what maybe_write_report folds into the run

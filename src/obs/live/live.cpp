@@ -271,10 +271,6 @@ MeterSummary ProgressMeter::stop() {
   return impl_->summary;
 }
 
-bool ProgressMeter::running() const {
-  return impl_->started && !impl_->stopped;
-}
-
 namespace {
 
 std::mutex g_meter_mu;
@@ -295,11 +291,6 @@ MeterSummary stop_global_meter() {
   MeterSummary summary = g_meter->stop();
   g_meter.reset();
   return summary;
-}
-
-bool global_meter_active() {
-  std::lock_guard<std::mutex> lock(g_meter_mu);
-  return g_meter != nullptr && g_meter->running();
 }
 
 }  // namespace hpcos::obs::live

@@ -82,7 +82,6 @@ class ProgressMeter {
   // whole-run aggregates. Idempotent; returns {active=false} if start()
   // never ran.
   MeterSummary stop();
-  bool running() const;
 
  private:
   struct Impl;
@@ -94,6 +93,5 @@ class ProgressMeter {
 // maybe_write_report stops it and folds the summary into the report.
 void start_global_meter(ProgressConfig cfg);
 MeterSummary stop_global_meter();
-bool global_meter_active();
 
 }  // namespace hpcos::obs::live

@@ -66,21 +66,4 @@ NodeSample sample_node(const SpanSamplerConfig& cfg, std::uint64_t node_index,
   return sample;
 }
 
-SampledTrace aggregate_samples(const std::vector<NodeSample>& samples) {
-  SampledTrace out;
-  for (const NodeSample& sample : samples) {
-    ++out.nodes;
-    out.roots_seen += sample.roots_seen;
-    out.roots_kept += sample.roots_kept;
-    out.records_kept += sample.records_kept;
-    out.records.insert(out.records.end(), sample.records.begin(),
-                       sample.records.end());
-    for (const auto& [label, sketch] : sample.sketches) {
-      auto [it, inserted] = out.sketches.try_emplace(label, sketch);
-      if (!inserted) it->second.merge(sketch);
-    }
-  }
-  return out;
-}
-
 }  // namespace hpcos::obs::live

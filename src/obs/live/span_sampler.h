@@ -19,9 +19,8 @@
 //
 // Determinism: sample_node() is a pure function of (config, node_index,
 // records) — the RNG is derived from (seed, node) alone, never from a
-// global counter or host state — and histogram merge is exactly
-// associative. Sampling node outputs in parallel and aggregating them in
-// node-index order therefore yields bit-identical results for any host
+// global counter or host state. Sampling nodes in parallel into
+// node-indexed slots therefore yields bit-identical results for any host
 // thread count, the same contract as every campaign merge (DESIGN §6).
 #pragma once
 
@@ -62,17 +61,5 @@ struct NodeSample {
 // randomness; safe to call concurrently for distinct nodes.
 NodeSample sample_node(const SpanSamplerConfig& cfg, std::uint64_t node_index,
                        const std::vector<sim::TraceRecord>& records);
-
-// Whole-run aggregate. Callers MUST pass samples in node-index order —
-// the order is the determinism contract, exactly like shard merges.
-struct SampledTrace {
-  std::uint64_t nodes = 0;
-  std::uint64_t roots_seen = 0;
-  std::uint64_t roots_kept = 0;
-  std::uint64_t records_kept = 0;
-  std::vector<sim::TraceRecord> records;
-  std::map<std::string, LogHistogram> sketches;
-};
-SampledTrace aggregate_samples(const std::vector<NodeSample>& samples);
 
 }  // namespace hpcos::obs::live

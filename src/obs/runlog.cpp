@@ -196,23 +196,6 @@ void append_run_record(const std::string& path, const JsonValue& record) {
   }
 }
 
-std::string deterministic_line(const JsonValue& record) {
-  JsonValue stripped = JsonValue::object();
-  for (const JsonMember& m : record.members()) {
-    if (m.first == "host") continue;
-    stripped.set(m.first, m.second);
-  }
-  return canonical_json(stripped);
-}
-
-std::string deterministic_digest_hex(const JsonValue& record) {
-  return to_hex64(fnv1a64(deterministic_line(record)));
-}
-
-RunLedger parse_run_ledger(const std::string& text, bool strict) {
-  return parse_json_lines(text, validate_run_record, strict, "run ledger");
-}
-
 RunLedger read_run_ledger(const std::string& path, bool strict) {
   return read_json_lines(path, validate_run_record, strict, "run ledger",
                          "run ledger");

@@ -22,8 +22,9 @@
 //   }
 //
 // Determinism contract: everything OUTSIDE "host" is bit-identical across
-// host thread counts for a fixed config (deterministic_line() is the
-// tested witness; host.* metrics are routed into "host" by construction).
+// host thread counts for a fixed config (the tests' deterministic_line(),
+// tests/test_support.h, is the witness; host.* metrics are routed into
+// "host" by construction).
 // The timestamp is *injected* by the caller (flag/env/clock at the edge),
 // so record construction itself is a pure function — tests can pin whole
 // lines.
@@ -65,26 +66,15 @@ std::string run_record_line(const JsonValue& record);
 // single newline-terminated write in append mode. Throws on I/O failure.
 void append_run_record(const std::string& path, const JsonValue& record);
 
-// Canonical serialization of the record with the "host" member removed —
-// the deterministic half of the record. Byte-equal across host thread
-// counts for a fixed config (TSan-labeled test in
-// tests/test_parallel_determinism.cpp).
-std::string deterministic_line(const JsonValue& record);
-// FNV-1a 64 hex digest of deterministic_line().
-std::string deterministic_digest_hex(const JsonValue& record);
-
 // Records in file order == append order (common/json JSON-lines reader).
 using RunLedger = JsonLines;
 
-// Parse ledger text. Strict mode throws on the first malformed line or
-// unknown schema version ("run ledger line N: ..."; CI gates want hard
-// failures); lenient mode skips and counts damaged or unknown-schema lines
-// and never aborts (trend over a ledger with one torn tail line must still
-// work).
-RunLedger parse_run_ledger(const std::string& text, bool strict = true);
-
-// Read + parse a ledger file. A missing file is an error in strict mode
-// and an empty ledger in lenient mode.
+// Read + parse a ledger file (validate_run_record per line). Strict mode
+// throws on the first malformed line or unknown schema version ("run
+// ledger line N: ..."; CI gates want hard failures) and on a missing
+// file. Lenient mode skips and counts damaged or unknown-schema lines and
+// never aborts (trend over a ledger with one torn tail line must still
+// work); a missing file reads as an empty ledger.
 RunLedger read_run_ledger(const std::string& path, bool strict = true);
 
 }  // namespace hpcos::obs

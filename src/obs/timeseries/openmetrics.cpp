@@ -1,8 +1,6 @@
 #include "obs/timeseries/openmetrics.h"
 
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/sim_time.h"
 
@@ -92,99 +90,6 @@ std::string openmetrics_text(const Registry& registry,
   }
   os << "# EOF\n";
   return os.str();
-}
-
-std::string OpenMetricsSample::label(const std::string& key) const {
-  for (const auto& [k, v] : labels) {
-    if (k == key) return v;
-  }
-  return {};
-}
-
-namespace {
-
-[[noreturn]] void parse_fail(const std::string& why, const std::string& line) {
-  throw std::runtime_error("openmetrics parse error: " + why + " in line: " +
-                           line);
-}
-
-OpenMetricsSample parse_line(const std::string& line) {
-  OpenMetricsSample sample;
-  std::size_t i = 0;
-  while (i < line.size() && line[i] != '{' && line[i] != ' ') ++i;
-  if (i == 0 || i == line.size()) parse_fail("missing metric name", line);
-  sample.metric = line.substr(0, i);
-  if (line[i] == '{') {
-    ++i;
-    while (i < line.size() && line[i] != '}') {
-      const std::size_t key_start = i;
-      while (i < line.size() && line[i] != '=') ++i;
-      if (i >= line.size()) parse_fail("unterminated label key", line);
-      std::string key = line.substr(key_start, i - key_start);
-      ++i;  // '='
-      if (i >= line.size() || line[i] != '"') {
-        parse_fail("label value is not quoted", line);
-      }
-      ++i;  // opening quote
-      std::string value;
-      while (i < line.size() && line[i] != '"') {
-        if (line[i] == '\\' && i + 1 < line.size()) {
-          ++i;
-          switch (line[i]) {
-            case 'n': value += '\n'; break;
-            case '\\': value += '\\'; break;
-            case '"': value += '"'; break;
-            default: parse_fail("bad escape in label value", line);
-          }
-        } else {
-          value += line[i];
-        }
-        ++i;
-      }
-      if (i >= line.size()) parse_fail("unterminated label value", line);
-      ++i;  // closing quote
-      sample.labels.emplace_back(std::move(key), std::move(value));
-      if (i < line.size() && line[i] == ',') ++i;
-    }
-    if (i >= line.size() || line[i] != '}') {
-      parse_fail("unterminated label set", line);
-    }
-    ++i;  // '}'
-  }
-  if (i >= line.size() || line[i] != ' ') {
-    parse_fail("missing value separator", line);
-  }
-  ++i;
-  const std::string value_text = line.substr(i);
-  char* end = nullptr;
-  sample.value = std::strtod(value_text.c_str(), &end);
-  if (end == value_text.c_str() || *end != '\0') {
-    parse_fail("bad sample value", line);
-  }
-  return sample;
-}
-
-}  // namespace
-
-std::vector<OpenMetricsSample> parse_openmetrics(const std::string& text) {
-  std::vector<OpenMetricsSample> samples;
-  std::istringstream in(text);
-  std::string line;
-  bool saw_eof = false;
-  while (std::getline(in, line)) {
-    if (saw_eof) parse_fail("content after # EOF", line);
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      if (line == "# EOF") saw_eof = true;
-      continue;  // TYPE/HELP/EOF comment lines
-    }
-    samples.push_back(parse_line(line));
-  }
-  if (!saw_eof) {
-    throw std::runtime_error(
-        "openmetrics parse error: missing # EOF terminator");
-  }
-  return samples;
 }
 
 void add_registry_metrics(BenchReport& report, const Registry& registry,

@@ -14,14 +14,13 @@
 //   # EOF
 //
 // Raw dotted counter names are preserved verbatim in the `name` label
-// (never mangled into the metric name), so parse_openmetrics can recover
-// exactly the names `obs_report --json` and the BenchReport emit — the
-// agreement the round-trip test in tests/test_timeseries.cpp pins.
+// (never mangled into the metric name), so a parser can recover exactly
+// the names `obs_report --json` and the BenchReport emit — the agreement
+// the round-trip test in tests/test_timeseries.cpp pins with the tests'
+// strict parser (tests/test_support.h).
 #pragma once
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/bench_report.h"
 #include "obs/registry.h"
@@ -35,21 +34,6 @@ namespace hpcos::obs::ts {
 // BenchReport JSON dump instead — scrape output stays O(metrics)).
 std::string openmetrics_text(const Registry& registry,
                              const SeriesSet* series = nullptr);
-
-// One parsed sample line: `metric{k="v",...} value`.
-struct OpenMetricsSample {
-  std::string metric;
-  std::vector<std::pair<std::string, std::string>> labels;
-  double value = 0.0;
-
-  // Label value by key; empty string when absent.
-  std::string label(const std::string& key) const;
-};
-
-// Strict parser for the exposition subset above. Throws std::runtime_error
-// (with the offending line) on malformed input or a missing `# EOF`
-// terminator.
-std::vector<OpenMetricsSample> parse_openmetrics(const std::string& text);
 
 // Fold every Registry counter into a BenchReport as
 // `<prefix>.<counter name>` (unit "count"). Counters are integers, so the

@@ -229,13 +229,6 @@ double median(std::vector<double> values) {
   return (lower + upper) / 2.0;
 }
 
-double mad(const std::vector<double>& values, double center) {
-  std::vector<double> dev;
-  dev.reserve(values.size());
-  for (const double v : values) dev.push_back(std::abs(v - center));
-  return median(std::move(dev));
-}
-
 std::string sparkline(const std::vector<double>& values,
                       std::size_t max_width) {
   if (values.empty() || max_width == 0) return {};

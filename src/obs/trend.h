@@ -100,8 +100,6 @@ std::vector<RunGroup> group_records(const std::vector<JsonValue>& records);
 
 // Batch median (copies + sorts). Returns 0 for an empty set.
 double median(std::vector<double> values);
-// Median absolute deviation around `center`.
-double mad(const std::vector<double>& values, double center);
 
 // ASCII ramp sparkline of the series scaled to its own min..max, one
 // glyph per value (the last `max_width` values when longer). Constant
@@ -143,7 +141,7 @@ std::vector<Drift> find_drift(const std::vector<RunGroup>& groups,
 // OpenMetrics exposition of the grouped view: for every group metric,
 //   hpcos_trend{target=...,config=...,metric=...,stat="last"|"median"} v
 //   hpcos_trend_runs{target=...,config=...} n
-// terminated by "# EOF". Round-trips through ts::parse_openmetrics.
+// terminated by "# EOF". tests/test_trend.cpp parses it back.
 std::string trend_openmetrics_text(const std::vector<RunGroup>& groups);
 
 }  // namespace hpcos::obs::trend

@@ -8,8 +8,6 @@ namespace hpcos::os {
 
 std::string to_string(FaultKind k) {
   switch (k) {
-    case FaultKind::kMinor:
-      return "minor";
     case FaultKind::kMajor:
       return "major";
     case FaultKind::kHugeTlb:
@@ -18,10 +16,8 @@ std::string to_string(FaultKind k) {
   return "?";
 }
 
-FaultKind classify_fault(hw::PageSize page, hw::PageSize base_page,
-                         bool bulk_populate) {
-  if (page != base_page) return FaultKind::kHugeTlb;
-  return bulk_populate ? FaultKind::kMajor : FaultKind::kMinor;
+FaultKind classify_fault(hw::PageSize page, hw::PageSize base_page) {
+  return page != base_page ? FaultKind::kHugeTlb : FaultKind::kMajor;
 }
 
 AddressSpace::AddressSpace(std::uint64_t base) : next_addr_(base) {}
@@ -71,43 +67,6 @@ AddressSpace::UnmapResult AddressSpace::unmap(std::uint64_t start,
     areas_.emplace(rest.start, rest);
   }
   return r;
-}
-
-std::uint64_t AddressSpace::touch(std::uint64_t addr, std::uint64_t length) {
-  return touch_batch(addr, length).faults;
-}
-
-FaultBatch AddressSpace::touch_batch(std::uint64_t addr,
-                                     std::uint64_t length) {
-  // Find the area containing addr: last area with start <= addr.
-  auto it = areas_.upper_bound(addr);
-  HPCOS_CHECK_MSG(it != areas_.begin(), "touch: unmapped address");
-  --it;
-  VmArea& area = it->second;
-  HPCOS_CHECK_MSG(addr >= area.start && addr < area.start + area.length,
-                  "touch: unmapped address");
-  FaultBatch batch{.faults = 0, .page_size = area.page_size};
-  const std::uint64_t page = hw::bytes(area.page_size);
-  const std::uint64_t end =
-      std::min(addr + length, area.start + area.length);
-  const std::uint64_t last_page_needed =
-      (end - area.start + page - 1) / page;
-  if (last_page_needed <= area.populated_pages) return batch;
-  batch.faults = last_page_needed - area.populated_pages;
-  area.populated_pages = last_page_needed;
-  return batch;
-}
-
-std::uint64_t AddressSpace::mapped_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [_, a] : areas_) total += a.length;
-  return total;
-}
-
-std::uint64_t AddressSpace::resident_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [_, a] : areas_) total += a.resident_bytes();
-  return total;
 }
 
 }  // namespace hpcos::os

@@ -17,46 +17,35 @@
 namespace hpcos::os {
 
 enum class PagingPolicy : std::uint8_t {
-  kDemand,       // populate on first touch
+  kDemand,       // populate on first touch (not modelled: stays unpopulated)
   kPrePopulate,  // populate at map time (MAP_POPULATE / hugeTLBfs prealloc)
 };
 
-// Fault taxonomy for span tracing (the Figure 5-7 attribution): a demand
-// first-touch of a base page is a minor fault; a bulk populate at map time
-// (MAP_POPULATE prepaging — the closest thing to a major-fault storm in a
-// diskless model) is major; any fault on a large-page-backed area is the
-// hugeTLB path with its own allocator and cost.
+// Fault taxonomy for span tracing (the Figure 5-7 attribution). Faults
+// are taken when a mapping is populated at map time: on base pages that
+// is a bulk populate (MAP_POPULATE prepaging — the closest thing to a
+// major-fault storm in a diskless model); any fault on a large-page-backed
+// area is the hugeTLB path with its own allocator and cost.
 enum class FaultKind : std::uint8_t {
-  kMinor,
   kMajor,
   kHugeTlb,
 };
 std::string to_string(FaultKind k);
 
-// One contiguous batch of page faults taken on a single VM area.
-struct FaultBatch {
-  std::uint64_t faults = 0;
-  hw::PageSize page_size = hw::PageSize::k4K;
-};
-
-// Classify a fault batch: large pages take the hugeTLB path regardless of
-// how they were triggered; base pages split on demand vs. bulk populate.
-FaultKind classify_fault(hw::PageSize page, hw::PageSize base_page,
-                         bool bulk_populate);
+// Classify a populate batch: large pages take the hugeTLB path, base
+// pages are major.
+FaultKind classify_fault(hw::PageSize page, hw::PageSize base_page);
 
 struct VmArea {
   std::uint64_t start = 0;
   std::uint64_t length = 0;
   hw::PageSize page_size = hw::PageSize::k4K;
-  // Pages populated so far (demand paging fills from the low end, matching
-  // the sequential first-touch of the workload models).
+  // Pages populated so far, counted from the low end: all of them under
+  // kPrePopulate, none under kDemand.
   std::uint64_t populated_pages = 0;
 
   std::uint64_t total_pages() const {
     return (length + hw::bytes(page_size) - 1) / hw::bytes(page_size);
-  }
-  std::uint64_t resident_bytes() const {
-    return populated_pages * hw::bytes(page_size);
   }
 };
 
@@ -79,16 +68,6 @@ class AddressSpace {
   // the area (the remainder stays mapped). `start` must be an area start.
   UnmapResult unmap(std::uint64_t start, std::uint64_t length);
 
-  // First-touch of [addr, addr+length): returns the number of page faults
-  // (pages newly populated). Zero for already-resident ranges.
-  std::uint64_t touch(std::uint64_t addr, std::uint64_t length);
-
-  // Like touch(), but also reports the backing page size so callers can
-  // price and classify the batch without a second area lookup.
-  FaultBatch touch_batch(std::uint64_t addr, std::uint64_t length);
-
-  std::uint64_t mapped_bytes() const;
-  std::uint64_t resident_bytes() const;
   std::size_t area_count() const { return areas_.size(); }
   const std::map<std::uint64_t, VmArea>& areas() const { return areas_; }
 

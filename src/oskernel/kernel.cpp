@@ -39,13 +39,6 @@ void ThreadContext::sleep_for(SimTime dt) {
   action_set_ = true;
 }
 
-void ThreadContext::yield() {
-  check_single_action(action_set_);
-  action_ = PendingAction{};
-  action_.kind = ActionKind::kYield;
-  action_set_ = true;
-}
-
 void ThreadContext::exit() {
   check_single_action(action_set_);
   action_ = PendingAction{};
@@ -419,16 +412,6 @@ void NodeKernel::begin_action(hw::CoreId core, Thread& thread) {
       sim_.schedule_after(
           dt, [this, tid] { wake(tid); }, "os.sleep.wake");
       release_core(core);
-      maybe_dispatch(core);
-      return;
-    }
-
-    case ActionKind::kYield: {
-      ++thread.voluntary_switches;
-      thread.action = PendingAction{};
-      thread.state = ThreadState::kReady;
-      release_core(core);
-      sched().enqueue(core, thread);
       maybe_dispatch(core);
       return;
     }

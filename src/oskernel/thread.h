@@ -38,7 +38,6 @@ enum class ActionKind : std::uint8_t {
   kCompute,
   kSyscall,
   kSleep,
-  kYield,
   kExit,
 };
 
@@ -56,7 +55,6 @@ class ThreadContext {
   void compute(SimTime work);
   void invoke(Syscall no, SyscallArgs args = {});
   void sleep_for(SimTime dt);
-  void yield();
   void exit();
 
   // --- observable state ---
@@ -110,7 +108,6 @@ struct Thread {
   // Accounting.
   SimTime user_time;
   SimTime kernel_time;
-  std::uint64_t voluntary_switches = 0;
   std::uint64_t involuntary_switches = 0;
 
   // Scheduler state (interpreted by the active scheduler).

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
-#include <stdexcept>
 
 namespace hpcos::sim {
 
@@ -69,14 +67,6 @@ void append_sorted_events(JsonValue& events,
 
 }  // namespace
 
-JsonValue chrome_trace_document(const std::vector<TraceRecord>& records,
-                                const ChromeTraceOptions& options) {
-  std::vector<ChromeTraceGroup> groups(1);
-  groups[0].records = records;
-  groups[0].options = options;
-  return chrome_trace_document(groups);
-}
-
 JsonValue chrome_trace_document(const std::vector<ChromeTraceGroup>& groups) {
   JsonValue events = JsonValue::array();
   // Groups with no records contribute no metadata either: a process/thread
@@ -98,15 +88,6 @@ JsonValue chrome_trace_document(const std::vector<ChromeTraceGroup>& groups) {
   doc.set("traceEvents", std::move(events));
   doc.set("displayTimeUnit", "ms");
   return doc;
-}
-
-void export_chrome_trace(const std::vector<TraceRecord>& records,
-                         const std::string& path,
-                         const ChromeTraceOptions& options) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open trace path: " + path);
-  out << chrome_trace_document(records, options).dump_pretty();
-  if (!out) throw std::runtime_error("write failed for trace: " + path);
 }
 
 std::string validate_chrome_trace(const JsonValue& doc) {

@@ -40,29 +40,19 @@ struct ChromeTraceOptions {
   std::vector<std::pair<std::int64_t, std::string>> thread_names;
 };
 
-// Build the trace_event document for a set of records. Events are sorted by
-// timestamp (then span id) so `ts` is monotonic in the output.
-JsonValue chrome_trace_document(const std::vector<TraceRecord>& records,
-                                const ChromeTraceOptions& options = {});
-
-// One record set plus the pid / naming metadata it should carry in a merged
-// document. Used for whole-run exports that combine several nodes (and
-// synthetic rank tracks) into a single Perfetto-loadable file.
+// One record set plus the pid / naming metadata it should carry in the
+// document. Whole-run exports combine several nodes (and synthetic rank
+// tracks) into a single Perfetto-loadable file.
 struct ChromeTraceGroup {
   std::vector<TraceRecord> records;
   ChromeTraceOptions options;
 };
 
-// Merge several groups into one document: all metadata ("M") events are
-// emitted first, then every group's events globally sorted by timestamp so
-// the validator's monotonic-ts check holds across groups.
+// Build the trace_event document for one or more groups: all metadata
+// ("M") events are emitted first, then every group's events globally
+// sorted by timestamp (then span id) so `ts` is monotonic in the output,
+// across groups too.
 JsonValue chrome_trace_document(const std::vector<ChromeTraceGroup>& groups);
-
-// Write the document to `path` (pretty-printed). Throws
-// std::runtime_error on I/O failure.
-void export_chrome_trace(const std::vector<TraceRecord>& records,
-                         const std::string& path,
-                         const ChromeTraceOptions& options = {});
 
 // Validate the shape of a trace_event document produced by the exporter:
 // "traceEvents" array, required keys per event, monotonically non-decreasing

@@ -104,25 +104,4 @@ std::string validate_folded_stack(const std::string& text) {
   return {};
 }
 
-std::vector<std::pair<std::string, std::int64_t>> parse_folded_stack(
-    const std::string& text) {
-  if (const std::string err = validate_folded_stack(text); !err.empty()) {
-    throw std::runtime_error("folded stack invalid: " + err);
-  }
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, eol == std::string::npos ? std::string::npos
-                                                  : eol - pos);
-    pos = eol == std::string::npos ? text.size() : eol + 1;
-    if (line.empty()) continue;
-    const std::size_t sep = line.rfind(' ');
-    out.emplace_back(line.substr(0, sep),
-                     std::stoll(line.substr(sep + 1)));
-  }
-  return out;
-}
-
 }  // namespace hpcos::sim

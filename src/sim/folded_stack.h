@@ -12,9 +12,7 @@
 // deterministic and diffable.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/span_tree.h"
@@ -40,11 +38,5 @@ void export_folded_stack(const std::vector<TraceRecord>& records,
 // ';'-separated frames, no duplicate stacks, lines sorted. Returns ""
 // when valid, else a description of the first violation.
 std::string validate_folded_stack(const std::string& text);
-
-// Parse folded text back into (stack, value) pairs in file order; throws
-// std::runtime_error on malformed lines. Together with folded_stack()
-// this is the round trip the tests lock down.
-std::vector<std::pair<std::string, std::int64_t>> parse_folded_stack(
-    const std::string& text);
 
 }  // namespace hpcos::sim

@@ -232,10 +232,4 @@ std::size_t Simulator::run_until(SimTime t_end) {
   return n;
 }
 
-std::size_t Simulator::run_all(std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && step()) ++n;
-  return n;
-}
-
 }  // namespace hpcos::sim

@@ -221,10 +221,6 @@ class Simulator {
   // Returns the number of events executed.
   std::size_t run_until(SimTime t_end);
 
-  // Run until the queue drains or `max_events` have executed (a guard
-  // against runaway self-scheduling models).
-  std::size_t run_all(std::size_t max_events = SIZE_MAX);
-
   bool has_pending() const { return live_ != 0; }
   std::size_t pending_count() const { return live_; }
   std::uint64_t events_executed() const { return executed_; }

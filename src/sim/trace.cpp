@@ -65,36 +65,4 @@ std::vector<TraceRecord> TraceBuffer::snapshot() const {
   return out;
 }
 
-std::vector<TraceRecord> TraceBuffer::filter(TraceCategory category) const {
-  return filter([category](const TraceRecord& r) {
-    return r.category == category;
-  });
-}
-
-std::vector<TraceRecord> TraceBuffer::filter(
-    const std::function<bool(const TraceRecord&)>& pred) const {
-  std::vector<TraceRecord> out;
-  for (auto& rec : snapshot()) {
-    if (pred(rec)) out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-SimTime TraceBuffer::total_duration(TraceCategory category,
-                                    hw::CoreId core) const {
-  SimTime total = SimTime::zero();
-  for (const auto& rec : snapshot()) {
-    if (rec.category != category) continue;
-    if (core != hw::kInvalidCore && rec.core != core) continue;
-    total += rec.duration;
-  }
-  return total;
-}
-
-void TraceBuffer::clear() {
-  head_ = 0;
-  used_ = 0;
-  total_ = 0;
-}
-
 }  // namespace hpcos::sim

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,16 +69,6 @@ class TraceBuffer {
 
   // Records in chronological order (oldest retained first).
   std::vector<TraceRecord> snapshot() const;
-  std::vector<TraceRecord> filter(TraceCategory category) const;
-  std::vector<TraceRecord> filter(
-      const std::function<bool(const TraceRecord&)>& pred) const;
-
-  // Total duration attributed to a category on a specific core (or all
-  // cores when core == kInvalidCore).
-  SimTime total_duration(TraceCategory category,
-                         hw::CoreId core = hw::kInvalidCore) const;
-
-  void clear();
 
  private:
   std::size_t capacity_;

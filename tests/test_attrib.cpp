@@ -18,6 +18,7 @@
 #include "obs/bench_report.h"
 #include "sim/folded_stack.h"
 #include "sim/span_tree.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {

@@ -10,6 +10,7 @@
 #include "common/json.h"
 #include "obs/bench_diff.h"
 #include "obs/bench_report.h"
+#include "test_support.h"
 
 namespace hpcos::obs {
 namespace {

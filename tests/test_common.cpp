@@ -8,9 +8,9 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <thread>
+#include <vector>
 
 #ifdef __linux__
 #include <sched.h>
@@ -23,6 +23,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "obs/prof/counters.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -140,6 +141,44 @@ TEST(Rng, PoissonZeroMean) {
   EXPECT_EQ(r.poisson(-1.0), 0u);
 }
 
+TEST(Rng, PoissonNormalBranchWithinKsBound) {
+  // From a mean of 64 up, poisson() draws a normal rounded to the nearest
+  // integer, whose CDF at k is Phi((k + 0.5 - mean) / sqrt(mean)). Its
+  // exact KS distance to the Poisson law, computed here from both CDFs,
+  // falls as ~0.066 / sqrt(mean). The empirical CDF of N draws must stay
+  // within that distance plus the DKW term sqrt(ln(2 / alpha) / 2N) at
+  // alpha = 1e-6 (0.0060 at N = 200,000).
+  constexpr int kDraws = 200'000;
+  const double dkw = std::sqrt(std::log(2.0 / 1e-6) / (2.0 * kDraws));
+  RngStream rng(Seed{42}, 7);
+  for (const double mean : {64.0, 256.0, 4096.0}) {
+    const double sd = std::sqrt(mean);
+    const auto top = static_cast<std::uint64_t>(mean + 12.0 * sd);
+    std::vector<std::uint64_t> counts(top + 1, 0);
+    for (int i = 0; i < kDraws; ++i) {
+      ++counts[std::min(rng.poisson(mean), top)];
+    }
+    double poisson_cdf = 0.0;
+    double empirical_cdf = 0.0;
+    double exact_ks = 0.0;
+    double empirical_ks = 0.0;
+    for (std::uint64_t k = 0; k <= top; ++k) {
+      const auto kd = static_cast<double>(k);
+      poisson_cdf +=
+          std::exp(kd * std::log(mean) - mean - std::lgamma(kd + 1.0));
+      empirical_cdf += static_cast<double>(counts[k]) / kDraws;
+      const double rounded_normal_cdf =
+          0.5 * std::erfc((mean - kd - 0.5) / (sd * std::sqrt(2.0)));
+      exact_ks =
+          std::max(exact_ks, std::abs(rounded_normal_cdf - poisson_cdf));
+      empirical_ks =
+          std::max(empirical_ks, std::abs(empirical_cdf - poisson_cdf));
+    }
+    EXPECT_NEAR(exact_ks * sd, 0.066, 0.004) << "mean " << mean;
+    EXPECT_LT(empirical_ks, exact_ks + dkw) << "mean " << mean;
+  }
+}
+
 TEST(OnlineStats, WelfordMatchesDirect) {
   OnlineStats st;
   const std::vector<double> xs{1, 2, 3, 4, 5, 6, 7};
@@ -152,39 +191,11 @@ TEST(OnlineStats, WelfordMatchesDirect) {
   EXPECT_NEAR(st.variance(), 28.0 / 6.0, 1e-12);
 }
 
-TEST(OnlineStats, MergeEqualsSinglePass) {
-  OnlineStats a;
-  OnlineStats b;
-  OnlineStats whole;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10;
-    (i < 20 ? a : b).add(x);
-    whole.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
 TEST(Percentile, Interpolates) {
   const std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 40);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 25);
-}
-
-TEST(Summarize, Fields) {
-  std::vector<double> xs(100);
-  std::iota(xs.begin(), xs.end(), 1.0);
-  const SampleSummary s = summarize(xs);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.p50, 50.5, 0.01);
-  EXPECT_GT(s.p999, s.p99);
+  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0), 10);
+  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 100), 40);
+  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 50), 25);
 }
 
 TEST(LogHistogram, CountsAndQuantiles) {
@@ -296,7 +307,9 @@ TEST(LogHistogram, TableBinningMatchesLogFormula) {
     RngStream rng(Seed{14}, l.bins);
     const double lo = std::log(l.min_value / 3.0);
     const double hi = std::log(3.0 * l.max_value);
-    for (int i = 0; i < 1'000'000; ++i) check(std::exp(rng.uniform(lo, hi)));
+    for (int i = 0; i < 1'000'000; ++i) {
+      check(std::exp(lo + (hi - lo) * rng.uniform()));
+    }
     for (const double v :
          {0.0, -0.0, -1.0, -kInf, std::numeric_limits<double>::denorm_min(),
           1e-310, std::numeric_limits<double>::min(), l.min_value,
@@ -455,7 +468,7 @@ TEST(LogHistogram, QuantilesWithinBinRatioOfBatchPercentile) {
   // Lognormal overhead-like data spanning ~4 decades, on the duration
   // layout's [1e-3, 1e7] range at edge ratios of 1 % (the layout itself)
   // and 5 %: every quantile, the extremes included, sits within one edge
-  // ratio of stats::percentile.
+  // ratio of the percentile_sorted reference (test_support.h).
   for (double ratio : {1.01, 1.05}) {
     const auto bins = static_cast<std::size_t>(
         std::ceil(std::log(1e7 / 1e-3) / std::log(ratio)));
@@ -517,20 +530,44 @@ TEST(ParallelFor, FailsFastAfterException) {
   // Once one invocation throws, the shared stop flag must halt dispatch:
   // workers finish the chunk they hold but claim no new ones, so only a
   // small fraction of the range is ever visited.
+  //
+  // The thrower can be descheduled between its throw and the stop flag.
+  // So that the other participants cannot run the range meanwhile, every
+  // later invocation first waits until the group is cancelled: a nested
+  // group inherits the cancellation and retires its chunks unrun, so a
+  // nested parallel_for that runs nothing shows it.
   const std::size_t count = 100000;
   std::atomic<std::size_t> invoked{0};
   std::atomic<bool> thrown{false};
+  std::atomic<bool> timed_out{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto wait_until_cancelled = [&] {
+    while (!timed_out.load()) {
+      std::atomic<int> ran{0};
+      parallel_for(2, [&](std::size_t) { ran.fetch_add(1); }, 2);
+      if (ran.load() == 0) return;
+      if (std::chrono::steady_clock::now() > deadline) {
+        if (!timed_out.exchange(true)) {
+          ADD_FAILURE() << "no cancellation 10 s after the throw";
+        }
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
   EXPECT_THROW(
       parallel_for(
           count,
           [&](std::size_t) {
             if (!thrown.exchange(true)) throw std::runtime_error("boom");
+            wait_until_cancelled();
             invoked.fetch_add(1);
           },
           4),
       std::runtime_error);
-  // 4 workers x one in-flight chunk (count / 32) plus slack is far below
-  // the full range; the old spawn-join implementation drained all of it.
+  // Only chunks already in flight can finish: at most 4 participants x one
+  // chunk (count / 32) = 12,500.
   EXPECT_LT(invoked.load(), count / 2);
 }
 

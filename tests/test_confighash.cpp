@@ -3,8 +3,8 @@
 // Two halves of the contract:
 //  * invariance — member insertion order and pure host-execution knobs
 //    (threads, registry sink) never change the hash;
-//  * sensitivity — every semantic knob of every config serializer flips
-//    the hash when flipped.
+//  * sensitivity — every semantic knob of the campaign config serializer
+//    flips the hash when flipped.
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -15,12 +15,10 @@
 
 #include "cluster/config_json.h"
 #include "cluster/fwq_campaign.h"
-#include "cluster/osenv.h"
-#include "cluster/workload.h"
 #include "common/confighash.h"
 #include "common/json.h"
-#include "noise/profiles.h"
 #include "obs/registry.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -164,77 +162,6 @@ TEST(ConfigHash, EverySemanticFwqKnobChangesTheHash) {
   }
 }
 
-TEST(ConfigHash, CountermeasureTogglesAllChangeTheHash) {
-  const noise::Countermeasures base_cm;
-  const std::string base = config_hash_hex(cluster::to_config_json(base_cm));
-  const std::vector<
-      std::pair<const char*, std::function<void(noise::Countermeasures&)>>>
-      knobs = {
-          {"bind_daemons", [](auto& c) { c.bind_daemons = !c.bind_daemons; }},
-          {"bind_kworkers",
-           [](auto& c) { c.bind_kworkers = !c.bind_kworkers; }},
-          {"bind_blkmq", [](auto& c) { c.bind_blkmq = !c.bind_blkmq; }},
-          {"stop_pmu_reads",
-           [](auto& c) { c.stop_pmu_reads = !c.stop_pmu_reads; }},
-          {"suppress_global_tlbi",
-           [](auto& c) { c.suppress_global_tlbi = !c.suppress_global_tlbi; }},
-      };
-  for (const auto& [name, mutate] : knobs) {
-    noise::Countermeasures cm;
-    mutate(cm);
-    EXPECT_NE(config_hash_hex(cluster::to_config_json(cm)), base)
-        << "countermeasure \"" << name << "\" did not change the hash";
-  }
-}
-
-TEST(ConfigHash, JobMemAndProfileKnobsChangeTheHash) {
-  cluster::JobConfig job;
-  const std::string job_base = config_hash_hex(cluster::to_config_json(job));
-  job.nodes += 1;
-  EXPECT_NE(config_hash_hex(cluster::to_config_json(job)), job_base);
-  job.nodes -= 1;
-  job.ranks_per_node += 1;
-  EXPECT_NE(config_hash_hex(cluster::to_config_json(job)), job_base);
-
-  cluster::MemEnvModel mem;
-  const std::string mem_base = config_hash_hex(cluster::to_config_json(mem));
-  mem.large_page_coverage = 0.5;
-  EXPECT_NE(config_hash_hex(cluster::to_config_json(mem)), mem_base);
-
-  noise::AnalyticNoiseProfile profile = noise::ofp_linux_profile();
-  const std::string prof_base =
-      config_hash_hex(cluster::to_config_json(profile));
-  ASSERT_FALSE(profile.sources.empty());
-  profile.sources[0].mean_interval = profile.sources[0].mean_interval * 2;
-  EXPECT_NE(config_hash_hex(cluster::to_config_json(profile)), prof_base);
-}
-
-TEST(ConfigHash, EnvironmentsAndBenchPlansSeparateCleanly) {
-  const auto linux_env = cluster::make_fugaku_linux_env();
-  const auto lwk_env = cluster::make_fugaku_mckernel_env();
-  EXPECT_NE(config_hash_hex(cluster::to_config_json(linux_env)),
-            config_hash_hex(cluster::to_config_json(lwk_env)));
-
-  // Countermeasure changes surface through the noise-profile source list
-  // even though the Countermeasures struct is gone by environment time.
-  noise::Countermeasures cm;
-  cm.bind_daemons = !cm.bind_daemons;
-  EXPECT_NE(
-      config_hash_hex(cluster::to_config_json(cluster::make_fugaku_linux_env(
-          cm))),
-      config_hash_hex(cluster::to_config_json(linux_env)));
-
-  cluster::JobConfig job;
-  const std::string plan_a = config_hash_hex(
-      cluster::bench_plan_config_json("amg", linux_env, job, Seed{1}));
-  EXPECT_NE(plan_a,
-            config_hash_hex(cluster::bench_plan_config_json(
-                "amg", linux_env, job, Seed{2})));
-  EXPECT_NE(plan_a,
-            config_hash_hex(cluster::bench_plan_config_json(
-                "minife", linux_env, job, Seed{1})));
-}
-
 // ------------------------------------------------- knob-by-knob diffing
 
 TEST(ConfigDiff, HashEqualIffEmptyDiff) {
@@ -298,51 +225,56 @@ TEST(ConfigDiff, NamesEachChangedFwqKnob) {
 }
 
 TEST(ConfigDiff, CountermeasureTogglesNameTheirPath) {
-  const JsonValue base =
-      cluster::to_config_json(noise::Countermeasures{});
-  const std::vector<
-      std::pair<const char*, std::function<void(noise::Countermeasures&)>>>
-      knobs = {
-          {"bind_daemons", [](auto& c) { c.bind_daemons = !c.bind_daemons; }},
-          {"bind_kworkers",
-           [](auto& c) { c.bind_kworkers = !c.bind_kworkers; }},
-          {"bind_blkmq", [](auto& c) { c.bind_blkmq = !c.bind_blkmq; }},
-          {"stop_pmu_reads",
-           [](auto& c) { c.stop_pmu_reads = !c.stop_pmu_reads; }},
-          {"suppress_global_tlbi",
-           [](auto& c) { c.suppress_global_tlbi = !c.suppress_global_tlbi; }},
-      };
-  for (const auto& [path, mutate] : knobs) {
-    noise::Countermeasures cm;
-    mutate(cm);
-    const auto deltas = config_diff(base, cluster::to_config_json(cm));
+  // A document of boolean toggles (Table 2's countermeasures): flipping
+  // one names its path.
+  const std::vector<const char*> toggles = {
+      "bind_daemons", "bind_kworkers", "bind_blkmq", "stop_pmu_reads",
+      "suppress_global_tlbi"};
+  JsonValue base = JsonValue::object();
+  base.set("schema", "countermeasures-fixture/1");
+  for (const char* toggle : toggles) base.set(toggle, true);
+  for (const char* path : toggles) {
+    JsonValue cm = base;
+    cm.set(path, false);
+    const auto deltas = config_diff(base, cm);
     ASSERT_EQ(deltas.size(), 1u) << "toggle \"" << path << "\"";
     EXPECT_EQ(deltas[0].kind, ConfigDeltaKind::kChanged);
     EXPECT_EQ(deltas[0].path, path);
     // Bools render canonically, so the delta reads true/false verbatim.
-    EXPECT_TRUE((deltas[0].base == "true" && deltas[0].current == "false") ||
-                (deltas[0].base == "false" && deltas[0].current == "true"))
-        << deltas[0].base << " -> " << deltas[0].current;
+    EXPECT_EQ(deltas[0].base, "true");
+    EXPECT_EQ(deltas[0].current, "false");
   }
 }
 
 TEST(ConfigDiff, NestedProfilePathsUseArrayIndices) {
-  const noise::AnalyticNoiseProfile base_profile =
-      noise::ofp_linux_profile();
-  const JsonValue base = cluster::to_config_json(base_profile);
+  // A noise-profile-shaped document: an array of source objects, each with
+  // a nested duration object.
+  const auto source = [](std::int64_t interval_ns, double sigma) {
+    JsonValue duration = JsonValue::object();
+    duration.set("median_ns", std::int64_t{10'000});
+    duration.set("sigma", sigma);
+    JsonValue s = JsonValue::object();
+    s.set("mean_interval_ns", interval_ns);
+    s.set("duration", std::move(duration));
+    return s;
+  };
+  const auto profile = [&](std::int64_t interval0_ns, double sigma1) {
+    JsonValue sources = JsonValue::array();
+    sources.push_back(source(interval0_ns, 0.5));
+    sources.push_back(source(1'000'000'000, sigma1));
+    JsonValue v = JsonValue::object();
+    v.set("name", "profile-fixture");
+    v.set("sources", std::move(sources));
+    return v;
+  };
+  const JsonValue base = profile(5'000'000, 0.6);
 
-  noise::AnalyticNoiseProfile mutated = base_profile;
-  ASSERT_FALSE(mutated.sources.empty());
-  mutated.sources[0].mean_interval = mutated.sources[0].mean_interval * 2;
-  auto deltas = config_diff(base, cluster::to_config_json(mutated));
+  auto deltas = config_diff(base, profile(10'000'000, 0.6));
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0].path, "sources[0].mean_interval_ns");
 
   // Two levels of nesting: the duration distribution inside a source.
-  mutated = base_profile;
-  ASSERT_GE(mutated.sources.size(), 2u);
-  mutated.sources[1].duration.sigma += 0.125;
-  deltas = config_diff(base, cluster::to_config_json(mutated));
+  deltas = config_diff(base, profile(5'000'000, 0.725));
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0].path, "sources[1].duration.sigma");
 }

@@ -5,6 +5,7 @@
 #include "kernel_test_util.h"
 #include "noise/metrics.h"
 #include "noise/profiles.h"
+#include "test_support.h"
 
 namespace hpcos::cluster {
 namespace {
@@ -107,29 +108,6 @@ TEST(DesCluster, TlbiBroadcastStaysWithinItsNode) {
   cluster.node(0).linux().stall_all_cores_except(
       -1, SimTime::zero(), sim::TraceCategory::kUser, "noop");
   EXPECT_EQ(done[1], 10_ms);  // node 1 untouched
-}
-
-TEST(DesCluster, MultiKernelClusterOffloadsPerNode) {
-  const auto platform = hw::make_fugaku_testbed_platform();
-  auto mcfg = mck::McKernelConfig::defaults();
-  mcfg.hw_noise = noise::AnalyticNoiseProfile{};
-  DesCluster cluster(2, platform, testbed_config(true), mcfg,
-                     DesCluster::Options{});
-  for (int n = 0; n < 2; ++n) {
-    ASSERT_TRUE(cluster.node(n).is_multikernel());
-    test::spawn_script(*cluster.node(n).lwk(),
-                       [phase = 0](os::ThreadContext& ctx) mutable {
-                         if (phase++ == 0) {
-                           ctx.invoke(os::Syscall::kOpen);
-                           return true;
-                         }
-                         return false;
-                       });
-  }
-  cluster.simulator().run_until(1_s);
-  for (int n = 0; n < 2; ++n) {
-    EXPECT_EQ(cluster.node(n).offloader()->replies(), 1u) << "node " << n;
-  }
 }
 
 TEST(DesCluster, AggregateNoiseStatsMatchSingleNodeScale) {

@@ -19,6 +19,7 @@
 #include "obs/runlog.h"
 #include "obs/trend.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {

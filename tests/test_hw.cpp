@@ -14,6 +14,7 @@
 #include "hw/platform.h"
 #include "hw/tlb.h"
 #include "hw/topology.h"
+#include "test_support.h"
 
 namespace hpcos::hw {
 namespace {
@@ -220,17 +221,19 @@ TEST(CpuSet, FactoriesMatchReferenceModel) {
 }
 
 TEST(Topology, SmtSiblingsFollowLinuxNumbering) {
-  NodeTopology knl("KNL", 68, 4);
+  // KNL convention: cpu 0, 68, 136, 204 share physical core 0. OFP's
+  // designated system CPUs are the four hyperthreads of physical cores
+  // 0-3 (the appendix's 0-3,68-71,136-139,204-207).
+  const auto ofp = make_ofp_platform();
+  const NodeTopology& knl = ofp.topology;
   EXPECT_EQ(knl.logical_cores(), 272);
-  // KNL convention: cpu 0, 68, 136, 204 share physical core 0.
-  const CpuSet sib = knl.smt_siblings(0);
-  EXPECT_TRUE(sib.test(0));
-  EXPECT_TRUE(sib.test(68));
-  EXPECT_TRUE(sib.test(136));
-  EXPECT_TRUE(sib.test(204));
-  EXPECT_EQ(sib.count(), 4u);
-  EXPECT_EQ(knl.physical_of(204), 0);
-  EXPECT_EQ(knl.physical_of(69), 1);
+  const CpuSet& sys = knl.system_cores();
+  EXPECT_EQ(sys.count(), 16u);
+  for (const CoreId c : {0, 68, 136, 204, 3, 71, 139, 207}) {
+    EXPECT_TRUE(sys.test(c)) << c;
+  }
+  EXPECT_FALSE(sys.test(4));
+  EXPECT_FALSE(sys.test(72));
 }
 
 TEST(Topology, PartitionMustNotOverlap) {
@@ -275,19 +278,6 @@ TEST(Tlb, BroadcastStallMatchesPaperNumber) {
   EXPECT_EQ(x86.broadcast_stall(2000), SimTime::zero());  // no TLBI bcast
 }
 
-TEST(Memory, StreamTimeFromBandwidth) {
-  NodeMemory m;
-  m.add_region(MemoryRegion{
-      .numa = 0,
-      .params = {.kind = MemoryKind::kHbm2,
-                 .capacity_bytes = 8_GiB,
-                 .bandwidth_bytes_per_sec = 100ull * 1000 * 1000 * 1000}});
-  EXPECT_EQ(m.stream_time(MemoryKind::kHbm2, 100ull * 1000 * 1000 * 1000),
-            SimTime::sec(1));
-  EXPECT_EQ(m.capacity_of(MemoryKind::kHbm2), 8_GiB);
-  EXPECT_THROW(m.stream_time(MemoryKind::kDdr4, 1), SimError);
-}
-
 TEST(HwBarrier, HardwareBeatsSoftwareTree) {
   HwBarrier with(HwBarrierParams{.available = true,
                                  .hw_latency = SimTime::ns(200),
@@ -307,8 +297,10 @@ TEST(Platform, Table1Attributes) {
   EXPECT_EQ(ofp.topology.logical_cores(), 272);
   EXPECT_EQ(ofp.num_compute_nodes, 8192);
   EXPECT_EQ(ofp.tlb.l2_entries, 64);
-  EXPECT_EQ(ofp.memory.capacity_of(MemoryKind::kDdr4), 96_GiB);
-  EXPECT_EQ(ofp.memory.capacity_of(MemoryKind::kMcdram), 16_GiB);
+  // DDR4 and MCDRAM as two NUMA domains (quadrant-flat mode).
+  ASSERT_EQ(ofp.topology.numa_domains().size(), 2u);
+  EXPECT_EQ(ofp.topology.numa_domains()[0].memory_bytes, 96_GiB);
+  EXPECT_EQ(ofp.topology.numa_domains()[1].memory_bytes, 16_GiB);
   EXPECT_FALSE(ofp.linux_settings.containerized);
   EXPECT_FALSE(ofp.linux_settings.cgroup_cpu_isolation);
   EXPECT_EQ(ofp.linux_settings.large_pages, LargePageMechanism::kThp);
@@ -321,7 +313,7 @@ TEST(Platform, Table1Attributes) {
   EXPECT_EQ(fugaku.num_compute_nodes, 158976);
   EXPECT_EQ(fugaku.tlb.l1_entries, 16);
   EXPECT_EQ(fugaku.tlb.l2_entries, 1024);
-  EXPECT_EQ(fugaku.memory.total_capacity(), 32_GiB);
+  EXPECT_EQ(fugaku.topology.total_memory_bytes(), 32_GiB);
   EXPECT_TRUE(fugaku.linux_settings.containerized);
   EXPECT_TRUE(fugaku.linux_settings.cgroup_cpu_isolation);
   EXPECT_TRUE(fugaku.linux_settings.irq_steered_to_os_cores);

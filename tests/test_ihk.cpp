@@ -3,6 +3,7 @@
 
 #include "ihk/ihk.h"
 #include "kernel_test_util.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -57,7 +58,8 @@ TEST_F(IhkTest, OsInstanceLifecycle) {
   EXPECT_THROW(mgr.destroy(id), SimError);
   mgr.shutdown(id);
   mgr.destroy(id);
-  EXPECT_FALSE(mgr.instance_exists(id));
+  EXPECT_EQ(mgr.instance_count(), 0u);
+  EXPECT_THROW(mgr.instance(id), SimError);
   // Resources returned to the host: can reserve again.
   EXPECT_TRUE(part.reserve_cpus(topo.application_cores()));
 }
@@ -99,7 +101,7 @@ TEST_F(IhkTest, IkcDeliversAfterLatencyInOrder) {
   to.post(message(3));
   sim.run_until(SimTime::ns(500));
   to.post(message(4));
-  sim.run_all();
+  while (sim.step()) {}
 
   const std::vector<SimTime> dest_when = {SimTime::us(1), SimTime::us(1),
                                           SimTime::us(1), SimTime::ns(1500)};

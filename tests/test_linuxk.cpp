@@ -6,6 +6,7 @@
 #include "kernel_test_util.h"
 #include "noise/fwq.h"
 #include "noise/metrics.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -30,22 +31,6 @@ TEST(Cgroup, MemoryChargeRespectsLimit) {
 TEST(Cgroup, ZeroLimitMeansUnlimited) {
   linuxk::MemoryCgroup cg("system", 0);
   EXPECT_TRUE(cg.try_charge(1ull << 40));
-}
-
-TEST(Cgroup, CpusetAttachNarrowsAffinity) {
-  LinuxNode node;
-  auto& mgr = node.kernel->cgroups();
-  mgr.create_cpuset("system", node.topo.system_cores(), {1});
-  const auto tid = spawn_script(*node.kernel, [](os::ThreadContext& ctx) {
-    ctx.sleep_for(1_ms);
-    return true;
-  });
-  mgr.attach(*node.kernel, tid, "system");
-  EXPECT_TRUE(node.topo.system_cores().contains(
-      node.kernel->thread(tid).affinity));
-  // After the next wakeups the thread must only run on system cores.
-  node.sim.run_until(20_ms);
-  EXPECT_TRUE(node.topo.system_cores().test(node.kernel->thread(tid).core));
 }
 
 // ---- hugeTLBfs ----
@@ -146,7 +131,9 @@ TEST(VirtualNuma, CapacityEnforced) {
   EXPECT_TRUE(v.allocate(linuxk::MemRegion::kApplication, 1ull << 30));
   EXPECT_FALSE(v.allocate(linuxk::MemRegion::kApplication, 1));
   v.free(linuxk::MemRegion::kApplication, 1ull << 30);
-  EXPECT_EQ(v.used_bytes(linuxk::MemRegion::kApplication), 0u);
+  // The freed capacity is available again, all of it and no more.
+  EXPECT_TRUE(v.allocate(linuxk::MemRegion::kApplication, 1ull << 30));
+  EXPECT_FALSE(v.allocate(linuxk::MemRegion::kApplication, 1));
 }
 
 // ---- CFS + ticks ----
@@ -316,26 +303,30 @@ TEST(LinuxMm, HugeTlbFsBackingChargedAndReleased) {
   EXPECT_EQ(node.kernel->hugetlbfs().surplus_in_use(), 0u);
 }
 
-TEST(LinuxMm, TouchMemoryChargesFaults) {
+TEST(LinuxMm, PopulatingMmapChargesFaults) {
   LinuxNode node;
-  os::Pid pid = os::kInvalidPid;
-  std::uint64_t addr = 0;
+  const os::Pid pid = node.kernel->create_process(
+      os::ProcessAttrs{.paging = os::PagingPolicy::kPrePopulate});
+  SimTime service;
   int phase = 0;
-  spawn_script(*node.kernel, [&](os::ThreadContext& ctx) {
-    if (phase++ == 0) {
-      pid = ctx.pid();
-      ctx.invoke(os::Syscall::kMmap,
-                 os::SyscallArgs{.arg0 = 10ull * 64 * 1024});
-      return true;
-    }
-    addr = static_cast<std::uint64_t>(ctx.last_syscall().value);
-    return false;
-  });
+  spawn_script(
+      *node.kernel,
+      [&](os::ThreadContext& ctx) {
+        if (phase++ == 0) {
+          ctx.invoke(os::Syscall::kMmap,
+                     os::SyscallArgs{.arg0 = 10ull * 64 * 1024});
+          return true;
+        }
+        service = ctx.last_syscall().service_time;
+        return false;
+      },
+      os::SpawnAttrs{.pid = pid});
   node.sim.run_until(1_s);
-  const SimTime cost = node.kernel->touch_memory(pid, addr, 10ull * 64 * 1024);
-  EXPECT_EQ(cost, node.kernel->costs().page_fault_base * 10);
-  EXPECT_EQ(node.kernel->touch_memory(pid, addr, 64), SimTime::zero());
+  // Ten 64K base pages populated at map time, one fault each.
   EXPECT_EQ(node.kernel->total_page_faults(), 10u);
+  EXPECT_EQ(service, node.kernel->config().syscalls.get(os::Syscall::kMmap) +
+                         node.kernel->costs().page_fault_base * 10 +
+                         node.kernel->costs().syscall_trap);
 }
 
 // ---- TLB shootdown modes ----
@@ -433,11 +424,13 @@ TEST(TlbShootdown, ProcessExitTriggersTeardownStorm) {
     c.tlb_flush = linuxk::TlbFlushMode::kBroadcast;
   });
   auto victim = spawn_victim(*node.kernel, node.topo, 5, 30_ms);
-  // A process that maps+touches memory then exits, on another core.
+  // A process that maps populated memory then exits, on another core.
+  const os::Pid pid = node.kernel->create_process(
+      os::ProcessAttrs{.paging = os::PagingPolicy::kPrePopulate});
   int phase = 0;
   spawn_script(
       *node.kernel,
-      [&, phase](os::ThreadContext& ctx) mutable {
+      [phase](os::ThreadContext& ctx) mutable {
         if (phase++ == 0) {
           // 64 MiB of 64K pages -> 1024 resident pages at exit.
           ctx.invoke(os::Syscall::kMmap,
@@ -445,16 +438,13 @@ TEST(TlbShootdown, ProcessExitTriggersTeardownStorm) {
           return true;
         }
         if (phase == 2) {
-          node.kernel->touch_memory(
-              ctx.pid(),
-              static_cast<std::uint64_t>(ctx.last_syscall().value),
-              64ull << 20);
           ctx.compute(1_ms);
           return true;
         }
         return false;
       },
-      os::SpawnAttrs{.affinity = test::one_core(node.topo, 3)});
+      os::SpawnAttrs{.pid = pid,
+                     .affinity = test::one_core(node.topo, 3)});
   node.sim.run_until(1_s);
   // Teardown broadcast: 1024 flushes x 200 ns ~= 205 us landed on the
   // victim core.

@@ -6,6 +6,7 @@
 #include "kernel_test_util.h"
 #include "noise/fwq.h"
 #include "noise/metrics.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -228,11 +229,9 @@ TEST(McKernelMemory, FreedMemoryIsRetainedAndReused) {
   std::uint64_t addr = 0;
   int phase = 0;
   SimTime mark;
-  os::Pid pid = os::kInvalidPid;
   spawn_script(*node.lwk, [&](os::ThreadContext& ctx) {
     switch (phase++) {
       case 0:
-        pid = ctx.pid();
         mark = ctx.now();
         ctx.invoke(os::Syscall::kMmap, os::SyscallArgs{.arg0 = len});
         return true;
@@ -257,39 +256,47 @@ TEST(McKernelMemory, FreedMemoryIsRetainedAndReused) {
   // the end; the observable effect is the second allocation being served
   // pre-populated, i.e. not slower than the first.)
   EXPECT_LE(second_alloc, first_alloc);
-  EXPECT_EQ(node.lwk->pooled_bytes(pid), 0u);
 }
 
 TEST(McKernelMemory, PoolAccumulatesAcrossFrees) {
   MultiKernelNode node;
   const std::uint64_t len = 8ull << 20;
-  os::Pid pid = os::kInvalidPid;
   int phase = 0;
-  std::uint64_t addr = 0;
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
   spawn_script(*node.lwk, [&](os::ThreadContext& ctx) {
+    const auto last = static_cast<std::uint64_t>(ctx.last_syscall().value);
     switch (phase++) {
       case 0:
-        pid = ctx.pid();
         ctx.invoke(os::Syscall::kMmap, os::SyscallArgs{.arg0 = len});
         return true;
       case 1:
-        addr = static_cast<std::uint64_t>(ctx.last_syscall().value);
-        ctx.invoke(os::Syscall::kMunmap,
-                   os::SyscallArgs{.arg0 = addr, .arg1 = len});
+        first = last;
+        ctx.invoke(os::Syscall::kMmap, os::SyscallArgs{.arg0 = len});
         return true;
       case 2:
-        // Keep the process alive so the pool can be observed: exit would
-        // return the retained memory to the LWK allocator.
-        ctx.sleep_for(10_ms);
+        second = last;
+        ctx.invoke(os::Syscall::kMunmap,
+                   os::SyscallArgs{.arg0 = first, .arg1 = len});
+        return true;
+      case 3:
+        ctx.invoke(os::Syscall::kMunmap,
+                   os::SyscallArgs{.arg0 = second, .arg1 = len});
+        return true;
+      case 4:
+        // Only the two frees together cover this request.
+        ctx.invoke(os::Syscall::kMmap, os::SyscallArgs{.arg0 = 2 * len});
         return true;
       default:
         return false;
     }
   });
-  node.sim.run_until(5_ms);
-  EXPECT_EQ(node.lwk->pooled_bytes(pid), len);
   node.sim.run_until(1_s);
-  EXPECT_EQ(node.lwk->pooled_bytes(pid), 0u);  // reclaimed at exit
+  std::size_t reuses = 0;
+  for (const auto& r : node.trace.snapshot()) {
+    if (r.label == "fault:pool-reuse") ++reuses;
+  }
+  EXPECT_EQ(reuses, 1u);
 }
 
 TEST(McKernelSignals, SignalWakesBlockedThreadWithEintr) {

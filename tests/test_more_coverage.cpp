@@ -5,6 +5,7 @@
 
 #include "kernel_test_util.h"
 #include "net/fabric.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -209,38 +210,12 @@ TEST(LinuxSignals, KillWakesBlockedSleeperWithEintr) {
 }
 
 TEST(FabricParams, FactoryMatchesKind) {
-  EXPECT_EQ(net::params_for(hw::InterconnectKind::kTofuD).kind,
-            hw::InterconnectKind::kTofuD);
-  EXPECT_EQ(net::params_for(hw::InterconnectKind::kOmniPath).kind,
+  EXPECT_EQ(net::make_tofud_params().kind, hw::InterconnectKind::kTofuD);
+  EXPECT_EQ(net::make_omnipath_params().kind,
             hw::InterconnectKind::kOmniPath);
   // Tofu's barrier-gate-friendly software overhead is lower.
   EXPECT_LT(net::make_tofud_params().sw_overhead,
             net::make_omnipath_params().sw_overhead);
-}
-
-TEST(KernelEdge, YieldAmongEqualsRoundRobins) {
-  MultiKernelNode node;
-  std::vector<int> order;
-  for (int id = 0; id < 2; ++id) {
-    spawn_script(
-        *node.lwk,
-        [&, id, phase = 0](os::ThreadContext& ctx) mutable {
-          if (phase % 2 == 0) {  // work phase
-            if (phase / 2 >= 3) return false;
-            order.push_back(id);
-            ++phase;
-            ctx.compute(1_us);
-            return true;
-          }
-          ++phase;  // co-operative handoff
-          ctx.yield();
-          return true;
-        },
-        os::SpawnAttrs{.affinity = test::one_core(node.topo, 2)});
-  }
-  node.sim.run_until(1_s);
-  // Cooperative compute+yield alternates the two threads.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0, 1}));
 }
 
 TEST(KernelEdge, WakeOnDeadThreadIsSafe) {

@@ -25,6 +25,7 @@
 #include "obs/registry.h"
 #include "sim/chrome_trace.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -122,34 +123,6 @@ TEST(TraceBufferWrap, SnapshotStaysChronologicalAcrossWrap) {
   }
 }
 
-TEST(TraceBufferWrap, FilterSeesOnlyRetainedRecords) {
-  sim::TraceBuffer buf(6);
-  for (int i = 0; i < 12; ++i) {
-    buf.record(rec_at(i,
-                      i % 2 == 0 ? sim::TraceCategory::kIrq
-                                 : sim::TraceCategory::kDaemon,
-                      std::to_string(i)));
-  }
-  // Retained: 6..11, of which 6, 8, 10 are kIrq.
-  const auto irqs = buf.filter(sim::TraceCategory::kIrq);
-  ASSERT_EQ(irqs.size(), 3u);
-  EXPECT_EQ(irqs[0].label, "6");
-  EXPECT_EQ(irqs[2].label, "10");
-  const auto late = buf.filter(
-      [](const sim::TraceRecord& r) { return r.time >= SimTime::us(9); });
-  EXPECT_EQ(late.size(), 3u);
-}
-
-TEST(TraceBufferWrap, ClearKeepsSpanIdsUnique) {
-  sim::TraceBuffer buf(4);
-  const auto s1 = buf.new_span();
-  buf.record(rec_at(0, sim::TraceCategory::kUser, "a"));
-  buf.clear();
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_EQ(buf.dropped(), 0u);
-  EXPECT_NE(buf.new_span(), s1);  // ids never recycle within a buffer
-}
-
 // ------------------------------------------------------ chrome trace JSON
 
 std::vector<sim::TraceRecord> span_tree_records() {
@@ -172,9 +145,9 @@ std::vector<sim::TraceRecord> span_tree_records() {
 }
 
 TEST(ChromeTrace, DocumentHasRequiredKeysAndMonotonicTs) {
-  const auto doc = chrome_trace_document(
-      span_tree_records(),
-      sim::ChromeTraceOptions{.pid = 7, .process_name = "node0"});
+  const auto doc = sim::chrome_trace_document(
+      {{span_tree_records(),
+        sim::ChromeTraceOptions{.pid = 7, .process_name = "node0"}}});
   EXPECT_EQ(sim::validate_chrome_trace(doc), "");
   const auto& events = doc.at("traceEvents").as_array();
   // 3 records + 1 process_name metadata event.
@@ -194,7 +167,7 @@ TEST(ChromeTrace, DocumentHasRequiredKeysAndMonotonicTs) {
 }
 
 TEST(ChromeTrace, RoundTripsThroughSerialization) {
-  const auto doc = chrome_trace_document(span_tree_records());
+  const auto doc = sim::chrome_trace_document({{span_tree_records(), {}}});
   const auto parsed = JsonValue::parse(doc.dump_pretty());
   EXPECT_EQ(sim::validate_chrome_trace(parsed), "");
   // The span/parent linkage must survive the round trip.
@@ -223,21 +196,9 @@ TEST(ChromeTrace, ValidatorRejectsMalformedDocuments) {
   EXPECT_NE(sim::validate_chrome_trace(bad), "");
 }
 
-TEST(ChromeTrace, ExportWritesLoadableFile) {
-  const std::string path = "test_obs_chrome_trace.json";
-  sim::export_chrome_trace(span_tree_records(), path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream text;
-  text << in.rdbuf();
-  EXPECT_EQ(sim::validate_chrome_trace(JsonValue::parse(text.str())), "");
-  std::remove(path.c_str());
-}
-
 TEST(ChromeTrace, EmptyRecordSetExportsValidEmptyDocument) {
-  const auto doc = chrome_trace_document(
-      std::vector<sim::TraceRecord>{},
-      sim::ChromeTraceOptions{.pid = 3, .process_name = "node3"});
+  const auto doc = sim::chrome_trace_document(
+      {{{}, sim::ChromeTraceOptions{.pid = 3, .process_name = "node3"}}});
   EXPECT_EQ(sim::validate_chrome_trace(doc), "");
   // No events -> no metadata either: a named process with zero events
   // would render as an empty track in the viewer.
@@ -386,14 +347,13 @@ TEST(BenchReport, ParseBenchOptionsArmsProgressAndWatchdogSinks) {
   EXPECT_EQ(opts.sinks.watchdog_stall_s, 45.5);
   EXPECT_FALSE(opts.sinks.watchdog_abort);
   ASSERT_EQ(opts.remaining.size(), 1u);
-  EXPECT_TRUE(obs::live::global_meter_active());
   obs::prof::host_counter(obs::prof::kLiveEvents)->add(1234);
 
   obs::BenchReport report("progress_bench", true);
   report.add_metric("x", "count", 1.0);
   opts.sinks.progress = false;  // stderr quiet; meter still stops/drains
   obs::maybe_write_report(report, opts);
-  EXPECT_FALSE(obs::live::global_meter_active());
+  EXPECT_FALSE(obs::live::stop_global_meter().active);  // already drained
 
   auto find = [&](const std::string& name) -> const obs::BenchMetric* {
     for (const auto& m : report.metrics()) {
@@ -457,8 +417,10 @@ TEST(OffloadSpans, OneOffloadedSyscallExportsAsParentLinkedTree) {
 
   // The trace holds one root span with >= 2 children (>= 3 spans total),
   // every child linked to the root.
-  const auto spanned = node->trace().filter(
-      [](const sim::TraceRecord& r) { return r.span != 0; });
+  std::vector<sim::TraceRecord> spanned;
+  for (const auto& r : node->trace().snapshot()) {
+    if (r.span != 0) spanned.push_back(r);
+  }
   std::uint64_t root_span = 0;
   std::size_t children = 0;
   for (const auto& r : spanned) {
@@ -481,7 +443,7 @@ TEST(OffloadSpans, OneOffloadedSyscallExportsAsParentLinkedTree) {
 
   // The whole tree exports as a valid Chrome trace document whose child
   // events reference the root span id in args.
-  const auto doc = chrome_trace_document(spanned);
+  const auto doc = sim::chrome_trace_document({{spanned, {}}});
   EXPECT_EQ(sim::validate_chrome_trace(doc), "");
   std::size_t linked = 0;
   for (const auto& e : doc.at("traceEvents").as_array()) {
@@ -623,7 +585,7 @@ TEST(FaultSpans, LinuxFaultAndShootdownTreesAreParentLinked) {
   }
   EXPECT_GE(shootdown_children, 1u);
 
-  const auto doc = chrome_trace_document(recs);
+  const auto doc = sim::chrome_trace_document({{recs, {}}});
   EXPECT_EQ(sim::validate_chrome_trace(doc), "");
 }
 
@@ -652,7 +614,7 @@ TEST(FaultSpans, McKernelFaultTreesAreParentLinked) {
     }
   }
   EXPECT_TRUE(populate_child);
-  const auto doc = chrome_trace_document(recs);
+  const auto doc = sim::chrome_trace_document({{recs, {}}});
   EXPECT_EQ(sim::validate_chrome_trace(doc), "");
 }
 
@@ -743,11 +705,11 @@ TEST(BspSpans, PhaseTreesSumExactlyAndExportWithRankTracks) {
   EXPECT_EQ(roots, 1u + static_cast<std::size_t>(w.iterations()));
 
   // The rank track exports with its thread_name metadata and validates.
-  const auto doc = chrome_trace_document(
-      recs, sim::ChromeTraceOptions{
-                .pid = 3,
-                .process_name = "bsp-cluster",
-                .thread_names = {{5, "rank 0 @ node 0"}}});
+  const auto doc = sim::chrome_trace_document(
+      {{recs, sim::ChromeTraceOptions{
+                  .pid = 3,
+                  .process_name = "bsp-cluster",
+                  .thread_names = {{5, "rank 0 @ node 0"}}}}});
   EXPECT_EQ(sim::validate_chrome_trace(doc), "");
   bool saw_thread_name = false;
   for (const auto& e : doc.at("traceEvents").as_array()) {
@@ -819,7 +781,9 @@ TEST(TraceBufferWrap, MixedSpanTreesSurviveWraparound) {
   }
   EXPECT_EQ(orphans, 2u);
   // The truncated mix still exports as a valid document.
-  EXPECT_EQ(sim::validate_chrome_trace(chrome_trace_document(snap)), "");
+  EXPECT_EQ(
+      sim::validate_chrome_trace(sim::chrome_trace_document({{snap, {}}})),
+      "");
 }
 
 // ------------------------------------------------- campaign top-K heaps

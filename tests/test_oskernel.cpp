@@ -9,6 +9,7 @@
 #include "linuxk/cfs_scheduler.h"
 #include "mckernel/lwk_scheduler.h"
 #include "oskernel/address_space.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -20,34 +21,30 @@ using test::spawn_script;
 
 // ---- AddressSpace ----
 
-TEST(AddressSpace, DemandMappingPopulatesOnTouch) {
-  os::AddressSpace as;
-  const auto addr = as.map(10 * 64 * 1024, hw::PageSize::k64K,
-                           os::PagingPolicy::kDemand);
-  EXPECT_EQ(as.resident_bytes(), 0u);
-  EXPECT_EQ(as.mapped_bytes(), 10u * 64 * 1024);
-  EXPECT_EQ(as.touch(addr, 64 * 1024), 1u);        // one page
-  EXPECT_EQ(as.touch(addr, 64 * 1024), 0u);        // already resident
-  EXPECT_EQ(as.touch(addr, 5 * 64 * 1024), 4u);    // four more
-  EXPECT_EQ(as.resident_bytes(), 5u * 64 * 1024);
-}
-
 TEST(AddressSpace, PrePopulateFaultsUpFront) {
   os::AddressSpace as;
   const auto addr = as.map(4 << 20, hw::PageSize::k2M,
                            os::PagingPolicy::kPrePopulate);
-  EXPECT_EQ(as.resident_bytes(), 4u << 20);
-  EXPECT_EQ(as.touch(addr, 4 << 20), 0u);
+  const os::VmArea& area = as.areas().at(addr);
+  EXPECT_EQ(area.total_pages(), 2u);
+  EXPECT_EQ(area.populated_pages, 2u);
 }
 
 TEST(AddressSpace, UnmapReportsFlushesForResidentPagesOnly) {
   os::AddressSpace as;
-  const auto addr =
+  // A demand mapping populates nothing at map time: no page to flush.
+  const auto demand =
       as.map(8 << 20, hw::PageSize::k2M, os::PagingPolicy::kDemand);
-  as.touch(addr, 2 << 20);  // one 2M page resident
-  const auto r = as.unmap(addr, 8 << 20);
+  EXPECT_EQ(as.areas().at(demand).populated_pages, 0u);
+  const auto r = as.unmap(demand, 8 << 20);
   EXPECT_EQ(r.pages_released, 4u);
-  EXPECT_EQ(r.tlb_flushes, 1u);
+  EXPECT_EQ(r.tlb_flushes, 0u);
+  // A populated one flushes every page it releases.
+  const auto populated =
+      as.map(8 << 20, hw::PageSize::k2M, os::PagingPolicy::kPrePopulate);
+  const auto r2 = as.unmap(populated, 8 << 20);
+  EXPECT_EQ(r2.pages_released, 4u);
+  EXPECT_EQ(r2.tlb_flushes, 4u);
   EXPECT_EQ(as.area_count(), 0u);
 }
 
@@ -58,10 +55,12 @@ TEST(AddressSpace, PartialUnmapShrinksArea) {
   const auto r = as.unmap(addr, 2 * 64 * 1024);
   EXPECT_EQ(r.pages_released, 2u);
   EXPECT_EQ(r.tlb_flushes, 2u);
-  EXPECT_EQ(as.area_count(), 1u);
-  EXPECT_EQ(as.mapped_bytes(), 2u * 64 * 1024);
-  // The remainder is addressable.
-  EXPECT_EQ(as.touch(addr + 2 * 64 * 1024, 64 * 1024), 0u);  // resident
+  ASSERT_EQ(as.area_count(), 1u);
+  // The remainder starts where the unmapped prefix ended and stays
+  // resident.
+  const os::VmArea& rest = as.areas().at(addr + 2 * 64 * 1024);
+  EXPECT_EQ(rest.length, 2u * 64 * 1024);
+  EXPECT_EQ(rest.populated_pages, 2u);
 }
 
 TEST(AddressSpace, MisuseThrows) {
@@ -69,7 +68,6 @@ TEST(AddressSpace, MisuseThrows) {
   const auto addr =
       as.map(64 * 1024, hw::PageSize::k64K, os::PagingPolicy::kDemand);
   EXPECT_THROW(as.unmap(addr + 1, 64), SimError);
-  EXPECT_THROW(as.touch(addr - 4096, 64), SimError);
   EXPECT_THROW(as.unmap(addr, 1 << 30), SimError);
 }
 

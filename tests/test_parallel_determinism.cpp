@@ -23,7 +23,6 @@
 #include "common/histogram.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "noise/profiles.h"
 #include "obs/bench_report.h"
 #include "obs/live/span_sampler.h"
@@ -31,6 +30,7 @@
 #include "obs/prof_report.h"
 #include "obs/runlog.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace hpcos::cluster {
 namespace {
@@ -252,16 +252,12 @@ TEST(ParallelDeterminism, NestedCampaignMergesIdenticalAcrossThreadCounts) {
   // run_plan + relative_performance execute as nested task groups):
   // inner results land in index-addressed slots, shard
   // accumulators fold them in item order, and shards merge in shard
-  // order — so LogHistogram and OnlineStats must both be bit-identical
-  // across host thread counts.
-  struct Merged {
-    LogHistogram hist{1000.0, 1e6, 1024};
-    OnlineStats stats;
-  };
+  // order — so the merged LogHistogram must be bit-identical across host
+  // thread counts.
   auto run = [](std::size_t threads) {
     const std::size_t shards = 7;
     const std::size_t per_shard = 141;  // not a chunk multiple: ragged
-    std::vector<Merged> accs(shards);
+    std::vector<LogHistogram> accs(shards, LogHistogram(1000.0, 1e6, 1024));
     parallel_for(
         shards,
         [&](std::size_t sh) {
@@ -273,30 +269,17 @@ TEST(ParallelDeterminism, NestedCampaignMergesIdenticalAcrossThreadCounts) {
                 vals[i] = rng.lognormal(8.0, 1.3);
               },
               threads);
-          for (double v : vals) {
-            accs[sh].hist.add(v);
-            accs[sh].stats.add(v);
-          }
+          for (double v : vals) accs[sh].add(v);
         },
         threads);
-    Merged m;
-    for (const auto& acc : accs) {
-      m.hist.merge(acc.hist);
-      m.stats.merge(acc.stats);
-    }
-    return m;
+    LogHistogram merged(1000.0, 1e6, 1024);
+    for (const auto& acc : accs) merged.merge(acc);
+    return merged;
   };
-  const Merged serial = run(1);
+  const LogHistogram serial = run(1);
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const Merged par = run(threads);
-    expect_same_histogram(par.hist, serial.hist,
+    expect_same_histogram(run(threads), serial,
                           "threads " + std::to_string(threads));
-    EXPECT_EQ(par.stats.count(), serial.stats.count());
-    // EXPECT_EQ on doubles on purpose: bitwise identity.
-    EXPECT_EQ(par.stats.mean(), serial.stats.mean());
-    EXPECT_EQ(par.stats.stddev(), serial.stats.stddev());
-    EXPECT_EQ(par.stats.min(), serial.stats.min());
-    EXPECT_EQ(par.stats.max(), serial.stats.max());
   }
 }
 
@@ -462,10 +445,9 @@ std::vector<sim::TraceRecord> sampler_trace(std::uint64_t node,
 
 TEST(ParallelDeterminism, SampledSpanTraceIdenticalAcrossThreadCounts) {
   // The sampler's contract (obs/live/span_sampler.h): sample_node is a
-  // pure function of (config, node, records) and aggregation happens in
-  // node-index order, so the whole sampled trace — kept span sequence,
-  // counts, and every per-label histogram — must be bit-identical no
-  // matter how many host threads ran the per-node sampling.
+  // pure function of (config, node, records), so the per-node samples —
+  // kept span sequence, counts, and every per-label histogram — must be
+  // bit-identical no matter how many host threads ran the sampling.
   namespace live = obs::live;
   constexpr std::size_t kNodes = 48;
   live::SpanSamplerConfig cfg;
@@ -482,41 +464,47 @@ TEST(ParallelDeterminism, SampledSpanTraceIdenticalAcrossThreadCounts) {
               cfg, node, sampler_trace(node, 40 + node % 7));
         },
         threads);
-    return live::aggregate_samples(slots);
+    return slots;
   };
 
-  const live::SampledTrace serial = sample_all(1);
-  const live::SampledTrace two = sample_all(2);
-  const live::SampledTrace eight = sample_all(8);
+  const std::vector<live::NodeSample> serial = sample_all(1);
+  const std::vector<live::NodeSample> two = sample_all(2);
+  const std::vector<live::NodeSample> eight = sample_all(8);
 
-  const auto expect_identical = [&](const live::SampledTrace& a,
-                                    const live::SampledTrace& b) {
-    EXPECT_EQ(a.nodes, b.nodes);
-    EXPECT_EQ(a.roots_seen, b.roots_seen);
-    EXPECT_EQ(a.roots_kept, b.roots_kept);
-    EXPECT_EQ(a.records_kept, b.records_kept);
-    ASSERT_EQ(a.records.size(), b.records.size());
+  const auto expect_identical = [&](const live::NodeSample& a,
+                                    const live::NodeSample& b,
+                                    const std::string& what) {
+    EXPECT_EQ(a.roots_seen, b.roots_seen) << what;
+    EXPECT_EQ(a.roots_kept, b.roots_kept) << what;
+    EXPECT_EQ(a.records_kept, b.records_kept) << what;
+    ASSERT_EQ(a.records.size(), b.records.size()) << what;
     for (std::size_t i = 0; i < a.records.size(); ++i) {
-      ASSERT_EQ(a.records[i].span, b.records[i].span) << "record " << i;
-      ASSERT_EQ(a.records[i].time, b.records[i].time) << "record " << i;
-      ASSERT_EQ(a.records[i].label, b.records[i].label) << "record " << i;
+      ASSERT_EQ(a.records[i].span, b.records[i].span) << what << " " << i;
+      ASSERT_EQ(a.records[i].time, b.records[i].time) << what << " " << i;
+      ASSERT_EQ(a.records[i].label, b.records[i].label) << what << " " << i;
     }
-    ASSERT_EQ(a.sketches.size(), b.sketches.size());
+    ASSERT_EQ(a.sketches.size(), b.sketches.size()) << what;
     for (const auto& [label, sketch] : a.sketches) {
       const auto it = b.sketches.find(label);
-      ASSERT_NE(it, b.sketches.end()) << label;
-      // Bitwise: merge is exactly associative and node-ordered.
-      expect_same_histogram(sketch, it->second, label);
+      ASSERT_NE(it, b.sketches.end()) << what << " " << label;
+      expect_same_histogram(sketch, it->second, what + " " + label);
     }
   };
-  expect_identical(serial, two);
-  expect_identical(serial, eight);
-
-  // Sanity on the fixture itself: sampling actually thinned something
-  // and the histogram side still covers the full population.
-  EXPECT_GT(serial.roots_seen, serial.roots_kept);
-  EXPECT_EQ(serial.sketches.at("offload.write").total_count(),
-            serial.roots_seen);
+  std::uint64_t roots_seen = 0;
+  std::uint64_t roots_kept = 0;
+  for (std::size_t node = 0; node < kNodes; ++node) {
+    const std::string what = "node " + std::to_string(node);
+    expect_identical(serial[node], two[node], what);
+    expect_identical(serial[node], eight[node], what);
+    // The histogram side covers every root the node saw.
+    EXPECT_EQ(serial[node].sketches.at("offload.write").total_count(),
+              serial[node].roots_seen)
+        << what;
+    roots_seen += serial[node].roots_seen;
+    roots_kept += serial[node].roots_kept;
+  }
+  // Sanity on the fixture itself: sampling actually thinned something.
+  EXPECT_GT(roots_seen, roots_kept);
 }
 
 }  // namespace

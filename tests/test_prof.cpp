@@ -34,6 +34,7 @@
 #include "sim/folded_stack.h"
 #include "sim/simulator.h"
 #include "tools/cli_util.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {

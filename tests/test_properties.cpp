@@ -7,11 +7,12 @@
 #include <cstring>
 #include <ostream>
 
+#include "cluster/fwq_campaign.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "hw/cpuset.h"
 #include "noise/analytic.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -167,7 +168,7 @@ TEST_P(SimulatorDeterminism, SameSeedSameTrajectory) {
     for (int i = 0; i < 20; ++i) {
       s.schedule_after(rng.uniform_time(1_ns, 1_ms), [&] { spawn(0); });
     }
-    s.run_all(100000);
+    while (s.step()) {}
     return fired;
   };
   const auto a = run(GetParam());
@@ -216,7 +217,7 @@ TEST_P(CpuSetAlgebra, DeMorganAndPartitionLaws) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CpuSetAlgebra,
                          ::testing::Values(2u, 77u, 4242u));
 
-// ---- AnalyticNodeSampler consistency across scopes ----
+// ---- FWQ campaign consistency across scopes ----
 
 struct ScopeCase {
   noise::SourceScope scope;
@@ -247,19 +248,20 @@ TEST_P(SamplerScope, MeanOverheadMatchesClosedForm) {
       .duration = noise::DurationDist{.median = 20_us, .sigma = 0.0,
                                       .min = SimTime::zero(),
                                       .max = 20_us}});
-  noise::AnalyticNodeSampler s(p, cores, RngStream(Seed{21}, 5));
-  const SimTime q = SimTime::from_ms(6.5);
-  double extra_us = 0;
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) {
-    extra_us += (s.sample_iteration(q) - q).to_us();
-  }
-  // Per-core & all-cores: every core sees each occurrence; per-node: the
-  // per-core rate divides by the core count.
+  cluster::FwqCampaignConfig cfg;
+  cfg.nodes = 1;
+  cfg.app_cores = cores;
+  cfg.duration_per_core = cfg.work_quantum * 40000;
+  cfg.seed = Seed{21};
+  const auto r = cluster::run_fwq_campaign(p, cfg);
+  // Mean extra time per core-iteration (no jitter floor: T_min is the
+  // quantum). Per-core & all-cores: every core sees each occurrence;
+  // per-node: the per-core rate divides by the core count.
+  const double extra_us = r.stats.noise_rate * r.stats.t_min.to_us();
   const double divisor =
       scope == noise::SourceScope::kPerNodeRandomCore ? cores : 1;
   const double expected = (6.5 / 50.0) * 20.0 / divisor;
-  EXPECT_NEAR(extra_us / n, expected, expected * 0.12 + 0.005);
+  EXPECT_NEAR(extra_us, expected, expected * 0.12 + 0.005);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,6 +12,7 @@
 #include "obs/bench_report.h"
 #include "obs/prof/prof.h"
 #include "obs/runlog.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -95,18 +96,20 @@ TEST(RunLedger, StrictParserRejectsUnknownSchemaLenientSkips) {
   const std::string text =
       obs::run_record_line(record) + "\n" + future.dump() + "\n";
 
-  EXPECT_THROW((void)obs::parse_run_ledger(text, /*strict=*/true),
+  EXPECT_THROW((void)parse_json_lines(text, obs::validate_run_record,
+                                      /*strict=*/true, "run ledger"),
                std::runtime_error);
   try {
-    (void)obs::parse_run_ledger(text, /*strict=*/true);
+    (void)parse_json_lines(text, obs::validate_run_record, /*strict=*/true,
+                           "run ledger");
   } catch (const std::exception& e) {
     EXPECT_NE(std::string(e.what()).find("unknown schema"),
               std::string::npos);
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
 
-  const obs::RunLedger lenient =
-      obs::parse_run_ledger(text, /*strict=*/false);
+  const obs::RunLedger lenient = parse_json_lines(
+      text, obs::validate_run_record, /*strict=*/false, "run ledger");
   EXPECT_EQ(lenient.records.size(), 1u);
   EXPECT_EQ(lenient.skipped, 1u);
 }
@@ -128,14 +131,15 @@ TEST(RunLedger, DeeplyNestedLineIsAnErrorNotAStackOverflow) {
       test_report(), test_config(), "2026-08-08T12:00:00Z"));
   const std::string text = good + "\n" + deep + "\n" + good + "\n";
   try {
-    (void)obs::parse_run_ledger(text, /*strict=*/true);
+    (void)parse_json_lines(text, obs::validate_run_record, /*strict=*/true,
+                           "run ledger");
     FAIL() << "strict ledger reader accepted the deep line";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
-  const obs::RunLedger lenient =
-      obs::parse_run_ledger(text, /*strict=*/false);
+  const obs::RunLedger lenient = parse_json_lines(
+      text, obs::validate_run_record, /*strict=*/false, "run ledger");
   EXPECT_EQ(lenient.records.size(), 2u);
   EXPECT_EQ(lenient.skipped, 1u);
 }
@@ -256,7 +260,8 @@ TEST(RunLedger, StrictParserNamesTheFirstDamagedLineNumber) {
   const std::string torn_at_3 =
       good + "\n" + good + "\n" + R"({"schema":"hpcos-run-le)" + "\n";
   try {
-    (void)obs::parse_run_ledger(torn_at_3, /*strict=*/true);
+    (void)parse_json_lines(torn_at_3, obs::validate_run_record,
+                           /*strict=*/true, "run ledger");
     FAIL() << "strict parser accepted a torn line";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("run ledger line 3"),
@@ -269,7 +274,8 @@ TEST(RunLedger, StrictParserNamesTheFirstDamagedLineNumber) {
   const std::string with_blank =
       good + "\n\n" + good + "\n" + R"(not json at all)" + "\n";
   try {
-    (void)obs::parse_run_ledger(with_blank, /*strict=*/true);
+    (void)parse_json_lines(with_blank, obs::validate_run_record,
+                           /*strict=*/true, "run ledger");
     FAIL() << "strict parser accepted a non-JSON line";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("run ledger line 4"),
@@ -278,8 +284,10 @@ TEST(RunLedger, StrictParserNamesTheFirstDamagedLineNumber) {
   }
 
   // Whitespace-only lines are blank as well, in strict mode too.
-  const obs::RunLedger spaced = obs::parse_run_ledger(
-      good + "\n \t\r\n" + good + "\n", /*strict=*/true);
+  const obs::RunLedger spaced =
+      parse_json_lines(good + "\n \t\r\n" + good + "\n",
+                       obs::validate_run_record, /*strict=*/true,
+                       "run ledger");
   EXPECT_EQ(spaced.records.size(), 2u);
   EXPECT_EQ(spaced.skipped, 0u);
 }

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace hpcos::sim {
 namespace {
@@ -21,7 +22,7 @@ TEST(Simulator, EventsFireInTimeOrder) {
   s.schedule_at(3_us, [&] { order.push_back(3); });
   s.schedule_at(1_us, [&] { order.push_back(1); });
   s.schedule_at(2_us, [&] { order.push_back(2); });
-  s.run_all();
+  while (s.step()) {}
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), 3_us);
   EXPECT_EQ(s.events_executed(), 3u);
@@ -33,7 +34,7 @@ TEST(Simulator, SameTimestampFifoBySchedulingOrder) {
   s.schedule_at(1_us, [&] { order.push_back(1); });
   s.schedule_at(1_us, [&] { order.push_back(2); });
   s.schedule_at(1_us, [&] { order.push_back(3); });
-  s.run_all();
+  while (s.step()) {}
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -43,7 +44,7 @@ TEST(Simulator, CancelPreventsExecution) {
   const EventId id = s.schedule_at(1_us, [&] { fired = true; });
   EXPECT_TRUE(s.cancel(id));
   EXPECT_FALSE(s.cancel(id));  // double cancel reports false
-  s.run_all();
+  while (s.step()) {}
   EXPECT_FALSE(fired);
 }
 
@@ -54,7 +55,7 @@ TEST(Simulator, ScheduleFromWithinEvent) {
     if (++count < 5) s.schedule_after(1_us, chain);
   };
   s.schedule_at(SimTime::zero(), chain);
-  s.run_all();
+  while (s.step()) {}
   EXPECT_EQ(count, 5);
   EXPECT_EQ(s.now(), 4_us);
 }
@@ -74,17 +75,8 @@ TEST(Simulator, RunUntilAdvancesClockPastLastEvent) {
 TEST(Simulator, PastSchedulingThrows) {
   Simulator s;
   s.schedule_at(5_us, [] {});
-  s.run_all();
+  while (s.step()) {}
   EXPECT_THROW(s.schedule_at(1_us, [] {}), SimError);
-}
-
-TEST(Simulator, RunAllGuardStopsRunaway) {
-  Simulator s;
-  std::function<void()> forever = [&] { s.schedule_after(1_ns, forever); };
-  s.schedule_at(SimTime::zero(), forever);
-  const std::size_t n = s.run_all(100);
-  EXPECT_EQ(n, 100u);
-  EXPECT_TRUE(s.has_pending());
 }
 
 TEST(Simulator, EmptyCallableThrows) {
@@ -117,7 +109,7 @@ TEST(Simulator, StaleIdDoesNotCancelTheEventReusingItsSlot) {
   EXPECT_FALSE(s.cancel(EventId{}));
   EXPECT_FALSE(s.cancel(EventId{c.seq, c.slot + 1}));  // no such slot
   EXPECT_EQ(s.pending_count(), 1u);
-  s.run_all();
+  while (s.step()) {}
   EXPECT_EQ(a_fired, 1);
   EXPECT_EQ(b_fired, 0);
   EXPECT_EQ(c_fired, 1);
@@ -158,14 +150,14 @@ TEST(Simulator, CapturedStateIsDestroyedExactlyOnce) {
           case Ending::kFired:
             EXPECT_TRUE(s.step());
             EXPECT_EQ(token.use_count(), kEvents);  // freed right after it ran
-            s.run_all();
+            while (s.step()) {}
             EXPECT_EQ(*token, kEvents);
             EXPECT_EQ(token.use_count(), 1);
             break;
           case Ending::kCancelled:
             for (const EventId id : ids) EXPECT_TRUE(s.cancel(id));
             EXPECT_EQ(token.use_count(), 1);  // destroyed at cancel time
-            s.run_all();
+            while (s.step()) {}
             EXPECT_EQ(*token, 0);
             break;
           case Ending::kPendingAtDestruction:
@@ -402,22 +394,6 @@ TEST(TraceBuffer, RingKeepsNewestAndOrders) {
   EXPECT_EQ(snap[0].label, "2");
   EXPECT_EQ(snap[2].label, "4");
   EXPECT_EQ(t.dropped(), 2u);
-}
-
-TEST(TraceBuffer, FilterAndDurationAccounting) {
-  TraceBuffer t(16);
-  t.record(TraceRecord{.time = 1_us, .core = 2,
-                       .category = TraceCategory::kKworker,
-                       .duration = 5_us, .label = "kw"});
-  t.record(TraceRecord{.time = 2_us, .core = 3,
-                       .category = TraceCategory::kKworker,
-                       .duration = 7_us, .label = "kw"});
-  t.record(TraceRecord{.time = 3_us, .core = 2,
-                       .category = TraceCategory::kDaemon,
-                       .duration = 1_us, .label = "d"});
-  EXPECT_EQ(t.filter(TraceCategory::kKworker).size(), 2u);
-  EXPECT_EQ(t.total_duration(TraceCategory::kKworker), 12_us);
-  EXPECT_EQ(t.total_duration(TraceCategory::kKworker, 2), 5_us);
 }
 
 }  // namespace

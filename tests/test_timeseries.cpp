@@ -1,8 +1,7 @@
 // Streaming time-series layer: TimeSeries ring + 2x coarsening, SeriesSet,
 // NodeTimeGrid, RegistrySampler, the OpenMetrics exposition round trip,
-// BenchReport series export, the FWQ campaign timeline (ledger
-// reconciliation + RNG isolation + bounded memory), and BspEngine's
-// per-iteration phase series.
+// BenchReport series export, and the FWQ campaign timeline (ledger
+// reconciliation + RNG isolation + bounded memory).
 #include <cmath>
 #include <functional>
 #include <string>
@@ -10,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/bsp.h"
 #include "cluster/fwq_campaign.h"
 #include "cluster/osenv.h"
 #include "common/check.h"
@@ -20,6 +18,7 @@
 #include "obs/timeseries/openmetrics.h"
 #include "obs/timeseries/timeseries.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace hpcos {
 namespace {
@@ -504,53 +503,6 @@ TEST(CampaignTimeline, TenTimesLongerRunStaysWithinCapacity) {
                        result.per_source[i].stolen_us), 1e-9);
   }
   EXPECT_TRUE(coarsened);
-}
-
-// ------------------------------------------------------ BSP series hook
-
-class FourStep final : public cluster::Workload {
- public:
-  std::string name() const override { return "four-step"; }
-  int iterations() const override { return 4; }
-  cluster::RankWork rank_work(int, const cluster::JobConfig&,
-                              const cluster::OsEnvironment&) const override {
-    cluster::RankWork w;
-    w.compute = SimTime::from_ms(3);
-    w.alloc_churn_bytes = 8ull << 20;
-    w.touch_bytes = 1ull << 20;
-    w.allreduces = 1;
-    w.allreduce_bytes = 2048;
-    w.barriers = 1;
-    w.imbalance_sigma = 0.05;
-    return w;
-  }
-};
-
-TEST(BspSeries, EngineRecordsPerIterationPhaseDurations) {
-  const auto env = cluster::make_fugaku_linux_env();
-  const cluster::JobConfig job{.nodes = 32, .ranks_per_node = 4,
-                               .threads_per_rank = 12};
-  FourStep w;
-  SeriesSet set;
-  cluster::BspEngine engine(env, job, Seed{44});
-  engine.set_series(&set, "bsp.", SimTime::from_ms(10), 64);
-  const auto result = engine.run(w);
-  EXPECT_GT(result.total, SimTime::zero());
-  for (const char* name :
-       {"bsp.iteration_us", "bsp.compute_us", "bsp.noise_wait_us",
-        "bsp.comm_us", "bsp.churn_us", "bsp.imbalance_us",
-        "bsp.fault_in_us"}) {
-    const TimeSeries* s = set.find(name);
-    ASSERT_NE(s, nullptr) << name;
-    EXPECT_EQ(s->total_count(), 4u) << name;
-  }
-  // Iteration durations dominate each component.
-  EXPECT_GT(set.find("bsp.iteration_us")->total_sum(),
-            set.find("bsp.compute_us")->total_sum());
-  // The hook is optional: a second engine without it runs identically.
-  cluster::BspEngine plain(env, job, Seed{44});
-  const auto plain_result = plain.run(w);
-  EXPECT_EQ(plain_result.total, result.total);
 }
 
 }  // namespace
