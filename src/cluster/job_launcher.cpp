@@ -17,17 +17,8 @@ LaunchedJob JobLauncher::launch(const LaunchSpec& spec) {
   // cores itself. On a multi-kernel node the core partition is already
   // structural (§5.1).
   if (spec.containerized && !node_.is_multikernel()) {
-    auto& cg = node_.linux().cgroups();
-    std::vector<hw::NumaId> app_mems;
-    std::vector<hw::NumaId> sys_mems;
-    for (const auto& d : topo.numa_domains()) {
-      (d.is_system_domain ? sys_mems : app_mems).push_back(d.id);
-    }
-    cg.create_cpuset(LaunchedJob::kAppCpuset, topo.application_cores(),
-                     app_mems);
-    cg.create_cpuset(LaunchedJob::kSystemCpuset, topo.system_cores(),
-                     sys_mems);
-    cg.create_memory(LaunchedJob::kAppMemcg, spec.memory_limit_bytes);
+    node_.linux().cgroups().create_memory(LaunchedJob::kAppMemcg,
+                                          spec.memory_limit_bytes);
     job.used_cgroups = true;
   }
 

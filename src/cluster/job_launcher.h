@@ -2,10 +2,10 @@
 //
 // What Fugaku's TCS + Docker do at job start, reproduced against a
 // SimNode:
-//  * containerization (§4.1.1): an application cpuset+memory cgroup and a
-//    system cgroup — on Linux nodes; on a multi-kernel node the LWK *is*
-//    the "plugin replacement for the cgroup facility" (§5.1) and no
-//    cgroup setup is needed;
+//  * containerization (§4.1.1): an application memory cgroup on Linux
+//    nodes, with each rank's affinity mask standing in for the cpuset
+//    cgroup; on a multi-kernel node the LWK *is* the "plugin replacement
+//    for the cgroup facility" (§5.1) and no cgroup setup is needed;
 //  * NUMA-aware placement (§4.1.4): MPI ranks are bound to CMGs
 //    round-robin, each rank receiving a disjoint slice of its domain's
 //    cores — users never touch the binding interfaces themselves;
@@ -45,8 +45,6 @@ struct RankPlacement {
 struct LaunchedJob {
   std::vector<RankPlacement> ranks;
   bool used_cgroups = false;
-  static constexpr const char* kAppCpuset = "job-app";
-  static constexpr const char* kSystemCpuset = "job-system";
   static constexpr const char* kAppMemcg = "job-app-mem";
 };
 

@@ -13,7 +13,6 @@
 
 #include "hw/cache.h"
 #include "hw/hwbarrier.h"
-#include "hw/memory.h"
 #include "hw/pmu.h"
 #include "hw/tlb.h"
 #include "hw/topology.h"
@@ -50,7 +49,6 @@ struct PlatformConfig {
   NodeTopology topology;
   TlbParams tlb;
   CacheParams cache;
-  NodeMemory memory;
   HwBarrierParams hw_barrier;
   PmuParams pmu;
 

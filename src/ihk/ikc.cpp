@@ -39,8 +39,7 @@ void IkcChannel::post(IkcMessage message) {
 
 void IkcChannel::deliver() {
   // Off the queue before the receiver runs, which may post again.
-  const IkcMessage msg = std::move(inflight_.front());
-  inflight_.pop_front();
+  const IkcMessage msg = inflight_.pop_front();
   ++delivered_;
   obs::bump(delivered_counter_);
   receiver_(msg);

@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
+#include "common/ring_fifo.h"
 #include "common/sim_time.h"
 #include "obs/registry.h"
 #include "oskernel/syscall.h"
@@ -75,7 +75,7 @@ class IkcChannel {
   Handler receiver_;
   // Posted, not yet delivered, oldest first (so delivery events capture
   // only `this`).
-  std::deque<IkcMessage> inflight_;
+  RingFifo<IkcMessage> inflight_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t posted_ = 0;
   std::uint64_t delivered_ = 0;

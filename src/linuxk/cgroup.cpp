@@ -15,14 +15,6 @@ void MemoryCgroup::uncharge(std::uint64_t bytes) {
   usage_ -= bytes;
 }
 
-CpusetCgroup& CgroupManager::create_cpuset(std::string name, hw::CpuSet cpus,
-                                           std::vector<hw::NumaId> mems) {
-  HPCOS_CHECK_MSG(cpus.any(), "cpuset cgroup needs at least one cpu");
-  auto [it, _] = cpusets_.insert_or_assign(
-      name, CpusetCgroup{name, std::move(cpus), std::move(mems)});
-  return it->second;
-}
-
 MemoryCgroup& CgroupManager::create_memory(std::string name,
                                            std::uint64_t limit_bytes) {
   auto [it, _] =

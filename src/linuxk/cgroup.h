@@ -3,26 +3,18 @@
 // Fugaku isolates system from application work with two cgroups (§4.1.1,
 // §4.2): a cpuset controller binding members to a core/NUMA partition and
 // a memory controller limiting application memory. Docker creates these
-// under the hood; the cluster job launcher models that by instantiating a
-// CgroupManager per node.
+// under the hood. The cluster job launcher models the memory controller
+// with a CgroupManager per node; the cpuset side is the affinity mask the
+// launcher gives each rank.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "hw/cpuset.h"
 #include "oskernel/types.h"
 
 namespace hpcos::linuxk {
-
-// cpuset controller: a core mask plus allowed NUMA memory nodes.
-struct CpusetCgroup {
-  std::string name;
-  hw::CpuSet cpus;
-  std::vector<hw::NumaId> mems;
-};
 
 // memory controller: usage accounting against a limit.
 class MemoryCgroup {
@@ -47,9 +39,6 @@ class MemoryCgroup {
 // Registry of the node's cgroups and thread membership.
 class CgroupManager {
  public:
-  // Create (or replace) a cpuset cgroup.
-  CpusetCgroup& create_cpuset(std::string name, hw::CpuSet cpus,
-                              std::vector<hw::NumaId> mems);
   // Create (or replace) a memory cgroup.
   MemoryCgroup& create_memory(std::string name, std::uint64_t limit_bytes);
 
@@ -60,7 +49,6 @@ class CgroupManager {
   MemoryCgroup* memory_cgroup_of(os::Pid pid);
 
  private:
-  std::map<std::string, CpusetCgroup> cpusets_;
   std::map<std::string, MemoryCgroup> memories_;
   std::map<os::Pid, std::string> process_memcg_;
 };

@@ -1,6 +1,5 @@
 #include "mckernel/lwk_scheduler.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -41,8 +40,7 @@ void LwkScheduler::enqueue(hw::CoreId core, os::Thread& thread) {
 os::ThreadId LwkScheduler::pick_next(hw::CoreId core) {
   auto& q = queues_.at(static_cast<std::size_t>(core));
   if (q.empty()) return os::kInvalidThread;
-  os::Thread* t = q.front();
-  q.pop_front();
+  os::Thread* t = q.pop_front();
   t->queued_on = hw::kInvalidCore;
   obs::bump(dispatch_counter_);
   return t->tid;
@@ -50,7 +48,7 @@ os::ThreadId LwkScheduler::pick_next(hw::CoreId core) {
 
 void LwkScheduler::remove(os::Thread& thread) {
   if (thread.queued_on == hw::kInvalidCore) return;
-  std::erase(queues_.at(static_cast<std::size_t>(thread.queued_on)), &thread);
+  queues_.at(static_cast<std::size_t>(thread.queued_on)).erase(&thread);
   thread.queued_on = hw::kInvalidCore;
 }
 

@@ -5,9 +5,9 @@
 // per-core placement this is what makes the LWK noise-free by construction.
 #pragma once
 
-#include <deque>
 #include <vector>
 
+#include "common/ring_fifo.h"
 #include "hw/cpuset.h"
 #include "obs/registry.h"
 #include "oskernel/scheduler.h"
@@ -39,7 +39,7 @@ class LwkScheduler final : public os::Scheduler {
  private:
   obs::Counter* dispatch_counter_ = nullptr;
   hw::CpuSet owned_;
-  std::vector<std::deque<os::Thread*>> queues_;  // FIFO round robin
+  std::vector<RingFifo<os::Thread*>> queues_;  // FIFO round robin
 };
 
 }  // namespace hpcos::mck

@@ -17,8 +17,7 @@ void ProxyBody::step(os::ThreadContext& ctx) {
     return;
   }
   parked_ = false;
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
+  current_ = queue_.pop_front();
   phase_ = Phase::kExecuted;
   current_->proxy_start = offloader_.now();
   ctx.invoke(current_->request.no, current_->request.args);
@@ -67,12 +66,14 @@ void SyscallOffloader::offload(os::ThreadId lwk_tid, os::Pid lwk_pid,
                                const os::SyscallRequest& request) {
   ++requests_;
   obs::bump(requests_counter_);
-  Pending pending;
+  const hw::CoreId core = lwk_.thread(lwk_tid).core;  // checks the tid
+  if (lwk_tid > pending_.size()) pending_.resize(lwk_tid);
+  Pending& pending = pending_[lwk_tid - 1];
+  pending.in_flight = true;
   pending.t0 = lwk_.simulator().now();
-  pending.core = lwk_.thread(lwk_tid).core;
+  pending.core = core;
   sim::TraceBuffer* tb = lwk_.trace();
-  if (tb != nullptr && tb->enabled()) pending.span = tb->new_span();
-  pending_[lwk_tid] = pending;
+  pending.span = tb != nullptr && tb->enabled() ? tb->new_span() : 0;
 
   ihk::IkcMessage m;
   m.sender = lwk_tid;
@@ -84,10 +85,7 @@ void SyscallOffloader::offload(os::ThreadId lwk_tid, os::Pid lwk_pid,
   marshalling_.push_back(std::move(m));
   lwk_.simulator().schedule_after(
       lwk_.config().offload_marshal_cost,
-      [this] {
-        to_host_.post(std::move(marshalling_.front()));
-        marshalling_.pop_front();
-      },
+      [this] { to_host_.post(marshalling_.pop_front()); },
       "lwk.offload.marshal");
 }
 
@@ -135,8 +133,10 @@ void SyscallOffloader::on_lwk_delivery(const ihk::IkcMessage& message) {
   os::SyscallResult result = message.result;
   result.path = os::SyscallResult::Path::kOffloaded;
   const SimTime reply_at = lwk_.simulator().now();
-  if (auto it = pending_.find(message.sender); it != pending_.end()) {
-    const Pending& pending = it->second;
+  if (message.sender >= 1 && message.sender <= pending_.size() &&
+      pending_[message.sender - 1].in_flight) {
+    Pending& pending = pending_[message.sender - 1];
+    pending.in_flight = false;
     const SimTime rtt = reply_at - pending.t0;
     roundtrip_us_.add(rtt.to_us());
     // Latency split: enqueue -> proxy starts executing -> reply posted ->
@@ -149,7 +149,6 @@ void SyscallOffloader::on_lwk_delivery(const ihk::IkcMessage& message) {
     obs::observe(reply_us_h_, (reply_at - reply_posted).to_us());
     obs::observe(rtt_us_h_, rtt.to_us());
     if (pending.span != 0) record_offload_spans(pending, message, reply_at);
-    pending_.erase(it);
   }
   lwk_.complete_blocked_syscall(message.sender, result);
 }

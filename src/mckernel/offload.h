@@ -11,10 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
+#include "common/ring_fifo.h"
 #include "common/stats.h"
 #include "ihk/ikc.h"
 #include "mckernel/mckernel.h"
@@ -42,7 +43,7 @@ class ProxyBody final : public os::ThreadBody {
   enum class Phase : std::uint8_t { kStart, kParked, kExecuted };
 
   SyscallOffloader& offloader_;
-  std::deque<ihk::IkcMessage> queue_;
+  RingFifo<ihk::IkcMessage> queue_;
   std::optional<ihk::IkcMessage> current_;
   Phase phase_ = Phase::kStart;
   bool parked_ = false;
@@ -86,6 +87,7 @@ class SyscallOffloader {
   // One in-flight offload per LWK thread (the thread blocks until the
   // reply): its start time, issuing core, and root span id.
   struct Pending {
+    bool in_flight = false;
     SimTime t0;
     hw::CoreId core = hw::kInvalidCore;
     std::uint64_t span = 0;
@@ -104,10 +106,11 @@ class SyscallOffloader {
   ihk::IkcChannel& to_lwk_;
   hw::CpuSet proxy_affinity_;
   std::unordered_map<os::Pid, Proxy> proxies_;
-  std::unordered_map<os::ThreadId, Pending> pending_;  // by sender tid
+  // By LWK tid - 1 (tids are dense from 1), grown to the largest sender.
+  std::vector<Pending> pending_;
   // Requests being marshalled, oldest first: the marshal cost is fixed,
   // so they finish in the order they started.
-  std::deque<ihk::IkcMessage> marshalling_;
+  RingFifo<ihk::IkcMessage> marshalling_;
   std::uint64_t requests_ = 0;
   std::uint64_t replies_ = 0;
   OnlineStats roundtrip_us_;

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -12,10 +13,6 @@ namespace hpcos::sim {
 namespace {
 
 constexpr const char* kDefaultTag = "event";
-
-// Children per heap node: a 4-ary heap halves the depth of a binary one,
-// and the four children of a node sit next to each other in memory.
-constexpr std::size_t kArity = 4;
 
 // The DES loop's share of the live feed, looked up once per process.
 struct LiveFeed {
@@ -36,19 +33,18 @@ std::uint64_t sim_ns(SimTime t) {
   return static_cast<std::uint64_t>(t.count_ns());  // never negative
 }
 
-// The (time, seq) total order of heap records. Bitwise, not
-// short-circuit, operators keep it free of branches: which child of a
-// heap node is smallest is a coin flip the branch predictor cannot learn.
-template <class Record>
-bool before(const Record& a, const Record& b) {
-  return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
+// Bucket of a record at `time` for the given base: 0 when they are equal,
+// else one more than the highest bit in which they differ.
+std::size_t bucket_of(std::int64_t time, std::int64_t base) {
+  return static_cast<std::size_t>(
+      std::bit_width(static_cast<std::uint64_t>(time ^ base)));
 }
 
 }  // namespace
 
 EventId Simulator::schedule_at(SimTime t, EventFn fn, const char* tag) {
   static_assert(sizeof(Slot) == 64, "one slot per cache line");
-  static_assert(sizeof(HeapRecord) == 24);
+  static_assert(sizeof(Record) == 24);
   HPCOS_CHECK_MSG(t >= now_, "event scheduled in the past");
   HPCOS_CHECK(fn != nullptr);
   const std::uint64_t seq = next_seq_++;
@@ -60,7 +56,7 @@ EventId Simulator::schedule_at(SimTime t, EventFn fn, const char* tag) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  heap_push(HeapRecord{t.count_ns(), seq, slot});
+  queue_push(t.count_ns(), seq, slot);
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.tag = tag;
@@ -91,47 +87,115 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-void Simulator::heap_push(HeapRecord r) {
-  heap_.push_back(r);
-  std::size_t hole = heap_.size() - 1;
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / kArity;
-    if (!before(r, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
+void Simulator::queue_push(std::int64_t time, std::uint64_t seq,
+                           std::uint32_t slot) {
+  std::uint32_t r = free_records_;
+  if (r != kNil) {
+    free_records_ = records_[r].next;
+  } else {
+    r = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
   }
-  heap_[hole] = r;
+  Record& rec = records_[r];
+  rec.time = time;
+  rec.seq = seq;
+  rec.slot = slot;
+  if (time < base_) lower_base(time);
+  if (time != base_) {
+    link(bucket_of(time, base_), r);
+    return;
+  }
+  // At the base: behind bucket 0's records, whose seqs are all smaller.
+  rec.next = kNil;
+  if (buckets_[0].head == kNil) {
+    buckets_[0].head = r;
+  } else {
+    records_[tail0_].next = r;
+  }
+  tail0_ = r;
 }
 
-void Simulator::heap_pop() {
-  const HeapRecord last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  HeapRecord* h = heap_.data();
-  std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = kArity * hole + 1;
-    std::size_t best = first;
-    if (first + kArity <= n) {
-      // Smallest of four children as a two-round tournament, selected
-      // with masks rather than jumps.
-      const std::size_t a = first + before(h[first + 1], h[first]);
-      const std::size_t b = first + 2 + before(h[first + 3], h[first + 2]);
-      const std::size_t pick_b = -static_cast<std::size_t>(before(h[b], h[a]));
-      best = a ^ ((a ^ b) & pick_b);
-    } else if (first < n) {
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (before(h[c], h[best])) best = c;
-      }
+void Simulator::link(std::size_t bucket, std::uint32_t r) {
+  Record& rec = records_[r];
+  Bucket& b = buckets_[bucket];
+  rec.next = b.head;
+  b.head = r;
+  b.min_time = std::min(b.min_time, rec.time);
+  occupied_ |= std::uint64_t{1} << (bucket - 1);
+}
+
+bool Simulator::refill() {
+  if (occupied_ == 0) return false;
+  const auto lowest =
+      static_cast<std::size_t>(std::countr_zero(occupied_)) + 1;
+  occupied_ &= occupied_ - 1;
+  Bucket& src = buckets_[lowest];
+  std::uint32_t r = src.head;
+  base_ = src.min_time;
+  src.head = kNil;
+  src.min_time = kNoTime;
+  // Every record of the bucket differs from the new base below the bit
+  // that put it there, so each lands in a lower bucket.
+  while (r != kNil) {
+    const Record& rec = records_[r];
+    const std::uint32_t next = rec.next;
+    if (rec.time == base_) {
+      at_base_.push_back(r);
     } else {
-      break;
+      link(bucket_of(rec.time, base_), r);
     }
-    if (!before(h[best], last)) break;
-    h[hole] = h[best];
-    hole = best;
+    r = next;
   }
-  h[hole] = last;
+  // Bucket 0 in seq order: records scheduled for the same nanosecond fire
+  // in scheduling order.
+  if (at_base_.size() > 1) {
+    std::sort(at_base_.begin(), at_base_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return records_[a].seq < records_[b].seq;
+              });
+  }
+  buckets_[0].head = at_base_.front();
+  for (std::size_t i = 1; i < at_base_.size(); ++i) {
+    records_[at_base_[i - 1]].next = at_base_[i];
+  }
+  tail0_ = at_base_.back();
+  records_[tail0_].next = kNil;
+  at_base_.clear();
+  return true;
+}
+
+void Simulator::lower_base(std::int64_t time) {
+  // With k the highest bit in which the old base and `time` differ, the
+  // records of buckets 0..k agree with the old base from bit k up, so
+  // they all land in bucket k + 1 for the new base. That bucket is empty:
+  // its records would have bit k clear where the old base has it set,
+  // making them earlier than the base. Buckets above k + 1 keep theirs.
+  const std::size_t target = bucket_of(time, base_);
+  HPCOS_CHECK(buckets_[target].head == kNil);
+  for (std::size_t b = 0; b < target; ++b) {
+    std::uint32_t r = buckets_[b].head;
+    buckets_[b].head = kNil;
+    buckets_[b].min_time = kNoTime;
+    while (r != kNil) {
+      const std::uint32_t next = records_[r].next;
+      link(target, r);
+      r = next;
+    }
+  }
+  occupied_ &= ~((std::uint64_t{1} << (target - 1)) - 1);
+  base_ = time;
+}
+
+const Simulator::Record* Simulator::front() {
+  if (buckets_[0].head == kNil && !refill()) return nullptr;
+  return &records_[buckets_[0].head];
+}
+
+void Simulator::drop_front() {
+  const std::uint32_t r = buckets_[0].head;
+  buckets_[0].head = records_[r].next;
+  records_[r].next = free_records_;
+  free_records_ = r;
 }
 
 obs::prof::ScopeId Simulator::fire_scope(const char* tag) {
@@ -164,9 +228,9 @@ obs::prof::ScopeId Simulator::fire_scope(const char* tag) {
 }
 
 bool Simulator::pop_next(Popped& ev) {
-  while (!heap_.empty()) {
-    const HeapRecord top = heap_.front();
-    heap_pop();
+  while (const Record* next = front()) {
+    const Record top = *next;
+    drop_front();
     if (is_ghost(top)) {
       ++telemetry_.skipped;  // cancelled; its ghost record dies here
       continue;
@@ -214,14 +278,15 @@ bool Simulator::step() {
 std::size_t Simulator::run_until(SimTime t_end) {
   HPCOS_CHECK(t_end >= now_);
   std::size_t n = 0;
-  while (!heap_.empty()) {
-    // Peek at the earliest live event without committing to it.
-    if (is_ghost(heap_.front())) {
-      heap_pop();
+  // Peek at the earliest event without committing to it. A ghost at the
+  // front is discarded even when it lies beyond t_end.
+  while (const Record* next = front()) {
+    if (is_ghost(*next)) {
+      drop_front();
       ++telemetry_.skipped;
       continue;
     }
-    if (heap_.front().time > t_end.count_ns()) break;
+    if (next->time > t_end.count_ns()) break;
     step();
     ++n;
   }

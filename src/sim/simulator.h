@@ -7,9 +7,35 @@
 // is a pure function of (configuration, seed) regardless of host threading.
 //
 // Event queue layout:
-//   * The heap is one array-backed 4-ary min-heap of 24-byte
-//     (time, seq, slot) records, ordered by (time, seq). seq is the
-//     scheduling sequence number, unique per simulator, starting at 1.
+//   * The queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
+//     Tarjan, J. ACM 37(2), 1990) of 24-byte (time, seq, slot, next)
+//     records. seq is the scheduling sequence number, unique per
+//     simulator, starting at 1. A DES never schedules before now(), which
+//     is what a monotone queue needs.
+//   * The heap keeps a base: the time of the last extracted minimum. A
+//     record at time t sits in bucket 0 when t == base, else in bucket
+//     b = 1 + (highest bit in which t and base differ), one of 65. So a
+//     push is one XOR and one count of leading zeros, and every record
+//     in bucket b is earlier than every record in any bucket above b.
+//   * Records live in one pool, recycled through a free list; each bucket
+//     is a singly linked list through the pool, with its minimum time
+//     kept on every insert. Memory is bounded by the most records ever
+//     queued at once.
+//   * Order. Pops take bucket 0's head, and bucket 0 holds exactly the
+//     records at the base, in seq order: a push at t == base appends (its
+//     seq is the largest yet), and when bucket 0 runs dry the lowest
+//     non-empty bucket's minimum becomes the base and that bucket's
+//     records move to lower buckets, those landing in bucket 0 sorted by
+//     seq. Events therefore fire in strict (time, seq) order. A refill
+//     moves each record to a strictly lower bucket, so a record moves at
+//     most 64 times, plus once per base lowering (below).
+//   * Base lowering. run_until() looks at the front without firing it,
+//     which can move the base past t_end; a later schedule_at(t) with
+//     t_end <= t < base is legal. Such a push lowers the base to t: with
+//     k the highest bit of (base XOR t), buckets 0..k all lie within 2^k
+//     of the old base, so they move into bucket k + 1, which is provably
+//     empty (its records would have bit k clear where the base has it
+//     set), and the buckets above keep their records.
 //   * Each pending event owns one 64-byte, cache-line-aligned slot in a
 //     slot table: its callable, its tag and its seq (0 while the slot is
 //     free). Free slots are reused last-in first-out, so scheduling and
@@ -21,9 +47,10 @@
 //   * An EventId is (seq, slot). cancel() succeeds only while the slot
 //     still carries the id's seq, so an id whose event fired or was
 //     cancelled, and whose slot another event has since taken, cancels
-//     nothing. Cancelling destroys the callable at once; its heap record
-//     stays behind as a ghost that step() and run_until() discard when it
-//     reaches the top (counted in QueueTelemetry::skipped).
+//     nothing. Cancelling destroys the callable at once; its queue record
+//     stays behind as a ghost, moving between buckets like any record,
+//     until step() or run_until() discards it at the front (counted in
+//     QueueTelemetry::skipped).
 //
 // Self-observability:
 //   * queue_telemetry() — always-on push/pop/cancel/max-depth counters
@@ -46,10 +73,12 @@
 //     (obs/prof/counters.h). One branch per event while no meter runs.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -190,7 +219,7 @@ struct QueueTelemetry {
   std::uint64_t pushes = 0;      // schedule_at/schedule_after calls
   std::uint64_t pops = 0;        // live events popped and fired
   std::uint64_t cancels = 0;     // successful cancel() calls
-  std::uint64_t skipped = 0;     // cancelled heap entries discarded on pop
+  std::uint64_t skipped = 0;     // cancelled records discarded at the front
   std::size_t max_depth = 0;     // peak pending-event count
 };
 
@@ -233,10 +262,24 @@ class Simulator {
   void set_depth_probe(DepthProbe probe) { depth_probe_ = std::move(probe); }
 
  private:
-  struct HeapRecord {
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::size_t kBuckets = 65;
+  static constexpr std::int64_t kNoTime =
+      std::numeric_limits<std::int64_t>::max();
+
+  // A queued event: the seq it was scheduled with (a ghost once its slot
+  // no longer carries that seq) and the next record of its bucket, or of
+  // the free list.
+  struct Record {
     std::int64_t time = 0;  // SimTime::count_ns()
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
+    std::uint32_t next = kNil;
+  };
+
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::int64_t min_time = kNoTime;  // kNoTime while empty
   };
 
   struct alignas(64) Slot {
@@ -266,17 +309,29 @@ class Simulator {
 
   // Pops the next live event into `ev`, discarding ghosts on the way.
   bool pop_next(Popped& ev);
-  bool is_ghost(const HeapRecord& r) const {
+  bool is_ghost(const Record& r) const {
     return slots_[r.slot].seq != r.seq;
   }
-  void heap_push(HeapRecord r);
-  void heap_pop();
+  void queue_push(std::int64_t time, std::uint64_t seq, std::uint32_t slot);
+  // The earliest record, refilling bucket 0 first; nullptr when empty.
+  const Record* front();
+  // Unlinks bucket 0's head (front() must have returned it).
+  void drop_front();
+  bool refill();
+  void lower_base(std::int64_t time);
+  void link(std::size_t bucket, std::uint32_t r);
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
-  std::vector<HeapRecord> heap_;
+  std::int64_t base_ = 0;
+  std::vector<Record> records_;
+  std::uint32_t free_records_ = kNil;
+  std::array<Bucket, kBuckets> buckets_;
+  std::uint32_t tail0_ = kNil;    // bucket 0's last record
+  std::uint64_t occupied_ = 0;    // bit b - 1: bucket b >= 1 is non-empty
+  std::vector<std::uint32_t> at_base_;  // refill's records at the new base
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;  // LIFO
   QueueTelemetry telemetry_;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -18,6 +19,7 @@
 
 #include "common/histogram.h"
 #include "common/parallel.h"
+#include "common/ring_fifo.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/stats.h"
@@ -432,6 +434,36 @@ TEST(LogHistogram, ZeroAndNegativeValuesLandInTheFirstBin) {
   EXPECT_EQ(h.quantile(0.5), h.bin_upper(0));
   EXPECT_EQ(h.observed_min(), -3.0);  // observed min still reported
   EXPECT_EQ(h.quantile(1.0), 10.0);
+}
+
+// Erase and growth both while the live elements wrap past the end of the
+// array: order survives, and pops return what was pushed.
+TEST(RingFifo, EraseAndGrowKeepOrderAcrossTheWrap) {
+  RingFifo<int> q;
+  std::deque<int> want;
+  auto push = [&](int v) {
+    q.push_back(v);
+    want.push_back(v);
+  };
+  auto pop = [&] {
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(q.pop_front(), want.front());
+    want.pop_front();
+  };
+  for (int v = 1; v <= 6; ++v) push(v);  // capacity 8
+  for (int i = 0; i < 3; ++i) pop();
+  for (int v : {7, 5, 8, 9, 5}) push(v);  // full, wrapped
+  q.erase(5);
+  std::erase(want, 5);
+  q.erase(42);  // absent: no change
+  EXPECT_EQ(q.size(), want.size());
+  for (int v = 10; v <= 30; ++v) push(v);  // grows twice, first when wrapped
+  pop();
+  q.erase(12);
+  std::erase(want, 12);
+  while (!want.empty()) pop();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(LogHistogram, MergeRejectsMismatchedLayout) {

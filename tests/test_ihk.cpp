@@ -1,6 +1,9 @@
 // Unit tests: IHK resource partitioning, OS instance lifecycle, IKC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ihk/ihk.h"
 #include "kernel_test_util.h"
 #include "test_support.h"
@@ -129,6 +132,54 @@ TEST_F(IhkTest, IkcDeliversAfterLatencyInOrder) {
   EXPECT_EQ(to.messages_delivered(), 4u);
   EXPECT_EQ(back.messages_posted(), 4u);
   EXPECT_EQ(back.messages_delivered(), 4u);
+}
+
+// Thousands of messages in flight on one channel: bursts that grow from
+// one instant to the next, 100 ns apart against a 10 us latency, so the
+// in-flight queue wraps (deliveries start while posts continue) and grows
+// several times while wrapped.
+TEST_F(IhkTest, IkcOrderSurvivesDeepBacklog) {
+  ihk::IkcChannel ch(sim, "deep", SimTime::us(10));
+  std::vector<ihk::IkcMessage> got;
+  std::vector<SimTime> got_at;
+  ch.set_receiver([&](const ihk::IkcMessage& m) {
+    got.push_back(m);
+    got_at.push_back(sim.now());
+  });
+  auto message = [](std::uint64_t i) {
+    ihk::IkcMessage m;
+    m.sender = i;
+    m.request = os::SyscallRequest{
+        i % 2 == 0 ? os::Syscall::kStat : os::Syscall::kRead,
+        os::SyscallArgs{.arg0 = 3 * i, .arg1 = 5 * i, .arg2 = 7 * i}};
+    m.span = 1'000'000 + i;
+    return m;
+  };
+  std::uint64_t posted = 0;
+  std::uint64_t max_inflight = 0;
+  for (int k = 0; k < 600; ++k) {
+    sim.run_until(SimTime::ns(100 * k));
+    for (int b = 0; b < 1 + k / 8; ++b) ch.post(message(++posted));
+    max_inflight =
+        std::max(max_inflight, ch.messages_posted() - ch.messages_delivered());
+  }
+  while (sim.step()) {}
+
+  EXPECT_GE(max_inflight, 1000u);
+  ASSERT_EQ(got.size(), posted);
+  EXPECT_EQ(ch.messages_delivered(), posted);
+  for (std::uint64_t i = 1; i <= posted; ++i) {
+    const ihk::IkcMessage& m = got[i - 1];
+    const ihk::IkcMessage want = message(i);
+    ASSERT_EQ(m.seq, i);
+    ASSERT_EQ(m.sender, want.sender);
+    ASSERT_EQ(m.request.no, want.request.no);
+    ASSERT_EQ(m.request.args.arg0, want.request.args.arg0);
+    ASSERT_EQ(m.request.args.arg1, want.request.args.arg1);
+    ASSERT_EQ(m.request.args.arg2, want.request.args.arg2);
+    ASSERT_EQ(m.span, want.span);
+    ASSERT_EQ(got_at[i - 1], m.sent_at + SimTime::us(10));
+  }
 }
 
 TEST_F(IhkTest, IkcWithoutReceiverFails) {

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <limits>
 #include <memory>
 #include <tuple>
 
@@ -368,6 +370,154 @@ TEST(Simulator, MatchesReferenceQueueUnderRandomOps) {
     for (const int n : cancel_kinds) EXPECT_GT(n, 0);
     EXPECT_GT(want.telemetry.skipped, 0u);
     EXPECT_GT(want.telemetry.max_depth, 100u);
+  }
+}
+
+// Fire order, clock, depth and every telemetry field agree.
+::testing::AssertionResult SameAsReference(const QueueUnderTest& got,
+                                           const ReferenceQueue& want) {
+  const QueueTelemetry& g = got.sim.queue_telemetry();
+  const QueueTelemetry& w = want.telemetry;
+  if (got.fired != want.fired) {
+    return ::testing::AssertionFailure()
+           << "fire order differs (" << got.fired.size() << " vs "
+           << want.fired.size() << " fired)";
+  }
+  if (got.sim.pending_count() != want.live ||
+      got.sim.has_pending() != (want.live != 0)) {
+    return ::testing::AssertionFailure()
+           << "pending " << got.sim.pending_count() << " vs " << want.live;
+  }
+  if (got.sim.now().count_ns() != want.now) {
+    return ::testing::AssertionFailure()
+           << "now " << got.sim.now().count_ns() << " vs " << want.now;
+  }
+  if (std::tie(g.pushes, g.pops, g.cancels, g.skipped, g.max_depth) !=
+      std::tie(w.pushes, w.pops, w.cancels, w.skipped, w.max_depth)) {
+    return ::testing::AssertionFailure()
+           << "telemetry pushes/pops/cancels/skipped/max_depth " << g.pushes
+           << "/" << g.pops << "/" << g.cancels << "/" << g.skipped << "/"
+           << g.max_depth << " vs " << w.pushes << "/" << w.pops << "/"
+           << w.cancels << "/" << w.skipped << "/" << w.max_depth;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The radix queue's buckets cover the bits in which an event time differs
+// from the last popped one. Delays drawn log-uniformly from 1 ns to 2^62 ns
+// make pushed times differ from now() first at every bit a non-negative
+// time has, so every reachable bucket fills; bursts at one nanosecond make
+// refills sort records by seq; cancels at the front leave ghosts where the
+// next pop looks; and a run_until() that stops below a cancelled front,
+// followed by a schedule_at() between t_end and that front, schedules below
+// the time the queue last looked at.
+TEST(Simulator, MatchesReferenceQueueAcrossTimeScales) {
+  // Room above the latest time for a fired event's child (< 2^20 ns).
+  constexpr std::int64_t kHorizon =
+      std::numeric_limits<std::int64_t>::max() - (std::int64_t{1} << 20);
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RngStream rng(Seed{seed}, 0x52);
+    QueueUnderTest got;
+    ReferenceQueue want;
+    // Highest bit in which a pushed time differs from now(), plus one.
+    std::vector<bool> widths(64, false);
+    int bursts = 0;
+    int front_cancels = 0;
+    int lowered = 0;
+    // 2^e plus a uniform part below 2^e, e uniform in [0, max_exp],
+    // clamped to the horizon.
+    auto delay = [&](int max_exp = 62) -> std::int64_t {
+      const auto e = static_cast<int>(
+          rng.uniform_index(static_cast<std::uint64_t>(max_exp) + 1));
+      const std::int64_t low = std::int64_t{1} << e;
+      const auto d =
+          low + static_cast<std::int64_t>(
+                    rng.uniform_index(static_cast<std::uint64_t>(low)));
+      return std::max(std::int64_t{0}, std::min(d, kHorizon - want.now));
+    };
+    auto schedule = [&](std::int64_t t) {
+      const std::int64_t child =
+          rng.bernoulli(0.2)
+              ? static_cast<std::int64_t>(rng.uniform_index(1u << 20))
+              : -1;
+      widths[static_cast<std::size_t>(std::bit_width(
+          static_cast<std::uint64_t>(t ^ want.now)))] = true;
+      got.schedule(t, child, false);
+      want.schedule(t, child);
+    };
+    auto cancel = [&](std::uint64_t label) {
+      const bool expected = want.cancel(label);
+      EXPECT_EQ(got.sim.cancel(got.ids[label - 1]), expected);
+      return expected;
+    };
+    // The earliest live reference record, or nullptr.
+    auto live_front = [&]() -> const ReferenceQueue::Record* {
+      for (const ReferenceQueue::Record& r : want.records) {
+        if (r.live) return &r;
+      }
+      return nullptr;
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t pick = op < 200 ? 0 : rng.uniform_index(100);
+      if (pick < 35) {
+        schedule(want.now + (rng.bernoulli(0.1) ? 0 : delay()));
+      } else if (pick < 45) {
+        // A burst at one nanosecond, often already occupied.
+        const std::int64_t t = want.now + (rng.bernoulli(0.3) ? 0 : delay());
+        const auto n = 2 + rng.uniform_index(20);
+        for (std::uint64_t i = 0; i < n; ++i) schedule(t);
+        ++bursts;
+      } else if (pick < 55) {
+        if (const ReferenceQueue::Record* f = live_front()) {
+          ASSERT_TRUE(cancel(f->seq)) << "op " << op;
+          ++front_cancels;
+        }
+      } else if (pick < 60) {
+        cancel(1 + rng.uniform_index(want.next_seq - 1));
+      } else if (pick < 88) {
+        ASSERT_EQ(got.sim.step(), want.step()) << "op " << op;
+      } else if (pick < 95) {
+        // Up to 2^41 ns, so that the clock stays far below the horizon
+        // and later delays keep their full range.
+        const std::int64_t t_end =
+            want.now + (rng.bernoulli(0.2) ? delay(40)
+                                           : static_cast<std::int64_t>(
+                                                 rng.uniform_index(1000)));
+        ASSERT_EQ(got.sim.run_until(SimTime::ns(t_end)),
+                  want.run_until(t_end))
+            << "op " << op;
+      } else {
+        // Cancel the front, stop below it, then schedule between t_end
+        // and the cancelled front.
+        const ReferenceQueue::Record* f = live_front();
+        if (f == nullptr || f->time <= want.now + 1) continue;
+        const std::int64_t front_time = f->time;
+        ASSERT_TRUE(cancel(f->seq)) << "op " << op;
+        const std::int64_t t_end =
+            want.now + static_cast<std::int64_t>(rng.uniform_index(
+                           static_cast<std::uint64_t>(front_time - want.now)));
+        ASSERT_EQ(got.sim.run_until(SimTime::ns(t_end)),
+                  want.run_until(t_end))
+            << "op " << op;
+        ASSERT_TRUE(SameAsReference(got, want)) << "op " << op;
+        schedule(t_end + static_cast<std::int64_t>(rng.uniform_index(
+                             static_cast<std::uint64_t>(front_time - t_end))));
+        ++lowered;
+      }
+      ASSERT_TRUE(SameAsReference(got, want)) << "op " << op;
+    }
+    // Drain: every remaining event fires in the reference order.
+    while (want.step()) ASSERT_TRUE(got.sim.step());
+    EXPECT_FALSE(got.sim.step());
+    ASSERT_TRUE(SameAsReference(got, want));
+
+    EXPECT_EQ(std::count(widths.begin(), widths.end(), true), 64);
+    EXPECT_GT(bursts, 50);
+    EXPECT_GT(front_cancels, 100);
+    EXPECT_GT(lowered, 50);
+    EXPECT_GT(want.telemetry.skipped, 100u);
   }
 }
 
