@@ -27,7 +27,7 @@ std::vector<std::vector<noise::FwqTrace>> DesCluster::run_fwq_all(
   // every node, like the MPI-launched FWQ), then drive the shared clock
   // until every thread everywhere has finished.
   struct PerNode {
-    std::vector<const noise::FwqThread*> bodies;
+    std::vector<noise::FwqThread*> bodies;
   };
   std::vector<PerNode> spawned(nodes_.size());
 
@@ -62,8 +62,8 @@ std::vector<std::vector<noise::FwqTrace>> DesCluster::run_fwq_all(
 
   std::vector<std::vector<noise::FwqTrace>> out(nodes_.size());
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    for (const noise::FwqThread* b : spawned[n].bodies) {
-      out[n].push_back(b->trace());
+    for (noise::FwqThread* b : spawned[n].bodies) {
+      out[n].push_back(b->take_trace());
     }
   }
   return out;

@@ -1,6 +1,10 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "common/check.h"
 
 namespace hpcos {
 namespace {
@@ -15,6 +19,28 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+// One Box-Muller pair: returns the cosine half as a normal(mean, stddev)
+// draw and stores the unscaled sine half, the one normal() caches, in
+// `sine`. normal() and max_normal() both compute pairs here, so a draw's
+// bits do not depend on which of them made it.
+double box_muller(double u1, double u2, double mean, double stddev,
+                  double& sine) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  sine = r * std::sin(theta);
+  return mean + stddev * r * std::cos(theta);
+}
+
+// Uniform in (0, 1): the u1 of a Box-Muller pair, which log() needs
+// nonzero.
+double open_uniform(RngStream& rng) {
+  double u = 0.0;
+  do {
+    u = rng.uniform();
+  } while (u <= 0.0);
+  return u;
 }
 
 }  // namespace
@@ -85,16 +111,49 @@ double RngStream::normal(double mean, double stddev) {
     has_cached_normal_ = false;
     return mean + stddev * cached_normal_;
   }
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
+  const double u1 = open_uniform(*this);
   const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
+  return box_muller(u1, u2, mean, stddev, cached_normal_);
+}
+
+double RngStream::max_normal(std::uint64_t k, double mean, double stddev) {
+  HPCOS_CHECK(k > 0 && stddev >= 0.0);
+  double best = -std::numeric_limits<double>::infinity();
+  // A pair with u1 > skip_u1 cannot reach `best`; uniform() < 1, so the
+  // initial bound skips nothing. Both halves of a pair are
+  // mean + stddev * r * (cos or sin), at most mean + stddev * r, and
+  // r = sqrt(-2 log u1) < d exactly when u1 > exp(-d^2 / 2). The bound
+  // uses d = (best - mean) / stddev * (1 - 1e-9) and scales exp by
+  // (1 + 1e-9). Those margins are five orders of magnitude above the
+  // rounding of log, sqrt, exp and the products (under 1e-14 relative,
+  // the rounded d^2 inside exp included), so a skipped half is below best
+  // in exact arithmetic, and `mean +` rounds it monotonically to at most
+  // best, which is itself a double.
+  double skip_u1 = 1.0;
+  const auto raise = [&](double v) {
+    if (v <= best) return;
+    best = v;
+    if (best > mean) {  // then stddev > 0
+      const double d = (best - mean) / stddev * (1.0 - 1e-9);
+      skip_u1 = std::exp(-0.5 * d * d) * (1.0 + 1e-9);
+    }
+  };
+  if (has_cached_normal_) {
+    raise(normal(mean, stddev));
+    --k;
+  }
+  for (; k >= 2; k -= 2) {
+    const double u1 = open_uniform(*this);
+    const double u2 = uniform();
+    if (u1 > skip_u1) continue;
+    double sine = 0.0;
+    const double cosine = box_muller(u1, u2, mean, stddev, sine);
+    raise(std::max(cosine, mean + stddev * sine));
+  }
+  if (k == 0) return best;
+  // The last pair leaves its sine half cached, so it is computed in full.
+  return std::max(best, normal(mean, stddev));
 }
 
 double RngStream::lognormal(double mu, double sigma) {

@@ -47,6 +47,12 @@ class RngStream {
   double exponential(double mean);
   // Standard normal via Box-Muller (cached pair).
   double normal(double mean, double stddev);
+  // The largest of the next k normal(mean, stddev) draws (k > 0,
+  // stddev >= 0): the same double as a max over k normal() calls, and the
+  // stream, cached Box-Muller half included, ends where those calls would
+  // leave it. It draws every pair's uniforms but skips the log, sqrt and
+  // sincos of a pair whose u1 proves neither half can reach the maximum.
+  double max_normal(std::uint64_t k, double mean, double stddev);
   // Lognormal parameterized by the mean/stddev of the *underlying* normal.
   double lognormal(double mu, double sigma);
   // Poisson with the given mean; exact (Knuth) for small means, normal

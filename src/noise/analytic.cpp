@@ -73,14 +73,21 @@ SimTime DurationDist::quantile(double q) const {
 }
 
 SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng) const {
+  HPCOS_CHECK(sigma >= 0.0);
   if (k == 0) return SimTime::zero();
   if (k <= 64) {
-    const double mu = log_median();
-    SimTime worst = SimTime::zero();
-    for (std::uint64_t i = 0; i < k; ++i) {
-      worst = std::max(worst, sample(rng, mu));
+    // The max of k draws, floored at zero. exp, the truncation to whole
+    // nanoseconds, the clamp and the floor are all monotone, so they can
+    // be applied once, to the largest normal. This relies on glibc's exp
+    // not inverting two draws: an inversion needs two draws within one ULP
+    // of each other, and the truncation would still merge them unless they
+    // straddle a whole nanosecond.
+    if (sigma == 0.0) {
+      return std::max(SimTime::zero(), std::clamp(median, min, max));
     }
-    return worst;
+    const double v = std::exp(rng.max_normal(k, log_median(), sigma));
+    const auto t = SimTime::ns(static_cast<std::int64_t>(v));
+    return std::max(SimTime::zero(), std::clamp(t, min, max));
   }
   // max of k iid draws: F_max^{-1}(u) = F^{-1}(u^{1/k}).
   const double u = std::clamp(rng.uniform(), 1e-12, 1.0 - 1e-12);

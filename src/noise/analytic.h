@@ -39,9 +39,11 @@ struct DurationDist {
   SimTime mean() const;
   // Inverse CDF (clamped); q in [0, 1].
   SimTime quantile(double q) const;
-  // One draw distributed as max(X_1..X_k): direct for small k, inverse-CDF
-  // of U^(1/k) otherwise. This is what makes machine-scale "worst thread
-  // in the barrier window" sampling O(1) instead of O(threads).
+  // One draw distributed as max(X_1..X_k): for k <= 64 the max of the
+  // next k draws (RngStream::max_normal, one exp), inverse-CDF of U^(1/k)
+  // otherwise. This is what makes machine-scale "worst thread in the
+  // barrier window" sampling O(1) instead of O(threads). sigma must not be
+  // negative.
   SimTime sample_max(std::uint64_t k, RngStream& rng) const;
 };
 

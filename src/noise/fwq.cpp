@@ -31,7 +31,7 @@ void FwqThread::step(os::ThreadContext& ctx) {
 
 std::vector<FwqTrace> run_fwq(os::NodeKernel& kernel, const hw::CpuSet& cores,
                               FwqConfig config) {
-  std::vector<const FwqThread*> bodies;
+  std::vector<FwqThread*> bodies;
   const auto core_list = cores.to_vector();
   bodies.reserve(core_list.size());
 
@@ -62,7 +62,7 @@ std::vector<FwqTrace> run_fwq(os::NodeKernel& kernel, const hw::CpuSet& cores,
 
   std::vector<FwqTrace> out;
   out.reserve(bodies.size());
-  for (const FwqThread* b : bodies) out.push_back(b->trace());
+  for (FwqThread* b : bodies) out.push_back(b->take_trace());
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -38,6 +39,9 @@ class FwqThread final : public os::ThreadBody {
 
   bool finished() const { return finished_; }
   const FwqTrace& trace() const { return trace_; }
+  // Hands the trace over without copying it, leaving this one empty: for a
+  // caller that returns the traces once the run is done (run_fwq).
+  FwqTrace take_trace() { return std::move(trace_); }
 
  private:
   FwqConfig config_;

@@ -17,6 +17,7 @@
 #include <sched.h>
 #endif
 
+#include "common/check.h"
 #include "common/histogram.h"
 #include "common/parallel.h"
 #include "common/ring_fifo.h"
@@ -124,6 +125,44 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 20000; ++i) st.add(r.normal(10.0, 2.0));
   EXPECT_NEAR(st.mean(), 10.0, 0.1);
   EXPECT_NEAR(st.stddev(), 2.0, 0.1);
+}
+
+TEST(Rng, MaxNormalMatchesNormalLoop) {
+  // Every k up to 64 and a few larger, each entered with and without a
+  // cached Box-Muller half; an odd k flips the cache for the next rep.
+  // A stddev of 0 never skips; at 1e-15 the draws lie within a few ULPs
+  // of the mean, so rounding, not r, decides the maximum, and ties abound.
+  std::vector<std::uint64_t> ks;
+  for (std::uint64_t k = 1; k <= 64; ++k) ks.push_back(k);
+  for (const std::uint64_t k : {65, 127, 200, 1000}) ks.push_back(k);
+  std::uint64_t stream = 0;
+  for (const double mean : {-40.0, -1.5, 0.0, 2.5, 11.9}) {
+    for (const double stddev : {0.0, 1e-15, 1e-9, 1e-3, 0.3, 1.0, 10.0}) {
+      for (const bool cached : {false, true}) {
+        for (const std::uint64_t k : ks) {
+          SCOPED_TRACE(::testing::Message()
+                       << "mean=" << mean << " stddev=" << stddev
+                       << " cached=" << cached << " k=" << k);
+          RngStream a(Seed{17}, ++stream);
+          RngStream b(Seed{17}, stream);
+          if (cached) {
+            ASSERT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+          }
+          for (int rep = 0; rep < 6; ++rep) {
+            double reference = -std::numeric_limits<double>::infinity();
+            for (std::uint64_t i = 0; i < k; ++i) {
+              reference = std::max(reference, b.normal(mean, stddev));
+            }
+            ASSERT_EQ(a.max_normal(k, mean, stddev), reference);
+          }
+          expect_same_position(a, b);
+        }
+      }
+    }
+  }
+  RngStream rng(Seed{17}, 0);
+  EXPECT_THROW(rng.max_normal(0, 0.0, 1.0), SimError);
+  EXPECT_THROW(rng.max_normal(2, 0.0, -1.0), SimError);
 }
 
 TEST(Rng, PoissonSmallAndLargeMeans) {

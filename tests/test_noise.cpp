@@ -10,6 +10,7 @@
 
 #include "cluster/fwq_campaign.h"
 #include "cluster/machine_noise.h"
+#include "common/check.h"
 #include "common/confighash.h"
 #include "kernel_test_util.h"
 #include "noise/analytic.h"
@@ -130,12 +131,6 @@ SimTime reference_sample_max(const DurationDist& d, std::uint64_t k,
   return worst;
 }
 
-// The streams are in the same place, a cached Box-Muller half included.
-void expect_same_position(RngStream& a, RngStream& b) {
-  EXPECT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
-  EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
 const DurationDist kLognormal{.median = 150_us, .sigma = 0.5,
                               .min = SimTime::zero(), .max = 1_ms};
 
@@ -163,6 +158,48 @@ TEST(DurationDist, SampleMaxMatchesReferenceLoop) {
     }
     expect_same_position(a, b);
   }
+}
+
+TEST(DurationDist, SampleMaxMatchesReferenceAcrossClampShapes) {
+  const struct {
+    const char* name;
+    DurationDist dist;
+  } shapes[] = {
+      {"max hit", {.median = 150_us, .sigma = 0.5, .max = 200_us}},
+      {"min hit", {.median = 50_us, .sigma = 0.3, .min = 100_us}},
+      {"tiny sigma", {.median = 150_us, .sigma = 1e-9}},
+      {"large sigma", {.median = 150_us, .sigma = 3.0, .max = 1_s}},
+  };
+  std::vector<std::uint64_t> ks;
+  for (std::uint64_t k = 1; k <= 64; ++k) ks.push_back(k);
+  for (const std::uint64_t k : {65, 1000}) ks.push_back(k);
+  std::uint64_t stream = 0;
+  for (const auto& shape : shapes) {
+    for (const bool cached : {false, true}) {
+      for (const std::uint64_t k : ks) {
+        SCOPED_TRACE(::testing::Message() << shape.name << " cached="
+                                          << cached << " k=" << k);
+        RngStream a(Seed{9}, ++stream);
+        RngStream b(Seed{9}, stream);
+        if (cached) {
+          ASSERT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+        }
+        for (int rep = 0; rep < 6; ++rep) {
+          ASSERT_EQ(shape.dist.sample_max(k, a),
+                    reference_sample_max(shape.dist, k, b));
+        }
+        expect_same_position(a, b);
+      }
+    }
+  }
+  // A constant draws nothing up to k = 64; a negative sigma is rejected.
+  const DurationDist constant{.median = 80_us, .max = 50_us};
+  RngStream a(Seed{9}, 0);
+  RngStream b(Seed{9}, 0);
+  EXPECT_EQ(constant.sample_max(64, a), 50_us);
+  expect_same_position(a, b);
+  const DurationDist negative{.median = 80_us, .sigma = -0.5};
+  EXPECT_THROW(negative.sample_max(3, a), SimError);
 }
 
 TEST(DurationDist, DrawsMatchRecordedBits) {

@@ -1,8 +1,8 @@
-// Allocation check of the syscall-offload round trip: once warm, a
-// multi-kernel node serving offloaded stat() calls beside FWQ allocates
-// nothing per event. This file is its own test binary because it replaces
-// the global operator new with a counting one, which no other test should
-// see.
+// Allocation checks: once warm, a multi-kernel node serving offloaded
+// stat() calls beside FWQ allocates nothing per event, and the FWQ runners
+// hand each thread's trace over instead of copying it. This file is its
+// own test binary because it replaces the global operator new with a
+// counting one, which no other test should see.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/des_cluster.h"
 #include "cluster/node.h"
 #include "hw/platform.h"
 #include "linuxk/config.h"
@@ -24,10 +25,16 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+// Of those, the allocations of exactly g_watched_size bytes.
+std::atomic<std::size_t> g_watched_size{0};
+std::atomic<std::uint64_t> g_watched{0};
 
 void* allocate(std::size_t n, std::size_t align) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (n == g_watched_size.load(std::memory_order_relaxed)) {
+      g_watched.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   if (n == 0) n = 1;
   void* p = align <= alignof(std::max_align_t)
@@ -170,6 +177,69 @@ TEST(OffloadAllocations, WarmRoundTripAllocatesNothing) {
       << sim.events_executed() - events0 << " events)";
   EXPECT_GT(quanta() - quanta0, 1000u);
   for (const noise::FwqThread* b : bodies) EXPECT_FALSE(b->finished());
+}
+
+// Runs `run` and returns how many allocations of exactly `bytes` it made.
+template <typename Run>
+std::uint64_t allocations_of(std::size_t bytes, Run&& run) {
+  g_watched_size.store(bytes);
+  g_watched.store(0);
+  g_counting.store(true);
+  run();
+  g_counting.store(false);
+  return g_watched.load();
+}
+
+// The FWQ runners move each thread's trace out once the run is done. A run
+// of N threads then allocates N buffers of `iterations` samples (the
+// reserve in FwqThread's constructor); copying the traces out makes 2N.
+// The odd iteration count gives the buffers a size nothing else allocates.
+constexpr std::uint64_t kTraceIterations = 1'531;
+constexpr std::size_t kTraceBytes = kTraceIterations * sizeof(SimTime);
+
+linuxk::LinuxConfig quiet_linux(const hw::PlatformConfig& platform) {
+  auto lcfg = linuxk::make_fugaku_linux_config(platform);
+  lcfg.profile = noise::AnalyticNoiseProfile{};
+  return lcfg;
+}
+
+TEST(FwqTraceHandOver, RunFwqAllocatesEachTraceOnce) {
+  auto platform = hw::make_fugaku_testbed_platform();
+  auto lcfg = quiet_linux(platform);
+  auto node = cluster::SimNode::make_linux_node(std::move(platform),
+                                                std::move(lcfg));
+  const hw::CpuSet cores = node->topology().application_cores();
+  const noise::FwqConfig fwq{.work_quantum = SimTime::from_ms(1),
+                             .iterations = kTraceIterations};
+  std::vector<noise::FwqTrace> traces;
+  const std::uint64_t buffers = allocations_of(kTraceBytes, [&] {
+    traces = noise::run_fwq(node->app_kernel(), cores, fwq);
+  });
+  ASSERT_EQ(traces.size(), cores.count());
+  for (const noise::FwqTrace& t : traces) {
+    EXPECT_EQ(t.iteration_times.size(), kTraceIterations);
+  }
+  EXPECT_EQ(buffers, traces.size());
+}
+
+TEST(FwqTraceHandOver, DesClusterRunFwqAllAllocatesEachTraceOnce) {
+  const auto platform = hw::make_fugaku_testbed_platform();
+  cluster::DesCluster des(2, platform, quiet_linux(platform),
+                          cluster::DesCluster::Options{});
+  const noise::FwqConfig fwq{.work_quantum = SimTime::from_ms(1),
+                             .iterations = kTraceIterations};
+  std::vector<std::vector<noise::FwqTrace>> per_node;
+  const std::uint64_t buffers = allocations_of(
+      kTraceBytes, [&] { per_node = des.run_fwq_all(fwq); });
+  std::size_t threads = 0;
+  for (const auto& traces : per_node) {
+    for (const noise::FwqTrace& t : traces) {
+      EXPECT_EQ(t.iteration_times.size(), kTraceIterations);
+      ++threads;
+    }
+  }
+  EXPECT_EQ(threads, 96u);
+  EXPECT_EQ(buffers, threads);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "test_support.h"
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <ostream>
@@ -13,6 +15,11 @@ namespace hpcos {
 
 std::ostream& operator<<(std::ostream& os, SimTime t) {
   return os << t.to_string();
+}
+
+void expect_same_position(RngStream& a, RngStream& b) {
+  EXPECT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 double percentile_sorted(std::span<const double> sorted, double p) {

@@ -1,6 +1,6 @@
-// Test support: readers that check a writer, and references that tests
-// compare the library against. No production binary needs any of these,
-// so they live beside the tests instead of in the libraries.
+// Test support: readers that check a writer, and references and checks
+// that tests compare the library against. No production binary needs any
+// of these, so they live beside the tests instead of in the libraries.
 //
 // Every test file includes this header, so gtest failure messages print
 // SimTime values as times (operator<< below) in every translation unit.
@@ -14,12 +14,18 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/sim_time.h"
 
 namespace hpcos {
 
 // "6.5ms", "12.3us", ... (SimTime::to_string).
 std::ostream& operator<<(std::ostream& os, SimTime t);
+
+// Expects both streams in the same place, a cached Box-Muller half
+// included: a draw that claims to consume what a reference loop consumes
+// checks its position with this.
+void expect_same_position(RngStream& a, RngStream& b);
 
 // Reference percentile of an ordered sample set: p in [0, 100], linear
 // interpolation between closest ranks. The LogHistogram quantile tests
