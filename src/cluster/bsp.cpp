@@ -115,53 +115,83 @@ RunResult BspEngine::run(const Workload& workload) {
   const int iters = workload.iterations();
   r.iteration_times.reserve(static_cast<std::size_t>(iters));
   SimTime total = init_time;
+  // The terms below that come before the random draws depend only on the
+  // RankWork, and workloads return the same one for every iteration after
+  // the first, so they are recomputed only when the RankWork changes.
+  RankWork w;
+  SimTime compute_time, fault_time, tbar_time, churn_med, rank_time;
+  SimTime allreduce_time, halo_time, barrier_time;
+  noise::DurationDist churn_tail, imbalance;
+  noise::DurationDist::MaxConstants churn_max, imbalance_max;
   for (int it = 0; it < iters; ++it) {
-    const RankWork w = workload.rank_work(it, job_, env_);
-
-    const SimTime compute_time = w.compute.scaled(env_.tlb_compute_factor(
-        w.working_set_bytes, w.mem_bound_fraction,
-        w.large_page_coverage_hint));
-    const SimTime fault_time = env_.fault_in(w.touch_bytes);
-    SimTime tbar_time = SimTime::zero();
-    if (w.thread_barriers > 0) {
-      // Intra-rank OpenMP synchronization; Fugaku's runtime drives the
-      // A64FX hardware barrier (§4.1.5), other platforms use a software
-      // tree. Identical across the OSes of one platform — both expose the
-      // device — but part of the honest time composition.
-      const hw::HwBarrier barrier(env_.platform.hw_barrier);
-      tbar_time =
-          barrier.barrier_cost(job_.threads_per_rank) * w.thread_barriers;
+    const RankWork next = workload.rank_work(it, job_, env_);
+    if (it == 0 || next != w) {
+      w = next;
+      compute_time = w.compute.scaled(env_.tlb_compute_factor(
+          w.working_set_bytes, w.mem_bound_fraction,
+          w.large_page_coverage_hint));
+      fault_time = env_.fault_in(w.touch_bytes);
+      tbar_time = SimTime::zero();
+      if (w.thread_barriers > 0) {
+        // Intra-rank OpenMP synchronization; Fugaku's runtime drives the
+        // A64FX hardware barrier (§4.1.5), other platforms use a software
+        // tree. Identical across the OSes of one platform — both expose
+        // the device — but part of the honest time composition.
+        const hw::HwBarrier barrier(env_.platform.hw_barrier);
+        tbar_time =
+            barrier.barrier_cost(job_.threads_per_rank) * w.thread_barriers;
+      }
+      // Heap churn: medians paid by everyone; the slowest rank's tail adds
+      // on top (the barrier waits for it).
+      churn_med = SimTime::zero();
+      if (w.alloc_churn_bytes > 0) {
+        churn_med = env_.churn_median(w.alloc_churn_bytes);
+        churn_tail = noise::DurationDist{
+            .median = churn_med,
+            .sigma = env_.mem.churn_sigma,
+            .min = SimTime::zero(),
+            .max = churn_med.scaled(env_.mem.churn_max_factor)};
+        churn_max = churn_tail.max_constants();
+      }
+      rank_time = compute_time + fault_time + tbar_time + churn_med;
+      // Compute imbalance across ranks (application property, OS-neutral).
+      if (w.imbalance_sigma > 0.0) {
+        imbalance = noise::DurationDist{.median = rank_time,
+                                        .sigma = w.imbalance_sigma,
+                                        .min = SimTime::zero(),
+                                        .max = rank_time.scaled(10.0)};
+        imbalance_max = imbalance.max_constants();
+      }
+      // Communication.
+      allreduce_time = SimTime::zero();
+      halo_time = SimTime::zero();
+      barrier_time = SimTime::zero();
+      if (w.allreduces > 0) {
+        allreduce_time =
+            collectives_.allreduce(ranks, w.allreduce_bytes) * w.allreduces;
+      }
+      if (w.halo_neighbors > 0) {
+        halo_time = net::Fabric(env_.fabric)
+                        .halo_exchange(w.halo_bytes, w.halo_neighbors);
+      }
+      if (w.barriers > 0) {
+        barrier_time = collectives_.barrier(ranks) * w.barriers;
+      }
     }
 
-    // Heap churn: medians paid by everyone; the slowest rank's tail adds
-    // on top (the barrier waits for it).
-    SimTime churn_med = SimTime::zero();
     SimTime churn_extra = SimTime::zero();
     if (w.alloc_churn_bytes > 0) {
-      churn_med = env_.churn_median(w.alloc_churn_bytes);
-      noise::DurationDist churn_tail{
-          .median = churn_med,
-          .sigma = env_.mem.churn_sigma,
-          .min = SimTime::zero(),
-          .max = churn_med.scaled(env_.mem.churn_max_factor)};
-      churn_extra =
-          churn_tail.sample_max(static_cast<std::uint64_t>(ranks), rng) -
-          churn_med;
+      churn_extra = churn_tail.sample_max(static_cast<std::uint64_t>(ranks),
+                                          rng, churn_max) -
+                    churn_med;
       if (churn_extra.is_negative()) churn_extra = SimTime::zero();
     }
-    const SimTime rank_time =
-        compute_time + fault_time + tbar_time + churn_med;
-
-    // Compute imbalance across ranks (application property, OS-neutral).
     SimTime imbalance_extra = SimTime::zero();
     if (w.imbalance_sigma > 0.0) {
-      noise::DurationDist imb{
-          .median = rank_time,
-          .sigma = w.imbalance_sigma,
-          .min = SimTime::zero(),
-          .max = rank_time.scaled(10.0)};
-      imbalance_extra =
-          imb.sample_max(static_cast<std::uint64_t>(ranks), rng) - rank_time;
+      imbalance_extra = imbalance.sample_max(
+                            static_cast<std::uint64_t>(ranks), rng,
+                            imbalance_max) -
+                        rank_time;
       if (imbalance_extra.is_negative()) imbalance_extra = SimTime::zero();
     }
 
@@ -171,22 +201,6 @@ RunResult BspEngine::run(const Workload& workload) {
     const GlobalDelaySample noise_sample =
         noise.sample_global_delay_attributed(rank_time);
     const SimTime noise_delay = noise_sample.delay;
-
-    // Communication.
-    SimTime allreduce_time = SimTime::zero();
-    SimTime halo_time = SimTime::zero();
-    SimTime barrier_time = SimTime::zero();
-    if (w.allreduces > 0) {
-      allreduce_time =
-          collectives_.allreduce(ranks, w.allreduce_bytes) * w.allreduces;
-    }
-    if (w.halo_neighbors > 0) {
-      halo_time = net::Fabric(env_.fabric)
-                      .halo_exchange(w.halo_bytes, w.halo_neighbors);
-    }
-    if (w.barriers > 0) {
-      barrier_time = collectives_.barrier(ranks) * w.barriers;
-    }
     const SimTime comm = allreduce_time + halo_time + barrier_time;
 
     const SimTime iter_time =

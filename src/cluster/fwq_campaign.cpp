@@ -172,39 +172,69 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
     const std::uint64_t materialize =
         std::min<std::uint64_t>(k, config.max_materialized_hits);
     const double log_median = s.duration.log_median();
-    for (std::uint64_t i = 0; i < materialize; ++i) {
-      const double shared_us = s.duration.sample(rng, log_median).to_us();
-      // One event time per hit (shared across cores for kAllCores — the
-      // same occurrence lengthens every core's iteration).
-      const SimTime t_event =
-          tl ? trng.uniform_time(SimTime::zero(), config.duration_per_core)
-             : SimTime::zero();
-      if (jitter) {
-        for (std::uint64_t c = 0; c < cores_per_hit; ++c) {
-          const double t_us =
-              quantum_us + shared_us * rng.lognormal(0.0, jitter_sigma);
-          acc.cdf.add(t_us);
-          acc.overhead_sum_us += t_us - quantum_us;
-          acc.attribute(slot, t_us - quantum_us, 1);
-          acc.attribute_worst(slot, t_us - quantum_us);
-          acc.timeline_record(slot, node, t_event, t_us - quantum_us, 1);
+    // The per-hit loops keep the running sums in locals. overhead_sum_us
+    // and stolen_us are added to once per hit, in hit order, because their
+    // rounding reaches the results.
+    double overhead_sum_us = acc.overhead_sum_us;
+    double stolen_us = acc.stolen_us[slot];
+    double worst_us = acc.worst_us[slot];
+    std::uint64_t slot_hits = acc.hit_iterations[slot];
+    if (s.duration.sigma == 0.0 && !tl && !jitter && materialize > 0) {
+      // A constant duration draws nothing, so all `materialize` hits have
+      // the same iteration length: one histogram update, one worst.
+      const double t_us =
+          quantum_us + s.duration.sample(rng, log_median).to_us();
+      const double overhead_us =
+          (t_us - quantum_us) * static_cast<double>(cores_per_hit);
+      acc.cdf.add_n(t_us, cores_per_hit * materialize);
+      for (std::uint64_t i = 0; i < materialize; ++i) {
+        overhead_sum_us += overhead_us;
+        stolen_us += overhead_us;
+      }
+      slot_hits += cores_per_hit * materialize;
+      worst_us = std::max(worst_us, t_us - quantum_us);
+      node_max = std::max(node_max, t_us);
+      hit_iterations += cores_per_hit * materialize;
+    } else {
+      for (std::uint64_t i = 0; i < materialize; ++i) {
+        const double shared_us = s.duration.sample(rng, log_median).to_us();
+        // One event time per hit (shared across cores for kAllCores — the
+        // same occurrence lengthens every core's iteration).
+        const SimTime t_event =
+            tl ? trng.uniform_time(SimTime::zero(), config.duration_per_core)
+               : SimTime::zero();
+        if (jitter) {
+          for (std::uint64_t c = 0; c < cores_per_hit; ++c) {
+            const double t_us =
+                quantum_us + shared_us * rng.lognormal(0.0, jitter_sigma);
+            acc.cdf.add(t_us);
+            overhead_sum_us += t_us - quantum_us;
+            stolen_us += t_us - quantum_us;
+            slot_hits += 1;
+            worst_us = std::max(worst_us, t_us - quantum_us);
+            acc.timeline_record(slot, node, t_event, t_us - quantum_us, 1);
+            node_max = std::max(node_max, t_us);
+          }
+        } else {
+          const double t_us = quantum_us + shared_us;
+          const double overhead_us =
+              (t_us - quantum_us) * static_cast<double>(cores_per_hit);
+          acc.cdf.add_n(t_us, cores_per_hit);
+          overhead_sum_us += overhead_us;
+          stolen_us += overhead_us;
+          slot_hits += cores_per_hit;
+          worst_us = std::max(worst_us, t_us - quantum_us);
+          acc.timeline_record(slot, node, t_event, t_us - quantum_us,
+                              cores_per_hit);
           node_max = std::max(node_max, t_us);
         }
-      } else {
-        const double t_us = quantum_us + shared_us;
-        acc.cdf.add_n(t_us, cores_per_hit);
-        acc.overhead_sum_us +=
-            (t_us - quantum_us) * static_cast<double>(cores_per_hit);
-        acc.attribute(slot,
-                      (t_us - quantum_us) * static_cast<double>(cores_per_hit),
-                      cores_per_hit);
-        acc.attribute_worst(slot, t_us - quantum_us);
-        acc.timeline_record(slot, node, t_event, t_us - quantum_us,
-                            cores_per_hit);
-        node_max = std::max(node_max, t_us);
+        hit_iterations += cores_per_hit;
       }
-      hit_iterations += cores_per_hit;
     }
+    acc.overhead_sum_us = overhead_sum_us;
+    acc.stolen_us[slot] = stolen_us;
+    acc.worst_us[slot] = worst_us;
+    acc.hit_iterations[slot] = slot_hits;
     if (k > materialize) {
       const std::uint64_t rest = k - materialize;
       double mean_us = s.duration.mean().to_us();
@@ -234,7 +264,9 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
           acc.timeline_record(slot, node, t, mean_us, w);
         }
       }
-      double tail_sample_us = s.duration.sample_max(rest, rng).to_us();
+      double tail_sample_us =
+          s.duration.sample_max(rest, rng, {.log_median = log_median})
+              .to_us();
       // The worst bulk hit's worst core also carries one jitter factor.
       if (jitter) tail_sample_us *= rng.lognormal(0.0, jitter_sigma);
       const double tail_us = quantum_us + tail_sample_us;

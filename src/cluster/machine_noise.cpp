@@ -28,7 +28,8 @@ MachineNoiseSampler::MachineNoiseSampler(
       if (active_nodes == 0.0) continue;
     }
 
-    ActiveSource as{.spec = s};
+    ActiveSource as{.spec = s,
+                    .max_constants = s.duration.max_constants()};
     const auto interval_ns =
         static_cast<double>(s.mean_interval.count_ns());
     switch (s.scope) {
@@ -67,12 +68,19 @@ GlobalDelaySample MachineNoiseSampler::sample_global_delay_attributed(
   GlobalDelaySample out;
   SimTime worst = SimTime::zero();
   const ActiveSource* dominant = nullptr;
-  const auto window_ns = static_cast<double>(window.count_ns());
+  if (window_ != window) {
+    window_ = window;
+    const auto window_ns = static_cast<double>(window.count_ns());
+    for (auto& s : sources_) {
+      s.mean = s.arrivals_per_ns * window_ns;
+      s.poisson_param = RngStream::poisson_param(s.mean);
+    }
+  }
   for (auto& s : sources_) {
-    const std::uint64_t k = rng_.poisson(s.arrivals_per_ns * window_ns);
+    const std::uint64_t k = rng_.poisson(s.mean, s.poisson_param);
     if (k == 0) continue;
     out.hits += k;
-    const SimTime event = s.spec.duration.sample_max(k, rng_);
+    const SimTime event = s.spec.duration.sample_max(k, rng_, s.max_constants);
     if (event > worst) {
       worst = event;
       dominant = &s;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,17 @@ class MachineNoiseSampler {
     noise::NoiseSourceSpec spec;
     // Expected arrivals per nanosecond of window across the machine.
     double arrivals_per_ns = 0.0;
+    noise::DurationDist::MaxConstants max_constants;
+    // The Poisson mean of window_ and its RngStream::poisson_param.
+    double mean = 0.0;
+    double poisson_param = 0.0;
   };
 
   std::vector<ActiveSource> sources_;
   double jitter_worst_fraction_ = 0.0;  // max-of-N jitter floor
+  // The window the sources' Poisson means are for. A BSP run asks for the
+  // same window every iteration after the first.
+  std::optional<SimTime> window_;
   RngStream rng_;
 };
 

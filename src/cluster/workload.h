@@ -43,6 +43,8 @@ struct RankWork {
   // Tuned codes hugepage-align their hot buffers, raising the effective
   // THP coverage above the environment default; <0 keeps the default.
   double large_page_coverage_hint = -1.0;
+
+  bool operator==(const RankWork&) const = default;
 };
 
 // One-time setup before the iteration loop.

@@ -161,22 +161,30 @@ double RngStream::lognormal(double mu, double sigma) {
 }
 
 std::uint64_t RngStream::poisson(double mean) {
+  return poisson(mean, poisson_param(mean));
+}
+
+std::uint64_t RngStream::poisson(double mean, double param) {
   if (mean <= 0.0) return 0;
   if (mean < 64.0) {
-    // Knuth's method.
-    const double limit = std::exp(-mean);
+    // Knuth's method; param is exp(-mean).
     double p = 1.0;
     std::uint64_t k = 0;
     do {
       ++k;
       p *= uniform();
-    } while (p > limit);
+    } while (p > param);
     return k - 1;
   }
   // Normal approximation with continuity correction; adequate for the large
-  // arrival counts used by the cluster-scale noise sampler.
-  const double v = normal(mean, std::sqrt(mean));
+  // arrival counts used by the cluster-scale noise sampler. param is
+  // sqrt(mean).
+  const double v = normal(mean, param);
   return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
+}
+
+double RngStream::poisson_param(double mean) {
+  return mean < 64.0 ? std::exp(-mean) : std::sqrt(mean);
 }
 
 SimTime RngStream::exponential_time(SimTime mean) {

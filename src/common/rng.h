@@ -58,6 +58,13 @@ class RngStream {
   // Poisson with the given mean; exact (Knuth) for small means, normal
   // approximation above 64 to stay O(1).
   std::uint64_t poisson(double mean);
+  // The same draw with its per-mean constant precomputed: a loop that draws
+  // many counts of one mean takes poisson_param(mean) once and passes it to
+  // every draw. Same result and same RNG calls as poisson(mean).
+  std::uint64_t poisson(double mean, double param);
+  // exp(-mean) below a mean of 64 (Knuth's limit), sqrt(mean) from 64 on
+  // (the normal branch's stddev).
+  static double poisson_param(double mean);
 
   // Duration helpers used throughout the noise models.
   SimTime exponential_time(SimTime mean);

@@ -73,6 +73,11 @@ SimTime DurationDist::quantile(double q) const {
 }
 
 SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng) const {
+  return sample_max(k, rng, MaxConstants{.log_median = log_median()});
+}
+
+SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng,
+                                 const MaxConstants& c) const {
   HPCOS_CHECK(sigma >= 0.0);
   if (k == 0) return SimTime::zero();
   if (k <= 64) {
@@ -85,14 +90,73 @@ SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng) const {
     if (sigma == 0.0) {
       return std::max(SimTime::zero(), std::clamp(median, min, max));
     }
-    const double v = std::exp(rng.max_normal(k, log_median(), sigma));
+    const double v = std::exp(rng.max_normal(k, c.log_median, sigma));
     const auto t = SimTime::ns(static_cast<std::int64_t>(v));
     return std::max(SimTime::zero(), std::clamp(t, min, max));
   }
-  // max of k iid draws: F_max^{-1}(u) = F^{-1}(u^{1/k}).
-  const double u = std::clamp(rng.uniform(), 1e-12, 1.0 - 1e-12);
-  const double q = std::exp(std::log(u) / static_cast<double>(k));
-  return quantile(q);
+  // max of k iid draws: F_max^{-1}(u) = F^{-1}(u^{1/k}). A constant's
+  // quantile never reads u, but the uniform is still consumed.
+  const double u = rng.uniform();
+  if (sigma == 0.0) return std::clamp(median, min, max);
+  return max_quantile(u, k, c.clamp_log_q);
+}
+
+SimTime DurationDist::max_quantile(double u, std::uint64_t k,
+                                   double clamp_log_q) const {
+  const double l =
+      std::log(std::clamp(u, 1e-12, 1.0 - 1e-12)) / static_cast<double>(k);
+  if (l >= clamp_log_q) return max;
+  return quantile(std::exp(l));
+}
+
+DurationDist::MaxConstants DurationDist::max_constants() const {
+  // The smallest l = log(u) / k whose draw provably returns `max`. The
+  // quantile computes q = exp(l), clamps it to [1e-12, 1 - 1e-12], takes
+  // z = inverse_normal_cdf(q) and v = median * exp(sigma * z), and returns
+  // max exactly when v >= max (max is a whole number of ns, so truncating
+  // v keeps it there). The threshold is built backwards from that, with
+  // margins, and nowhere assumes that the floating-point Acklam is
+  // monotone (next to its branch points it is not, by up to 7.5e-13 in z):
+  //  1. v >= max once sigma * z >= ell + 1e-9 (1 + |ell|), with ell =
+  //     log(max / median). The margin is six orders of magnitude above the
+  //     rounding of log, exp, the division and the products (glibc's exp
+  //     and log are within one ULP), as in RngStream::max_normal.
+  //  2. inverse_normal_cdf is within 1.15e-9 of the exact Phi^-1, relative,
+  //     on both branches (Acklam's bound; DurationDist.AcklamWithinItsBound
+  //     checks it). So step 1 holds for every q whose exact Phi^-1(q) is at
+  //     least z_thr, step 1's z over 1 -/+ 1.15e-9.
+  //  3. That holds for every q >= Phi(z_thr). The clamp at 1 - 1e-12 caps
+  //     Phi^-1 at 7.03, so a z_thr above 7 proves nothing; below -7.1 every
+  //     q clears it, since the clamp at 1e-12 only raises q.
+  //  4. l_thr = log(Phi(z_thr)), through erfc (log1p of the upper tail for
+  //     z_thr >= 0), plus 16 ULPs of 1.0 scaled by 1 + |l_thr|. Near l = 0,
+  //     q = exp(l) moves in steps of 1.1e-16, so a relative margin alone
+  //     would be too small once |l| is below ~1e-7 (k ~ 1e6); the margin
+  //     covers erfc's few-ULP error, log's and exp's rounding, and the
+  //     rounding of erfc's argument.
+  MaxConstants c{.log_median = log_median()};
+  const std::int64_t max_ns = max.count_ns();
+  if (!(sigma > 0.0) || min > max || max_ns <= 0 ||
+      max_ns > (std::int64_t{1} << 53)) {
+    return c;
+  }
+  const double ell = std::log(static_cast<double>(max_ns) /
+                              static_cast<double>(median.count_ns()));
+  const double z_min = (ell + 1e-9 * (1.0 + std::abs(ell))) / sigma;
+  constexpr double kAcklamError = 1.15e-9;
+  const double z_thr =
+      z_min / (z_min >= 0.0 ? 1.0 - kAcklamError : 1.0 + kAcklamError);
+  if (!(z_thr <= 7.0)) return c;
+  if (z_thr < -7.1) {
+    c.clamp_log_q = -std::numeric_limits<double>::infinity();
+    return c;
+  }
+  const double l =
+      z_thr >= 0.0 ? std::log1p(-0.5 * std::erfc(z_thr * M_SQRT1_2))
+                   : std::log(0.5 * std::erfc(-z_thr * M_SQRT1_2));
+  c.clamp_log_q =
+      l + 16.0 * std::numeric_limits<double>::epsilon() * (1.0 + std::abs(l));
+  return c;
 }
 
 sim::TraceCategory trace_category(SourceKind k) {

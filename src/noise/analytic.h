@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,28 @@ struct DurationDist {
   // next k draws (RngStream::max_normal, one exp), inverse-CDF of U^(1/k)
   // otherwise. This is what makes machine-scale "worst thread in the
   // barrier window" sampling O(1) instead of O(threads). sigma must not be
-  // negative.
+  // negative. A constant (sigma == 0) draws nothing up to k = 64 and one
+  // uniform above.
   SimTime sample_max(std::uint64_t k, RngStream& rng) const;
+
+  // sample_max's per-distribution constants. A loop that draws many maxima
+  // of one distribution takes max_constants() once (a log, an erfc and a
+  // log1p) and passes them to every draw.
+  struct MaxConstants {
+    double log_median = 0.0;
+    // A k > 64 draw whose log(u) / k reaches this returns `max` without
+    // the quantile's exp, inverse_normal_cdf and second exp (DESIGN §6
+    // "Exact fast paths"); +infinity sends every draw through the quantile.
+    double clamp_log_q = std::numeric_limits<double>::infinity();
+  };
+  MaxConstants max_constants() const;
+  // The same draw with its constants precomputed: same result and same RNG
+  // calls as sample_max(k, rng), which passes no clamp threshold.
+  SimTime sample_max(std::uint64_t k, RngStream& rng,
+                     const MaxConstants& c) const;
+  // The k > 64 draw at uniform u: quantile(exp(log(u) / k)), u clamped to
+  // [1e-12, 1 - 1e-12], or `max` once log(u) / k reaches clamp_log_q.
+  SimTime max_quantile(double u, std::uint64_t k, double clamp_log_q) const;
 };
 
 // Inverse standard-normal CDF (Acklam's rational approximation, ~1e-9

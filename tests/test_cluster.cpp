@@ -5,6 +5,7 @@
 #include <bit>
 #include <string_view>
 
+#include "apps/registry.h"
 #include "cluster/bsp.h"
 #include "cluster/fwq_campaign.h"
 #include "common/check.h"
@@ -211,6 +212,13 @@ TEST(MachineNoise, StragglersGateOnPopulation) {
 
 // ---- BspEngine ----
 
+// FNV-1a over the little-endian bytes of `word`, chained from `state`.
+std::uint64_t fold(std::uint64_t state, std::uint64_t word) {
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(word >> (8 * i));
+  return fnv1a64(std::string_view(bytes, 8), state);
+}
+
 class CalibrationWorkload final : public Workload {
  public:
   std::string name() const override { return "calibration"; }
@@ -305,6 +313,65 @@ TEST(BspEngine, RelativePerformanceMatchesPairedRuns) {
   // Pure compute and tiny working set: the environments are near-equal.
   EXPECT_NEAR(rel.mean_ratio, 1.0, 0.02);
   EXPECT_GE(rel.stddev_ratio, 0.0);
+}
+
+TEST(BspEngine, OutputsMatchRecordedBits) {
+  // Exact outputs of Figs. 5-7 plan points, recorded before the engine
+  // precomputed its per-RankWork terms, per-window Poisson constants and
+  // the clamp threshold of its max-of-k draws. The digest is FNV-1a over
+  // every iteration time and the bits of the total.
+  struct Golden {
+    const char* name;
+    cluster::OsEnvironment env;
+    const char* app;
+    apps::PlatformKind platform;
+    std::int64_t nodes;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      // Heap churn, the sigma = 0 residual tick and sources that clamp.
+      {"lulesh_ofp_linux_8192", make_ofp_linux_env(), "Lulesh",
+       apps::PlatformKind::kOfp, 8192, 0x18480a7c0dc4fbf9ull},
+      {"lulesh_ofp_mckernel_8192", make_ofp_mckernel_env(), "Lulesh",
+       apps::PlatformKind::kOfp, 8192, 0x613f7c27475eb515ull},
+      // Straggler sources gated on the node population.
+      {"gamera_fugaku_linux_8192", make_fugaku_linux_env(), "GAMERA",
+       apps::PlatformKind::kFugaku, 8192, 0x534782407acbb53dull},
+      // 64 ranks: the churn and imbalance maxima take k <= 64 draws, and
+      // so do the rarer noise sources.
+      {"geofem_fugaku_linux_16", make_fugaku_linux_env(), "GeoFEM",
+       apps::PlatformKind::kFugaku, 16, 0xbd1f8fbafff8aac4ull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    const auto w = apps::make_workload(g.app, g.platform);
+    const auto r = BspEngine(g.env, apps::job_geometry(g.app, g.platform,
+                                                       g.nodes),
+                             Seed{77})
+                       .run(*w);
+    std::uint64_t digest = kFnv1a64Offset;
+    for (const SimTime t : r.iteration_times) {
+      digest = fold(digest, static_cast<std::uint64_t>(t.count_ns()));
+    }
+    digest = fold(digest, static_cast<std::uint64_t>(r.total.count_ns()));
+    EXPECT_EQ(digest, g.digest) << std::hex << "0x" << digest;
+  }
+  const auto lulesh = apps::make_workload("Lulesh", apps::PlatformKind::kOfp);
+  const JobConfig job =
+      apps::job_geometry("Lulesh", apps::PlatformKind::kOfp, 1024);
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const auto rel = relative_performance(
+        *lulesh, make_ofp_linux_env(), make_ofp_mckernel_env(), job,
+        /*trials=*/8, Seed{78}, threads);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rel.mean_ratio),
+              0x3ff98714e17db777ull)
+        << std::hex << "0x" << std::bit_cast<std::uint64_t>(rel.mean_ratio);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rel.stddev_ratio),
+              0x3f886090b023411dull)
+        << std::hex << "0x"
+        << std::bit_cast<std::uint64_t>(rel.stddev_ratio);
+  }
 }
 
 // ---- SimNode ----
@@ -420,11 +487,24 @@ TEST(FwqCampaign, AllCoresScopeDelaysEveryCorePerArrival) {
   EXPECT_EQ(r.stats.max_noise_length, 65_us);
 }
 
-// FNV-1a over the little-endian bytes of `word`, chained from `state`.
-std::uint64_t fold(std::uint64_t state, std::uint64_t word) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(word >> (8 * i));
-  return fnv1a64(std::string_view(bytes, 8), state);
+// Constant-duration sources only: a per-core tick and a per-node daemon
+// whose hits are longer than the tick's.
+noise::AnalyticNoiseProfile constant_profile() {
+  noise::AnalyticNoiseProfile p;
+  p.sources.push_back(noise::NoiseSourceSpec{
+      .name = "tick",
+      .kind = noise::SourceKind::kResidualTick,
+      .scope = noise::SourceScope::kPerCore,
+      .mean_interval = 1_s,
+      .duration = noise::DurationDist{.median = SimTime::ns(700),
+                                      .max = SimTime::ns(700)}});
+  p.sources.push_back(noise::NoiseSourceSpec{
+      .name = "daemon",
+      .kind = noise::SourceKind::kDaemon,
+      .scope = noise::SourceScope::kPerNodeRandomCore,
+      .mean_interval = 2_s,
+      .duration = noise::DurationDist{.median = 40_us, .max = 40_us}});
+  return p;
 }
 
 TEST(FwqCampaign, OutputsMatchRecordedBits) {
@@ -432,7 +512,11 @@ TEST(FwqCampaign, OutputsMatchRecordedBits) {
   // binning and a log(median) per draw. Table binning and the hoisted
   // log(median) must reproduce every bit, at any thread count. The
   // digests are FNV-1a over every CDF bin count, the worst-node list and
-  // each per-source stolen_us, as 64-bit words.
+  // each per-source stolen_us, hit_iterations and worst_us, as 64-bit
+  // words; the per-source hit and worst digests and the timeline golden
+  // were recorded before a constant-duration source's hits were added to
+  // the CDF in one update. The timeline digest covers every per-source
+  // series bucket, sketch bin and heatmap cell.
   struct Golden {
     const char* name;
     noise::AnalyticNoiseProfile profile;
@@ -440,26 +524,45 @@ TEST(FwqCampaign, OutputsMatchRecordedBits) {
     int app_cores;
     std::uint64_t max_materialized_hits;
     double all_cores_jitter_sigma;
+    bool timeline;
     std::uint64_t noise_rate_bits;
     std::int64_t t_max_ns;
     std::uint64_t total_iterations;
     std::uint64_t cdf_digest;
     std::uint64_t worst_digest;
     std::uint64_t stolen_digest;
+    std::uint64_t hits_digest;
+    std::uint64_t worst_us_digest;
+    std::uint64_t timeline_digest;
   };
   const Golden goldens[] = {
-      {"ofp_linux", noise::ofp_linux_profile(), 64, 256, 4096, 0.0,
+      {"ofp_linux", noise::ofp_linux_profile(), 64, 256, 4096, 0.0, false,
        0x3f2b9bcd37cea02cull, 24000000, 756170752, 0x3cec88028a8a6c8bull,
-       0x66fd46e177bddad9ull, 0x132e4bf9e79a945dull},
+       0x66fd46e177bddad9ull, 0x132e4bf9e79a945dull, 0x9ffd84db3ba5040aull,
+       0x98c75a5d735e942aull, 0},
       {"fugaku_linux", noise::fugaku_linux_profile(), 512, 48, 256, 0.0,
-       0x3ed43521c3ec7985ull, 7142696, 1134256128, 0x1381ab48332acfa5ull,
-       0xa1eae03fb1f10b0dull, 0xc1593469e27021d5ull},
+       false, 0x3ed43521c3ec7985ull, 7142696, 1134256128,
+       0x1381ab48332acfa5ull, 0xa1eae03fb1f10b0dull, 0xc1593469e27021d5ull,
+       0xa1c696b9043d9669ull, 0xc94366ea6a483ec7ull, 0},
       // The jitter only touches kAllCores sources, which Fugaku Linux has
       // and OFP Linux does not.
       {"fugaku_linux_jitter", noise::fugaku_linux_profile(), 512, 48, 256,
-       0.3, 0x3ed45cb66d682e2eull, 7130107, 1134256128,
-       0x7212d5fa85648ebeull, 0xf57d74d0b18dd432ull,
-       0xce656efcca4daac1ull},
+       0.3, false, 0x3ed45cb66d682e2eull, 7130107, 1134256128,
+       0x7212d5fa85648ebeull, 0xf57d74d0b18dd432ull, 0xce656efcca4daac1ull,
+       0xc4ca85258e2907beull, 0xd7fdc03794ec9a3full, 0},
+      // Only constant sources, and a cap above every hit count: every
+      // per-source worst and node maximum comes from materialized
+      // constant hits, none from the bulk's max-of-k draw.
+      {"constants_uncapped", constant_profile(), 64, 48, 1'000'000, 0.0,
+       false, 0x3eb2d381d9eae684ull, 6540000, 141782016,
+       0x621187773de153adull, 0xd67c7012b7c07725ull, 0x6985b18131e91a41ull,
+       0xa7707ef7f0cbf404ull, 0x4254f985b9fc5cbeull, 0},
+      // The timeline draws a timestamp per materialized hit and spreads
+      // the bulk beyond the cap, the residual tick's included.
+      {"fugaku_linux_timeline", noise::fugaku_linux_profile(), 128, 48, 256,
+       0.0, true, 0x3ed46306877d8102ull, 7062044, 283564032,
+       0xc231021e9b561c20ull, 0x100d7e5ba792c052ull, 0xf5641923c4400427ull,
+       0x670664cdc4c08879ull, 0x8f16e31e5ae5192cull, 0x06aeacb98c934a9cull},
   };
   for (const Golden& g : goldens) {
     for (const std::size_t threads : {1, 4}) {
@@ -470,6 +573,7 @@ TEST(FwqCampaign, OutputsMatchRecordedBits) {
       cfg.duration_per_core = 300_s;
       cfg.max_materialized_hits = g.max_materialized_hits;
       cfg.all_cores_jitter_sigma = g.all_cores_jitter_sigma;
+      cfg.timeline = g.timeline;
       cfg.threads = threads;
       const auto r = run_fwq_campaign(g.profile, cfg);
       std::uint64_t cdf = kFnv1a64Offset;
@@ -481,16 +585,52 @@ TEST(FwqCampaign, OutputsMatchRecordedBits) {
         worst = fold(worst, std::bit_cast<std::uint64_t>(w));
       }
       std::uint64_t stolen = kFnv1a64Offset;
+      std::uint64_t hits = kFnv1a64Offset;
+      std::uint64_t worst_us = kFnv1a64Offset;
       for (const auto& s : r.per_source) {
         stolen = fold(stolen, std::bit_cast<std::uint64_t>(s.stolen_us));
+        hits = fold(hits, s.hit_iterations);
+        worst_us = fold(worst_us, std::bit_cast<std::uint64_t>(s.worst_us));
       }
+      std::uint64_t timeline = kFnv1a64Offset;
+      if (g.timeline) {
+        for (const auto& series : r.timeline.per_source) {
+          for (std::size_t i = 0; i < series.bucket_count(); ++i) {
+            const auto& b = series.bucket(i);
+            timeline = fold(timeline, std::bit_cast<std::uint64_t>(b.min));
+            timeline = fold(timeline, std::bit_cast<std::uint64_t>(b.max));
+            timeline = fold(timeline, std::bit_cast<std::uint64_t>(b.sum));
+            timeline = fold(timeline, b.count);
+          }
+        }
+        for (const auto& sketch : r.timeline.sketches) {
+          for (std::size_t i = 0; i < sketch.num_bins(); ++i) {
+            timeline = fold(timeline, sketch.bin_count(i));
+          }
+        }
+        const auto& grid = r.timeline.heatmap;
+        for (std::size_t row = 0; row < grid.rows(); ++row) {
+          for (std::size_t col = 0; col < grid.cols(); ++col) {
+            timeline = fold(
+                timeline, std::bit_cast<std::uint64_t>(grid.cell(row, col)));
+          }
+        }
+      }
+      const auto hex = [](std::uint64_t v) {
+        return ::testing::Message() << std::hex << "0x" << v;
+      };
       EXPECT_EQ(std::bit_cast<std::uint64_t>(r.stats.noise_rate),
-                g.noise_rate_bits);
+                g.noise_rate_bits)
+          << hex(std::bit_cast<std::uint64_t>(r.stats.noise_rate));
       EXPECT_EQ(r.stats.t_max.count_ns(), g.t_max_ns);
       EXPECT_EQ(r.total_iterations, g.total_iterations);
-      EXPECT_EQ(cdf, g.cdf_digest);
-      EXPECT_EQ(worst, g.worst_digest);
-      EXPECT_EQ(stolen, g.stolen_digest);
+      EXPECT_EQ(cdf, g.cdf_digest) << hex(cdf);
+      EXPECT_EQ(worst, g.worst_digest) << hex(worst);
+      EXPECT_EQ(stolen, g.stolen_digest) << hex(stolen);
+      EXPECT_EQ(hits, g.hits_digest) << hex(hits);
+      EXPECT_EQ(worst_us, g.worst_us_digest) << hex(worst_us);
+      EXPECT_EQ(timeline, g.timeline ? g.timeline_digest : kFnv1a64Offset)
+          << hex(timeline);
     }
   }
 }

@@ -182,6 +182,53 @@ TEST(Rng, PoissonZeroMean) {
   EXPECT_EQ(r.poisson(-1.0), 0u);
 }
 
+// poisson(mean) as it was written before its per-mean constant could be
+// precomputed: exp(-mean) or sqrt(mean) taken on every draw.
+std::uint64_t reference_poisson(RngStream& rng, double mean) {
+  if (mean <= 0.0) return 0;
+  if (mean < 64.0) {
+    const double limit = std::exp(-mean);
+    double p = 1.0;
+    std::uint64_t k = 0;
+    do {
+      ++k;
+      p *= rng.uniform();
+    } while (p > limit);
+    return k - 1;
+  }
+  const double v = rng.normal(mean, std::sqrt(mean));
+  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
+}
+
+TEST(Rng, PrecomputedPoissonMatchesPerDrawConstant) {
+  // Both branches and their boundary, each entered with and without a
+  // cached Box-Muller half.
+  std::uint64_t stream = 0;
+  for (const double mean : {0.0, 1e-3, 5.0, 63.999, 64.0, 1e3, 1e6}) {
+    const double param = RngStream::poisson_param(mean);
+    for (const bool cached : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "mean=" << mean
+                                        << " cached=" << cached);
+      RngStream a(Seed{23}, ++stream);
+      RngStream b(Seed{23}, stream);
+      RngStream c(Seed{23}, stream);
+      if (cached) {
+        const double n = a.normal(0.0, 1.0);
+        ASSERT_EQ(b.normal(0.0, 1.0), n);
+        ASSERT_EQ(c.normal(0.0, 1.0), n);
+      }
+      for (int rep = 0; rep < 201; ++rep) {
+        const std::uint64_t want = reference_poisson(b, mean);
+        ASSERT_EQ(a.poisson(mean, param), want);
+        ASSERT_EQ(c.poisson(mean), want);
+      }
+      RngStream b2 = b;
+      expect_same_position(a, b);
+      expect_same_position(c, b2);
+    }
+  }
+}
+
 TEST(Rng, PoissonNormalBranchWithinKsBound) {
   // From a mean of 64 up, poisson() draws a normal rounded to the nearest
   // integer, whose CDF at k is Phi((k + 0.5 - mean) / sqrt(mean)). Its

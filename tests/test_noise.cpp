@@ -6,10 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string_view>
 
+#include "apps/registry.h"
 #include "cluster/fwq_campaign.h"
 #include "cluster/machine_noise.h"
+#include "cluster/osenv.h"
 #include "common/check.h"
 #include "common/confighash.h"
 #include "kernel_test_util.h"
@@ -192,14 +195,174 @@ TEST(DurationDist, SampleMaxMatchesReferenceAcrossClampShapes) {
       }
     }
   }
-  // A constant draws nothing up to k = 64; a negative sigma is rejected.
+  // A constant draws nothing up to k = 64 and exactly one uniform above,
+  // with or without precomputed constants; a negative sigma is rejected.
   const DurationDist constant{.median = 80_us, .max = 50_us};
+  for (const std::uint64_t k : {1, 64, 65, 1000, 1'000'000'000}) {
+    SCOPED_TRACE(::testing::Message() << "constant k=" << k);
+    RngStream a(Seed{9}, 0);
+    RngStream b(Seed{9}, 0);
+    RngStream c(Seed{9}, 0);
+    EXPECT_EQ(constant.sample_max(k, a), 50_us);
+    EXPECT_EQ(constant.sample_max(k, c, constant.max_constants()), 50_us);
+    if (k > 64) (void)b.uniform();
+    RngStream b2 = b;
+    expect_same_position(a, b);
+    expect_same_position(c, b2);
+  }
   RngStream a(Seed{9}, 0);
-  RngStream b(Seed{9}, 0);
-  EXPECT_EQ(constant.sample_max(64, a), 50_us);
-  expect_same_position(a, b);
   const DurationDist negative{.median = 80_us, .sigma = -0.5};
   EXPECT_THROW(negative.sample_max(3, a), SimError);
+}
+
+// Every duration distribution the Figs. 5-7 engine draws maxima from: each
+// source of the four shipped profiles, and the churn-tail and imbalance
+// shapes BspEngine builds for each application on each environment.
+std::vector<std::pair<std::string, DurationDist>> engine_distributions() {
+  std::vector<std::pair<std::string, DurationDist>> out;
+  for (const auto& profile :
+       {ofp_linux_profile(), ofp_mckernel_profile(), fugaku_linux_profile(),
+        fugaku_mckernel_profile()}) {
+    for (const auto& s : profile.sources) {
+      out.emplace_back(profile.name + "/" + s.name, s.duration);
+    }
+  }
+  const struct {
+    cluster::OsEnvironment env;
+    apps::PlatformKind platform;
+  } envs[] = {{cluster::make_ofp_linux_env(), apps::PlatformKind::kOfp},
+              {cluster::make_ofp_mckernel_env(), apps::PlatformKind::kOfp},
+              {cluster::make_fugaku_linux_env(), apps::PlatformKind::kFugaku},
+              {cluster::make_fugaku_mckernel_env(),
+               apps::PlatformKind::kFugaku}};
+  for (const auto& [env, platform] : envs) {
+    for (const char* app :
+         {"AMG2013", "Milc", "Lulesh", "LQCD", "GeoFEM", "GAMERA"}) {
+      const auto job = apps::job_geometry(app, platform, 1024);
+      const cluster::RankWork w =
+          apps::make_workload(app, platform)->rank_work(1, job, env);
+      const std::string name = env.name + "/" + app;
+      if (w.alloc_churn_bytes > 0) {
+        const SimTime med = env.churn_median(w.alloc_churn_bytes);
+        out.emplace_back(name + "/churn",
+                         DurationDist{.median = med,
+                                      .sigma = env.mem.churn_sigma,
+                                      .min = SimTime::zero(),
+                                      .max = med.scaled(
+                                          env.mem.churn_max_factor)});
+      }
+      if (w.imbalance_sigma > 0.0) {
+        out.emplace_back(name + "/imbalance",
+                         DurationDist{.median = w.compute,
+                                      .sigma = w.imbalance_sigma,
+                                      .min = SimTime::zero(),
+                                      .max = w.compute.scaled(10.0)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(DurationDist, ClampShortcutMatchesFullPath) {
+  // A k > 64 draw whose log(u) / k reaches the precomputed threshold
+  // returns max without the quantile. At the threshold, 1, 2 and 1,000
+  // ULPs of u to either side of it, and at both ends of u's clamp, it must
+  // equal the full expression computed inline; seeded draws must equal it
+  // and leave the stream where it leaves it.
+  int shortcuts = 0;
+  std::uint64_t stream = 0;
+  for (const auto& [name, d] : engine_distributions()) {
+    const DurationDist::MaxConstants c = d.max_constants();
+    EXPECT_EQ(c.log_median, d.log_median()) << name;
+    if (c.clamp_log_q < std::numeric_limits<double>::infinity()) ++shortcuts;
+    for (const std::uint64_t k : {65ull, 1'000ull, 1'000'000ull,
+                                  1'000'000'000ull}) {
+      SCOPED_TRACE(::testing::Message() << name << " k=" << k);
+      const auto kd = static_cast<double>(k);
+      const auto full = [&](double u) {
+        return d.quantile(
+            std::exp(std::log(std::clamp(u, 1e-12, 1.0 - 1e-12)) / kd));
+      };
+      std::vector<double> us = {1e-12, 1.0 - 1e-12};
+      const double at = std::exp(c.clamp_log_q * kd);
+      if (at > 0.0 && at < 1.0) {
+        for (const double toward : {0.0, 1.0}) {
+          double u = at;
+          for (int step = 1; step <= 1000; ++step) {
+            u = std::nextafter(u, toward);
+            if (step == 1 || step == 2 || step == 1000) us.push_back(u);
+          }
+        }
+        us.push_back(at);
+      }
+      for (const double u : us) {
+        ASSERT_EQ(d.max_quantile(u, k, c.clamp_log_q), full(u))
+            << "u=" << u;
+      }
+      RngStream a(Seed{10}, ++stream);
+      RngStream b(Seed{10}, stream);
+      for (int rep = 0; rep < 50; ++rep) {
+        ASSERT_EQ(d.sample_max(k, a, c), reference_sample_max(d, k, b));
+      }
+      expect_same_position(a, b);
+    }
+  }
+  // Every profile source with sigma > 0 (15) and OFP Linux's two churn
+  // tails get a threshold. The other churn tails and every imbalance shape
+  // clamp beyond 7 sigma, where the clamp of q caps z first, and get none.
+  EXPECT_EQ(shortcuts, 17);
+}
+
+// Phi^-1(p) by Newton's method on erfc in long double, from Acklam's value.
+long double reference_inverse_normal_cdf(double p) {
+  const long double sqrt1_2 = 0.70710678118654752440L;
+  const long double inv_sqrt2pi = 0.39894228040143267794L;
+  long double z = inverse_normal_cdf(p);
+  for (int i = 0; i < 4; ++i) {
+    // The upper tail for p > 1/2: 1 - p is exact there.
+    const long double f =
+        p < 0.5 ? 0.5L * std::erfc(-z * sqrt1_2) - p
+                : (1.0L - p) - 0.5L * std::erfc(z * sqrt1_2);
+    z -= f / (inv_sqrt2pi * std::exp(-0.5L * z * z));
+  }
+  return z;
+}
+
+TEST(DurationDist, AcklamWithinItsBound) {
+  // The clamp threshold (DurationDist::max_constants) rests on Acklam's
+  // bound: inverse_normal_cdf is within 1.15e-9 of Phi^-1, relative, on
+  // both branches. Checked on log-spaced tails, the central range, and
+  // 1,000 consecutive doubles on each side of both branch points.
+  std::vector<double> ps;
+  for (int i = 0; i <= 20'000; ++i) {
+    const double tail = std::exp(std::log(1e-12) +
+                                 (std::log(0.02425) - std::log(1e-12)) * i /
+                                     20'000.0);
+    ps.push_back(tail);
+    ps.push_back(1.0 - tail);
+  }
+  for (int i = 1; i < 20'000; ++i) {
+    ps.push_back(0.02425 + (0.97575 - 0.02425) * i / 20'000.0);
+  }
+  for (const double branch : {0.02425, 1.0 - 0.02425}) {
+    double down = branch;
+    double up = branch;
+    for (int i = 0; i < 1000; ++i) {
+      ps.push_back(down = std::nextafter(down, 0.0));
+      ps.push_back(up = std::nextafter(up, 1.0));
+    }
+  }
+  double worst = 0.0;
+  for (const double p : ps) {
+    if (p == 0.5) continue;
+    const long double ref = reference_inverse_normal_cdf(p);
+    const auto rel = static_cast<double>(
+        std::abs((inverse_normal_cdf(p) - ref) / ref));
+    ASSERT_LE(rel, 1.15e-9) << "p=" << p;
+    worst = std::max(worst, rel);
+  }
+  // The grid reaches the bound's neighbourhood, so it tests the bound.
+  EXPECT_GT(worst, 1.0e-9);
 }
 
 TEST(DurationDist, DrawsMatchRecordedBits) {
