@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <set>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -109,11 +111,48 @@ struct ShardAccumulator {
   }
 };
 
+// What a source's hits need that depends only on the campaign, taken once
+// per (campaign, source) rather than once per (node, source).
+struct SourceConstants {
+  // Occurrence process at node scope (mean_interval is per core for
+  // kPerCore, per node otherwise):
+  //   kPerCore            app_cores independent processes, one core hit
+  //   kPerNodeRandomCore  one process, one core hit
+  //   kAllCores           one process; every core's iteration is
+  //                       lengthened by the SAME occurrence, so each
+  //                       arrival yields app_cores identical samples
+  //                       rather than app_cores independent arrivals
+  std::uint64_t cores_per_hit = 1;
+  double hits_mean = 0.0;      // Poisson mean of a node's hit count
+  double poisson_param = 0.0;  // RngStream::poisson_param(hits_mean)
+  noise::DurationDist::MaxConstants max;  // log(median) and the clamp
+
+  SourceConstants(const noise::NoiseSourceSpec& s,
+                  const FwqCampaignConfig& config)
+      : max(s.duration.max_constants()) {
+    const double interval_ns =
+        static_cast<double>(s.mean_interval.count_ns());
+    double processes = 1.0;
+    switch (s.scope) {
+      case noise::SourceScope::kPerCore:
+        processes = static_cast<double>(config.app_cores);
+        break;
+      case noise::SourceScope::kPerNodeRandomCore:
+        break;
+      case noise::SourceScope::kAllCores:
+        cores_per_hit = static_cast<std::uint64_t>(config.app_cores);
+        break;
+    }
+    hits_mean = static_cast<double>(config.duration_per_core.count_ns()) /
+                interval_ns * processes;
+    poisson_param = RngStream::poisson_param(hits_mean);
+  }
+};
+
 void simulate_node(const noise::AnalyticNoiseProfile& profile,
                    const FwqCampaignConfig& config,
                    std::uint64_t iters_per_node,
-                   const std::unordered_map<std::string, std::size_t>&
-                       source_slot,
+                   const std::vector<SourceConstants>& constants,
                    std::int64_t node, RngStream node_rng,
                    ShardAccumulator& acc) {
   const double quantum_us = config.work_quantum.to_us();
@@ -131,35 +170,13 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
   double node_max = quantum_us;
   std::uint64_t hit_iterations = 0;
 
-  // Materialize each noise hit as one (or part of one) iteration.
-  for (const auto& s : sampler.active_sources()) {
-    const std::size_t slot = source_slot.at(s.name);
-    const double interval_ns =
-        static_cast<double>(s.mean_interval.count_ns());
-    // Occurrence process at node scope (mean_interval is per core for
-    // kPerCore, per node otherwise):
-    //   kPerCore            app_cores independent processes, one core hit
-    //   kPerNodeRandomCore  one process, one core hit
-    //   kAllCores           one process; every core's iteration is
-    //                       lengthened by the SAME occurrence, so each
-    //                       arrival yields app_cores identical samples
-    //                       rather than app_cores independent arrivals
-    double processes = 1.0;
-    std::uint64_t cores_per_hit = 1;
-    switch (s.scope) {
-      case noise::SourceScope::kPerCore:
-        processes = static_cast<double>(config.app_cores);
-        break;
-      case noise::SourceScope::kPerNodeRandomCore:
-        break;
-      case noise::SourceScope::kAllCores:
-        cores_per_hit = static_cast<std::uint64_t>(config.app_cores);
-        break;
-    }
-    const double hits_mean =
-        static_cast<double>(config.duration_per_core.count_ns()) /
-        interval_ns * processes;
-    const std::uint64_t k = rng.poisson(hits_mean);
+  // Materialize each noise hit as one (or part of one) iteration. A
+  // source's ledger slot is its profile index.
+  for (const std::size_t slot : sampler.active_sources()) {
+    const noise::NoiseSourceSpec& s = profile.sources[slot];
+    const SourceConstants& sc = constants[slot];
+    const std::uint64_t cores_per_hit = sc.cores_per_hit;
+    const std::uint64_t k = rng.poisson(sc.hits_mean, sc.poisson_param);
     // Optional per-core jitter within a node-wide event: each core's share
     // of the shared duration sample gets an independent lognormal
     // (median 1) multiplier instead of stalling identically.
@@ -171,7 +188,7 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
     // max draw (tail preserved, cost bounded).
     const std::uint64_t materialize =
         std::min<std::uint64_t>(k, config.max_materialized_hits);
-    const double log_median = s.duration.log_median();
+    const double log_median = sc.max.log_median;
     // The per-hit loops keep the running sums in locals. overhead_sum_us
     // and stolen_us are added to once per hit, in hit order, because their
     // rounding reaches the results.
@@ -195,40 +212,61 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
       worst_us = std::max(worst_us, t_us - quantum_us);
       node_max = std::max(node_max, t_us);
       hit_iterations += cores_per_hit * materialize;
-    } else {
+    } else if (jitter) {
+      // Per-core jitter draws its factors between the hits' draws, so it
+      // keeps one draw per hit.
       for (std::uint64_t i = 0; i < materialize; ++i) {
         const double shared_us = s.duration.sample(rng, log_median).to_us();
-        // One event time per hit (shared across cores for kAllCores — the
-        // same occurrence lengthens every core's iteration).
+        // One event time per hit, shared across cores: the same occurrence
+        // lengthens every core's iteration.
         const SimTime t_event =
             tl ? trng.uniform_time(SimTime::zero(), config.duration_per_core)
                : SimTime::zero();
-        if (jitter) {
-          for (std::uint64_t c = 0; c < cores_per_hit; ++c) {
-            const double t_us =
-                quantum_us + shared_us * rng.lognormal(0.0, jitter_sigma);
-            acc.cdf.add(t_us);
-            overhead_sum_us += t_us - quantum_us;
-            stolen_us += t_us - quantum_us;
-            slot_hits += 1;
-            worst_us = std::max(worst_us, t_us - quantum_us);
-            acc.timeline_record(slot, node, t_event, t_us - quantum_us, 1);
-            node_max = std::max(node_max, t_us);
-          }
-        } else {
-          const double t_us = quantum_us + shared_us;
-          const double overhead_us =
-              (t_us - quantum_us) * static_cast<double>(cores_per_hit);
-          acc.cdf.add_n(t_us, cores_per_hit);
-          overhead_sum_us += overhead_us;
-          stolen_us += overhead_us;
-          slot_hits += cores_per_hit;
+        for (std::uint64_t c = 0; c < cores_per_hit; ++c) {
+          const double t_us =
+              quantum_us + shared_us * rng.lognormal(0.0, jitter_sigma);
+          acc.cdf.add(t_us);
+          overhead_sum_us += t_us - quantum_us;
+          stolen_us += t_us - quantum_us;
+          slot_hits += 1;
           worst_us = std::max(worst_us, t_us - quantum_us);
-          acc.timeline_record(slot, node, t_event, t_us - quantum_us,
-                              cores_per_hit);
+          acc.timeline_record(slot, node, t_event, t_us - quantum_us, 1);
           node_max = std::max(node_max, t_us);
         }
         hit_iterations += cores_per_hit;
+      }
+    } else {
+      // The hits in chunks: one batch draw and one histogram call per
+      // chunk, then the sums and the timeline per hit, in hit order.
+      constexpr std::uint64_t kChunk = 256;
+      SimTime draws[kChunk];
+      double t_us[kChunk];
+      for (std::uint64_t done = 0; done < materialize;) {
+        const auto len = static_cast<std::size_t>(
+            std::min(kChunk, materialize - done));
+        s.duration.sample_n(rng, log_median, std::span(draws, len));
+        for (std::size_t j = 0; j < len; ++j) {
+          t_us[j] = quantum_us + draws[j].to_us();
+        }
+        acc.cdf.add_each(std::span<const double>(t_us, len), cores_per_hit);
+        for (std::size_t j = 0; j < len; ++j) {
+          const double overhead_us =
+              (t_us[j] - quantum_us) * static_cast<double>(cores_per_hit);
+          overhead_sum_us += overhead_us;
+          stolen_us += overhead_us;
+          worst_us = std::max(worst_us, t_us[j] - quantum_us);
+          node_max = std::max(node_max, t_us[j]);
+          if (tl) {
+            // One event time per hit, shared across cores for kAllCores.
+            const SimTime t_event =
+                trng.uniform_time(SimTime::zero(), config.duration_per_core);
+            acc.timeline_record(slot, node, t_event, t_us[j] - quantum_us,
+                                cores_per_hit);
+          }
+        }
+        slot_hits += cores_per_hit * len;
+        hit_iterations += cores_per_hit * len;
+        done += len;
       }
     }
     acc.overhead_sum_us = overhead_sum_us;
@@ -264,9 +302,7 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
           acc.timeline_record(slot, node, t, mean_us, w);
         }
       }
-      double tail_sample_us =
-          s.duration.sample_max(rest, rng, {.log_median = log_median})
-              .to_us();
+      double tail_sample_us = s.duration.sample_max(rest, rng, sc.max).to_us();
       // The worst bulk hit's worst core also carries one jitter factor.
       if (jitter) tail_sample_us *= rng.lognormal(0.0, jitter_sigma);
       const double tail_us = quantum_us + tail_sample_us;
@@ -342,13 +378,16 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
   const auto heap_capacity = static_cast<std::size_t>(
       config.worst_heap_capacity > 0 ? config.worst_heap_capacity
                                      : std::max(config.worst_nodes_to_keep, 0));
-  // Ledger slots: one per profile source (profile order, stable whether or
-  // not any node activates the source) plus a trailing jitter-floor slot.
-  std::unordered_map<std::string, std::size_t> source_slot;
-  for (std::size_t i = 0; i < profile.sources.size(); ++i) {
-    HPCOS_CHECK_MSG(
-        source_slot.emplace(profile.sources[i].name, i).second,
-        "duplicate noise source name in profile");
+  // Ledger slots: one per profile source (its profile index, stable whether
+  // or not any node activates the source) plus a trailing jitter-floor
+  // slot. The ledger names them, so names must be unique.
+  std::set<std::string_view> names;
+  std::vector<SourceConstants> constants;
+  constants.reserve(profile.sources.size());
+  for (const noise::NoiseSourceSpec& s : profile.sources) {
+    HPCOS_CHECK_MSG(names.insert(s.name).second,
+                    "duplicate noise source name in profile");
+    constants.emplace_back(s, config);
   }
   const std::size_t attrib_slots = profile.sources.size() + 1;
 
@@ -403,7 +442,7 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
         const std::int64_t end =
             std::min(begin + config.nodes_per_shard, config.nodes);
         for (std::int64_t n = begin; n < end; ++n) {
-          simulate_node(profile, config, iters_per_node, source_slot, n,
+          simulate_node(profile, config, iters_per_node, constants, n,
                         root.split(static_cast<std::uint64_t>(n)), acc);
         }
         units_done->add(1);

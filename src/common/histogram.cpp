@@ -148,6 +148,29 @@ void LogHistogram::add_n(double value, std::uint64_t n) {
   total_ += n;
 }
 
+void LogHistogram::add_each(std::span<const double> values,
+                            std::uint64_t n) {
+  if (values.empty() || n == 0) return;
+  double lo = values[0];
+  double hi = values[0];
+  bool nan = false;
+  for (const double v : values) {
+    nan |= std::isnan(v);
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  if (nan) throw std::invalid_argument("LogHistogram: NaN sample");
+  for (const double v : values) counts_[bin_index(v)] += n;
+  if (total_ == 0) {
+    observed_min_ = lo;
+    observed_max_ = hi;
+  } else {
+    observed_min_ = std::min(observed_min_, lo);
+    observed_max_ = std::max(observed_max_, hi);
+  }
+  total_ += n * values.size();
+}
+
 void LogHistogram::merge(const LogHistogram& other) {
   if (other.counts_.size() != counts_.size() || other.log_min_ != log_min_ ||
       other.log_max_ != log_max_) {

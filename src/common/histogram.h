@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,10 @@ class LogHistogram {
 
   void add(double value) { add_n(value, 1); }
   void add_n(double value, std::uint64_t n);
+  // add_n(v, n) for each v in values, in one call: a NaN anywhere throws
+  // before any update, and the observed min, max and total are updated
+  // once.
+  void add_each(std::span<const double> values, std::uint64_t n);
   void merge(const LogHistogram& other);
 
   std::uint64_t total_count() const { return total_; }

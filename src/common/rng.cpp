@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -43,7 +44,100 @@ double open_uniform(RngStream& rng) {
   return u;
 }
 
+// Adding and subtracting 1.5 * 2^52 rounds a double of magnitude below
+// 2^51 to the nearest integer, which the low bits of the sum then hold.
+constexpr double kRoundShift = 0x1.8p52;
+
+// (pi/2)^n / n! with alternating signs, rounded to the nearest double:
+// sin((pi/2) r) = r * sum kSin[i] r^2i, cos((pi/2) r) = sum kCos[i] r^2i.
+// At |r| <= 1/2 the first omitted terms are below 5e-17 and 3e-18.
+constexpr double kSin[] = {
+    0x1.921fb54442d18p+0,  -0x1.4abbce625be53p-1, 0x1.466bc6775aae2p-4,
+    -0x1.32d2cce62bd86p-8, 0x1.50783487ee782p-13, -0x1.e3074fde8871fp-19,
+    0x1.e8f434d018d63p-25, -0x1.6fadb9f155744p-31};
+constexpr double kCos[] = {
+    0x1.0000000000000p+0,  -0x1.3bd3cc9be45dep+0, 0x1.03c1f081b5ac4p-2,
+    -0x1.55d3c7e3cbffap-6, 0x1.e1f506891babbp-11, -0x1.a6d1f2a204a8cp-16,
+    0x1.f9d38a3763cc3p-22, -0x1.b6e24f44b128fp-28, 0x1.20c62c2f2d7f5p-34};
+// 1 / n! for n = 13 down to 0; at |r| <= 0.35 the first omitted term is
+// below 5e-18.
+constexpr double kExp[] = {
+    0x1.6124613a86d09p-33, 0x1.1eed8eff8d898p-29, 0x1.ae64567f544e4p-26,
+    0x1.27e4fb7789f5cp-22, 0x1.71de3a556c734p-19, 0x1.a01a01a01a01ap-16,
+    0x1.a01a01a01a01ap-13, 0x1.6c16c16c16c17p-10, 0x1.1111111111111p-7,
+    0x1.5555555555555p-5,  0x1.5555555555555p-3,  0x1.0000000000000p-1,
+    0x1.0000000000000p+0,  0x1.0000000000000p+0};
+constexpr double kLog2e = 0x1.71547652b82fep+0;
+// ln 2 split so that k * kLn2Hi is exact for |k| < 2^20 (fdlibm's split).
+constexpr double kLn2Hi = 0x1.62e42feep-1;
+constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+
+// lognormal_ns's domain and margin (DESIGN §6 "Exact fast paths"). On the
+// domain, 0 < sigma <= 3 and |x'| <= 44, the kernels' lognormal v' is
+// within 4.9e-14 of glibc's v, relative. The bound adds up glibc's sin,
+// cos and exp (one ULP each), the angle 2.0 * M_PI * u2 (within 6.9e-16
+// of 2 pi u2), the kernels' own errors (2.5e-16 each, which
+// Rng.SincosKernelWithinItsBound and Rng.ExpKernelWithinItsBound check),
+// sigma * r <= 25.8 (u1 >= 2^-53) and the rounding of |x| < 64. So a v'
+// whose truncation is the same at v'(1 - kMargin) and v'(1 + kMargin)
+// truncates as v does.
+constexpr double kBatchMaxSigma = 3.0;
+constexpr double kBatchMaxAbsX = 44.0;
+constexpr double kMargin = 1e-9;
+
+// The truncation of v', the kernels' exp(x'), when it is certain: x' in
+// the domain, v'(1 + kMargin) below 2^63, and both ends of the margin
+// truncating alike.
+bool certain_ns(double x, double v, SimTime& t) {
+  if (!(std::abs(x) <= kBatchMaxAbsX)) return false;
+  const double hi = v * (1.0 + kMargin);
+  if (!(hi < 0x1p63)) return false;
+  const auto ns = static_cast<std::int64_t>(v * (1.0 - kMargin));
+  t = SimTime::ns(ns);
+  return ns == static_cast<std::int64_t>(hi);
+}
+
 }  // namespace
+
+void sincos_2pi(std::span<const double> u, std::span<double> sin_out,
+                std::span<double> cos_out) {
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    const double t = 4.0 * u[i];  // exact
+    const double shifted = t + kRoundShift;
+    const double r = t - (shifted - kRoundShift);  // exact, |r| <= 1/2
+    const double r2 = r * r;
+    double s = kSin[7];
+    for (int j = 6; j >= 0; --j) s = s * r2 + kSin[j];
+    s *= r;
+    double c = kCos[8];
+    for (int j = 7; j >= 0; --j) c = c * r2 + kCos[j];
+    // 2 pi u = k pi/2 + (pi/2) r. An odd k swaps sin and cos; sin is
+    // negative for k mod 4 in {2, 3}, cos for k mod 4 in {1, 2}.
+    const std::uint64_t k = std::bit_cast<std::uint64_t>(shifted);
+    const std::uint64_t swap = 0 - (k & 1);
+    const std::uint64_t sb = std::bit_cast<std::uint64_t>(s);
+    const std::uint64_t cb = std::bit_cast<std::uint64_t>(c);
+    sin_out[i] = std::bit_cast<double>(((sb & ~swap) | (cb & swap)) ^
+                                       ((k & 2) << 62));
+    cos_out[i] = std::bit_cast<double>(((cb & ~swap) | (sb & swap)) ^
+                                       (((k + 1) & 2) << 62));
+  }
+}
+
+void exp_kernel(std::span<const double> x, std::span<double> out) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double shifted = x[i] * kLog2e + kRoundShift;
+    const double k = shifted - kRoundShift;  // the integer nearest x / ln 2
+    const double r = (x[i] - k * kLn2Hi) - k * kLn2Lo;
+    double p = kExp[0];
+    for (int j = 1; j < 14; ++j) p = p * r + kExp[j];
+    // 2^k: k + 1023 in the exponent field (k sits in shifted's low bits).
+    const std::uint64_t biased = std::bit_cast<std::uint64_t>(shifted) -
+                                 std::bit_cast<std::uint64_t>(kRoundShift) +
+                                 1023;
+    out[i] = p * std::bit_cast<double>(biased << 52);
+  }
+}
 
 RngStream::RngStream(Seed seed, std::uint64_t stream)
     : seed_(seed), stream_(stream) {
@@ -158,6 +252,66 @@ double RngStream::max_normal(std::uint64_t k, double mean, double stddev) {
 
 double RngStream::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
+}
+
+void RngStream::lognormal_ns(double mu, double sigma,
+                             std::span<SimTime> out) {
+  const auto exact = [&] {
+    return SimTime::from_ns_saturating(lognormal(mu, sigma));
+  };
+  std::size_t i = 0;
+  const std::size_t n = out.size();
+  // A cached half is the sine half of a pair drawn before: exact path.
+  if (n > 0 && has_cached_normal_) out[i++] = exact();
+  const bool in_domain = sigma > 0.0 && sigma <= kBatchMaxSigma;
+  // Blocks of pairs: the uniforms in stream order (u1 with its rejection
+  // loop, then u2), glibc's log and sqrt for r, then the kernels, in loops
+  // of their own so that the compiler can vectorize them.
+  constexpr std::size_t kBlock = 64;
+  double u1[kBlock];
+  double u2[kBlock];
+  double r[kBlock];
+  double sine[kBlock];
+  double cosine[kBlock];
+  double xc[kBlock];
+  double xs[kBlock];
+  double vc[kBlock];
+  double vs[kBlock];
+  while (in_domain && n - i >= 2) {
+    const std::size_t pairs = std::min(kBlock, (n - i) / 2);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      u1[p] = open_uniform(*this);
+      u2[p] = uniform();
+    }
+    for (std::size_t p = 0; p < pairs; ++p) {
+      r[p] = std::sqrt(-2.0 * std::log(u1[p]));  // box_muller's r
+    }
+    sincos_2pi(std::span(u2, pairs), std::span(sine, pairs),
+               std::span(cosine, pairs));
+    // box_muller's expressions: the cosine half is returned, the sine
+    // half is the one normal() caches and scales on its next call.
+    for (std::size_t p = 0; p < pairs; ++p) {
+      xc[p] = mu + sigma * r[p] * cosine[p];
+      xs[p] = mu + sigma * (r[p] * sine[p]);
+    }
+    exp_kernel(std::span(xc, pairs), std::span(vc, pairs));
+    exp_kernel(std::span(xs, pairs), std::span(vs, pairs));
+    for (std::size_t p = 0; p < pairs; ++p) {
+      SimTime a;
+      SimTime b;
+      if (!certain_ns(xc[p], vc[p], a) || !certain_ns(xs[p], vs[p], b)) {
+        double s = 0.0;
+        a = SimTime::from_ns_saturating(
+            std::exp(box_muller(u1[p], u2[p], mu, sigma, s)));
+        b = SimTime::from_ns_saturating(std::exp(mu + sigma * s));
+      }
+      out[i++] = a;
+      out[i++] = b;
+    }
+  }
+  // An odd tail draws its pair through normal(), which caches the sine
+  // half; outside the domain every draw takes this path.
+  for (; i < n; ++i) out[i] = exact();
 }
 
 std::uint64_t RngStream::poisson(double mean) {

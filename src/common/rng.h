@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/sim_time.h"
 
@@ -55,6 +56,14 @@ class RngStream {
   double max_normal(std::uint64_t k, double mean, double stddev);
   // Lognormal parameterized by the mean/stddev of the *underlying* normal.
   double lognormal(double mu, double sigma);
+  // The next out.size() lognormal(mu, sigma) draws in whole nanoseconds:
+  // out[i] is SimTime::from_ns_saturating(lognormal(mu, sigma)) of the
+  // i-th call, and the stream, cached Box-Muller half included, ends where
+  // those calls leave it. Each pair's sin, cos and exp come from the
+  // branch-free kernels below; a value whose truncation they leave in
+  // doubt, and every draw outside their domain, is recomputed the way
+  // lognormal() computes it (DESIGN §6 "Exact fast paths").
+  void lognormal_ns(double mu, double sigma, std::span<SimTime> out);
   // Poisson with the given mean; exact (Knuth) for small means, normal
   // approximation above 64 to stay O(1).
   std::uint64_t poisson(double mean);
@@ -77,5 +86,20 @@ class RngStream {
   Seed seed_{};
   std::uint64_t stream_ = 0;
 };
+
+// lognormal_ns's kernels, exposed for the tests of their error bounds.
+// Each maps an array elementwise, in a loop the compiler can vectorize;
+// the output spans must be as long as the input.
+//
+// sin and cos of 2*pi*u for u in [0, 1). The angle is reduced exactly in
+// u: 4u = k + r with k an integer and |r| <= 1/2, so 2*pi*u is k quarter
+// turns plus (pi/2) r, and degree-15/16 Taylor polynomials in r give sin
+// and cos of the remainder, which k's last two bits rotate.
+void sincos_2pi(std::span<const double> u, std::span<double> sin_out,
+                std::span<double> cos_out);
+// exp(x) for |x| <= 44: Cody-Waite reduction x = k ln2 + r, |r| <= ln2/2,
+// a degree-13 Taylor polynomial for exp(r), and 2^k through the exponent
+// bits. Outside that range the result is meaningless.
+void exp_kernel(std::span<const double> x, std::span<double> out);
 
 }  // namespace hpcos

@@ -38,6 +38,14 @@ class SimTime {
   static constexpr SimTime from_sec(double v) {
     return SimTime{round_i64(v * 1e9)};
   }
+  // v nanoseconds truncated toward zero, saturating: v >= 2^63 gives max()
+  // and v < -2^63 the most negative time, where a plain cast would be
+  // undefined. v must not be NaN.
+  static constexpr SimTime from_ns_saturating(double v) {
+    if (v >= 0x1p63) return max();
+    if (v < -0x1p63) return SimTime{std::numeric_limits<std::int64_t>::min()};
+    return SimTime{static_cast<std::int64_t>(v)};
+  }
 
   static constexpr SimTime zero() { return SimTime{0}; }
   static constexpr SimTime max() {

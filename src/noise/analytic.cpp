@@ -12,10 +12,19 @@ SimTime DurationDist::sample(RngStream& rng) const {
 }
 
 SimTime DurationDist::sample(RngStream& rng, double log_median) const {
-  if (sigma == 0.0) return std::clamp(median, min, max);
-  const double v = rng.lognormal(log_median, sigma);
-  const auto t = SimTime::ns(static_cast<std::int64_t>(v));
-  return std::clamp(t, min, max);
+  SimTime t;
+  sample_n(rng, log_median, std::span(&t, 1));
+  return t;
+}
+
+void DurationDist::sample_n(RngStream& rng, double log_median,
+                            std::span<SimTime> out) const {
+  if (sigma == 0.0) {
+    std::fill(out.begin(), out.end(), std::clamp(median, min, max));
+    return;
+  }
+  rng.lognormal_ns(log_median, sigma, out);
+  for (SimTime& t : out) t = std::clamp(t, min, max);
 }
 
 double DurationDist::log_median() const {
@@ -69,7 +78,7 @@ SimTime DurationDist::quantile(double q) const {
   const double z = inverse_normal_cdf(qq);
   const double v =
       static_cast<double>(median.count_ns()) * std::exp(sigma * z);
-  return std::clamp(SimTime::ns(static_cast<std::int64_t>(v)), min, max);
+  return std::clamp(SimTime::from_ns_saturating(v), min, max);
 }
 
 SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng) const {
@@ -91,7 +100,7 @@ SimTime DurationDist::sample_max(std::uint64_t k, RngStream& rng,
       return std::max(SimTime::zero(), std::clamp(median, min, max));
     }
     const double v = std::exp(rng.max_normal(k, c.log_median, sigma));
-    const auto t = SimTime::ns(static_cast<std::int64_t>(v));
+    const SimTime t = SimTime::from_ns_saturating(v);
     return std::max(SimTime::zero(), std::clamp(t, min, max));
   }
   // max of k iid draws: F_max^{-1}(u) = F^{-1}(u^{1/k}). A constant's
@@ -188,11 +197,12 @@ AnalyticNodeSampler::AnalyticNodeSampler(const AnalyticNoiseProfile& profile,
       base_jitter_sd_(profile.base_jitter_sd),
       rng_(rng) {
   HPCOS_CHECK(app_cores > 0);
-  for (const auto& s : profile.sources) {
+  for (std::size_t i = 0; i < profile.sources.size(); ++i) {
+    const NoiseSourceSpec& s = profile.sources[i];
     HPCOS_CHECK_MSG(s.mean_interval > SimTime::zero(),
                     "noise source needs a positive interval");
     if (s.node_fraction >= 1.0 || rng_.bernoulli(s.node_fraction)) {
-      active_.push_back(s);
+      active_.push_back(i);
     }
   }
 }

@@ -11,8 +11,10 @@
 // the DES.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,8 +35,13 @@ struct DurationDist {
   SimTime sample(RngStream& rng) const;
   // The same draw with log(median) precomputed: a loop over one source
   // takes log_median() once and passes it to every draw. Same result and
-  // same RNG calls as sample(rng).
+  // same RNG calls as sample(rng). It is sample_n's n = 1 case.
   SimTime sample(RngStream& rng, double log_median) const;
+  // The next out.size() draws at once (RngStream::lognormal_ns, clamped):
+  // the same values, and the stream left where, that many sample(rng,
+  // log_median) calls would give and leave it.
+  void sample_n(RngStream& rng, double log_median,
+                std::span<SimTime> out) const;
   double log_median() const;
   // Expected value (clamping ignored; adequate for rate estimates).
   SimTime mean() const;
@@ -136,17 +143,19 @@ class AnalyticNodeSampler {
   // `app_cores` must be positive.
   AnalyticNodeSampler(const AnalyticNoiseProfile& profile, int app_cores,
                       RngStream rng);
+  // active_sources() indexes the profile, so it must outlive their use.
+  AnalyticNodeSampler(AnalyticNoiseProfile&&, int, RngStream) = delete;
 
   // Wall time of one FWQ iteration of `quantum` work with the jitter floor
   // only (no discrete source hits).
   SimTime sample_floor_iteration(SimTime quantum);
 
-  const std::vector<NoiseSourceSpec>& active_sources() const {
-    return active_;
-  }
+  // Indices into profile.sources of the sources active on this node, in
+  // profile order.
+  const std::vector<std::size_t>& active_sources() const { return active_; }
 
  private:
-  std::vector<NoiseSourceSpec> active_;
+  std::vector<std::size_t> active_;
   double base_jitter_mean_;
   double base_jitter_sd_;
   RngStream rng_;

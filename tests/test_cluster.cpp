@@ -464,6 +464,19 @@ TEST(FwqCampaign, RejectsEmptyCampaign) {
                SimError);
 }
 
+TEST(FwqCampaign, RejectsDuplicateSourceNames) {
+  // The ledger names each source's slot, so two sources may not share a
+  // name, even where their slots (profile indices) differ.
+  noise::AnalyticNoiseProfile p = noise::ofp_linux_profile();
+  p.sources.push_back(p.sources.front());
+  FwqCampaignConfig cfg;
+  cfg.nodes = 2;
+  cfg.duration_per_core = 10_s;
+  EXPECT_THROW(run_fwq_campaign(p, cfg), SimError);
+  p.sources.back().name += "-2";
+  EXPECT_NO_THROW(run_fwq_campaign(p, cfg));
+}
+
 TEST(FwqCampaign, AllCoresScopeDelaysEveryCorePerArrival) {
   // One kAllCores source with a deterministic duration: each node-level
   // arrival lengthens every core's iteration by the same amount, so the

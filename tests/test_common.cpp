@@ -10,6 +10,7 @@
 #include <limits>
 #include <mutex>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -65,6 +66,24 @@ TEST(SimTime, ToStringPicksUnits) {
   EXPECT_EQ(SimTime::us(3).to_string(), "3us");
   EXPECT_EQ(SimTime::from_ms(6.5).to_string(), "6.5ms");
   EXPECT_EQ(SimTime::sec(2).to_string(), "2s");
+}
+
+TEST(SimTime, FromNsSaturatingTruncatesAndSaturates) {
+  EXPECT_EQ(SimTime::from_ns_saturating(1.9), SimTime::ns(1));
+  EXPECT_EQ(SimTime::from_ns_saturating(-1.9), SimTime::ns(-1));
+  EXPECT_EQ(SimTime::from_ns_saturating(0x1p62),
+            SimTime::ns(std::int64_t{1} << 62));
+  // The largest double below 2^63 still converts exactly.
+  EXPECT_EQ(SimTime::from_ns_saturating(std::nextafter(0x1p63, 0.0)),
+            SimTime::ns(std::numeric_limits<std::int64_t>::max() - 1023));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {0x1p63, 1e300, inf}) {
+    EXPECT_EQ(SimTime::from_ns_saturating(v), SimTime::max()) << v;
+  }
+  const SimTime lowest = SimTime::ns(std::numeric_limits<std::int64_t>::min());
+  for (const double v : {-0x1p63, -1e300, -inf}) {
+    EXPECT_EQ(SimTime::from_ns_saturating(v), lowest) << v;
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
@@ -163,6 +182,120 @@ TEST(Rng, MaxNormalMatchesNormalLoop) {
   RngStream rng(Seed{17}, 0);
   EXPECT_THROW(rng.max_normal(0, 0.0, 1.0), SimError);
   EXPECT_THROW(rng.max_normal(2, 0.0, -1.0), SimError);
+}
+
+TEST(Rng, LognormalNsMatchesLognormalLoop) {
+  // Lengths on both sides of the batch's 64-pair blocks, each entered with
+  // and without a cached Box-Muller half; an odd length flips the cache
+  // for the next rep. The shapes: Fig. 4-like medians, where the kernels
+  // decide almost every draw; 1e13 ns, where the 1e-9 margin spans
+  // thousands of nanoseconds and every pair is recomputed; 50 ns, where no
+  // pair is; 0.5 ns, where most draws truncate to 0; sigma 3, the edge of
+  // the kernels' domain; sigma 3.5 and 6, outside it, where every draw
+  // takes the exact path, and at 6 some reach 2^63 ns and saturate.
+  const struct {
+    double median_ns;
+    double sigma;
+  } shapes[] = {{1.5e5, 0.5}, {6e3, 1.0}, {1e13, 1.0}, {50.0, 0.5},
+                {0.5, 0.3},   {2e4, 3.0}, {2e4, 3.5}, {1e9, 6.0}};
+  std::uint64_t stream = 0;
+  for (const auto& [median_ns, sigma] : shapes) {
+    const double mu = std::log(median_ns);
+    for (const bool cached : {false, true}) {
+      for (const std::size_t n :
+           {0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 256, 257, 1000}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "median=" << median_ns << " sigma=" << sigma
+                     << " cached=" << cached << " n=" << n);
+        RngStream a(Seed{29}, ++stream);
+        RngStream b(Seed{29}, stream);
+        if (cached) {
+          ASSERT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+        }
+        std::vector<SimTime> out(n);
+        for (int rep = 0; rep < 3; ++rep) {
+          a.lognormal_ns(mu, sigma, out);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(out[i],
+                      SimTime::from_ns_saturating(b.lognormal(mu, sigma)))
+                << "i=" << i;
+          }
+        }
+        expect_same_position(a, b);
+      }
+    }
+  }
+}
+
+TEST(Rng, SincosKernelWithinItsBound) {
+  // lognormal_ns's margin argument (DESIGN §6 "Exact fast paths") takes
+  // the kernel within 2.5e-16 of the exact sin and cos of 2 pi u, and so
+  // within 1.16e-15 of glibc's sin and cos of the rounded angle
+  // 2.0 * M_PI * u, which is off by up to 6.9e-16 (glibc adds one ULP).
+  // Checked on 2^20 random u, every k / 2^16, and 2,000 doubles on each
+  // side of every eighth of a turn (the quadrant edges and the points
+  // where the reduced angle is largest).
+  std::vector<double> us;
+  RngStream rng(Seed{31}, 0);
+  for (int i = 0; i < (1 << 20); ++i) us.push_back(rng.uniform());
+  for (int k = 0; k < (1 << 16); ++k) us.push_back(k / 65536.0);
+  for (int e = 0; e <= 8; ++e) {
+    double down = e / 8.0;
+    double up = e / 8.0;
+    for (int i = 0; i < 2000; ++i) {
+      down = std::nextafter(down, 0.0);
+      up = std::nextafter(up, 1.0);
+      if (e > 0) us.push_back(down);
+      if (e < 8) us.push_back(up);
+    }
+  }
+  std::vector<double> sine(us.size());
+  std::vector<double> cosine(us.size());
+  sincos_2pi(us, sine, cosine);
+  const long double pi = 3.14159265358979323846264338327950288L;
+  double own = 0.0;
+  double glibc = 0.0;
+  for (std::size_t i = 0; i < us.size(); ++i) {
+    const long double angle = 2.0L * pi * us[i];
+    own = std::max({own,
+                    static_cast<double>(std::abs(sine[i] - std::sin(angle))),
+                    static_cast<double>(std::abs(cosine[i] - std::cos(angle)))});
+    const double theta = 2.0 * M_PI * us[i];
+    glibc = std::max({glibc, std::abs(sine[i] - std::sin(theta)),
+                      std::abs(cosine[i] - std::cos(theta))});
+    ASSERT_LE(own, 2.5e-16) << "u=" << us[i];
+    ASSERT_LE(glibc, 1.16e-15) << "u=" << us[i];
+  }
+  // The grid reaches the bound's neighbourhood, so it tests the bound.
+  EXPECT_GT(own, 1e-16);
+}
+
+TEST(Rng, ExpKernelWithinItsBound) {
+  // The argument's other kernel bound: exp_kernel is within 2.5e-16 of
+  // exp(x), relative, for |x| <= 44, and so within 4.7e-16 of glibc's exp
+  // (one ULP). Checked on 2^21 + 1 evenly spaced x over [-44, 44], in
+  // chunks.
+  constexpr int kSteps = 1 << 21;
+  constexpr std::size_t kChunk = 4096;
+  std::vector<double> x;
+  std::vector<double> v(kChunk);
+  double own = 0.0;
+  double glibc = 0.0;
+  for (int i = 0; i <= kSteps; ++i) {
+    x.push_back(-44.0 + 88.0 * i / kSteps);
+    if (x.size() < kChunk && i < kSteps) continue;
+    exp_kernel(x, std::span(v.data(), x.size()));
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      own = std::max(own, static_cast<double>(std::abs(
+                              v[j] / std::exp(static_cast<long double>(x[j])) -
+                              1.0L)));
+      glibc = std::max(glibc, std::abs(v[j] / std::exp(x[j]) - 1.0));
+      ASSERT_LE(own, 2.5e-16) << "x=" << x[j];
+      ASSERT_LE(glibc, 4.7e-16) << "x=" << x[j];
+    }
+    x.clear();
+  }
+  EXPECT_GT(own, 1e-16);
 }
 
 TEST(Rng, PoissonSmallAndLargeMeans) {
@@ -469,6 +602,39 @@ TEST(LogHistogram, WeightedAddEqualsRepeatedAdd) {
   weighted.add_n(1e9, 0);
   EXPECT_EQ(weighted.quantile(0.5), before);
   EXPECT_EQ(weighted.total_count(), repeated.total_count());
+}
+
+TEST(LogHistogram, AddEachEqualsAddNPerValue) {
+  LogHistogram each = duration_us_histogram();
+  LogHistogram one_by_one = duration_us_histogram();
+  RngStream rng(Seed{6}, 0);
+  std::vector<double> chunk;
+  for (int c = 0; c < 20; ++c) {
+    chunk.clear();
+    for (int i = 0; i < 1 + 13 * c; ++i) chunk.push_back(rng.lognormal(3.0, 1.5));
+    const auto w = static_cast<std::uint64_t>(1 + c % 4);
+    each.add_each(chunk, w);
+    for (const double v : chunk) one_by_one.add_n(v, w);
+    ASSERT_EQ(each.total_count(), one_by_one.total_count());
+    ASSERT_EQ(each.observed_min(), one_by_one.observed_min());
+    ASSERT_EQ(each.observed_max(), one_by_one.observed_max());
+  }
+  for (std::size_t i = 0; i < each.num_bins(); ++i) {
+    ASSERT_EQ(each.bin_count(i), one_by_one.bin_count(i)) << i;
+  }
+  // Empty chunks and zero weights are no-ops; a NaN anywhere in a chunk
+  // throws before any update.
+  each.add_each({}, 3);
+  each.add_each(chunk, 0);
+  const std::vector<double> with_nan = {
+      1.0, 5e6, std::numeric_limits<double>::quiet_NaN(), 1e-6};
+  EXPECT_THROW(each.add_each(with_nan, 2), std::invalid_argument);
+  EXPECT_EQ(each.total_count(), one_by_one.total_count());
+  EXPECT_EQ(each.observed_min(), one_by_one.observed_min());
+  EXPECT_EQ(each.observed_max(), one_by_one.observed_max());
+  for (std::size_t i = 0; i < each.num_bins(); ++i) {
+    ASSERT_EQ(each.bin_count(i), one_by_one.bin_count(i)) << i;
+  }
 }
 
 TEST(LogHistogram, MergeIsExactAndOrderInvariant) {

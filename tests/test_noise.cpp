@@ -150,6 +150,84 @@ TEST(DurationDist, HoistedLogMedianGivesTheSameDraws) {
   expect_same_position(a, b);
 }
 
+TEST(DurationDist, SampleNMatchesSampleLoop) {
+  // The batch against that many sample() calls, value by value, for every
+  // sigma > 0 source of the four shipped profiles and four shapes that
+  // reach the batch's corners: a 1e13 ns median, where every pair is
+  // recomputed on the exact path; 50 ns, where none is; 1 ns, where about
+  // half the draws truncate to 0; and a min above zero. Each length is
+  // entered with and without a cached Box-Muller half.
+  std::vector<std::pair<std::string, DurationDist>> dists;
+  for (const auto& profile :
+       {ofp_linux_profile(), ofp_mckernel_profile(), fugaku_linux_profile(),
+        fugaku_mckernel_profile()}) {
+    for (const auto& s : profile.sources) {
+      if (s.duration.sigma > 0.0) {
+        dists.emplace_back(profile.name + "/" + s.name, s.duration);
+      }
+    }
+  }
+  EXPECT_EQ(dists.size(), 15u);
+  dists.emplace_back("every pair exact",
+                     DurationDist{.median = SimTime::sec(10'000),
+                                  .sigma = 1.0});
+  dists.emplace_back("no pair exact",
+                     DurationDist{.median = 50_ns, .sigma = 0.5});
+  dists.emplace_back("truncates to 0",
+                     DurationDist{.median = 1_ns, .sigma = 0.5});
+  dists.emplace_back("min above zero",
+                     DurationDist{.median = 150_us, .sigma = 0.5,
+                                  .min = 120_us, .max = 1_ms});
+  std::uint64_t stream = 0;
+  for (const auto& [name, d] : dists) {
+    const double mu = d.log_median();
+    for (const bool cached : {false, true}) {
+      for (const std::size_t n : {0, 1, 2, 3, 63, 64, 65, 256, 257, 1000}) {
+        SCOPED_TRACE(::testing::Message() << name << " cached=" << cached
+                                          << " n=" << n);
+        RngStream a(Seed{11}, ++stream);
+        RngStream b(Seed{11}, stream);
+        if (cached) {
+          ASSERT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+        }
+        std::vector<SimTime> out(n);
+        d.sample_n(a, mu, out);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], d.sample(b, mu)) << "i=" << i;
+        }
+        expect_same_position(a, b);
+      }
+    }
+  }
+}
+
+TEST(DurationDist, DrawsBeyondInt64SaturateAtMax) {
+  // A draw of 2^63 ns or more cannot be converted to int64 (undefined
+  // behaviour; on x86 the cast gave INT64_MIN, which the clamp turned into
+  // min). With the default max (SimTime::max()) it must return max. Run
+  // under UBSan with float-cast-overflow, this also checks that no such
+  // cast remains.
+  const DurationDist wide{.median = SimTime::sec(1), .sigma = 4.0};
+  EXPECT_EQ(wide.quantile(1.0 - 1e-12), SimTime::max());
+  const DurationDist wider{.median = SimTime::sec(1), .sigma = 6.0};
+  RngStream a(Seed{1}, 1);
+  RngStream b = a;
+  std::vector<SimTime> out(1'000'000);
+  wider.sample_n(a, wider.log_median(), out);
+  int saturated = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double v = std::exp(b.normal(wider.log_median(), wider.sigma));
+    if (v >= 0x1p63) {
+      ++saturated;
+      ASSERT_EQ(out[i], SimTime::max()) << "i=" << i;
+    } else {
+      ASSERT_EQ(out[i], SimTime::ns(static_cast<std::int64_t>(v))) << "i=" << i;
+    }
+  }
+  expect_same_position(a, b);
+  EXPECT_EQ(saturated, 58);
+}
+
 TEST(DurationDist, SampleMaxMatchesReferenceLoop) {
   for (const std::uint64_t k : {0, 1, 2, 63, 64, 65}) {
     SCOPED_TRACE(::testing::Message() << "k=" << k);
