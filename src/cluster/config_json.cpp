@@ -12,25 +12,16 @@ JsonValue ns_of(SimTime t) {
 
 JsonValue to_config_json(const FwqCampaignConfig& config) {
   JsonValue v = JsonValue::object();
-  v.set("schema", "hpcos-config-fwq-campaign/1");
+  v.set("schema", "hpcos-config-fwq-campaign/2");
   v.set("nodes", static_cast<std::int64_t>(config.nodes));
   v.set("app_cores", config.app_cores);
   v.set("work_quantum_ns", ns_of(config.work_quantum));
   v.set("duration_per_core_ns", ns_of(config.duration_per_core));
-  v.set("worst_nodes_to_keep", config.worst_nodes_to_keep);
-  v.set("floor_samples_per_node", config.floor_samples_per_node);
   v.set("max_materialized_hits", config.max_materialized_hits);
-  v.set("all_cores_jitter_sigma", config.all_cores_jitter_sigma);
   // nodes_per_shard fixes the summation order and the worst-heap merge —
   // semantic, unlike `threads`.
   v.set("nodes_per_shard", static_cast<std::int64_t>(config.nodes_per_shard));
-  v.set("worst_heap_capacity", config.worst_heap_capacity);
   v.set("timeline", config.timeline);
-  v.set("timeline_buckets",
-        static_cast<std::uint64_t>(config.timeline_buckets));
-  v.set("timeline_resolution_ns", ns_of(config.timeline_resolution));
-  v.set("heatmap_rows", static_cast<std::uint64_t>(config.heatmap_rows));
-  v.set("heatmap_cols", static_cast<std::uint64_t>(config.heatmap_cols));
   v.set("seed", config.seed.value);
   return v;
 }

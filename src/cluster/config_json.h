@@ -8,7 +8,7 @@
 // The serialization contract:
 //   * every knob that can change a simulated number is included — seeds,
 //     durations, shard boundaries (they fix the floating-point summation
-//     order), model parameters, timeline/sketch shapes;
+//     order), the hit cap, the timeline switch;
 //   * pure host-execution knobs are excluded — `threads` (results are
 //     bit-identical across host thread counts, DESIGN §6) and
 //     observability sinks (`registry`, attached series) never appear, so
@@ -26,7 +26,7 @@
 
 namespace hpcos::cluster {
 
-// FWQ campaign knobs (schema "hpcos-config-fwq-campaign/1"); `threads` and
+// FWQ campaign knobs (schema "hpcos-config-fwq-campaign/2"); `threads` and
 // `registry` are deliberately absent.
 JsonValue to_config_json(const FwqCampaignConfig& config);
 

@@ -1,7 +1,6 @@
 #include "cluster/fwq_campaign.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <set>
 #include <span>
@@ -17,19 +16,29 @@
 namespace hpcos::cluster {
 namespace {
 
+// The paper persists raw data for the 100 worst nodes. Each shard's
+// bounded heap keeps that many: the smallest capacity that keeps the
+// global worst-100 exact, since any shard could own all of them.
+constexpr std::size_t kWorstNodes = 100;
+// Representative jitter-floor samples materialized per node.
+constexpr int kFloorSamples = 32;
+// Timeline shape: per-source series of kTimelineBuckets buckets, and a
+// kHeatmapRows x kHeatmapCols node x time heatmap.
+constexpr std::size_t kTimelineBuckets = 96;
+constexpr std::size_t kHeatmapRows = 32;
+constexpr std::size_t kHeatmapCols = 96;
+
 // Accumulator for one contiguous run of nodes. Each parallel worker owns
 // exactly one shard at a time and sums its nodes in rank order; shards are
 // then merged in shard order, so the floating-point summation order — and
 // therefore the result — is independent of the host thread count.
 struct ShardAccumulator {
-  ShardAccumulator(const LogHistogram& layout, std::size_t heap_capacity,
-                   std::size_t attrib_slots)
+  ShardAccumulator(const LogHistogram& layout, std::size_t attrib_slots)
       : cdf(layout),
         stolen_us(attrib_slots, 0.0),
         hit_iterations(attrib_slots, 0),
-        worst_us(attrib_slots, 0.0),
-        heap_capacity(heap_capacity) {
-    worst.reserve(heap_capacity);
+        worst_us(attrib_slots, 0.0) {
+    worst.reserve(kWorstNodes);
   }
 
   LogHistogram cdf;  // same binning as FwqCampaignResult::cdf
@@ -54,12 +63,11 @@ struct ShardAccumulator {
     worst_us[slot] = std::max(worst_us[slot], overhead_us);
   }
 
-  // Bounded worst-node selection: a min-heap of the K largest per-node
-  // maxima seen by this shard. Replaces the old O(nodes) campaign-wide
-  // buffer; the global worst-N is selected from the shard heaps at merge
-  // time. Push/evict counts fold into the registry during the serial
-  // merge (the heap itself is shard-local, so no synchronization).
-  std::size_t heap_capacity;
+  // Bounded worst-node selection: a min-heap of the kWorstNodes largest
+  // per-node maxima seen by this shard; the global worst-100 is selected
+  // from the shard heaps at merge time. Push/evict counts fold into the
+  // registry during the serial merge (the heap itself is shard-local, so
+  // no synchronization).
   std::vector<double> worst;  // min-heap (std::greater comparator)
   std::uint64_t topk_pushes = 0;
   std::uint64_t topk_evictions = 0;
@@ -77,11 +85,11 @@ struct ShardAccumulator {
     series.reserve(slots);
     sketches.reserve(slots);
     for (std::size_t i = 0; i < slots; ++i) {
-      series.emplace_back(resolution, config.timeline_buckets);
+      series.emplace_back(resolution, kTimelineBuckets);
       sketches.push_back(duration_us_histogram());
     }
     grid = obs::ts::NodeTimeGrid(config.nodes, config.duration_per_core,
-                                 config.heatmap_rows, config.heatmap_cols);
+                                 kHeatmapRows, kHeatmapCols);
   }
 
   // `weight` iterations lost `overhead_us` each at virtual time t on
@@ -97,8 +105,7 @@ struct ShardAccumulator {
 
   void keep_worst(double node_max) {
     ++topk_pushes;
-    if (heap_capacity == 0) return;
-    if (worst.size() < heap_capacity) {
+    if (worst.size() < kWorstNodes) {
       worst.push_back(node_max);
       std::push_heap(worst.begin(), worst.end(), std::greater<double>());
       return;
@@ -177,12 +184,6 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
     const SourceConstants& sc = constants[slot];
     const std::uint64_t cores_per_hit = sc.cores_per_hit;
     const std::uint64_t k = rng.poisson(sc.hits_mean, sc.poisson_param);
-    // Optional per-core jitter within a node-wide event: each core's share
-    // of the shared duration sample gets an independent lognormal
-    // (median 1) multiplier instead of stalling identically.
-    const double jitter_sigma = config.all_cores_jitter_sigma;
-    const bool jitter = s.scope == noise::SourceScope::kAllCores &&
-                        jitter_sigma > 0.0 && cores_per_hit > 1;
     // Cap the individually materialized hits; beyond the cap, fold the
     // remainder into bulk statistics via the distribution mean plus one
     // max draw (tail preserved, cost bounded).
@@ -196,7 +197,7 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
     double stolen_us = acc.stolen_us[slot];
     double worst_us = acc.worst_us[slot];
     std::uint64_t slot_hits = acc.hit_iterations[slot];
-    if (s.duration.sigma == 0.0 && !tl && !jitter && materialize > 0) {
+    if (s.duration.sigma == 0.0 && !tl && materialize > 0) {
       // A constant duration draws nothing, so all `materialize` hits have
       // the same iteration length: one histogram update, one worst.
       const double t_us =
@@ -212,29 +213,6 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
       worst_us = std::max(worst_us, t_us - quantum_us);
       node_max = std::max(node_max, t_us);
       hit_iterations += cores_per_hit * materialize;
-    } else if (jitter) {
-      // Per-core jitter draws its factors between the hits' draws, so it
-      // keeps one draw per hit.
-      for (std::uint64_t i = 0; i < materialize; ++i) {
-        const double shared_us = s.duration.sample(rng, log_median).to_us();
-        // One event time per hit, shared across cores: the same occurrence
-        // lengthens every core's iteration.
-        const SimTime t_event =
-            tl ? trng.uniform_time(SimTime::zero(), config.duration_per_core)
-               : SimTime::zero();
-        for (std::uint64_t c = 0; c < cores_per_hit; ++c) {
-          const double t_us =
-              quantum_us + shared_us * rng.lognormal(0.0, jitter_sigma);
-          acc.cdf.add(t_us);
-          overhead_sum_us += t_us - quantum_us;
-          stolen_us += t_us - quantum_us;
-          slot_hits += 1;
-          worst_us = std::max(worst_us, t_us - quantum_us);
-          acc.timeline_record(slot, node, t_event, t_us - quantum_us, 1);
-          node_max = std::max(node_max, t_us);
-        }
-        hit_iterations += cores_per_hit;
-      }
     } else {
       // The hits in chunks: one batch draw and one histogram call per
       // chunk, then the sums and the timeline per hit, in hit order.
@@ -275,10 +253,7 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
     acc.hit_iterations[slot] = slot_hits;
     if (k > materialize) {
       const std::uint64_t rest = k - materialize;
-      double mean_us = s.duration.mean().to_us();
-      // Jittered bulk: per-core durations scale by an independent
-      // lognormal factor with mean exp(sigma^2/2).
-      if (jitter) mean_us *= std::exp(0.5 * jitter_sigma * jitter_sigma);
+      const double mean_us = s.duration.mean().to_us();
       acc.cdf.add_n(quantum_us + mean_us, rest * cores_per_hit);
       acc.overhead_sum_us +=
           mean_us * static_cast<double>(rest * cores_per_hit);
@@ -290,7 +265,7 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
         // spread is the faithful timeline shape.
         const std::uint64_t total = rest * cores_per_hit;
         const std::uint64_t points =
-            std::min<std::uint64_t>(rest, config.timeline_buckets);
+            std::min<std::uint64_t>(rest, kTimelineBuckets);
         std::uint64_t spread = 0;
         for (std::uint64_t j = 0; j < points; ++j) {
           const std::uint64_t w =
@@ -302,9 +277,8 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
           acc.timeline_record(slot, node, t, mean_us, w);
         }
       }
-      double tail_sample_us = s.duration.sample_max(rest, rng, sc.max).to_us();
-      // The worst bulk hit's worst core also carries one jitter factor.
-      if (jitter) tail_sample_us *= rng.lognormal(0.0, jitter_sigma);
+      const double tail_sample_us =
+          s.duration.sample_max(rest, rng, sc.max).to_us();
       const double tail_us = quantum_us + tail_sample_us;
       acc.attribute_worst(slot, tail_sample_us);
       node_max = std::max(node_max, tail_us);
@@ -316,12 +290,12 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
   const std::uint64_t unhit =
       iters_per_node > hit_iterations ? iters_per_node - hit_iterations : 0;
   if (unhit > 0) {
-    const int reps = std::max(1, config.floor_samples_per_node);
-    const std::uint64_t per_rep = unhit / static_cast<std::uint64_t>(reps);
+    const std::uint64_t per_rep =
+        unhit / static_cast<std::uint64_t>(kFloorSamples);
     std::uint64_t accounted = 0;
-    for (int i = 0; i < reps; ++i) {
+    for (int i = 0; i < kFloorSamples; ++i) {
       const std::uint64_t weight =
-          (i == reps - 1) ? unhit - accounted : per_rep;
+          (i == kFloorSamples - 1) ? unhit - accounted : per_rep;
       if (weight == 0) continue;
       const double t_us =
           sampler.sample_floor_iteration(config.work_quantum).to_us();
@@ -333,8 +307,8 @@ void simulate_node(const noise::AnalyticNoiseProfile& profile,
                     t_us > quantum_us ? weight : 0);
       if (tl) {
         // Floor reps at evenly-spaced midpoints across the window.
-        const SimTime t = SimTime::ns(dur_ns * (2 * i + 1) /
-                                      (2 * static_cast<std::int64_t>(reps)));
+        const SimTime t =
+            SimTime::ns(dur_ns * (2 * i + 1) / (2 * kFloorSamples));
         acc.timeline_record(floor_slot, node, t, t_us - quantum_us, weight);
       }
       acc.attribute_worst(floor_slot, t_us - quantum_us);
@@ -364,8 +338,6 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
   HPCOS_CHECK_MSG(iters_per_core >= 1,
                   "duration_per_core must cover at least one work_quantum; "
                   "the campaign would be empty and report zero noise");
-  HPCOS_CHECK_MSG(!config.timeline || config.timeline_buckets >= 2,
-                  "timeline_buckets must be at least 2");
   const std::uint64_t iters_per_node =
       iters_per_core * static_cast<std::uint64_t>(config.app_cores);
 
@@ -373,11 +345,6 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
 
   const auto num_shards = static_cast<std::size_t>(
       (config.nodes + config.nodes_per_shard - 1) / config.nodes_per_shard);
-  // Per-shard heap bound: worst_nodes_to_keep is the smallest capacity
-  // that keeps the global worst-N exact (any shard could own all N).
-  const auto heap_capacity = static_cast<std::size_t>(
-      config.worst_heap_capacity > 0 ? config.worst_heap_capacity
-                                     : std::max(config.worst_nodes_to_keep, 0));
   // Ledger slots: one per profile source (its profile index, stable whether
   // or not any node activates the source) plus a trailing jitter-floor
   // slot. The ledger names them, so names must be unique.
@@ -391,23 +358,18 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
   }
   const std::size_t attrib_slots = profile.sources.size() + 1;
 
-  // Base series resolution: explicit, or derived so `timeline_buckets`
-  // buckets cover the window without coarsening (ceil division — a bucket
-  // may overhang the end, but no in-window sample can overflow the ring).
-  SimTime timeline_resolution = config.timeline_resolution;
-  if (config.timeline && timeline_resolution <= SimTime::zero()) {
-    const auto buckets =
-        static_cast<std::int64_t>(std::max<std::size_t>(
-            config.timeline_buckets, 2));
-    timeline_resolution = SimTime::ns(
-        (config.duration_per_core.count_ns() + buckets - 1) / buckets);
-  }
+  // Series resolution: kTimelineBuckets buckets cover the window without
+  // coarsening (ceil division — a bucket may overhang the end, but no
+  // in-window sample can overflow the ring).
+  constexpr auto buckets = static_cast<std::int64_t>(kTimelineBuckets);
+  const SimTime timeline_resolution = SimTime::ns(
+      (config.duration_per_core.count_ns() + buckets - 1) / buckets);
 
   std::vector<ShardAccumulator> shards;
   shards.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     shards.emplace_back(result.cdf,  // copy of the (empty) target layout
-                        heap_capacity, attrib_slots);
+                        attrib_slots);
     if (config.timeline) {
       shards.back().enable_timeline(config, timeline_resolution,
                                     attrib_slots);
@@ -471,12 +433,11 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
     result.timeline.sketches.reserve(attrib_slots);
     for (std::size_t i = 0; i < attrib_slots; ++i) {
       result.timeline.per_source.emplace_back(timeline_resolution,
-                                              config.timeline_buckets);
+                                              kTimelineBuckets);
       result.timeline.sketches.push_back(duration_us_histogram());
     }
     result.timeline.heatmap = obs::ts::NodeTimeGrid(
-        config.nodes, config.duration_per_core, config.heatmap_rows,
-        config.heatmap_cols);
+        config.nodes, config.duration_per_core, kHeatmapRows, kHeatmapCols);
   }
 
   SimTime global_min = SimTime::max();
@@ -510,11 +471,9 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
     }
   }
 
-  // Worst-N node selection (what the paper persists to the PFS), from at
-  // most num_shards * K candidates instead of O(nodes) buffered maxima.
-  const auto keep = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(config.worst_nodes_to_keep, 0)),
-      worst_candidates.size());
+  // Worst-100 node selection (what the paper persists to the PFS), from at
+  // most num_shards * kWorstNodes candidates, never O(nodes) maxima.
+  const std::size_t keep = std::min(kWorstNodes, worst_candidates.size());
   std::partial_sort(
       worst_candidates.begin(),
       worst_candidates.begin() + static_cast<std::ptrdiff_t>(keep),

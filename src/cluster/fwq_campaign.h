@@ -39,20 +39,9 @@ struct FwqCampaignConfig {
   // cover at least one work quantum; an empty campaign would silently
   // report zero noise.
   SimTime duration_per_core = SimTime::sec(3600);
-  int worst_nodes_to_keep = 100;
-  // Representative jitter-floor samples materialized per node.
-  int floor_samples_per_node = 32;
   // Cap on individually-materialized hits per (node, source); the rest
   // enters the histogram as a weighted bulk plus one max-of-k tail draw.
   std::uint64_t max_materialized_hits = 4096;
-  // Per-core duration jitter within a node-wide (kAllCores) noise event.
-  // 0 (default) keeps the historical model: one shared duration sample
-  // stalls every core identically. > 0 multiplies each core's share of a
-  // materialized hit by an independent lognormal(median=1, sigma) factor —
-  // closer to real collective OS activity, where cores enter/leave the
-  // event at slightly different times. Results remain deterministic for a
-  // fixed seed and independent of `threads` either way.
-  double all_cores_jitter_sigma = 0.0;
   // Host worker threads for the per-node loop: 0 = default_parallelism(),
   // 1 = serial.
   std::size_t threads = 0;
@@ -64,12 +53,6 @@ struct FwqCampaignConfig {
   // at full Fugaku scale still yields ~2,500 shards — enough granularity
   // for any plausible host pool while merge cost stays negligible.
   std::int64_t nodes_per_shard = 64;
-  // Capacity K of each shard's bounded worst-node heap. The campaign never
-  // buffers O(nodes) per-node maxima: each shard keeps its K largest and
-  // the merge selects the global worst-N from those. 0 derives K from
-  // worst_nodes_to_keep (the smallest exact value); smaller explicit
-  // values trade exactness of the worst-N tail for memory.
-  int worst_heap_capacity = 0;
   // Optional observability sink. Folded into serially after the parallel
   // phase (fwq.campaign.nodes/.iterations, fwq.topk.pushes/.evictions) —
   // shards count locally, the Registry stays single-writer.
@@ -80,14 +63,6 @@ struct FwqCampaignConfig {
   // enabling the timeline never perturbs the existing draw sequences —
   // every non-timeline number in the result is bit-identical either way.
   bool timeline = false;
-  // Ring capacity (buckets) of each per-source series. The base resolution
-  // is timeline_resolution, or duration_per_core / timeline_buckets when
-  // zero; a finer explicit resolution exercises the 2x auto-coarsening.
-  std::size_t timeline_buckets = 96;
-  SimTime timeline_resolution = SimTime::zero();
-  // Heatmap grid shape (rows clamp to the node count).
-  std::size_t heatmap_rows = 32;
-  std::size_t heatmap_cols = 96;
   Seed seed{2021};
 };
 
@@ -108,9 +83,12 @@ struct SourceAttribution {
 
 // Streaming view of one campaign (present when config.timeline is set).
 // All containers parallel FwqCampaignResult::per_source (profile order,
-// jitter floor last). Per-source series sums mirror the ledger's stolen_us
-// exactly (same overhead terms, shard-order merge), which is the
-// reconciliation the timeline_smoke job checks to <1e-9 relative error.
+// jitter floor last). Each series has 96 buckets of
+// ceil(duration_per_core / 96), so in-window samples never coarsen it, and
+// the heatmap is 32 node bins (fewer for fewer nodes) x 96 time bins.
+// Per-source series sums mirror the ledger's stolen_us exactly (same
+// overhead terms, shard-order merge), which is the reconciliation the
+// timeline_smoke job checks to <1e-9 relative error.
 struct FwqTimeline {
   bool enabled = false;
   SimTime duration;  // campaign window [0, duration_per_core)
@@ -128,7 +106,8 @@ struct FwqCampaignResult {
   LogHistogram cdf{1000.0, 1e6, 2048};
   noise::NoiseStats stats;
   std::uint64_t total_iterations = 0;
-  // Worst (longest) iteration per retained node, sorted descending (us).
+  // Worst (longest) iteration of each of the 100 worst nodes (fewer when
+  // the campaign has fewer nodes), sorted descending (us).
   std::vector<double> worst_node_max_us;
   // Per-source ledger in profile order (inactive sources kept with zero
   // counts so the layout is profile-stable), with the jitter floor last.

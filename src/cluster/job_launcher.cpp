@@ -18,7 +18,7 @@ LaunchedJob JobLauncher::launch(const LaunchSpec& spec) {
   // structural (§5.1).
   if (spec.containerized && !node_.is_multikernel()) {
     node_.linux().cgroups().create_memory(LaunchedJob::kAppMemcg,
-                                          spec.memory_limit_bytes);
+                                          /*limit_bytes=*/0);  // unlimited
     job.used_cgroups = true;
   }
 

@@ -14,7 +14,6 @@
 //    allocator, as the environment variables would select.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +30,6 @@ struct LaunchSpec {
   hw::PageSize preferred_page_size = hw::PageSize::k2M;
   os::PagingPolicy paging = os::PagingPolicy::kPrePopulate;
   os::HeapBehavior heap = os::HeapBehavior::kCached;
-  // Application memory cgroup limit; 0 = unlimited.
-  std::uint64_t memory_limit_bytes = 0;
 };
 
 struct RankPlacement {

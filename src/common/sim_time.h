@@ -28,7 +28,8 @@ class SimTime {
   static constexpr SimTime sec(std::int64_t v) {
     return SimTime{v * 1'000'000'000};
   }
-  // Fractional-unit constructors (round to nearest nanosecond).
+  // Fractional-unit constructors (round to nearest nanosecond, saturating
+  // like from_ns_saturating).
   static constexpr SimTime from_us(double v) {
     return SimTime{round_i64(v * 1e3)};
   }
@@ -74,7 +75,8 @@ class SimTime {
   }
   constexpr SimTime operator*(std::int64_t k) const { return SimTime{ns_ * k}; }
   constexpr SimTime operator/(std::int64_t k) const { return SimTime{ns_ / k}; }
-  // Scale by a real factor, rounding to the nearest nanosecond.
+  // Scale by a real factor, rounding to the nearest nanosecond
+  // (saturating).
   constexpr SimTime scaled(double f) const {
     return SimTime{round_i64(static_cast<double>(ns_) * f)};
   }
@@ -88,7 +90,13 @@ class SimTime {
 
  private:
   constexpr explicit SimTime(std::int64_t v) : ns_(v) {}
+  // v rounded to the nearest integer, saturating: v >= 2^63 gives the
+  // largest int64 and v < -2^63 the smallest, where a plain cast would be
+  // undefined. No double below 2^63 rounds up to it when 0.5 is added (the
+  // spacing there is 1,024). v must not be NaN.
   static constexpr std::int64_t round_i64(double v) {
+    if (v >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+    if (v < -0x1p63) return std::numeric_limits<std::int64_t>::min();
     return static_cast<std::int64_t>(v >= 0 ? v + 0.5 : v - 0.5);
   }
 

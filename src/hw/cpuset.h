@@ -1,7 +1,8 @@
 // CPU mask, modeled after the Linux kernel's cpumask_t.
 //
-// Used wherever the real systems use affinity masks: cgroup cpusets, IRQ
-// smp_affinity, kworker binding, blk_mq_hw_ctx.cpumask, and IHK's core
+// Used wherever the real systems use affinity masks: thread affinity (the
+// job launcher's rank binding stands in for cgroup cpusets), the
+// topology's application and system core sets, and IHK's core
 // reservation.
 //
 // Storage is one 64-bit word per 64 cores (no core-count cap), so the set

@@ -15,7 +15,8 @@ namespace hpcos::noise {
 
 // §4.2's individually-toggleable countermeasures. All true == production
 // Fugaku. Each `false` re-enables the corresponding noise source, which is
-// exactly how Table 2 was measured.
+// exactly how Table 2 was measured. The model has no cpumasks to move: a
+// binding countermeasure removes its source's spec row.
 struct Countermeasures {
   bool bind_daemons = true;        // daemons -> assistant cores (cgroup)
   bool bind_kworkers = true;       // unbound kworkers -> assistant cores

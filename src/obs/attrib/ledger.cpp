@@ -44,14 +44,7 @@ double expected_stolen_us(const noise::NoiseSourceSpec& spec,
   }
   const double arrivals_per_node =
       config.duration_per_core.ratio(spec.mean_interval) * processes;
-  double mean_us = spec.duration.mean().to_us();
-  // Per-core jitter inside node-wide events multiplies each core's share
-  // by lognormal(median 1, sigma); its mean is exp(sigma^2/2).
-  if (spec.scope == noise::SourceScope::kAllCores &&
-      config.all_cores_jitter_sigma > 0.0 && config.app_cores > 1) {
-    const double s = config.all_cores_jitter_sigma;
-    mean_us *= std::exp(0.5 * s * s);
-  }
+  const double mean_us = spec.duration.mean().to_us();
   const double active_nodes =
       static_cast<double>(config.nodes) * spec.node_fraction;
   return active_nodes * arrivals_per_node * cores_per_hit * mean_us;

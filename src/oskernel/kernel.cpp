@@ -147,12 +147,6 @@ bool NodeKernel::thread_alive(ThreadId tid) const {
   return t != nullptr && t->state != ThreadState::kExited;
 }
 
-void NodeKernel::set_affinity(ThreadId tid, hw::CpuSet affinity) {
-  HPCOS_CHECK_MSG(affinity.intersects(owned_cores_),
-                  "affinity excludes all owned cores");
-  thread_mut(tid).affinity = std::move(affinity);
-}
-
 // ---- interference ----
 
 void NodeKernel::interrupt_core(hw::CoreId core, SimTime duration,

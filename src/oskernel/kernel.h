@@ -73,10 +73,6 @@ class NodeKernel {
   bool thread_alive(ThreadId tid) const;
   std::size_t live_thread_count() const { return live_threads_; }
 
-  // Change a live thread's CPU affinity (the sysfs/taskset mechanism the
-  // countermeasures rely on). Takes effect at the next wakeup/enqueue.
-  void set_affinity(ThreadId tid, hw::CpuSet affinity);
-
   // ---- interference injection (kernel subsystems, IKC, tests) ----
   // Steal `duration` of kernel-mode time on a core.
   void interrupt_core(hw::CoreId core, SimTime duration,

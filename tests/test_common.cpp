@@ -86,6 +86,48 @@ TEST(SimTime, FromNsSaturatingTruncatesAndSaturates) {
   }
 }
 
+TEST(SimTime, FractionalConstructorsSaturate) {
+  // from_us, from_ms and from_sec round v x unit to the nearest ns, and
+  // scaled rounds ns x f: a product of 2^63 ns or more gives max() and one
+  // below -2^63 the most negative time, where a plain cast would be
+  // undefined. Run under UBSan with float-cast-overflow, this also checks
+  // that no such cast remains.
+  const double inf = std::numeric_limits<double>::infinity();
+  const SimTime lowest = SimTime::ns(std::numeric_limits<std::int64_t>::min());
+  struct Conversion {
+    const char* name;
+    double unit;  // nanoseconds per unit of the argument
+    SimTime (*make)(double);
+  };
+  const Conversion conversions[] = {
+      {"from_us", 1e3, SimTime::from_us},
+      {"from_ms", 1e6, SimTime::from_ms},
+      {"from_sec", 1e9, SimTime::from_sec},
+      {"scaled", 1.0, [](double f) { return SimTime::ns(1).scaled(f); }},
+  };
+  for (const Conversion& c : conversions) {
+    SCOPED_TRACE(c.name);
+    // The first argument above 2^63 ns: its product is above 2^63 before
+    // rounding, so it rounds to 2^63 or more.
+    const double edge = std::nextafter(0x1p63 / c.unit, inf);
+    for (const double v : {edge, 1e300, inf}) {
+      EXPECT_EQ(c.make(v), SimTime::max()) << v;
+      EXPECT_EQ(c.make(-v), lowest) << -v;
+    }
+  }
+  // scaled reaches the boundary itself: 2^63 ns saturates, -2^63 ns is
+  // the most negative time, and the largest double below 2^63 rounds to
+  // itself.
+  EXPECT_EQ(SimTime::ns(1).scaled(0x1p63), SimTime::max());
+  EXPECT_EQ(SimTime::ns(1).scaled(-0x1p63), lowest);
+  EXPECT_EQ(SimTime::ns(1).scaled(std::nextafter(0x1p63, 0.0)),
+            SimTime::ns(std::numeric_limits<std::int64_t>::max() - 1023));
+  // In range, the rounding is to nearest, halves away from zero.
+  EXPECT_EQ(SimTime::ns(3).scaled(0.5), SimTime::ns(2));
+  EXPECT_EQ(SimTime::ns(-3).scaled(0.5), SimTime::ns(-2));
+  EXPECT_EQ(SimTime::ns(3).scaled(0.25), SimTime::ns(1));
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   RngStream a(Seed{42}, 7);
   RngStream b(Seed{42}, 7);

@@ -137,21 +137,10 @@ TEST(ConfigHash, EverySemanticFwqKnobChangesTheHash) {
       {"work_quantum", [](auto& c) { c.work_quantum = SimTime::from_ms(7); }},
       {"duration_per_core",
        [](auto& c) { c.duration_per_core = SimTime::sec(60); }},
-      {"worst_nodes_to_keep", [](auto& c) { c.worst_nodes_to_keep += 1; }},
-      {"floor_samples_per_node",
-       [](auto& c) { c.floor_samples_per_node += 1; }},
       {"max_materialized_hits",
        [](auto& c) { c.max_materialized_hits += 1; }},
-      {"all_cores_jitter_sigma",
-       [](auto& c) { c.all_cores_jitter_sigma = 0.25; }},
       {"nodes_per_shard", [](auto& c) { c.nodes_per_shard *= 2; }},
-      {"worst_heap_capacity", [](auto& c) { c.worst_heap_capacity = 128; }},
       {"timeline", [](auto& c) { c.timeline = !c.timeline; }},
-      {"timeline_buckets", [](auto& c) { c.timeline_buckets += 1; }},
-      {"timeline_resolution",
-       [](auto& c) { c.timeline_resolution = SimTime::ms(5); }},
-      {"heatmap_rows", [](auto& c) { c.heatmap_rows += 1; }},
-      {"heatmap_cols", [](auto& c) { c.heatmap_cols += 1; }},
       {"seed", [](auto& c) { c.seed = Seed{c.seed.value + 1}; }},
   };
   for (const auto& [name, mutate] : knobs) {
@@ -206,8 +195,6 @@ TEST(ConfigDiff, NamesEachChangedFwqKnob) {
        [](auto& c) { c.work_quantum = SimTime::from_ms(7); }},
       {"duration_per_core_ns",
        [](auto& c) { c.duration_per_core = SimTime::sec(60); }},
-      {"all_cores_jitter_sigma",
-       [](auto& c) { c.all_cores_jitter_sigma = 0.25; }},
       {"timeline", [](auto& c) { c.timeline = !c.timeline; }},
       {"seed", [](auto& c) { c.seed = Seed{c.seed.value + 1}; }},
   };

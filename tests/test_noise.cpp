@@ -228,6 +228,16 @@ TEST(DurationDist, DrawsBeyondInt64SaturateAtMax) {
   EXPECT_EQ(saturated, 58);
 }
 
+TEST(DurationDist, MeanSaturatesForHugeSigma) {
+  // median x exp(sigma^2 / 2) is 5.2e30 ns here, far past int64: the mean
+  // saturates at max. Run under UBSan with float-cast-overflow, this also
+  // checks that no out-of-range cast remains on the way.
+  const DurationDist huge{.median = SimTime::sec(1), .sigma = 10.0};
+  EXPECT_EQ(huge.mean(), SimTime::max());
+  const DurationDist fits{.median = SimTime::sec(1), .sigma = 1.0};
+  EXPECT_EQ(fits.mean(), SimTime::ns(1'648'721'271));
+}
+
 TEST(DurationDist, SampleMaxMatchesReferenceLoop) {
   for (const std::uint64_t k : {0, 1, 2, 63, 64, 65}) {
     SCOPED_TRACE(::testing::Message() << "k=" << k);

@@ -788,12 +788,13 @@ TEST(TraceBufferWrap, MixedSpanTreesSurviveWraparound) {
 
 // ------------------------------------------------- campaign top-K heaps
 
+// Three shards of 128 nodes, so each shard's heap of K = 100 evicts.
 cluster::FwqCampaignConfig small_campaign() {
   cluster::FwqCampaignConfig cfg;
-  cfg.nodes = 96;
+  cfg.nodes = 384;
   cfg.app_cores = 4;
   cfg.duration_per_core = SimTime::sec(60);
-  cfg.nodes_per_shard = 16;
+  cfg.nodes_per_shard = 128;
   cfg.max_materialized_hits = 256;
   cfg.seed = Seed{77};
   return cfg;
@@ -801,16 +802,18 @@ cluster::FwqCampaignConfig small_campaign() {
 
 TEST(FwqTopK, BoundedHeapsMatchUnboundedSelection) {
   const auto profile = noise::ofp_linux_profile();
-  auto bounded = small_campaign();
-  bounded.worst_nodes_to_keep = 8;  // per-shard K derives from this
-  const auto b = run_fwq_campaign(profile, bounded);
+  const auto b = run_fwq_campaign(profile, small_campaign());
 
+  // One node per shard: no shard outgrows K, so every node's maximum
+  // reaches the merge.
   auto unbounded = small_campaign();
-  unbounded.worst_nodes_to_keep = 8;
-  unbounded.worst_heap_capacity = 96;  // every node retained per shard
+  unbounded.nodes_per_shard = 1;
+  obs::Registry reg;
+  unbounded.registry = &reg;
   const auto u = run_fwq_campaign(profile, unbounded);
+  EXPECT_EQ(reg.find_counter("fwq.topk.evictions")->value(), 0u);
 
-  ASSERT_EQ(b.worst_node_max_us.size(), 8u);
+  ASSERT_EQ(b.worst_node_max_us.size(), 100u);
   EXPECT_EQ(b.worst_node_max_us, u.worst_node_max_us);
   EXPECT_TRUE(std::is_sorted(b.worst_node_max_us.rbegin(),
                              b.worst_node_max_us.rend()));
@@ -819,11 +822,9 @@ TEST(FwqTopK, BoundedHeapsMatchUnboundedSelection) {
 TEST(FwqTopK, WorstListInvariantAcrossShardGeometry) {
   const auto profile = noise::ofp_linux_profile();
   auto wide = small_campaign();
-  wide.worst_nodes_to_keep = 10;
-  wide.nodes_per_shard = 96;  // single shard
+  wide.nodes_per_shard = 384;  // single shard
   auto narrow = small_campaign();
-  narrow.worst_nodes_to_keep = 10;
-  narrow.nodes_per_shard = 8;  // twelve shards
+  narrow.nodes_per_shard = 8;  // 48 shards
   const auto a = run_fwq_campaign(profile, wide);
   const auto b = run_fwq_campaign(profile, narrow);
   EXPECT_EQ(a.worst_node_max_us, b.worst_node_max_us);
@@ -833,25 +834,15 @@ TEST(FwqTopK, RegistryFoldsPushAndEvictionCounts) {
   const auto profile = noise::ofp_linux_profile();
   obs::Registry reg;
   auto cfg = small_campaign();
-  cfg.worst_nodes_to_keep = 4;
   cfg.registry = &reg;
   const auto r = run_fwq_campaign(profile, cfg);
-  EXPECT_EQ(reg.find_counter("fwq.campaign.nodes")->value(), 96u);
+  EXPECT_EQ(reg.find_counter("fwq.campaign.nodes")->value(), 384u);
   EXPECT_EQ(reg.find_counter("fwq.campaign.iterations")->value(),
             r.total_iterations);
-  // Every node pushes once; with K=4 per 16-node shard there must be
-  // evictions.
-  EXPECT_EQ(reg.find_counter("fwq.topk.pushes")->value(), 96u);
-  EXPECT_EQ(reg.find_counter("fwq.topk.evictions")->value(), 96u - 6u * 4u);
-}
-
-TEST(FwqTopK, SmallExplicitCapacityBoundsCandidates) {
-  const auto profile = noise::ofp_linux_profile();
-  auto cfg = small_campaign();
-  cfg.worst_nodes_to_keep = 50;
-  cfg.worst_heap_capacity = 2;  // 6 shards x 2 = 12 candidates max
-  const auto r = run_fwq_campaign(profile, cfg);
-  EXPECT_EQ(r.worst_node_max_us.size(), 12u);
+  // Every node pushes once; with K = 100 per 128-node shard, each of the
+  // three shards evicts 28.
+  EXPECT_EQ(reg.find_counter("fwq.topk.pushes")->value(), 384u);
+  EXPECT_EQ(reg.find_counter("fwq.topk.evictions")->value(), 3u * 28u);
 }
 
 }  // namespace

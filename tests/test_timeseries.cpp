@@ -483,27 +483,5 @@ TEST(CampaignTimeline, EnablingTimelineDoesNotShiftCampaignStatistics) {
   EXPECT_TRUE(on.timeline.per_source.size() > 0);
 }
 
-TEST(CampaignTimeline, TenTimesLongerRunStaysWithinCapacity) {
-  // Same explicit resolution, 10x the duration: the rings must coarsen
-  // (not grow) and the reconciliation identity must survive coarsening.
-  const auto profile = noise::fugaku_linux_profile();
-  auto config = timeline_config();
-  config.nodes = 8;
-  config.timeline_buckets = 32;
-  config.timeline_resolution = SimTime::from_ms(30000.0 / 32.0);
-  config.duration_per_core = SimTime::sec(300);
-  const auto result = cluster::run_fwq_campaign(profile, config);
-  bool coarsened = false;
-  for (std::size_t i = 0; i < result.per_source.size(); ++i) {
-    const auto& series = result.timeline.per_source[i];
-    EXPECT_LE(series.bucket_count(), series.capacity());
-    EXPECT_EQ(series.capacity(), 32u);
-    if (series.coarsen_count() > 0) coarsened = true;
-    EXPECT_LT(rel_diff(series.total_sum(),
-                       result.per_source[i].stolen_us), 1e-9);
-  }
-  EXPECT_TRUE(coarsened);
-}
-
 }  // namespace
 }  // namespace hpcos

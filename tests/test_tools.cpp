@@ -75,6 +75,46 @@ TEST(Interference, FindsTheMisconfiguredSubsystemOnTheDes) {
   EXPECT_EQ(report.dominant(), "blk_mq");
 }
 
+TEST(Interference, BindingKeepsItsCategoryOffApplicationCoresOnTheDes) {
+  // Table 2's path: a binding countermeasure removes its source's spec row
+  // (fugaku_linux_profile(cm)), so BackgroundActivity never delivers that
+  // category to a core. With the countermeasure on, no kworker or blk-mq
+  // record lands on an application core; with it off, its category does.
+  const auto platform = hw::make_fugaku_testbed_platform();
+  const hw::CpuSet& app = platform.topology.application_cores();
+  struct Landed {
+    std::size_t kworker = 0;
+    std::size_t blkmq = 0;
+  };
+  const auto run = [&](const noise::Countermeasures& cm) {
+    auto cfg = linuxk::make_fugaku_linux_config(platform, cm);
+    cfg.profile = noise::strip_population_tails(cfg.profile);
+    auto node = cluster::SimNode::make_linux_node(
+        platform, std::move(cfg),
+        cluster::SimNodeOptions{.seed = Seed{31}, .trace_capacity = 1 << 18});
+    noise::FwqConfig fwq;
+    fwq.iterations = 8000;  // 52 s: ~13 kworker and ~9 blk-mq arrivals
+    noise::run_fwq(node->app_kernel(), app, fwq);
+    EXPECT_EQ(node->trace().dropped(), 0u);
+    Landed landed;
+    for (const auto& r : node->trace().snapshot()) {
+      if (r.core == hw::kInvalidCore || !app.test(r.core)) continue;
+      if (r.category == sim::TraceCategory::kKworker) ++landed.kworker;
+      if (r.category == sim::TraceCategory::kBlkMq) ++landed.blkmq;
+    }
+    return landed;
+  };
+  const Landed all_on = run({});
+  EXPECT_EQ(all_on.kworker, 0u);
+  EXPECT_EQ(all_on.blkmq, 0u);
+  const Landed kworkers_off = run({.bind_kworkers = false});
+  EXPECT_GT(kworkers_off.kworker, 0u);
+  EXPECT_EQ(kworkers_off.blkmq, 0u);
+  const Landed blkmq_off = run({.bind_blkmq = false});
+  EXPECT_EQ(blkmq_off.kworker, 0u);
+  EXPECT_GT(blkmq_off.blkmq, 0u);
+}
+
 // ---- PMU attribution ----
 
 TEST(Attribution, CleanWindowIsNone) {
@@ -165,8 +205,8 @@ TEST(JobLauncher, RanksBindOneLevelPerCmg) {
   auto node = cluster::SimNode::make_linux_node(
       platform, linuxk::make_fugaku_linux_config(platform));
   cluster::JobLauncher launcher(*node);
-  const auto job = launcher.launch(cluster::LaunchSpec{
-      .ranks = 4, .threads_per_rank = 12, .memory_limit_bytes = 28ull << 30});
+  const auto job = launcher.launch(
+      cluster::LaunchSpec{.ranks = 4, .threads_per_rank = 12});
 
   ASSERT_EQ(job.ranks.size(), 4u);
   EXPECT_TRUE(job.used_cgroups);
