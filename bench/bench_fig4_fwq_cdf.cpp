@@ -23,7 +23,6 @@
 #include "obs/bench_report.h"
 #include "obs/prof/prof.h"
 #include "obs/prof_report.h"
-#include "obs/registry.h"
 
 namespace {
 
@@ -59,8 +58,8 @@ int main(int argc, char** argv) {
   const auto opts = obs::parse_bench_options(argc, argv);
   obs::BenchReport report("bench_fig4_fwq_cdf", opts.quick, 20211115);
   // Smoke mode shrinks the populations and the per-core wall time; the
-  // configurations and the parallelism, registry and profiler parity
-  // checks all still run.
+  // configurations and the parallelism and profiler parity checks all
+  // still run.
   const bool q = opts.quick;
   const SimTime duration = SimTime::sec(q ? 300 : 3600);
 
@@ -166,8 +165,6 @@ int main(int argc, char** argv) {
   // The serial run is the reference; each variant must reproduce it bit
   // for bit:
   //  * the parallel_for scheduler (DESIGN §6);
-  //  * an attached obs::Registry — the instrumented paths count
-  //    shard-locally and fold once at the end;
   //  * the host-side self-profiler (obs/prof), whose scope fire counts are
   //    a pure function of the simulated work (gated) while its times are
   //    host-dependent (host.*, never judged).
@@ -176,28 +173,24 @@ int main(int argc, char** argv) {
   {
     print_banner(std::cout,
                  "Host parallelism & observability parity: serial vs pool "
-                 "vs registry vs profiler");
+                 "vs profiler");
     cluster::FwqCampaignConfig pcfg;
     pcfg.nodes = q ? 64 : 1024;
     pcfg.app_cores = 256;
     pcfg.duration_per_core = duration;
     pcfg.max_materialized_hits = 2048;
     pcfg.seed = Seed{20211115};
-    auto run = [&](std::size_t threads, obs::Registry* registry) {
+    auto run = [&](std::size_t threads) {
       pcfg.threads = threads;
-      pcfg.registry = registry;
       return cluster::run_fwq_campaign(noise::ofp_linux_profile(), pcfg);
     };
     const std::size_t pool = default_parallelism();
-    const auto serial = run(1, nullptr);
-    const bool pool_identical = identical_results(serial, run(pool, nullptr));
-    obs::Registry registry;
-    const bool registry_identical =
-        identical_results(serial, run(1, &registry));
+    const auto serial = run(1);
+    const bool pool_identical = identical_results(serial, run(pool));
     const bool was_enabled = obs::prof::enabled();
     obs::prof::reset();
     obs::prof::set_enabled(true);
-    const bool prof_identical = identical_results(serial, run(pool, nullptr));
+    const bool prof_identical = identical_results(serial, run(pool));
     obs::prof::set_enabled(was_enabled);
     const auto profile = obs::prof::collect();
     const auto* shard_stat = profile.find("fwq.shard");
@@ -207,24 +200,18 @@ int main(int argc, char** argv) {
     };
     std::cout << "threads=" << pool << " vs serial: results "
               << verdict(pool_identical) << "\n";
-    std::cout << "registry attached (threads=1): results "
-              << verdict(registry_identical) << ";  topk pushes="
-              << registry.find_counter("fwq.topk.pushes")->value()
-              << " evictions="
-              << registry.find_counter("fwq.topk.evictions")->value()
-              << "\n";
+    std::cout << "top-K shard heaps (threads=1): pushes=" << serial.topk_pushes
+              << " evictions=" << serial.topk_evictions << "\n";
     std::cout << "profiler on (threads=" << pool << "): results "
               << verdict(prof_identical) << ";  scope events="
               << profile.events << " dropped=" << profile.dropped << "\n";
     obs::print_profile(std::cout, profile, /*top=*/10);
     report.add_metric("parallel.bit_identical", "count",
                       pool_identical ? 1.0 : 0.0);
-    report.add_metric("registry.bit_identical", "count",
-                      registry_identical ? 1.0 : 0.0);
-    report.add_metric(
-        "registry.topk_pushes", "count",
-        static_cast<double>(
-            registry.find_counter("fwq.topk.pushes")->value()));
+    // Named for the counter registry that once carried it, so the
+    // baseline history of the number stays one series.
+    report.add_metric("registry.topk_pushes", "count",
+                      static_cast<double>(serial.topk_pushes));
     report.add_metric("prof.bit_identical", "count",
                       prof_identical ? 1.0 : 0.0);
     report.add_metric("prof.dropped", "count",

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
             << "caller), default_parallelism " << default_parallelism()
             << ", items " << items << ", rounds " << rounds << "\n";
 
-  const obs::prof::HostCounterSnapshot table_before =
+  const obs::prof::CounterSnapshot table_before =
       obs::prof::host_counter_snapshot();
 
   // Flat: one top-level parallel_for over all items. Threads are pinned
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   double nested_checksum = 0.0;
   for (double v : nested_slots) nested_checksum += v;
 
-  const obs::prof::HostCounterSnapshot table_after =
+  const obs::prof::CounterSnapshot table_after =
       obs::prof::host_counter_snapshot();
   // Name-sorted, like every other counter listing.
   std::vector<std::pair<std::string, std::uint64_t>> sched_counts;

@@ -1,12 +1,10 @@
 // obs_report — cross-layer observability tour (ROADMAP: observability).
 //
 // Runs the same short campaign on a Linux node and a multi-kernel node
-// with the counter registry and the trace buffer enabled, then prints
-// what the instrumentation saw:
+// with the trace buffer enabled, then prints what the instrumentation saw:
 //   * a ranked counter comparison (Linux vs multi-kernel, the Table 2
 //     presentation style applied to kernel-internal event counts),
-//   * the offload-path latency histograms (enqueue -> proxy wakeup ->
-//     execute -> reply, plus round trip),
+//   * the offload round trips (their phases are the offload:* span trees),
 //   * a span report grouped by label, reconstructed from the trace
 //     buffer's span/parent ids,
 //   * page-fault / TLB-shootdown span trees from a prepopulated mmap +
@@ -31,10 +29,10 @@
 #include "cluster/job_launcher.h"
 #include "cluster/node.h"
 #include "cluster/osenv.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "noise/fwq.h"
 #include "obs/bench_report.h"
-#include "obs/registry.h"
 #include "obs/timeseries/openmetrics.h"
 #include "sim/chrome_trace.h"
 #include "sim/span_tree.h"
@@ -183,7 +181,6 @@ int main(int argc, char** argv) {
 
   cluster::SimNodeOptions options;
   options.seed = Seed{2021};
-  options.observability = true;
   options.trace_capacity = 1 << 16;
 
   auto linux_node = cluster::SimNode::make_linux_node(
@@ -196,8 +193,8 @@ int main(int argc, char** argv) {
   run_campaign(*mk_node);
 
   // ---- Ranked counter comparison -------------------------------------
-  const auto ls = linux_node->registry().snapshot();
-  const auto ms = mk_node->registry().snapshot();
+  const auto ls = linux_node->counters();
+  const auto ms = mk_node->counters();
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> merged;
   for (const auto& c : ls.counters) merged[c.name].first = c.value;
   for (const auto& c : ms.counters) merged[c.name].second = c.value;
@@ -209,7 +206,7 @@ int main(int argc, char** argv) {
                             std::max(b.second.first, b.second.second);
                    });
   print_banner(std::cout,
-               "Counter registry: Linux node vs multi-kernel node "
+               "Kernel counters: Linux node vs multi-kernel node "
                "(ranked by count)");
   TextTable t({"counter", "Linux node", "multi-kernel node"});
   t.set_align(0, Align::kLeft);
@@ -222,17 +219,15 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  // ---- Offload latency split -----------------------------------------
-  print_banner(std::cout,
-               "Syscall offload latency split (multi-kernel node)");
-  TextTable h({"histogram", "samples", "p50", "p99", "max"});
-  h.set_align(0, Align::kLeft);
-  for (const auto& e : ms.histograms) {
-    h.add_row({e.name, TextTable::fmt_int(static_cast<long long>(e.count)),
-               TextTable::fmt(e.p50, 2), TextTable::fmt(e.p99, 2),
-               TextTable::fmt(e.max, 2)});
-  }
-  h.print(std::cout);
+  // ---- Offload round trips -------------------------------------------
+  // The split (marshal, both IKC hops, proxy wakeup and execute) is the
+  // offload:* span trees of the span report below.
+  const OnlineStats& rtt = mk_node->offloader()->roundtrip_us();
+  print_banner(std::cout, "Syscall offload round trips (multi-kernel node)");
+  std::cout << "round trips=" << rtt.count()
+            << "  mean=" << TextTable::fmt(rtt.mean(), 2)
+            << " us  min=" << TextTable::fmt(rtt.min(), 2)
+            << " us  max=" << TextTable::fmt(rtt.max(), 2) << " us\n";
 
   // ---- Span report ----------------------------------------------------
   const auto linux_records = linux_node->trace().snapshot();
@@ -353,12 +348,11 @@ int main(int argc, char** argv) {
                     linux_bsp.total.to_ms());
   report.add_metric("obs_report.bsp_mck_total_ms", "ms",
                     mck_bsp.total.to_ms());
-  // Every registry counter under its raw dotted name; the OpenMetrics
+  // Every node counter under its raw dotted name; the OpenMetrics
   // exposition preserves the same names in its `name` label, so the two
   // exports stay round-trippable (pinned by the ObsRoundTrip test).
-  obs::ts::add_registry_metrics(report, linux_node->registry(),
-                                "counter.linux");
-  obs::ts::add_registry_metrics(report, mk_node->registry(), "counter.mk");
+  obs::ts::add_registry_metrics(report, ls, "counter.linux");
+  obs::ts::add_registry_metrics(report, ms, "counter.mk");
   report.add_metric(
       "host.wall_s", "s",
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -9,10 +9,10 @@
 //   * every knob that can change a simulated number is included — seeds,
 //     durations, shard boundaries (they fix the floating-point summation
 //     order), the hit cap, the timeline switch;
-//   * pure host-execution knobs are excluded — `threads` (results are
-//     bit-identical across host thread counts, DESIGN §6) and
-//     observability sinks (`registry`, attached series) never appear, so
-//     the same experiment run on different hosts lands in the same group;
+//   * the one pure host-execution knob is excluded — `threads` (results
+//     are bit-identical across host thread counts, DESIGN §6) never
+//     appears, so the same experiment run on different hosts lands in the
+//     same group;
 //   * times serialize as integer nanoseconds (exact), and the document
 //     carries a `schema` member so a field rename is a visible schema
 //     bump, not a silent rehash.
@@ -26,8 +26,8 @@
 
 namespace hpcos::cluster {
 
-// FWQ campaign knobs (schema "hpcos-config-fwq-campaign/2"); `threads` and
-// `registry` are deliberately absent.
+// FWQ campaign knobs (schema "hpcos-config-fwq-campaign/2"); `threads` is
+// deliberately absent.
 JsonValue to_config_json(const FwqCampaignConfig& config);
 
 }  // namespace hpcos::cluster

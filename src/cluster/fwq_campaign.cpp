@@ -65,8 +65,8 @@ struct ShardAccumulator {
 
   // Bounded worst-node selection: a min-heap of the kWorstNodes largest
   // per-node maxima seen by this shard; the global worst-100 is selected
-  // from the shard heaps at merge time. Push/evict counts fold into the
-  // registry during the serial merge (the heap itself is shard-local, so
+  // from the shard heaps at merge time. Push/evict counts sum into the
+  // result during the serial merge (the heap itself is shard-local, so
   // no synchronization).
   std::vector<double> worst;  // min-heap (std::greater comparator)
   std::uint64_t topk_pushes = 0;
@@ -413,9 +413,8 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
       config.threads);
 
   // Merge in rank (shard) order. The profiler scope covers the whole
-  // serial tail (merge, worst-N selection, registry fold): that is the
-  // campaign's Amdahl term, worth seeing as one line in the hotspot
-  // table.
+  // serial tail (merge and worst-N selection): that is the campaign's
+  // Amdahl term, worth seeing as one line in the hotspot table.
   PROF_SCOPE("fwq.merge");
   result.per_source.resize(attrib_slots);
   for (std::size_t i = 0; i < profile.sources.size(); ++i) {
@@ -444,8 +443,6 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
   SimTime global_max = SimTime::zero();
   double overhead_sum_us = 0.0;
   std::vector<double> worst_candidates;
-  std::uint64_t topk_pushes = 0;
-  std::uint64_t topk_evictions = 0;
   for (const ShardAccumulator& acc : shards) {
     result.cdf.merge(acc.cdf);
     overhead_sum_us += acc.overhead_sum_us;
@@ -460,8 +457,8 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
     }
     worst_candidates.insert(worst_candidates.end(), acc.worst.begin(),
                             acc.worst.end());
-    topk_pushes += acc.topk_pushes;
-    topk_evictions += acc.topk_evictions;
+    result.topk_pushes += acc.topk_pushes;
+    result.topk_evictions += acc.topk_evictions;
     if (config.timeline) {
       for (std::size_t i = 0; i < attrib_slots; ++i) {
         result.timeline.per_source[i].merge(acc.series[i]);
@@ -480,15 +477,6 @@ FwqCampaignResult run_fwq_campaign(const noise::AnalyticNoiseProfile& profile,
       worst_candidates.end(), std::greater<double>());
   worst_candidates.resize(keep);
   result.worst_node_max_us = std::move(worst_candidates);
-
-  if (config.registry != nullptr) {
-    config.registry->counter("fwq.campaign.nodes")
-        ->add(static_cast<std::uint64_t>(config.nodes));
-    config.registry->counter("fwq.campaign.iterations")
-        ->add(result.total_iterations);
-    config.registry->counter("fwq.topk.pushes")->add(topk_pushes);
-    config.registry->counter("fwq.topk.evictions")->add(topk_evictions);
-  }
 
   result.stats.t_min = global_min == SimTime::max() ? config.work_quantum
                                                     : global_min;

@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "noise/analytic.h"
 #include "noise/metrics.h"
-#include "obs/registry.h"
 #include "obs/timeseries/timeseries.h"
 
 namespace hpcos::cluster {
@@ -53,10 +52,6 @@ struct FwqCampaignConfig {
   // at full Fugaku scale still yields ~2,500 shards — enough granularity
   // for any plausible host pool while merge cost stays negligible.
   std::int64_t nodes_per_shard = 64;
-  // Optional observability sink. Folded into serially after the parallel
-  // phase (fwq.campaign.nodes/.iterations, fwq.topk.pushes/.evictions) —
-  // shards count locally, the Registry stays single-writer.
-  obs::Registry* registry = nullptr;
   // Streaming timeline (off by default): per-source overhead series and
   // distributions, and the Figure 4 node x time heatmap. Event
   // timestamps come from a dedicated RNG substream (node split 2), so
@@ -109,6 +104,10 @@ struct FwqCampaignResult {
   // Worst (longest) iteration of each of the 100 worst nodes (fewer when
   // the campaign has fewer nodes), sorted descending (us).
   std::vector<double> worst_node_max_us;
+  // The shard heaps behind that list: one push per node, and an eviction
+  // whenever a shard's heap of 100 was already full.
+  std::uint64_t topk_pushes = 0;
+  std::uint64_t topk_evictions = 0;
   // Per-source ledger in profile order (inactive sources kept with zero
   // counts so the layout is profile-stable), with the jitter floor last.
   std::vector<SourceAttribution> per_source;

@@ -1,5 +1,7 @@
 #include "cluster/node.h"
 
+#include <algorithm>
+
 namespace hpcos::cluster {
 
 SimNode::SimNode(hw::PlatformConfig platform, Options options)
@@ -10,7 +12,6 @@ SimNode::SimNode(hw::PlatformConfig platform, Options options)
       sim_(options.shared_simulator != nullptr ? options.shared_simulator
                                                : owned_sim_.get()),
       trace_(options.trace_capacity),
-      observability_(options.observability),
       seed_(options.seed) {}
 
 std::unique_ptr<SimNode> SimNode::make_linux_node(hw::PlatformConfig platform,
@@ -22,7 +23,6 @@ std::unique_ptr<SimNode> SimNode::make_linux_node(hw::PlatformConfig platform,
       *node->sim_, node->platform_.topology,
       node->platform_.topology.all_cores(), std::move(config), node->seed_,
       node->trace_.enabled() ? &node->trace_ : nullptr, &node->bus_);
-  if (node->observability_) node->linux_->set_registry(&node->registry_);
   node->linux_->boot();
   return node;
 }
@@ -64,17 +64,43 @@ std::unique_ptr<SimNode> SimNode::make_multikernel_node(
   node->offloader_ = std::make_unique<mck::SyscallOffloader>(
       *node->lwk_, *node->linux_, *inst.to_host, *inst.to_lwk,
       topo.system_cores());
-  if (node->observability_) {
-    node->linux_->set_registry(&node->registry_);
-    node->lwk_->set_registry(&node->registry_);
-    node->offloader_->set_registry(&node->registry_);  // + both IKC channels
-  }
   return node;
 }
 
 os::NodeKernel& SimNode::app_kernel() {
   if (lwk_ != nullptr) return *lwk_;
   return *linux_;
+}
+
+obs::prof::CounterSnapshot SimNode::counters() const {
+  obs::prof::CounterSnapshot snap;
+  auto add = [&snap](std::string name, std::uint64_t value) {
+    snap.counters.push_back({std::move(name), value});
+  };
+  add("linux.interrupt_ns", linux_->total_interrupt_ns());
+  add("linux.page_faults", linux_->total_page_faults());
+  add("linux.syscalls", linux_->total_syscalls());
+  add("linux.ticks", linux_->total_ticks());
+  add("linux.tlb.shootdown_ipis", linux_->total_tlb_shootdown_ipis());
+  add("linux.tlb.shootdowns", linux_->total_tlb_shootdowns());
+  if (lwk_ != nullptr) {
+    add("lwk.interrupt_ns", lwk_->total_interrupt_ns());
+    add("lwk.page_faults", lwk_->total_page_faults());
+    add("lwk.sched.dispatches", lwk_->sched_dispatches());
+    add("lwk.stag.registrations", lwk_->stag_registrations());
+    add("lwk.syscalls.local", lwk_->local_syscalls());
+    add("lwk.syscalls.offloaded", lwk_->offloaded_syscalls());
+    add("offload.replies", offloader_->replies());
+    add("offload.requests", offloader_->requests());
+    const ihk::OsInstance& inst = ihk_->instance(os_instance_);
+    for (const ihk::IkcChannel* ch : {inst.to_host.get(), inst.to_lwk.get()}) {
+      add("ikc." + ch->name() + ".delivered", ch->messages_delivered());
+      add("ikc." + ch->name() + ".posted", ch->messages_posted());
+    }
+  }
+  std::sort(snap.counters.begin(), snap.counters.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  return snap;
 }
 
 }  // namespace hpcos::cluster

@@ -18,7 +18,7 @@
 #include "linuxk/linux_kernel.h"
 #include "mckernel/mckernel.h"
 #include "mckernel/offload.h"
-#include "obs/registry.h"
+#include "obs/prof/counters.h"
 #include "oskernel/stall_bus.h"
 #include "sim/simulator.h"
 
@@ -27,9 +27,6 @@ namespace hpcos::cluster {
 struct SimNodeOptions {
   Seed seed{0xF00D};
   std::size_t trace_capacity = 0;  // 0 disables tracing
-  // Wire every subsystem's counters into the node registry. Off by
-  // default: instrumented hot paths then cost exactly one branch.
-  bool observability = false;
   // When set, the node attaches to this simulator instead of owning one
   // (multi-node DES clusters share a clock; see des_cluster.h).
   sim::Simulator* shared_simulator = nullptr;
@@ -62,10 +59,12 @@ class SimNode {
   mck::SyscallOffloader* offloader() { return offloader_.get(); }
   ihk::IhkManager* ihk_manager() { return ihk_.get(); }
   sim::TraceBuffer& trace() { return trace_; }
-  // The node's counter/histogram registry; every kernel, IKC channel, and
-  // the offload path register into it when `options.observability` is on
-  // (nothing registers otherwise — hot paths keep their disabled branch).
-  obs::Registry& registry() { return registry_; }
+  // Every kernel event count of the node under its dotted name, sorted by
+  // name: the six linux.* counters, plus on a multi-kernel node the six
+  // lwk.*, both IKC channels' posted/delivered and offload.requests /
+  // .replies. Each kernel keeps its counts as plain members; this is the
+  // one place that names them.
+  obs::prof::CounterSnapshot counters() const;
 
  private:
   explicit SimNode(hw::PlatformConfig platform, Options options);
@@ -74,8 +73,6 @@ class SimNode {
   std::unique_ptr<sim::Simulator> owned_sim_;
   sim::Simulator* sim_;  // owned_sim_.get() or the shared simulator
   sim::TraceBuffer trace_;
-  obs::Registry registry_;
-  bool observability_ = false;
   os::ChipStallBus bus_;
   Seed seed_;
   std::unique_ptr<linuxk::LinuxKernel> linux_;

@@ -20,7 +20,7 @@
 // What goes *into* the hashed document is the caller's half of the
 // contract: serialize every knob that can change a simulated result
 // (seeds, shard boundaries, durations, model parameters) and exclude
-// pure host-execution knobs (host thread counts, observability sinks) —
+// pure host-execution knobs (host thread counts) —
 // results are bit-identical across those by the determinism contract
 // (DESIGN §6), so they must not fragment the key space. The config
 // serializers in cluster/config_json.h follow this rule and are the

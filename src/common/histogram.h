@@ -3,9 +3,9 @@
 // The evaluation plots (Figure 4 in particular) are cumulative distribution
 // functions of FWQ iteration lengths aggregated over tens of thousands of
 // cores. LogHistogram keeps memory bounded while preserving the tail
-// resolution those plots need; the campaign timeline, the span sampler and
-// the Registry keep their distributions in it too, so every quantile in the
-// repo has one definition (DESIGN §6).
+// resolution those plots need; the campaign timeline and the span sampler
+// keep their distributions in it too, so every quantile in the repo has one
+// definition (DESIGN §6).
 #pragma once
 
 #include <cstddef>

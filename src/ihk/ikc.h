@@ -12,7 +12,6 @@
 
 #include "common/ring_fifo.h"
 #include "common/sim_time.h"
-#include "obs/registry.h"
 #include "oskernel/syscall.h"
 #include "oskernel/types.h"
 #include "sim/simulator.h"
@@ -49,11 +48,6 @@ class IkcChannel {
   // Destination-side delivery callback; must be set before post().
   void set_receiver(Handler handler) { receiver_ = std::move(handler); }
 
-  // Register this channel's counters (ikc.<name>.posted / .delivered) and
-  // the queue-depth histogram (ikc.<name>.inflight, sampled at each post).
-  // Optional; the channel runs uninstrumented when never called.
-  void set_registry(obs::Registry* registry);
-
   // Enqueue a message; delivered (receiver invoked) after the channel
   // latency. Messages never reorder: the latency is fixed and the
   // simulator breaks equal timestamps in scheduling order, so the k-th
@@ -62,6 +56,7 @@ class IkcChannel {
 
   const std::string& name() const { return name_; }
   SimTime latency() const { return latency_; }
+  // The node's ikc.<name>.posted / .delivered counters.
   std::uint64_t messages_posted() const { return posted_; }
   std::uint64_t messages_delivered() const { return delivered_; }
 
@@ -79,9 +74,6 @@ class IkcChannel {
   std::uint64_t next_seq_ = 1;
   std::uint64_t posted_ = 0;
   std::uint64_t delivered_ = 0;
-  obs::Counter* posted_counter_ = nullptr;
-  obs::Counter* delivered_counter_ = nullptr;
-  LogHistogram* inflight_hist_ = nullptr;
 };
 
 }  // namespace hpcos::ihk

@@ -99,7 +99,7 @@ void LinuxKernel::tick_fired(hw::CoreId core) {
   }
   const SimTime cost =
       ts.full ? costs().tick_duration : costs().residual_tick_duration;
-  obs::bump(tick_counter_);
+  ++ticks_fired_;
   interrupt_core(core, cost, sim::TraceCategory::kTimerTick,
                  ts.full ? "tick" : "residual-tick");
   if (ts.full) {
@@ -124,28 +124,10 @@ void LinuxKernel::on_thread_enqueued(hw::CoreId core) {
 
 // ---- syscalls ----
 
-void LinuxKernel::set_registry(obs::Registry* registry) {
-  if (registry == nullptr) {
-    syscall_counter_ = nullptr;
-    fault_counter_ = nullptr;
-    shootdown_counter_ = nullptr;
-    shootdown_ipi_counter_ = nullptr;
-    tick_counter_ = nullptr;
-    set_interrupt_ns_counter(nullptr);
-    return;
-  }
-  set_interrupt_ns_counter(registry->counter("linux.interrupt_ns"));
-  syscall_counter_ = registry->counter("linux.syscalls");
-  fault_counter_ = registry->counter("linux.page_faults");
-  shootdown_counter_ = registry->counter("linux.tlb.shootdowns");
-  shootdown_ipi_counter_ = registry->counter("linux.tlb.shootdown_ipis");
-  tick_counter_ = registry->counter("linux.ticks");
-}
-
 os::NodeKernel::SyscallDisposition LinuxKernel::handle_syscall(
     os::Thread& thread, const os::SyscallRequest& req) {
   using S = os::Syscall;
-  obs::bump(syscall_counter_);
+  ++syscalls_;
   switch (req.no) {
     case S::kMmap:
       return do_mmap(thread, req.args);
@@ -261,7 +243,6 @@ os::NodeKernel::SyscallDisposition LinuxKernel::do_mmap(
         static_cast<std::int64_t>(faults);
     d.service_time += total_cost;
     page_faults_ += faults;
-    obs::bump(fault_counter_, faults);
     record_fault_spans(thread.core,
                        os::classify_fault(page, config_.base_page_size),
                        faults, base_cost, total_cost - base_cost);
@@ -362,7 +343,6 @@ SimTime LinuxKernel::tlb_shootdown(const os::Process& proc,
                                    std::uint64_t parent_span) {
   if (flushes == 0) return SimTime::zero();
   ++shootdowns_;
-  obs::bump(shootdown_counter_);
 
   SimTime local_cost = SimTime::zero();
   SimTime victim_stall = SimTime::zero();  // per-victim broadcast penalty
@@ -399,7 +379,7 @@ SimTime LinuxKernel::tlb_shootdown(const os::Process& proc,
         if (t.state == os::ThreadState::kRunning && t.core != initiator) {
           interrupt_core(t.core, tlb_model_.ipi_shootdown_per_core(),
                          sim::TraceCategory::kTlbShootdown, "tlbi-ipi");
-          obs::bump(shootdown_ipi_counter_);
+          ++shootdown_ipis_;
           ++ipi_victims;
         }
       }

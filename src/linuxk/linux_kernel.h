@@ -14,7 +14,6 @@
 #include <optional>
 
 #include "noise/background.h"
-#include "obs/registry.h"
 #include "linuxk/cfs_scheduler.h"
 #include "linuxk/cgroup.h"
 #include "linuxk/config.h"
@@ -65,14 +64,12 @@ class LinuxKernel final : public os::NodeKernel {
   // interrupts running ones (signal-frame setup on their core).
   void send_signal(os::ThreadId target);
 
-  // Statistics for tests/benches.
+  // Event counts since construction (the node's linux.* counters).
+  std::uint64_t total_syscalls() const { return syscalls_; }
   std::uint64_t total_page_faults() const { return page_faults_; }
   std::uint64_t total_tlb_shootdowns() const { return shootdowns_; }
-
-  // Register the Linux side's counters (linux.syscalls, linux.page_faults,
-  // linux.tlb.shootdowns, linux.tlb.shootdown_ipis, linux.ticks). nullptr
-  // detaches.
-  void set_registry(obs::Registry* registry);
+  std::uint64_t total_tlb_shootdown_ipis() const { return shootdown_ipis_; }
+  std::uint64_t total_ticks() const { return ticks_fired_; }
 
  protected:
   os::Scheduler& sched() override { return cfs_; }
@@ -123,14 +120,11 @@ class LinuxKernel final : public os::NodeKernel {
   std::map<std::pair<os::Pid, std::uint64_t>, HugeTlbFs::AllocResult>
       hugetlb_backing_;
 
+  std::uint64_t syscalls_ = 0;
   std::uint64_t page_faults_ = 0;
   std::uint64_t shootdowns_ = 0;
-
-  obs::Counter* syscall_counter_ = nullptr;
-  obs::Counter* fault_counter_ = nullptr;
-  obs::Counter* shootdown_counter_ = nullptr;
-  obs::Counter* shootdown_ipi_counter_ = nullptr;
-  obs::Counter* tick_counter_ = nullptr;
+  std::uint64_t shootdown_ipis_ = 0;
+  std::uint64_t ticks_fired_ = 0;
 };
 
 }  // namespace hpcos::linuxk

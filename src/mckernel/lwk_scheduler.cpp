@@ -42,7 +42,7 @@ os::ThreadId LwkScheduler::pick_next(hw::CoreId core) {
   if (q.empty()) return os::kInvalidThread;
   os::Thread* t = q.pop_front();
   t->queued_on = hw::kInvalidCore;
-  obs::bump(dispatch_counter_);
+  ++dispatches_;
   return t->tid;
 }
 

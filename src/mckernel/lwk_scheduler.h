@@ -9,7 +9,6 @@
 
 #include "common/ring_fifo.h"
 #include "hw/cpuset.h"
-#include "obs/registry.h"
 #include "oskernel/scheduler.h"
 
 namespace hpcos::mck {
@@ -30,14 +29,11 @@ class LwkScheduler final : public os::Scheduler {
   bool should_resched_on_tick(hw::CoreId core, os::Thread& running) override;
   void charge(os::Thread& thread, SimTime elapsed) override;
 
-  // Counts successful dispatches (lwk.sched.dispatches); set by McKernel
-  // when a registry is wired.
-  void set_dispatch_counter(obs::Counter* counter) {
-    dispatch_counter_ = counter;
-  }
+  // Threads handed out by pick_next (the node's lwk.sched.dispatches).
+  std::uint64_t dispatches() const { return dispatches_; }
 
  private:
-  obs::Counter* dispatch_counter_ = nullptr;
+  std::uint64_t dispatches_ = 0;
   hw::CpuSet owned_;
   std::vector<RingFifo<os::Thread*>> queues_;  // FIFO round robin
 };

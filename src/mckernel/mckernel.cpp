@@ -55,24 +55,6 @@ void McKernel::boot() {
   background_->start();
 }
 
-void McKernel::set_registry(obs::Registry* registry) {
-  if (registry == nullptr) {
-    local_counter_ = nullptr;
-    offload_counter_ = nullptr;
-    stag_counter_ = nullptr;
-    fault_counter_ = nullptr;
-    lwk_sched_.set_dispatch_counter(nullptr);
-    set_interrupt_ns_counter(nullptr);
-    return;
-  }
-  set_interrupt_ns_counter(registry->counter("lwk.interrupt_ns"));
-  local_counter_ = registry->counter("lwk.syscalls.local");
-  offload_counter_ = registry->counter("lwk.syscalls.offloaded");
-  stag_counter_ = registry->counter("lwk.stag.registrations");
-  fault_counter_ = registry->counter("lwk.page_faults");
-  lwk_sched_.set_dispatch_counter(registry->counter("lwk.sched.dispatches"));
-}
-
 bool McKernel::is_local_syscall(os::Syscall no) {
   using S = os::Syscall;
   switch (no) {
@@ -103,12 +85,13 @@ os::NodeKernel::SyscallDisposition McKernel::handle_syscall(
       (req.args.arg2 == kTofuRegisterStag ||
        req.args.arg2 == kTofuDeregisterStag)) {
     ++local_count_;
-    obs::bump(local_counter_);
-    if (req.args.arg2 == kTofuRegisterStag) obs::bump(stag_counter_);
     SyscallDisposition d;
-    d.service_time = req.args.arg2 == kTofuRegisterStag
-                         ? pico_.register_stag(req.args.arg1)
-                         : pico_.deregister_stag(req.args.arg1);
+    if (req.args.arg2 == kTofuRegisterStag) {
+      ++stag_registrations_;
+      d.service_time = pico_.register_stag(req.args.arg1);
+    } else {
+      d.service_time = pico_.deregister_stag(req.args.arg1);
+    }
     d.result.ok = true;
     d.result.path = os::SyscallResult::Path::kFastDriver;
     return d;
@@ -116,7 +99,6 @@ os::NodeKernel::SyscallDisposition McKernel::handle_syscall(
 
   if (!is_local_syscall(req.no)) {
     ++offload_count_;
-    obs::bump(offload_counter_);
     HPCOS_CHECK_MSG(offloader_ != nullptr,
                     "offloaded syscall without a proxy path: " +
                         to_string(req.no));
@@ -127,7 +109,6 @@ os::NodeKernel::SyscallDisposition McKernel::handle_syscall(
   }
 
   ++local_count_;
-  obs::bump(local_counter_);
   switch (req.no) {
     case S::kMmap:
       return do_mmap(thread, req.args);
@@ -218,6 +199,7 @@ os::NodeKernel::SyscallDisposition McKernel::do_mmap(
     const SimTime cost =
         config_.page_fault_cost * static_cast<std::int64_t>(faults);
     d.service_time += cost;
+    page_faults_ += faults;
     record_fault_spans(thread.core, lwk_fault_kind(page),
                        faults, cost);
   }

@@ -40,11 +40,6 @@ class McKernel final : public os::NodeKernel {
   // Wire the delegation path; without it, non-local syscalls fail hard.
   void set_offloader(SyscallOffloader* offloader) { offloader_ = offloader; }
 
-  // Register the LWK's counters (lwk.syscalls.local/.offloaded,
-  // lwk.stag.registrations, lwk.page_faults, lwk.sched.dispatches).
-  // nullptr detaches; hot paths keep exactly one branch either way.
-  void set_registry(obs::Registry* registry);
-
   const McKernelConfig& config() const { return config_; }
   PicoDriver& picodriver() { return pico_; }
 
@@ -56,8 +51,14 @@ class McKernel final : public os::NodeKernel {
   // running ones.
   void send_signal(os::ThreadId target);
 
+  // Event counts since construction (the node's lwk.* counters).
   std::uint64_t local_syscalls() const { return local_count_; }
   std::uint64_t offloaded_syscalls() const { return offload_count_; }
+  std::uint64_t stag_registrations() const { return stag_registrations_; }
+  // Pages populated by pre-populating mmaps (retained-pool remaps cost no
+  // fault and count none).
+  std::uint64_t total_page_faults() const { return page_faults_; }
+  std::uint64_t sched_dispatches() const { return lwk_sched_.dispatches(); }
 
  protected:
   os::Scheduler& sched() override { return lwk_sched_; }
@@ -86,11 +87,8 @@ class McKernel final : public os::NodeKernel {
   std::unordered_map<os::Pid, std::uint64_t> process_pool_;
   std::uint64_t local_count_ = 0;
   std::uint64_t offload_count_ = 0;
-
-  obs::Counter* local_counter_ = nullptr;
-  obs::Counter* offload_counter_ = nullptr;
-  obs::Counter* stag_counter_ = nullptr;
-  obs::Counter* fault_counter_ = nullptr;
+  std::uint64_t stag_registrations_ = 0;
+  std::uint64_t page_faults_ = 0;
 };
 
 }  // namespace hpcos::mck

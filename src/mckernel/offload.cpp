@@ -39,33 +39,9 @@ SyscallOffloader::SyscallOffloader(McKernel& lwk, os::NodeKernel& host,
   lwk_.set_offloader(this);
 }
 
-void SyscallOffloader::set_registry(obs::Registry* registry) {
-  if (registry == nullptr) {
-    requests_counter_ = nullptr;
-    replies_counter_ = nullptr;
-    wakeup_us_h_ = nullptr;
-    execute_us_h_ = nullptr;
-    reply_us_h_ = nullptr;
-    rtt_us_h_ = nullptr;
-    backlog_h_ = nullptr;
-  } else {
-    requests_counter_ = registry->counter("offload.requests");
-    replies_counter_ = registry->counter("offload.replies");
-    wakeup_us_h_ = registry->histogram("offload.wakeup_us", 0.1, 1e5, 48);
-    execute_us_h_ = registry->histogram("offload.execute_us", 0.1, 1e5, 48);
-    reply_us_h_ = registry->histogram("offload.reply_us", 0.1, 1e5, 48);
-    rtt_us_h_ = registry->histogram("offload.rtt_us", 0.1, 1e5, 48);
-    backlog_h_ =
-        registry->histogram("offload.proxy.backlog", 1.0, 1024.0, 24);
-  }
-  to_host_.set_registry(registry);
-  to_lwk_.set_registry(registry);
-}
-
 void SyscallOffloader::offload(os::ThreadId lwk_tid, os::Pid lwk_pid,
                                const os::SyscallRequest& request) {
   ++requests_;
-  obs::bump(requests_counter_);
   const hw::CoreId core = lwk_.thread(lwk_tid).core;  // checks the tid
   if (lwk_tid > pending_.size()) pending_.resize(lwk_tid);
   Pending& pending = pending_[lwk_tid - 1];
@@ -115,7 +91,6 @@ void SyscallOffloader::on_host_delivery(const ihk::IkcMessage& message) {
   ihk::IkcMessage stamped = message;
   stamped.host_delivered_at = lwk_.simulator().now();
   proxy.body->enqueue(std::move(stamped));
-  obs::observe(backlog_h_, static_cast<double>(proxy.body->backlog()));
   // Ring the proxy's doorbell if it is actually parked in FUTEX_WAIT. (It
   // may be Ready-but-not-dispatched after a previous wake, in which case
   // it will drain the queue on its own.)
@@ -129,7 +104,6 @@ void SyscallOffloader::on_host_delivery(const ihk::IkcMessage& message) {
 
 void SyscallOffloader::on_lwk_delivery(const ihk::IkcMessage& message) {
   ++replies_;
-  obs::bump(replies_counter_);
   os::SyscallResult result = message.result;
   result.path = os::SyscallResult::Path::kOffloaded;
   const SimTime reply_at = lwk_.simulator().now();
@@ -137,17 +111,7 @@ void SyscallOffloader::on_lwk_delivery(const ihk::IkcMessage& message) {
       pending_[message.sender - 1].in_flight) {
     Pending& pending = pending_[message.sender - 1];
     pending.in_flight = false;
-    const SimTime rtt = reply_at - pending.t0;
-    roundtrip_us_.add(rtt.to_us());
-    // Latency split: enqueue -> proxy starts executing -> reply posted ->
-    // reply delivered (the reply rides to_lwk_, so it was posted one
-    // channel latency ago).
-    const SimTime reply_posted = reply_at - to_lwk_.latency();
-    obs::observe(wakeup_us_h_, (message.proxy_start - pending.t0).to_us());
-    obs::observe(execute_us_h_,
-                 (reply_posted - message.proxy_start).to_us());
-    obs::observe(reply_us_h_, (reply_at - reply_posted).to_us());
-    obs::observe(rtt_us_h_, rtt.to_us());
+    roundtrip_us_.add((reply_at - pending.t0).to_us());
     if (pending.span != 0) record_offload_spans(pending, message, reply_at);
   }
   lwk_.complete_blocked_syscall(message.sender, result);

@@ -19,7 +19,6 @@
 #include "common/stats.h"
 #include "ihk/ikc.h"
 #include "mckernel/mckernel.h"
-#include "obs/registry.h"
 
 namespace hpcos::mck {
 
@@ -37,7 +36,6 @@ class ProxyBody final : public os::ThreadBody {
     queue_.push_back(std::move(message));
   }
   bool parked() const { return parked_; }
-  std::size_t backlog() const { return queue_.size(); }
 
  private:
   enum class Phase : std::uint8_t { kStart, kParked, kExecuted };
@@ -65,14 +63,10 @@ class SyscallOffloader {
   // Proxy-side: ship a completed request's result back to the LWK.
   void send_reply(ihk::IkcMessage message);
 
-  // Register the offload path's counters and latency-split histograms
-  // (offload.requests/.replies, offload.{wakeup,execute,reply,rtt}_us,
-  // offload.proxy.backlog) and forward the registry to both IKC channels.
-  void set_registry(obs::Registry* registry);
-
   // Current simulated time (proxy bodies stamp their execution start).
   SimTime now() { return lwk_.simulator().now(); }
 
+  // The node's offload.requests / offload.replies counters.
   std::uint64_t requests() const { return requests_; }
   std::uint64_t replies() const { return replies_; }
   // Round-trip latency (LWK block -> LWK wake) observed so far, in us.
@@ -114,14 +108,6 @@ class SyscallOffloader {
   std::uint64_t requests_ = 0;
   std::uint64_t replies_ = 0;
   OnlineStats roundtrip_us_;
-
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* replies_counter_ = nullptr;
-  LogHistogram* wakeup_us_h_ = nullptr;
-  LogHistogram* execute_us_h_ = nullptr;
-  LogHistogram* reply_us_h_ = nullptr;
-  LogHistogram* rtt_us_h_ = nullptr;
-  LogHistogram* backlog_h_ = nullptr;
 };
 
 }  // namespace hpcos::mck

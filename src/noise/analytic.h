@@ -105,7 +105,7 @@ enum class SourceKind : std::uint8_t {
 
 // Trace category a kind's events are recorded under — the bridge between
 // the statistical source table and ftrace-style TraceRecord analysis
-// (noise tagging in the BSP engine, the trace-side attribution ledger).
+// (noise tagging in the BSP engine).
 sim::TraceCategory trace_category(SourceKind k);
 
 struct NoiseSourceSpec {

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <tuple>
 
 #include "common/check.h"
-#include "sim/span_tree.h"
 
 namespace hpcos::obs::attrib {
 namespace {
@@ -122,41 +119,6 @@ AttributionLedger build_ledger(const cluster::FwqCampaignResult& result,
   ledger.reconciliation_error =
       std::abs(ledger.total_stolen_us - ledger.stats_overhead_us) / denom;
   return ledger;
-}
-
-std::vector<TraceTheftRow> trace_ledger(
-    const std::vector<sim::TraceRecord>& records) {
-  const sim::SpanForest forest(records);
-  std::map<std::tuple<std::string, sim::TraceCategory, hw::CoreId>,
-           TraceTheftRow>
-      by_key;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& r = records[i];
-    if (r.span == 0) continue;
-    const std::string source =
-        r.label.empty() ? sim::to_string(r.category) : r.label;
-    auto key = std::make_tuple(source, r.category, r.core);
-    TraceTheftRow& row = by_key[key];
-    if (row.spans == 0) {
-      row.source = source;
-      row.category = r.category;
-      row.core = r.core;
-    }
-    row.self_time_us += forest.self_time(i).to_us();
-    ++row.spans;
-  }
-  std::vector<TraceTheftRow> rows;
-  rows.reserve(by_key.size());
-  for (auto& [key, row] : by_key) rows.push_back(std::move(row));
-  std::sort(rows.begin(), rows.end(),
-            [](const TraceTheftRow& a, const TraceTheftRow& b) {
-              if (a.self_time_us != b.self_time_us) {
-                return a.self_time_us > b.self_time_us;
-              }
-              if (a.source != b.source) return a.source < b.source;
-              return a.core < b.core;
-            });
-  return rows;
 }
 
 }  // namespace hpcos::obs::attrib

@@ -3,8 +3,8 @@
 // The paper attributes measured FWQ noise back to individual kernel
 // actors (ftrace: fib manager, kworkers, blk-mq, TCS PMU reads) and
 // checks each against its expected magnitude before and after a
-// countermeasure. This module is that bookkeeping over the simulator's
-// two measurement paths:
+// countermeasure. This module is that bookkeeping for the machine-scale
+// campaign:
 //
 //  * campaign ledger — the per-source overhead sums the machine-scale FWQ
 //    campaign accumulates (cluster::SourceAttribution), reconciled against
@@ -15,9 +15,9 @@
 //    whose measured share diverges from expectation (a gated population
 //    tail that happened to land, a miscalibrated spec, a bug).
 //
-//  * trace ledger — self-time by (label, category, core) over span trees
-//    from a DES node or BSP trace (sim::SpanForest), the per-core view
-//    that tells you *where* on the node a source stole its time.
+// The DES node's own attribution is linuxk::analyze_interference (trace
+// records per activity on the application cores) and
+// noise::attribute_window (per-core accounting over a window).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 
 #include "cluster/fwq_campaign.h"
 #include "noise/analytic.h"
-#include "sim/trace.h"
 
 namespace hpcos::obs::attrib {
 
@@ -78,22 +77,5 @@ double expected_stolen_us(const noise::NoiseSourceSpec& spec,
 double expected_floor_us(const noise::AnalyticNoiseProfile& profile,
                          const cluster::FwqCampaignConfig& config,
                          std::uint64_t unhit_iterations);
-
-// One trace-ledger row: aggregate self time of spans sharing a label (or
-// category name when unlabeled) on one core/track.
-struct TraceTheftRow {
-  std::string source;  // span label; to_string(category) when empty
-  sim::TraceCategory category = sim::TraceCategory::kUser;
-  hw::CoreId core = hw::kInvalidCore;
-  double self_time_us = 0.0;
-  std::uint64_t spans = 0;
-};
-
-// Self-time attribution over every span tree in `records`, one row per
-// (source, category, core), ordered by descending self time (ties by
-// source then core). Self times come from sim::SpanForest, so nested
-// spans never double count.
-std::vector<TraceTheftRow> trace_ledger(
-    const std::vector<sim::TraceRecord>& records);
 
 }  // namespace hpcos::obs::attrib

@@ -44,26 +44,6 @@ void print_ledger(std::ostream& os, const AttributionLedger& ledger) {
      << std::defaultfloat;
 }
 
-void print_trace_ledger(std::ostream& os,
-                        const std::vector<TraceTheftRow>& rows,
-                        std::size_t max_rows) {
-  os << "  " << std::left << std::setw(24) << "source" << std::setw(16)
-     << "category" << std::right << std::setw(6) << "core" << std::setw(14)
-     << "self(us)" << std::setw(10) << "spans" << '\n';
-  std::size_t shown = 0;
-  for (const auto& row : rows) {
-    if (shown++ == max_rows) {
-      os << "  ... " << rows.size() - max_rows << " more rows\n";
-      break;
-    }
-    os << "  " << std::left << std::setw(24) << row.source << std::setw(16)
-       << sim::to_string(row.category) << std::right << std::setw(6)
-       << row.core << std::fixed << std::setprecision(1) << std::setw(14)
-       << row.self_time_us << std::setw(10) << row.spans << '\n';
-  }
-  os << std::defaultfloat;
-}
-
 void print_straggler_report(std::ostream& os, const StragglerReport& report,
                             std::size_t max_iterations) {
   os << "  tracks " << report.tracks << ", iterations "

@@ -1,6 +1,5 @@
 // Human-readable tables and BenchReport plumbing for the attribution
-// ledger and straggler report (consumed by tools/noise_explain and
-// examples/obs_report).
+// ledger and straggler report (consumed by tools/noise_explain).
 #pragma once
 
 #include <iosfwd>
@@ -14,9 +13,6 @@ namespace hpcos::obs::attrib {
 
 // Fixed-width tables in the style of the repo's other report printers.
 void print_ledger(std::ostream& os, const AttributionLedger& ledger);
-void print_trace_ledger(std::ostream& os,
-                        const std::vector<TraceTheftRow>& rows,
-                        std::size_t max_rows = 16);
 void print_straggler_report(std::ostream& os, const StragglerReport& report,
                             std::size_t max_iterations = 8);
 

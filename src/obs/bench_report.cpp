@@ -322,7 +322,15 @@ BenchOptions parse_bench_options(int argc, char** argv) {
     cfg.stderr_line = opts.sinks.progress;
     cfg.stall_after_s = opts.sinks.watchdog_stall_s;
     cfg.abort_on_stall = opts.sinks.watchdog_abort;
-    live::start_global_meter(std::move(cfg));
+    const std::string target = cfg.target;
+    try {
+      live::start_global_meter(std::move(cfg));
+    } catch (const std::exception& e) {
+      // An unwritable heartbeat stream is an I/O error (exit 2), like an
+      // unwritable --json or --ledger path in maybe_write_report.
+      std::cerr << target << ": " << e.what() << "\n";
+      std::exit(2);
+    }
   }
   return opts;
 }

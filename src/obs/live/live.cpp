@@ -41,7 +41,7 @@ struct Progress {
   std::uint64_t units_done = 0;
   std::uint64_t sim_time_ns = 0;
 
-  explicit Progress(const prof::HostCounterSnapshot& snap)
+  explicit Progress(const prof::CounterSnapshot& snap)
       : events(snap.value(prof::kLiveEvents)),
         units_done(snap.value(prof::kLiveUnitsDone)),
         sim_time_ns(snap.value(prof::kLiveSimTimeNs)) {}
@@ -63,7 +63,7 @@ std::string build_stall_snapshot(const Heartbeat& hb, double stalled_for_s) {
   // parallel.backlog gauge counts the chunks no thread has claimed),
   // allocation counters.
   out << "host counters:\n";
-  for (const prof::HostCounterValue& c :
+  for (const prof::CounterValue& c :
        prof::host_counter_snapshot().counters) {
     out << "  " << c.name << " " << c.value << "\n";
   }
@@ -108,7 +108,7 @@ struct ProgressMeter::Impl {
     hb.kind = kind;
     hb.seq = seq++;
     hb.t_ms = t_ms;
-    const prof::HostCounterSnapshot snap = prof::host_counter_snapshot();
+    const prof::CounterSnapshot snap = prof::host_counter_snapshot();
     hb.events = snap.value(prof::kLiveEvents);
     hb.events_per_sec = rate;
     hb.sim_time_us =
@@ -234,7 +234,6 @@ ProgressMeter::~ProgressMeter() {
 
 void ProgressMeter::start() {
   if (impl_->started) throw std::runtime_error("ProgressMeter started twice");
-  impl_->started = true;
   if (!impl_->cfg.jsonl_path.empty()) {
     impl_->out.open(impl_->cfg.jsonl_path,
                     std::ios::binary | std::ios::app);
@@ -243,6 +242,7 @@ void ProgressMeter::start() {
                                impl_->cfg.jsonl_path);
     }
   }
+  impl_->started = true;
   prof::reset_host_counters("live.");
   prof::set_live_feed(true);
   impl_->t0 = Clock::now();
@@ -281,8 +281,11 @@ std::unique_ptr<ProgressMeter> g_meter;
 void start_global_meter(ProgressConfig cfg) {
   std::lock_guard<std::mutex> lock(g_meter_mu);
   if (g_meter) throw std::runtime_error("global progress meter already running");
-  g_meter = std::make_unique<ProgressMeter>(std::move(cfg));
-  g_meter->start();
+  // Kept only once started: a meter whose stream failed to open is no
+  // running meter.
+  auto meter = std::make_unique<ProgressMeter>(std::move(cfg));
+  meter->start();
+  g_meter = std::move(meter);
 }
 
 MeterSummary stop_global_meter() {

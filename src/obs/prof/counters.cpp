@@ -30,20 +30,20 @@ HostCounter* host_counter(const std::string& name) {
   return slot.get();
 }
 
-std::uint64_t HostCounterSnapshot::value(std::string_view name) const {
+std::uint64_t CounterSnapshot::value(std::string_view name) const {
   const auto it = std::lower_bound(
       counters.begin(), counters.end(), name,
-      [](const HostCounterValue& c, std::string_view n) { return c.name < n; });
+      [](const CounterValue& c, std::string_view n) { return c.name < n; });
   return it != counters.end() && it->name == name ? it->value : 0;
 }
 
-HostCounterSnapshot host_counter_snapshot() {
+CounterSnapshot host_counter_snapshot() {
   Table& t = table();
   std::lock_guard<std::mutex> lock(t.mutex);
-  HostCounterSnapshot snap;
+  CounterSnapshot snap;
   snap.counters.reserve(t.counters.size());
   for (const auto& [name, c] : t.counters) {
-    snap.counters.push_back(HostCounterValue{name, c->value()});
+    snap.counters.push_back(CounterValue{name, c->value()});
   }
   return snap;
 }

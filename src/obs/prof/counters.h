@@ -16,6 +16,11 @@
 //   * host_counter_snapshot() is the one read path: a name-sorted copy of
 //     the table (near-consistent, not a barrier).
 //
+// CounterSnapshot is also the read form of the simulated node's kernel
+// counters (cluster::SimNode::counters()), so OpenMetrics, BenchReport
+// metrics and the time-series sampler take one (name, value) list
+// whatever the counters count.
+//
 // The table is std-only, like the profiler, so the bottom layers
 // (common/parallel, sim/simulator) write to it without a dependency
 // cycle. Host counters never feed deterministic outputs: they are
@@ -55,18 +60,18 @@ class alignas(64) HostCounter {
 // Find-or-create; the pointer is stable for the life of the process.
 HostCounter* host_counter(const std::string& name);
 
-struct HostCounterValue {
+struct CounterValue {
   std::string name;
   std::uint64_t value = 0;
 };
 
-struct HostCounterSnapshot {
-  std::vector<HostCounterValue> counters;  // name-sorted
+struct CounterSnapshot {
+  std::vector<CounterValue> counters;  // name-sorted
 
-  // Value of `name`, 0 when the table has no such counter.
+  // Value of `name`, 0 when the snapshot has no such counter.
   std::uint64_t value(std::string_view name) const;
 };
-HostCounterSnapshot host_counter_snapshot();
+CounterSnapshot host_counter_snapshot();
 
 // Zero every counter whose name starts with `prefix`. Callers quiesce the
 // writers first (the ProgressMeter zeroes live.* before it arms the feed).

@@ -1,13 +1,13 @@
 // Host-side self-profiler: where does the *simulator's own* time go?
 //
-// Every observability layer so far (Registry, spans, attribution ledger,
-// TimeSeries) measures simulated time. This module points the same
+// Every observability layer so far (kernel counters, spans, attribution
+// ledger, TimeSeries) measures simulated time. This module points the same
 // discipline at the host: the ROADMAP's full-Fugaku scale rework ("profile
 // and rework the DES hot loop") needs the simulator's host-side cost
 // decomposed into a measurable signal before any calendar-queue or
 // arena/SoA change can be evidence-driven.
 //
-// Design (mirrors the Registry's hot-path cost rules):
+// Design:
 //   * PROF_SCOPE("des.event.fire") opens a steady_clock-timed scope. A
 //     site compiles to one branch when profiling is disabled (the armed
 //     check), and two clock reads plus one ring-buffer append when it is

@@ -80,7 +80,7 @@ void add_profile_metrics(BenchReport& report, const prof::Profile& profile) {
                     static_cast<double>(profile.dropped));
   report.add_metric("host.prof.root_total_us", "us",
                     to_us(profile.root_total_ns));
-  for (const prof::HostCounterValue& c :
+  for (const prof::CounterValue& c :
        prof::host_counter_snapshot().counters) {
     if (!c.name.starts_with("mem.")) continue;
     report.add_metric("host." + c.name,

@@ -1,6 +1,6 @@
 // Append-only JSONL run ledger: the repo's memory across runs.
 //
-// A single run is already deeply observable (Registry, spans, series,
+// A single run is already deeply observable (counters, spans, series,
 // host profile); this module records *that a run happened* so trends,
 // regressions, and config-space comparisons become queryable after the
 // fact. Each line of a ledger file is one self-contained JSON record:

@@ -47,30 +47,14 @@ std::string fmt_double(double v) {
 
 }  // namespace
 
-std::string openmetrics_text(const Registry& registry,
+std::string openmetrics_text(const prof::CounterSnapshot& counters,
                              const SeriesSet* series) {
-  const Snapshot snap = registry.snapshot();
   std::ostringstream os;
-  if (!snap.counters.empty()) {
+  if (!counters.counters.empty()) {
     os << "# TYPE hpcos_counter counter\n";
-    for (const auto& c : snap.counters) {
+    for (const auto& c : counters.counters) {
       emit_sample(os, "hpcos_counter_total", {{"name", c.name}},
                   std::to_string(c.value));
-    }
-  }
-  if (!snap.histograms.empty()) {
-    os << "# TYPE hpcos_histogram summary\n";
-    for (const auto& h : snap.histograms) {
-      emit_sample(os, "hpcos_histogram_count", {{"name", h.name}},
-                  std::to_string(h.count));
-      emit_sample(os, "hpcos_histogram",
-                  {{"name", h.name}, {"quantile", std::string("0.5")}},
-                  fmt_double(h.p50));
-      emit_sample(os, "hpcos_histogram",
-                  {{"name", h.name}, {"quantile", std::string("0.99")}},
-                  fmt_double(h.p99));
-      emit_sample(os, "hpcos_histogram_max", {{"name", h.name}},
-                  fmt_double(h.max));
     }
   }
   if (series != nullptr && series->size() > 0) {
@@ -92,10 +76,10 @@ std::string openmetrics_text(const Registry& registry,
   return os.str();
 }
 
-void add_registry_metrics(BenchReport& report, const Registry& registry,
+void add_registry_metrics(BenchReport& report,
+                          const prof::CounterSnapshot& counters,
                           const std::string& prefix) {
-  const Snapshot snap = registry.snapshot();
-  for (const auto& c : snap.counters) {
+  for (const auto& c : counters.counters) {
     report.add_metric(prefix + "." + c.name, "count",
                       static_cast<double>(c.value));
   }

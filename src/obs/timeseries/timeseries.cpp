@@ -175,14 +175,14 @@ std::int64_t NodeTimeGrid::row_first_node(std::size_t row) const {
          static_cast<std::int64_t>(rows_);
 }
 
-RegistrySampler::RegistrySampler(const Registry& registry, SeriesSet* out,
-                                 SimTime period, std::size_t capacity,
-                                 std::string prefix)
-    : registry_(registry),
+RegistrySampler::RegistrySampler(Read read, SeriesSet* out, SimTime period,
+                                 std::size_t capacity, std::string prefix)
+    : read_(std::move(read)),
       out_(out),
       period_(period),
       capacity_(capacity),
       prefix_(std::move(prefix)) {
+  HPCOS_CHECK(read_ != nullptr);
   HPCOS_CHECK(out != nullptr);
   HPCOS_CHECK_MSG(period > SimTime::zero(),
                   "sampler period must be positive");
@@ -190,12 +190,12 @@ RegistrySampler::RegistrySampler(const Registry& registry, SeriesSet* out,
 
 void RegistrySampler::poll(SimTime now) {
   if (have_last_ && now < last_ + period_) return;
-  Snapshot snap = registry_.snapshot();
+  prof::CounterSnapshot snap = read_();
   if (have_last_) {
-    const Snapshot delta = Snapshot::delta(snap, last_snapshot_);
-    for (const auto& c : delta.counters) {
+    for (const prof::CounterValue& c : snap.counters) {
       out_->series(prefix_ + c.name, period_, capacity_)
-          ->record(now, static_cast<double>(c.value));
+          ->record(now, static_cast<double>(
+                            c.value - last_snapshot_.value(c.name)));
     }
     ++samples_;
   }

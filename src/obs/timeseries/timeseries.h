@@ -2,7 +2,7 @@
 //
 // The paper's signature plots are timelines, not totals: Figure 3 shows
 // per-countermeasure noise over a run on one node, Figure 4 profiles OS
-// noise across all 158,976 Fugaku nodes. The cumulative Registry and the
+// noise across all 158,976 Fugaku nodes. Cumulative counters and the
 // span traces can't answer "what did metric X look like *over* the run"
 // without replaying a full trace, so this module adds the streaming view:
 //
@@ -13,25 +13,26 @@
 //    run length. All state is plain min/max/sum/count, so shard-order
 //    merges follow the repo's determinism discipline (bit-identical for
 //    any host thread count).
-//  * SeriesSet — a Registry-style find-or-create collection of named
-//    series with deterministic (sorted) enumeration for exporters.
+//  * SeriesSet — a find-or-create collection of named series with
+//    deterministic (sorted) enumeration for exporters.
 //  * NodeTimeGrid — the Figure 4 analogue: a fixed rows x cols
 //    node-bin x time-bin accumulation grid, merged elementwise in shard
 //    order.
-//  * RegistrySampler — periodic Registry snapshot deltas turned into
-//    per-counter series ("what rate did linux.interrupt_ns run at during
-//    each window"), drivable manually (poll) or off a DES simulator
-//    (schedule).
+//  * RegistrySampler — periodic counter-snapshot deltas (a DES node's
+//    SimNode::counters(), say) turned into per-counter series ("what rate
+//    did linux.interrupt_ns run at during each window"), drivable
+//    manually (poll) or off a DES simulator (schedule).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/sim_time.h"
-#include "obs/registry.h"
+#include "obs/prof/counters.h"
 
 namespace hpcos::sim {
 class Simulator;
@@ -103,8 +104,7 @@ class TimeSeries {
 };
 
 // Find-or-create collection of named series; the returned pointer is
-// stable for the set's lifetime (Registry discipline: single writer, no
-// hot-path locks).
+// stable for the set's lifetime (single writer, no hot-path locks).
 class SeriesSet {
  public:
   SeriesSet() = default;
@@ -161,12 +161,16 @@ class NodeTimeGrid {
   std::vector<double> cells_;
 };
 
-// Periodic Registry snapshot deltas -> per-counter series. Counter names
-// are prefixed with `prefix` (e.g. "linux-node."); each sample records
-// the counter's increase since the previous sample at the poll time.
+// Periodic counter-snapshot deltas -> per-counter series. `read` returns
+// the counters' current values (obs cannot see the DES node, so the caller
+// passes e.g. [&node] { return node->counters(); }). Counter names are
+// prefixed with `prefix` (e.g. "linux-node."); each sample records the
+// counter's increase since the previous sample at the poll time.
 class RegistrySampler {
  public:
-  RegistrySampler(const Registry& registry, SeriesSet* out, SimTime period,
+  using Read = std::function<prof::CounterSnapshot()>;
+
+  RegistrySampler(Read read, SeriesSet* out, SimTime period,
                   std::size_t capacity = 256, std::string prefix = "");
 
   // Take a sample when at least one period elapsed since the last one
@@ -181,14 +185,14 @@ class RegistrySampler {
   std::uint64_t samples() const { return samples_; }
 
  private:
-  const Registry& registry_;
+  Read read_;
   SeriesSet* out_;
   SimTime period_;
   std::size_t capacity_;
   std::string prefix_;
   bool have_last_ = false;
   SimTime last_;
-  Snapshot last_snapshot_;
+  prof::CounterSnapshot last_snapshot_;
   std::uint64_t samples_ = 0;
 };
 

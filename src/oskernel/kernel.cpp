@@ -158,8 +158,7 @@ void NodeKernel::interrupt_core(hw::CoreId core, SimTime duration,
   trace_event(core, category, duration, label);
   ++cs.acct.interrupts;
   cs.acct.kernel += duration;
-  obs::bump(interrupt_ns_counter_,
-            static_cast<std::uint64_t>(duration.count_ns()));
+  interrupt_ns_ += static_cast<std::uint64_t>(duration.count_ns());
 
   if (cs.in_irq) {
     // Nested/back-to-back interrupts extend the busy period.

@@ -26,7 +26,6 @@
 #include "common/sim_time.h"
 #include "hw/cpuset.h"
 #include "hw/topology.h"
-#include "obs/registry.h"
 #include "oskernel/costs.h"
 #include "oskernel/process.h"
 #include "oskernel/scheduler.h"
@@ -77,14 +76,6 @@ class NodeKernel {
   // Steal `duration` of kernel-mode time on a core.
   void interrupt_core(hw::CoreId core, SimTime duration,
                       sim::TraceCategory category, const std::string& label);
-  // Nullable total-interrupt-time counter bumped by interrupt_core (the
-  // central kernel-time-theft path). Concrete kernels register it as
-  // linux.interrupt_ns / lwk.interrupt_ns in set_registry; the streaming
-  // RegistrySampler turns its deltas into a Fig. 3-style noise-rate
-  // series per kernel.
-  void set_interrupt_ns_counter(obs::Counter* counter) {
-    interrupt_ns_counter_ = counter;
-  }
   // Inflate the running burst on `core` by `duration` (hardware stall).
   // No-op on idle cores.
   void stall_core(hw::CoreId core, SimTime duration,
@@ -102,6 +93,10 @@ class NodeKernel {
   void complete_blocked_syscall(ThreadId tid, SyscallResult result);
 
   // ---- introspection ----
+  // Kernel time stolen by interrupt_core on every owned core, in ns: the
+  // node reads it as linux.interrupt_ns / lwk.interrupt_ns, and
+  // noise_timeline samples it into a Fig. 3-style noise-rate series.
+  std::uint64_t total_interrupt_ns() const { return interrupt_ns_; }
   const CoreAccounting& accounting(hw::CoreId core) const;
   ThreadId running_on(hw::CoreId core) const;
   const hw::CpuSet& owned_cores() const { return owned_cores_; }
@@ -202,7 +197,7 @@ class NodeKernel {
   hw::CpuSet owned_cores_;
   KernelCosts costs_;
   sim::TraceBuffer* trace_;
-  obs::Counter* interrupt_ns_counter_ = nullptr;
+  std::uint64_t interrupt_ns_ = 0;
 
   std::vector<CoreState> cores_;
   // Thread records by tid - 1: tids are dense and a record outlives its

@@ -2,7 +2,7 @@
 //
 // §4.2.1 of the paper identifies interfering kernel tasks with ftrace; the
 // substrate mirrors that workflow: kernel models emit trace records into a
-// bounded ring buffer, and analysis code (tests, the noise_audit example)
+// bounded ring buffer, and analysis code (tests, the noise_explain tool)
 // filters and aggregates them to attribute noise to its source.
 #pragma once
 

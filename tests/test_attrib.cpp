@@ -275,30 +275,6 @@ TEST(AttribLedger, MeasurementTracksAnalyticExpectation) {
   EXPECT_FALSE(row.flagged);
 }
 
-TEST(AttribLedger, TraceLedgerAggregatesSelfTimePerSourceAndCore) {
-  const std::vector<sim::TraceRecord> recs = {
-      span_rec(0, 100, "fault:major", 1, 0, 2,
-               sim::TraceCategory::kPageFault),
-      span_rec(10, 40, "tlb:flush", 2, 1, 2,
-               sim::TraceCategory::kTlbShootdown),
-      span_rec(200, 30, "fault:major", 3, 0, 4,
-               sim::TraceCategory::kPageFault),
-      // Plain (span == 0) events are not part of the span ledger.
-      sim::TraceRecord{.time = SimTime::us(1), .core = 2,
-                       .duration = SimTime::us(999), .label = "noise"},
-  };
-  const auto rows = obs::attrib::trace_ledger(recs);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].source, "fault:major");
-  EXPECT_EQ(rows[0].core, 2);
-  EXPECT_DOUBLE_EQ(rows[0].self_time_us, 60.0);  // 100 - 40 child
-  EXPECT_EQ(rows[1].source, "tlb:flush");
-  EXPECT_DOUBLE_EQ(rows[1].self_time_us, 40.0);
-  EXPECT_EQ(rows[2].source, "fault:major");
-  EXPECT_EQ(rows[2].core, 4);
-  EXPECT_DOUBLE_EQ(rows[2].self_time_us, 30.0);
-}
-
 // ------------------------------------------- straggler / critical path
 
 class NoisyStep final : public cluster::Workload {

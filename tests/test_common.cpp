@@ -1020,7 +1020,7 @@ TEST(ParallelFor, HostCounterTableIsExactStableAndSorted) {
   EXPECT_EQ(max->value(), kOuter * kInner - 1);
 
   // One name-sorted snapshot reads the table; absent names read 0.
-  const obs::prof::HostCounterSnapshot snap =
+  const obs::prof::CounterSnapshot snap =
       obs::prof::host_counter_snapshot();
   EXPECT_TRUE(std::is_sorted(
       snap.counters.begin(), snap.counters.end(),

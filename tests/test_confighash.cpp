@@ -2,7 +2,7 @@
 //
 // Two halves of the contract:
 //  * invariance — member insertion order and pure host-execution knobs
-//    (threads, registry sink) never change the hash;
+//    (threads) never change the hash;
 //  * sensitivity — every semantic knob of the campaign config serializer
 //    flips the hash when flipped.
 #include <cmath>
@@ -17,7 +17,6 @@
 #include "cluster/fwq_campaign.h"
 #include "common/confighash.h"
 #include "common/json.h"
-#include "obs/registry.h"
 #include "test_support.h"
 
 namespace hpcos {
@@ -97,9 +96,6 @@ TEST(ConfigHash, HostExecutionKnobsNeverReachTheHash) {
   config.threads = 1;
   EXPECT_EQ(config_hash_hex(cluster::to_config_json(config)), base);
   config.threads = 8;
-  EXPECT_EQ(config_hash_hex(cluster::to_config_json(config)), base);
-  obs::Registry registry;
-  config.registry = &registry;
   EXPECT_EQ(config_hash_hex(cluster::to_config_json(config)), base);
 }
 

@@ -1,6 +1,6 @@
-// Observability subsystem: registry snapshots, trace-buffer wraparound,
-// Chrome trace_event export, BenchReport schema, and the span-instrumented
-// offload path end to end.
+// Observability subsystem: trace-buffer wraparound, Chrome trace_event
+// export, BenchReport schema, the span-instrumented offload path end to
+// end, and the DES node's kernel counters.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +15,8 @@
 #include "cluster/job_launcher.h"
 #include "cluster/node.h"
 #include "cluster/osenv.h"
+#include "common/stats.h"
+#include "noise/fwq.h"
 #include "noise/profiles.h"
 #include "obs/bench_report.h"
 #include "obs/live/heartbeat.h"
@@ -22,7 +24,6 @@
 #include "obs/prof/counters.h"
 #include "obs/prof/mem.h"
 #include "obs/prof_report.h"
-#include "obs/registry.h"
 #include "sim/chrome_trace.h"
 #include "sim/trace.h"
 #include "test_support.h"
@@ -37,53 +38,6 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };
-
-// ---------------------------------------------------------------- registry
-
-TEST(ObsRegistry, CounterAndHistogramRegistration) {
-  obs::Registry reg;
-  obs::Counter* c = reg.counter("a.b");
-  EXPECT_EQ(reg.counter("a.b"), c);  // find-or-create is stable
-  c->add();
-  c->add(3);
-  EXPECT_EQ(c->value(), 4u);
-  EXPECT_EQ(reg.find_counter("a.b")->value(), 4u);
-  EXPECT_EQ(reg.find_counter("absent"), nullptr);
-
-  LogHistogram* h = reg.histogram("lat.us", 0.1, 1000.0, 32);
-  EXPECT_EQ(reg.histogram("lat.us", 0.5, 2.0, 4), h);  // first layout wins
-  h->add(10.0);
-  EXPECT_EQ(reg.counter_count(), 1u);
-  EXPECT_EQ(reg.histogram_count(), 1u);
-}
-
-TEST(ObsRegistry, BumpAndObserveAreNullSafe) {
-  obs::bump(nullptr);
-  obs::observe(nullptr, 1.0);  // must not crash: the "disabled" hot path
-  obs::Registry reg;
-  obs::Counter* c = reg.counter("x");
-  obs::bump(c, 2);
-  EXPECT_EQ(c->value(), 2u);
-}
-
-TEST(ObsRegistry, SnapshotDeltaIsolatesWindow) {
-  obs::Registry reg;
-  obs::Counter* c = reg.counter("events");
-  LogHistogram* h = reg.histogram("lat", 1.0, 100.0, 8);
-  c->add(5);
-  h->add(2.0);
-  const auto before = reg.snapshot();
-  c->add(7);
-  h->add(4.0);
-  h->add(8.0);
-  const auto after = reg.snapshot();
-  const auto delta = obs::Snapshot::delta(after, before);
-  ASSERT_EQ(delta.counters.size(), 1u);
-  EXPECT_EQ(delta.counters[0].name, "events");
-  EXPECT_EQ(delta.counters[0].value, 7u);
-  ASSERT_EQ(delta.histograms.size(), 1u);
-  EXPECT_EQ(delta.histograms[0].count, 2u);
-}
 
 // ------------------------------------------------------ trace wraparound
 
@@ -389,7 +343,6 @@ TEST(OffloadSpans, OneOffloadedSyscallExportsAsParentLinkedTree) {
   mcfg.hw_noise = noise::AnalyticNoiseProfile{};
   cluster::SimNodeOptions options;
   options.seed = Seed{5};
-  options.observability = true;
   options.trace_capacity = 1024;
   auto node = cluster::SimNode::make_multikernel_node(
       platform, std::move(lcfg), std::move(mcfg), options);
@@ -410,10 +363,9 @@ TEST(OffloadSpans, OneOffloadedSyscallExportsAsParentLinkedTree) {
   node->simulator().run_until(SimTime::ms(100));
 
   // Counters saw exactly one delegation.
-  EXPECT_EQ(node->registry().find_counter("offload.requests")->value(), 1u);
-  EXPECT_EQ(node->registry().find_counter("offload.replies")->value(), 1u);
-  EXPECT_EQ(
-      node->registry().find_counter("lwk.syscalls.offloaded")->value(), 1u);
+  EXPECT_EQ(node->offloader()->requests(), 1u);
+  EXPECT_EQ(node->offloader()->replies(), 1u);
+  EXPECT_EQ(node->lwk()->offloaded_syscalls(), 1u);
 
   // The trace holds one root span with >= 2 children (>= 3 spans total),
   // every child linked to the root.
@@ -422,6 +374,7 @@ TEST(OffloadSpans, OneOffloadedSyscallExportsAsParentLinkedTree) {
     if (r.span != 0) spanned.push_back(r);
   }
   std::uint64_t root_span = 0;
+  SimTime root_duration;
   std::size_t children = 0;
   for (const auto& r : spanned) {
     if (r.parent == 0) {
@@ -429,6 +382,7 @@ TEST(OffloadSpans, OneOffloadedSyscallExportsAsParentLinkedTree) {
       EXPECT_EQ(r.category, sim::TraceCategory::kSyscallOffload);
       EXPECT_EQ(r.label, "offload:stat");
       root_span = r.span;
+      root_duration = r.duration;
     }
   }
   ASSERT_NE(root_span, 0u);
@@ -456,27 +410,11 @@ TEST(OffloadSpans, OneOffloadedSyscallExportsAsParentLinkedTree) {
   }
   EXPECT_EQ(linked, children);
 
-  // The latency-split histograms cover the same delegation.
-  const auto snap = node->registry().snapshot();
-  bool saw_rtt = false;
-  for (const auto& h : snap.histograms) {
-    if (h.name == "offload.rtt_us") {
-      saw_rtt = true;
-      EXPECT_EQ(h.count, 1u);
-      EXPECT_GT(h.max, 0.0);
-    }
-  }
-  EXPECT_TRUE(saw_rtt);
-}
-
-TEST(OffloadSpans, DisabledObservabilityRegistersNothing) {
-  const auto platform = hw::make_fugaku_testbed_platform();
-  auto node = cluster::SimNode::make_multikernel_node(
-      platform, linuxk::make_fugaku_linux_config(platform),
-      mck::McKernelConfig::defaults(), cluster::SimNodeOptions{.seed = Seed{5}});
-  node->simulator().run_until(SimTime::ms(5));
-  EXPECT_EQ(node->registry().counter_count(), 0u);
-  EXPECT_EQ(node->registry().histogram_count(), 0u);
+  // The round-trip statistics cover the same delegation: the root span.
+  const OnlineStats& rtt = node->offloader()->roundtrip_us();
+  EXPECT_EQ(rtt.count(), 1u);
+  EXPECT_GT(rtt.max(), 0.0);
+  EXPECT_DOUBLE_EQ(rtt.max(), root_duration.to_us());
 }
 
 // ----------------------------------------- page-fault / BSP phase spans
@@ -518,11 +456,10 @@ struct MmapUnmap final : os::ThreadBody {
 };
 
 template <typename MakeNode>
-std::vector<sim::TraceRecord> fault_span_campaign(MakeNode make_node) {
+std::unique_ptr<cluster::SimNode> fault_span_campaign(MakeNode make_node) {
   const auto platform = hw::make_fugaku_testbed_platform();
   cluster::SimNodeOptions options;
   options.seed = Seed{11};
-  options.observability = true;
   options.trace_capacity = 4096;
   auto node = make_node(platform, options);
   cluster::JobLauncher launcher(*node);
@@ -530,15 +467,16 @@ std::vector<sim::TraceRecord> fault_span_campaign(MakeNode make_node) {
   launcher.spawn_rank_thread(job, 0, std::make_unique<MmapUnmap>(),
                              "mmap-unmap");
   node->simulator().run_until(SimTime::ms(50));
-  return node->trace().snapshot();
+  return node;
 }
 
 TEST(FaultSpans, LinuxFaultAndShootdownTreesAreParentLinked) {
-  const auto recs = fault_span_campaign([](const auto& platform,
+  const auto node = fault_span_campaign([](const auto& platform,
                                            const auto& options) {
     return cluster::SimNode::make_linux_node(
         platform, linuxk::make_fugaku_linux_config(platform), options);
   });
+  const auto recs = node->trace().snapshot();
   expect_parent_links_resolve(recs);
 
   // A bulk fault root with its populate child.
@@ -590,23 +528,31 @@ TEST(FaultSpans, LinuxFaultAndShootdownTreesAreParentLinked) {
 }
 
 TEST(FaultSpans, McKernelFaultTreesAreParentLinked) {
-  const auto recs = fault_span_campaign([](const auto& platform,
+  const auto node = fault_span_campaign([](const auto& platform,
                                            const auto& options) {
     return cluster::SimNode::make_multikernel_node(
         platform, linuxk::make_fugaku_linux_config(platform),
         mck::McKernelConfig::defaults(), options);
   });
+  const auto recs = node->trace().snapshot();
   expect_parent_links_resolve(recs);
   std::uint64_t fault_root = 0;
+  SimTime fault_cost;
   for (const auto& r : recs) {
     if (r.parent == 0 && r.span != 0 && r.label.rfind("fault:", 0) == 0 &&
         r.duration > SimTime::zero()) {
       EXPECT_EQ(r.category, sim::TraceCategory::kPageFault);
       fault_root = r.span;
+      fault_cost = r.duration;
       break;
     }
   }
   ASSERT_NE(fault_root, 0u);
+  // The tree's pages are counted: 32 MiB pre-populated in 2 MiB pages is
+  // 16 faults, which is what the root's cost charges for.
+  const mck::McKernel& lwk = *node->lwk();
+  EXPECT_EQ(lwk.total_page_faults(), 16u);
+  EXPECT_EQ(fault_cost, lwk.config().page_fault_cost * 16);
   bool populate_child = false;
   for (const auto& r : recs) {
     if (r.parent == fault_root && r.label == "fault:populate") {
@@ -616,6 +562,130 @@ TEST(FaultSpans, McKernelFaultTreesAreParentLinked) {
   EXPECT_TRUE(populate_child);
   const auto doc = sim::chrome_trace_document({{recs, {}}});
   EXPECT_EQ(sim::validate_chrome_trace(doc), "");
+}
+
+// ------------------------------------------------------- node counters
+
+// One offloaded stat(), then one pre-populated 32 MiB mmap.
+struct StatThenMmap final : os::ThreadBody {
+  int stage = 0;
+  void step(os::ThreadContext& ctx) override {
+    switch (stage++) {
+      case 0:
+        ctx.invoke(os::Syscall::kStat, {});
+        return;
+      case 1:
+        ctx.invoke(os::Syscall::kMmap,
+                   os::SyscallArgs{.arg0 = 32ull << 20, .arg1 = 1});
+        return;
+      default:
+        ctx.exit();
+    }
+  }
+};
+
+std::vector<std::string> counter_names(const obs::prof::CounterSnapshot& s) {
+  std::vector<std::string> names;
+  for (const auto& c : s.counters) names.push_back(c.name);
+  return names;
+}
+
+// The counters are always on: a node built with default options counts
+// every kernel event, and SimNode::counters() reads each count from the
+// kernel that keeps it under the name noise_timeline gates.
+TEST(NodeCounters, EachCounterEqualsItsKernelAccessor) {
+  const auto platform = hw::make_fugaku_testbed_platform();
+  auto node = cluster::SimNode::make_multikernel_node(
+      platform, linuxk::make_fugaku_linux_config(platform),
+      mck::McKernelConfig::defaults());
+  cluster::JobLauncher launcher(*node);
+  const auto job = launcher.launch(cluster::LaunchSpec{.ranks = 1});
+  launcher.spawn_rank_thread(job, 0, std::make_unique<StatThenMmap>(),
+                             "stat-then-mmap");
+  node->simulator().run_until(SimTime::ms(50));
+  noise::run_fwq(node->app_kernel(), node->topology().application_cores(),
+                 noise::FwqConfig{.work_quantum = SimTime::from_ms(1),
+                                  .iterations = 20});
+
+  const obs::prof::CounterSnapshot snap = node->counters();
+  // noise_timeline's 18 gated counter.* names, in name order.
+  EXPECT_EQ(counter_names(snap),
+            (std::vector<std::string>{
+                "ikc.ikc-host-to-os0.delivered", "ikc.ikc-host-to-os0.posted",
+                "ikc.ikc-os0-to-host.delivered", "ikc.ikc-os0-to-host.posted",
+                "linux.interrupt_ns", "linux.page_faults", "linux.syscalls",
+                "linux.ticks", "linux.tlb.shootdown_ipis",
+                "linux.tlb.shootdowns", "lwk.interrupt_ns", "lwk.page_faults",
+                "lwk.sched.dispatches", "lwk.stag.registrations",
+                "lwk.syscalls.local", "lwk.syscalls.offloaded",
+                "offload.replies", "offload.requests"}));
+
+  const linuxk::LinuxKernel& lx = node->linux();
+  const mck::McKernel& lwk = *node->lwk();
+  const mck::SyscallOffloader& off = *node->offloader();
+  const ihk::OsInstance& inst = node->ihk_manager()->instance(0);
+  const std::vector<std::pair<const char*, std::uint64_t>> expected = {
+      {"ikc.ikc-host-to-os0.delivered", inst.to_lwk->messages_delivered()},
+      {"ikc.ikc-host-to-os0.posted", inst.to_lwk->messages_posted()},
+      {"ikc.ikc-os0-to-host.delivered", inst.to_host->messages_delivered()},
+      {"ikc.ikc-os0-to-host.posted", inst.to_host->messages_posted()},
+      {"linux.interrupt_ns", lx.total_interrupt_ns()},
+      {"linux.page_faults", lx.total_page_faults()},
+      {"linux.syscalls", lx.total_syscalls()},
+      {"linux.ticks", lx.total_ticks()},
+      {"linux.tlb.shootdown_ipis", lx.total_tlb_shootdown_ipis()},
+      {"linux.tlb.shootdowns", lx.total_tlb_shootdowns()},
+      {"lwk.interrupt_ns", lwk.total_interrupt_ns()},
+      {"lwk.page_faults", lwk.total_page_faults()},
+      {"lwk.sched.dispatches", lwk.sched_dispatches()},
+      {"lwk.stag.registrations", lwk.stag_registrations()},
+      {"lwk.syscalls.local", lwk.local_syscalls()},
+      {"lwk.syscalls.offloaded", lwk.offloaded_syscalls()},
+      {"offload.replies", off.replies()},
+      {"offload.requests", off.requests()}};
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(snap.value(name), value) << name;
+  }
+
+  // The run reached each path: one delegation (one message each way; on
+  // Linux the proxy's stat plus its FUTEX_WAIT parks), 16 pages of 2 MiB
+  // faulted in, and the LWK's dispatches.
+  EXPECT_EQ(snap.value("offload.requests"), 1u);
+  EXPECT_EQ(snap.value("offload.replies"), 1u);
+  EXPECT_EQ(snap.value("lwk.syscalls.offloaded"), 1u);
+  EXPECT_EQ(snap.value("ikc.ikc-os0-to-host.posted"), 1u);
+  EXPECT_EQ(snap.value("ikc.ikc-host-to-os0.delivered"), 1u);
+  EXPECT_GE(snap.value("linux.syscalls"), 2u);
+  EXPECT_EQ(snap.value("lwk.page_faults"), 16u);
+  EXPECT_GT(snap.value("lwk.sched.dispatches"), 0u);
+}
+
+TEST(NodeCounters, LinuxNodeListsTheSixLinuxCounters) {
+  const auto platform = hw::make_fugaku_testbed_platform();
+  // Daemons left unbound, so their bursts interrupt the FWQ cores.
+  noise::Countermeasures cm;
+  cm.bind_daemons = false;
+  auto node = cluster::SimNode::make_linux_node(
+      platform, linuxk::make_fugaku_linux_config(platform, cm));
+  const auto traces = noise::run_fwq(
+      node->app_kernel(), node->topology().application_cores(),
+      noise::FwqConfig{.work_quantum = SimTime::from_ms(1),
+                       .iterations = 200});
+  ASSERT_FALSE(traces.empty());
+  EXPECT_EQ(traces[0].iteration_times.size(), 200u);
+  const obs::prof::CounterSnapshot snap = node->counters();
+  EXPECT_EQ(counter_names(snap),
+            (std::vector<std::string>{
+                "linux.interrupt_ns", "linux.page_faults", "linux.syscalls",
+                "linux.ticks", "linux.tlb.shootdown_ipis",
+                "linux.tlb.shootdowns"}));
+  // Ticks and daemons interrupt the FWQ cores; every interrupt's time is
+  // counted.
+  const linuxk::LinuxKernel& lx = node->linux();
+  EXPECT_GT(snap.value("linux.ticks"), 0u);
+  EXPECT_EQ(snap.value("linux.ticks"), lx.total_ticks());
+  EXPECT_GT(snap.value("linux.interrupt_ns"), 0u);
+  EXPECT_EQ(snap.value("linux.interrupt_ns"), lx.total_interrupt_ns());
 }
 
 TEST(BspSpans, PhaseTreesSumExactlyAndExportWithRankTracks) {
@@ -808,10 +878,8 @@ TEST(FwqTopK, BoundedHeapsMatchUnboundedSelection) {
   // reaches the merge.
   auto unbounded = small_campaign();
   unbounded.nodes_per_shard = 1;
-  obs::Registry reg;
-  unbounded.registry = &reg;
   const auto u = run_fwq_campaign(profile, unbounded);
-  EXPECT_EQ(reg.find_counter("fwq.topk.evictions")->value(), 0u);
+  EXPECT_EQ(u.topk_evictions, 0u);
 
   ASSERT_EQ(b.worst_node_max_us.size(), 100u);
   EXPECT_EQ(b.worst_node_max_us, u.worst_node_max_us);
@@ -830,19 +898,12 @@ TEST(FwqTopK, WorstListInvariantAcrossShardGeometry) {
   EXPECT_EQ(a.worst_node_max_us, b.worst_node_max_us);
 }
 
-TEST(FwqTopK, RegistryFoldsPushAndEvictionCounts) {
-  const auto profile = noise::ofp_linux_profile();
-  obs::Registry reg;
-  auto cfg = small_campaign();
-  cfg.registry = &reg;
-  const auto r = run_fwq_campaign(profile, cfg);
-  EXPECT_EQ(reg.find_counter("fwq.campaign.nodes")->value(), 384u);
-  EXPECT_EQ(reg.find_counter("fwq.campaign.iterations")->value(),
-            r.total_iterations);
+TEST(FwqTopK, ResultCountsPushesAndEvictions) {
+  const auto r = run_fwq_campaign(noise::ofp_linux_profile(), small_campaign());
   // Every node pushes once; with K = 100 per 128-node shard, each of the
   // three shards evicts 28.
-  EXPECT_EQ(reg.find_counter("fwq.topk.pushes")->value(), 384u);
-  EXPECT_EQ(reg.find_counter("fwq.topk.evictions")->value(), 3u * 28u);
+  EXPECT_EQ(r.topk_pushes, 384u);
+  EXPECT_EQ(r.topk_evictions, 3u * 28u);
 }
 
 }  // namespace

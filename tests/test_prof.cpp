@@ -29,7 +29,6 @@
 #include "obs/prof/mem.h"
 #include "obs/prof/prof.h"
 #include "obs/prof_report.h"
-#include "obs/registry.h"
 #include "obs/timeseries/openmetrics.h"
 #include "sim/folded_stack.h"
 #include "sim/simulator.h"
@@ -296,7 +295,7 @@ TEST_F(ProfTest, AllocCountersAndHostSample) {
   EXPECT_EQ(c.bytes->value() - bytes_before, 200u);
   EXPECT_EQ(c.events->value() - events_before, 2u);
 
-  const prof::HostCounterSnapshot snap = prof::host_counter_snapshot();
+  const prof::CounterSnapshot snap = prof::host_counter_snapshot();
   EXPECT_EQ(snap.value("mem.test.prof.mem.bytes"), c.bytes->value());
   EXPECT_EQ(snap.value("mem.test.prof.mem.events"), c.events->value());
 
@@ -318,27 +317,27 @@ TEST_F(ProfTest, ProfileCountsRoundTripThroughOpenMetrics) {
   const prof::Profile p = prof::collect();
 
   // The profile's deterministic face is its gated prof.<scope>.count
-  // report metrics; fold those into a Registry.
+  // report metrics; fold those into a name-sorted counter snapshot.
   obs::BenchReport report("om_bench", true);
   obs::add_profile_metrics(report, p);
-  obs::Registry registry;
+  prof::CounterSnapshot snap;
   for (const obs::BenchMetric& m : report.metrics()) {
     if (obs::is_host_metric(m.name)) continue;
-    registry.counter(m.name)->add(static_cast<std::uint64_t>(m.value));
+    snap.counters.push_back({m.name, static_cast<std::uint64_t>(m.value)});
   }
-  ASSERT_NE(registry.find_counter("prof.t.om.child.count"), nullptr);
-  EXPECT_EQ(registry.find_counter("prof.t.om.child.count")->value(), 2u);
-  EXPECT_EQ(registry.find_counter("prof.t.om.root.count")->value(), 1u);
+  std::sort(snap.counters.begin(), snap.counters.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  EXPECT_EQ(snap.value("prof.t.om.child.count"), 2u);
+  EXPECT_EQ(snap.value("prof.t.om.root.count"), 1u);
 
   // Exposition -> strict parse -> exact counter recovery (counts are
   // integers, so the round trip is lossless).
-  const std::string text = obs::ts::openmetrics_text(registry);
+  const std::string text = obs::ts::openmetrics_text(snap);
   const auto samples = obs::ts::parse_openmetrics(text);
   std::map<std::string, double> parsed;
   for (const auto& s : samples) {
     if (s.metric == "hpcos_counter_total") parsed[s.label("name")] = s.value;
   }
-  const obs::Snapshot snap = registry.snapshot();
   ASSERT_FALSE(snap.counters.empty());
   for (const auto& entry : snap.counters) {
     ASSERT_NE(parsed.find(entry.name), parsed.end()) << entry.name;

@@ -365,8 +365,8 @@ TEST(RunLedger, ProfiledRunCarriesItsProfileOnce) {
 }
 
 TEST(RunLedgerDeathTest, UnwritableSinkExitsWithTheIoCode) {
-  // An unwritable --json or --ledger path is an I/O error: one line on
-  // stderr and exit 2, never an uncaught exception.
+  // An unwritable --json, --ledger or --progress-file path is an I/O
+  // error: one line on stderr and exit 2, never an uncaught exception.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   obs::BenchOptions json_opts;
   json_opts.sinks.json_path = "no_such_dir/report.json";
@@ -384,6 +384,12 @@ TEST(RunLedgerDeathTest, UnwritableSinkExitsWithTheIoCode) {
         obs::maybe_write_report(report, ledger_opts);
       },
       ::testing::ExitedWithCode(2), "runlog_bench: .*no_such_dir");
+  // The heartbeat stream opens while the flags are parsed.
+  const char* args[] = {"runlog_bench", "--progress-file",
+                        "no_such_dir/run.heartbeat.jsonl"};
+  EXPECT_EXIT(obs::parse_bench_options(3, const_cast<char**>(args)),
+              ::testing::ExitedWithCode(2),
+      "runlog_bench: cannot open heartbeat stream: .*no_such_dir");
 }
 
 }  // namespace

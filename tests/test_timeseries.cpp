@@ -14,7 +14,7 @@
 #include "common/check.h"
 #include "noise/profiles.h"
 #include "obs/bench_report.h"
-#include "obs/registry.h"
+#include "obs/prof/counters.h"
 #include "obs/timeseries/openmetrics.h"
 #include "obs/timeseries/timeseries.h"
 #include "sim/simulator.h"
@@ -230,20 +230,26 @@ TEST(NodeTimeGrid, RowCountClampsToNodeCount) {
 
 // ------------------------------------------------------ RegistrySampler
 
+// A one-counter snapshot, the form SimNode::counters() returns.
+obs::prof::CounterSnapshot one_counter(const std::string& name,
+                                       std::uint64_t value) {
+  return obs::prof::CounterSnapshot{{{name, value}}};
+}
+
 TEST(RegistrySampler, PollRecordsSnapshotDeltas) {
-  obs::Registry registry;
-  obs::Counter* c = registry.counter("linux.interrupt_ns");
+  std::uint64_t interrupt_ns = 0;
   SeriesSet out;
-  RegistrySampler sampler(registry, &out, SimTime::from_ms(10),
-                          /*capacity=*/16, "node.");
-  c->add(100);
+  RegistrySampler sampler(
+      [&] { return one_counter("linux.interrupt_ns", interrupt_ns); }, &out,
+      SimTime::from_ms(10), /*capacity=*/16, "node.");
+  interrupt_ns += 100;
   sampler.poll(SimTime::zero());  // baseline snapshot, no sample yet
   EXPECT_EQ(sampler.samples(), 0u);
-  c->add(40);
+  interrupt_ns += 40;
   sampler.poll(SimTime::from_ms(5));  // within the period: no-op
   EXPECT_EQ(sampler.samples(), 0u);
   sampler.poll(SimTime::from_ms(10));
-  c->add(7);
+  interrupt_ns += 7;
   sampler.poll(SimTime::from_ms(20));
   EXPECT_EQ(sampler.samples(), 2u);
   const TimeSeries* s = out.find("node.linux.interrupt_ns");
@@ -254,18 +260,18 @@ TEST(RegistrySampler, PollRecordsSnapshotDeltas) {
 }
 
 TEST(RegistrySampler, SchedulePollsPeriodicallyOnTheSimulator) {
-  obs::Registry registry;
-  obs::Counter* c = registry.counter("ticks");
+  std::uint64_t ticks = 0;
   sim::Simulator sim;
   // Bump the counter by 3 every 7 ms (off the sampler's 20 ms grid, so
   // no same-timestamp ordering ambiguity between tick and poll events).
   std::function<void()> tick = [&] {
-    c->add(3);
+    ticks += 3;
     sim.schedule_after(SimTime::from_ms(7), [&] { tick(); });
   };
   sim.schedule_after(SimTime::from_ms(7), [&] { tick(); });
   SeriesSet out;
-  RegistrySampler sampler(registry, &out, SimTime::from_ms(20));
+  RegistrySampler sampler([&] { return one_counter("ticks", ticks); }, &out,
+                          SimTime::from_ms(20));
   sampler.schedule(sim, SimTime::from_ms(100));
   sim.run_until(SimTime::from_ms(200));
   // Samples at t = 20..100 ms (t = 0 is the baseline); the deltas sum to
@@ -279,33 +285,30 @@ TEST(RegistrySampler, SchedulePollsPeriodicallyOnTheSimulator) {
 
 // ---------------------------------------------------------- OpenMetrics
 
-TEST(OpenMetrics, ExposesCountersHistogramsAndSeries) {
-  obs::Registry registry;
-  registry.counter("a.first")->add(41);
-  registry.counter("b.second_ns")->add(7);
-  registry.histogram("lat_us", 0.1, 1e6, 64)->add(25.0);
+TEST(OpenMetrics, ExposesCountersAndSeries) {
+  const obs::prof::CounterSnapshot counters{
+      {{"a.first", 41}, {"b.second_ns", 7}}};
   SeriesSet set;
   TimeSeries* s = set.series("fwq.daemon-mix.overhead_us",
                              SimTime::from_ms(625), 96);
   s->record(SimTime::from_ms(100), 12.5);
   s->record(SimTime::from_ms(900), 2.5);
 
-  const std::string text = obs::ts::openmetrics_text(registry, &set);
+  const std::string text = obs::ts::openmetrics_text(counters, &set);
   EXPECT_NE(text.find("# TYPE hpcos_counter counter\n"), std::string::npos);
   EXPECT_NE(text.find("hpcos_counter_total{name=\"a.first\"} 41\n"),
             std::string::npos);
   EXPECT_NE(text.find("# EOF\n"), std::string::npos);
 
   const auto samples = obs::ts::parse_openmetrics(text);
-  // 2 counters + 4 histogram lines + 3 series stats.
-  ASSERT_EQ(samples.size(), 9u);
+  // 2 counters + 3 series stats.
+  ASSERT_EQ(samples.size(), 5u);
   EXPECT_EQ(samples[0].metric, "hpcos_counter_total");
   EXPECT_EQ(samples[0].label("name"), "a.first");
   EXPECT_DOUBLE_EQ(samples[0].value, 41.0);
   double series_sum = -1.0;
   double series_count = -1.0;
   double resolution_us = -1.0;
-  std::uint64_t histogram_count = 0;
   for (const auto& sample : samples) {
     if (sample.metric == "hpcos_series" &&
         sample.label("name") == "fwq.daemon-mix.overhead_us") {
@@ -315,22 +318,15 @@ TEST(OpenMetrics, ExposesCountersHistogramsAndSeries) {
         resolution_us = sample.value;
       }
     }
-    if (sample.metric == "hpcos_histogram_count" &&
-        sample.label("name") == "lat_us") {
-      histogram_count = static_cast<std::uint64_t>(sample.value);
-    }
   }
   EXPECT_DOUBLE_EQ(series_sum, 15.0);
   EXPECT_DOUBLE_EQ(series_count, 2.0);
   EXPECT_DOUBLE_EQ(resolution_us, 625e3);
-  EXPECT_EQ(histogram_count, 1u);
 }
 
 TEST(OpenMetrics, EscapedLabelValuesRoundTrip) {
-  obs::Registry registry;
-  registry.counter("weird\\name\"with\nnewline")->add(3);
-  const auto samples =
-      obs::ts::parse_openmetrics(obs::ts::openmetrics_text(registry));
+  const auto samples = obs::ts::parse_openmetrics(obs::ts::openmetrics_text(
+      one_counter("weird\\name\"with\nnewline", 3)));
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].label("name"), "weird\\name\"with\nnewline");
   EXPECT_DOUBLE_EQ(samples[0].value, 3.0);
@@ -358,19 +354,19 @@ TEST(OpenMetrics, StrictParserRejectsMalformedInput) {
 // carries under counter.<name> — the two exports must never disagree on
 // a counter's name or value.
 TEST(ObsRoundTrip, OpenMetricsCountersMatchBenchReportJson) {
-  obs::Registry registry;
-  registry.counter("linux.interrupt_ns")->add(123456789012345ull);
-  registry.counter("lwk.syscalls.local")->add(42);
-  registry.counter("ikc.to_host.posted");  // zero-valued counter
-  registry.counter("fwq.topk.evictions")->add(7);
+  const obs::prof::CounterSnapshot counters{
+      {{"ikc.to_host.posted", 0},  // zero-valued counter
+       {"linux.interrupt_ns", 123456789012345ull},
+       {"lwk.sched.dispatches", 7},
+       {"lwk.syscalls.local", 42}}};
 
   obs::BenchReport report("round_trip", true, 1);
-  obs::ts::add_registry_metrics(report, registry, "counter");
+  obs::ts::add_registry_metrics(report, counters, "counter");
   const JsonValue doc = report.to_json();
   EXPECT_EQ(obs::validate_bench_report(doc), "");
 
   const auto samples =
-      obs::ts::parse_openmetrics(obs::ts::openmetrics_text(registry));
+      obs::ts::parse_openmetrics(obs::ts::openmetrics_text(counters));
   std::size_t counters_checked = 0;
   for (const auto& sample : samples) {
     if (sample.metric != "hpcos_counter_total") continue;

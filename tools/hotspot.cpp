@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
   const auto platform = hw::make_fugaku_testbed_platform();
   cluster::SimNodeOptions node_options;
   node_options.seed = Seed{2026};
-  node_options.observability = true;
   // Span ring for §4 (sampled span tracing); sized so the quick DES
   // window fits without wraparound and the lossless check stays exact.
   node_options.trace_capacity = 1 << 15;
@@ -258,12 +257,12 @@ int main(int argc, char** argv) {
   // Ask for at least two participants so the run crosses the scheduler
   // even on single-core CI hosts (requests clamp to parallel_capacity();
   // results are thread-count-independent by the determinism contract).
-  const obs::prof::HostCounterSnapshot sched_before =
+  const obs::prof::CounterSnapshot sched_before =
       obs::prof::host_counter_snapshot();
   const auto parallel_campaign = cluster::run_fwq_campaign(
       noise::fugaku_linux_profile(),
       campaign_config(q, std::max<std::size_t>(2, parallel_capacity())));
-  const obs::prof::HostCounterSnapshot sched_after =
+  const obs::prof::CounterSnapshot sched_after =
       obs::prof::host_counter_snapshot();
   // What the campaign added to each parallel.* entry; the backlog gauge
   // and max_backlog are levels, so they print as read afterwards.

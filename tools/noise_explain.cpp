@@ -12,8 +12,10 @@
 //     phase spans and the node's kernel noise events share one wall
 //     clock; prints the straggler / critical-path report with the node
 //     events overlaid on each straggler's compute window,
-//  3. prints the trace-side ledger (self time per source x core) for the
-//     node trace.
+//  3. prints the node's two §4.2 interference tables: every trace record
+//     on its application cores ranked per activity (the ftrace view,
+//     §4.2.1), and each application core's kernel time against its stall
+//     time over the FWQ window (the counter view, §4.2.2).
 //
 // Flags: --quick (smaller campaign), --json <path> (BenchReport; the
 // attrib_smoke/attrib_gate ctest jobs consume this), --folded <path>
@@ -33,6 +35,8 @@
 #include "common/table.h"
 #include "hw/platform.h"
 #include "linuxk/config.h"
+#include "linuxk/interference.h"
+#include "noise/attribution.h"
 #include "noise/fwq.h"
 #include "noise/profiles.h"
 #include "obs/attrib/critical_path.h"
@@ -78,9 +82,9 @@ class StencilStep final : public cluster::Workload {
 };
 
 // Memory phase on the DES node: a prepopulated large-page mmap, a
-// base-page mmap, and a munmap of the large region. Generates the
-// page-fault and TLB-shootdown span trees the trace-side ledger
-// attributes (plain FWQ noise events are unspanned).
+// base-page mmap, and a munmap of the large region. Its page-fault and
+// TLB-shootdown records rank beside the FWQ noise in the interference
+// report.
 struct MemoryPhase final : os::ThreadBody {
   int stage = 0;
   std::uint64_t large_addr = 0;
@@ -156,20 +160,25 @@ int main(int argc, char** argv) {
   node_config.profile = noise::strip_population_tails(node_config.profile);
   cluster::SimNodeOptions node_options;
   node_options.seed = seed;
-  node_options.observability = true;
   node_options.trace_capacity = 1 << 16;
   auto node = cluster::SimNode::make_linux_node(platform,
                                                 std::move(node_config),
                                                 node_options);
-  // Launcher-driven memory phase first (fault/unmap span trees for the
-  // trace ledger), then FWQ; anchoring at now() instead of zero is what
-  // places the BSP timelines after it on the node's wall clock.
+  // Launcher-driven memory phase first, then FWQ; anchoring at now()
+  // instead of zero is what places the BSP timelines after it on the
+  // node's wall clock.
   cluster::JobLauncher launcher(*node);
   const auto mem_job = launcher.launch(cluster::LaunchSpec{.ranks = 1});
   launcher.spawn_rank_thread(mem_job, 0, std::make_unique<MemoryPhase>(),
                              "memory-phase");
   node->simulator().run_until(SimTime::ms(50));
   const SimTime fwq_start = node->simulator().now();
+  // Each application core's accounting when the FWQ window opens (§3).
+  const auto app_cores = node->topology().application_cores().to_vector();
+  std::vector<os::CoreAccounting> fwq_before;
+  for (const hw::CoreId c : app_cores) {
+    fwq_before.push_back(node->app_kernel().accounting(c));
+  }
   noise::FwqConfig fwq;
   fwq.work_quantum = SimTime::from_ms(1);
   fwq.iterations = opts.quick ? 100 : 400;
@@ -194,7 +203,6 @@ int main(int argc, char** argv) {
   // Core-aware overlay: the 4 sampled rank tracks share the one DES node,
   // so partition its application cores round-robin across the tracks and
   // let per-core noise events land only on the rank that owns the core.
-  const auto app_cores = node->topology().application_cores().to_vector();
   const auto num_cores =
       static_cast<std::size_t>(node->topology().logical_cores());
   obs::attrib::TrackCoreMap track_cores;
@@ -214,11 +222,30 @@ int main(int argc, char** argv) {
                    std::to_string(fwq_start.to_us()) + " us");
   obs::attrib::print_straggler_report(std::cout, straggler);
 
-  // ---- 3. trace-side ledger -------------------------------------------
+  // ---- 3. interference on the node's application cores (§4.2) ---------
+  const auto interference = linuxk::analyze_interference(
+      node->trace(), node->topology().application_cores());
   print_banner(std::cout,
-               "Trace ledger: self time per source x core (DES node)");
-  obs::attrib::print_trace_ledger(std::cout,
-                                  obs::attrib::trace_ledger(node_records));
+               "Interference report: trace records on the application "
+               "cores (ftrace view, §4.2.1)");
+  std::cout << to_string(interference) << "dominant interferer: "
+            << interference.dominant() << "  (total stolen: "
+            << interference.total_interference.to_string() << " across "
+            << interference.total_events << " events)\n";
+
+  print_banner(std::cout,
+               "Per-core attribution over the FWQ window: OS activity vs "
+               "hardware contention (counter view, §4.2.2)");
+  TextTable acct({"core", "class", "kernel time", "stall time", "interrupts"});
+  for (std::size_t i = 0; i < app_cores.size(); ++i) {
+    const auto r = noise::attribute_window(
+        fwq_before[i], node->app_kernel().accounting(app_cores[i]));
+    if (r.cls == noise::InterferenceClass::kNone) continue;
+    acct.add_row({TextTable::fmt_int(app_cores[i]), to_string(r.cls),
+                  r.kernel_time.to_string(), r.stall_time.to_string(),
+                  TextTable::fmt_int(static_cast<long long>(r.interrupts))});
+  }
+  acct.print(std::cout);
 
   if (!folded_path.empty()) {
     try {

@@ -14,9 +14,10 @@
 //     histograms,
 //  3. renders the Fig. 4 analogue: a node x time overhead heatmap
 //     downsampled to a fixed grid at ingest,
-//  4. boots a DES multi-kernel node and turns periodic Registry snapshot
-//     deltas into linux.*/lwk.* counter-rate series (both kernels'
-//     interrupt_ns counters — the per-kernel noise-rate timeline),
+//  4. boots a DES multi-kernel node and turns periodic deltas of its
+//     kernel counters into linux.*/lwk.* counter-rate series (both
+//     kernels' interrupt_ns counters — the per-kernel noise-rate
+//     timeline),
 //  5. exports everything: OpenMetrics exposition (--openmetrics <path>),
 //     BenchReport JSON with per-source metrics and full series dumps
 //     (--json <path>; the timeline_smoke/timeline_gate ctest jobs consume
@@ -192,23 +193,20 @@ int main(int argc, char** argv) {
   print_banner(std::cout, "Full-machine noise heatmap (Fig. 4 analogue)");
   print_heatmap(std::cout, timeline.heatmap);
 
-  // ---- 4. DES node: registry deltas as per-kernel series ---------------
-  // A multi-kernel node registers both kernels' counters (linux.* and
-  // lwk.*) into one registry; the sampler turns periodic snapshot deltas
-  // into counter-rate series — the per-kernel interrupt_ns timeline.
+  // ---- 4. DES node: counter deltas as per-kernel series ----------------
+  // A multi-kernel node counts both kernels' events (linux.* and lwk.*);
+  // the sampler turns periodic deltas of SimNode::counters() into
+  // counter-rate series — the per-kernel interrupt_ns timeline.
   const auto platform = hw::make_fugaku_testbed_platform();
-  cluster::SimNodeOptions node_options;
-  node_options.seed = seed;
-  node_options.observability = true;
   auto node = cluster::SimNode::make_multikernel_node(
       platform, linuxk::make_fugaku_linux_config(platform),
-      mck::McKernelConfig::defaults(), node_options);
+      mck::McKernelConfig::defaults(), cluster::SimNodeOptions{.seed = seed});
   obs::ts::SeriesSet des_series;
   const SimTime sample_period = SimTime::ms(5);
   const SimTime des_until = SimTime::ms(60);
-  obs::ts::RegistrySampler sampler(node->registry(), &des_series,
-                                   sample_period, /*capacity=*/64,
-                                   /*prefix=*/"node.");
+  obs::ts::RegistrySampler sampler([&node] { return node->counters(); },
+                                   &des_series, sample_period,
+                                   /*capacity=*/64, /*prefix=*/"node.");
   sampler.schedule(node->simulator(), des_until);
   noise::FwqConfig fwq;
   fwq.work_quantum = SimTime::from_ms(1);
@@ -255,7 +253,7 @@ int main(int argc, char** argv) {
   }
   if (!openmetrics_path.empty()) {
     std::ofstream out(openmetrics_path);
-    out << obs::ts::openmetrics_text(node->registry(), &all_series);
+    out << obs::ts::openmetrics_text(node->counters(), &all_series);
     if (!out) {
       std::cerr << "noise_timeline: cannot write " << openmetrics_path
                 << "\n";
@@ -281,9 +279,9 @@ int main(int argc, char** argv) {
                     timeline.heatmap.max_cell());
   report.add_metric("des.sampler.samples", "count",
                     static_cast<double>(sampler.samples()));
-  // Every DES registry counter, exactly (integers): the JSON half of the
+  // Every DES node counter, exactly (integers): the JSON half of the
   // OpenMetrics name round trip.
-  obs::ts::add_registry_metrics(report, node->registry(), "counter");
+  obs::ts::add_registry_metrics(report, node->counters(), "counter");
   report.add_metric(
       "host.wall_s", "s",
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
